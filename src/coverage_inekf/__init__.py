@@ -22,7 +22,6 @@ from coverage_inekf.tmvn import BoxRegion, TruncatedMoments, box_moments, oracle
 from coverage_inekf.coverage import (
     CoverageSpec,
     FeasibleSet,
-    SamplerConfig,
     UpdateDiagnostics,
     ZPosterior,
     coverage_update,
@@ -56,7 +55,6 @@ __all__ = [
     "oracle_box_moments",
     "CoverageSpec",
     "FeasibleSet",
-    "SamplerConfig",
     "ZPosterior",
     "UpdateDiagnostics",
     "coverage_update",

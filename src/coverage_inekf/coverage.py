@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coverage_inekf import tmvn
 from coverage_inekf.filter import (
     ERROR_DIM,
     AugmentedState,
@@ -80,39 +79,21 @@ class FeasibleSet:
 class ZPosterior:
     """Moment-matched posterior of the projected error z = H dx.
 
-    ``prior_mass`` is the prior box probability pi, ``posterior_mass`` the
-    box probability recomputed under the returned moments (a diagnostic;
-    moment matching does not preserve set mass exactly).  ``prior_mean``
-    is kept so the lift can form the mean shift.
+    ``prior_mass`` is the prior box probability pi.  ``prior_mean`` is kept
+    so the lift can form the mean shift.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     prior_mass: float
-    posterior_mass: float
     prior_mean: np.ndarray
 
 
 @dataclass
-class SamplerConfig:
-    """Quadrature settings for the truncated-moment estimator.
-
-    ``posterior_mass`` toggles the purely diagnostic re-estimation of the
-    box mass under the moment-matched posterior; high-rate filter loops can
-    turn it off to halve the estimator cost.
-    """
-
-    n_samples: int = 1000
-    seed: int = 0
-    posterior_mass: bool = True
-
-
-@dataclass
 class UpdateDiagnostics:
-    """Per-update record: prior/posterior set mass and the branch taken."""
+    """Per-update record: prior set mass and the branch taken."""
 
     pi_prior: float
-    pi_post: float
     active: bool
     skipped: bool
     near_full_mass: bool = False
@@ -183,7 +164,9 @@ def kl_coverage_posterior(
     cov_z: np.ndarray,
     fs: FeasibleSet,
     gamma: float,
-    sampler: SamplerConfig,
+    *,
+    n_samples: int = 1000,
+    seed: int = 0,
 ) -> ZPosterior:
     """KL-minimal set-mass posterior in z-space, moment-matched to a Gaussian.
 
@@ -192,14 +175,14 @@ def kl_coverage_posterior(
     minimizer rescales the prior to mass gamma inside the box and 1 - gamma
     outside; its first two moments follow from the truncated moments inside
     the box and the law of total expectation for the complement.
+    ``n_samples`` and ``seed`` go to :func:`coverage_inekf.tmvn.box_moments`.
 
     Raises DegenerateMassError when the estimated prior mass is at the
     probability floor (extreme outlier; callers should skip the update).
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    box = fs.box()
-    tm = box_moments(mean_z, cov_z, box, sampler.n_samples, sampler.seed)
+    tm = box_moments(mean_z, cov_z, fs.box(), n_samples, seed)
     pi = tm.prob
     if tm.degenerate:
         raise DegenerateMassError(
@@ -211,7 +194,6 @@ def kl_coverage_posterior(
             mean=mean_z.copy(),
             cov=cov_z.copy(),
             prior_mass=pi,
-            posterior_mass=pi,
             prior_mean=mean_z.copy(),
         )
 
@@ -224,18 +206,10 @@ def kl_coverage_posterior(
     cov_post = _floor_spd(
         second_post - np.outer(mean_post, mean_post), "moment matching"
     )
-
-    if sampler.posterior_mass:
-        pi_post = box_moments(
-            mean_post, cov_post, box, sampler.n_samples, sampler.seed
-        ).prob
-    else:
-        pi_post = float("nan")
     return ZPosterior(
         mean=mean_post,
         cov=cov_post,
         prior_mass=pi,
-        posterior_mass=pi_post,
         prior_mean=mean_z.copy(),
     )
 
@@ -265,7 +239,9 @@ def coverage_update(
     bel: ErrorBelief,
     meas: np.ndarray,
     spec: CoverageSpec,
-    sampler: SamplerConfig,
+    *,
+    n_samples: int = 1000,
+    seed: int = 0,
 ) -> tuple[AugmentedState, ErrorBelief, UpdateDiagnostics]:
     """Full coverage-constrained measurement update.
 
@@ -278,22 +254,21 @@ def coverage_update(
     fs = build_feasible_set(x, meas, spec)
     mean_z, cov_z, gain = project_prior(bel, fs)
     try:
-        zpost = kl_coverage_posterior(mean_z, cov_z, fs, spec.gamma, sampler)
+        zpost = kl_coverage_posterior(
+            mean_z, cov_z, fs, spec.gamma, n_samples=n_samples, seed=seed
+        )
     except DegenerateMassError:
         log.debug(
             "coverage update skipped: prior set mass below %g (outlier)",
             PROB_FLOOR,
         )
-        diag = UpdateDiagnostics(
-            pi_prior=PROB_FLOOR, pi_post=PROB_FLOOR, active=False, skipped=True
-        )
+        diag = UpdateDiagnostics(pi_prior=PROB_FLOOR, active=False, skipped=True)
         return x, bel, diag
 
     near_full = (1.0 - zpost.prior_mass) < NEAR_FULL_MASS
     if zpost.prior_mass >= spec.gamma:
         diag = UpdateDiagnostics(
             pi_prior=zpost.prior_mass,
-            pi_post=zpost.posterior_mass,
             active=False,
             skipped=False,
             near_full_mass=near_full,
@@ -303,7 +278,6 @@ def coverage_update(
     x_new, bel_new = lift_and_apply(x, bel, zpost, gain, cov_z)
     diag = UpdateDiagnostics(
         pi_prior=zpost.prior_mass,
-        pi_post=zpost.posterior_mass,
         active=True,
         skipped=False,
         near_full_mass=near_full,

@@ -129,18 +129,6 @@ def so3_left_jacobian_inv(w: np.ndarray) -> np.ndarray:
     return np.eye(3) - 0.5 * wx + coeff * (wx @ wx)
 
 
-def so3_gamma2(w: np.ndarray) -> np.ndarray:
-    """Second integral Gamma_2(w) = sum_n w^^n / (n+2)!.
-
-    Shows up in closed-form strapdown propagation: the position advance under
-    constant body rates is R * Gamma_2(w dt) * a * dt^2.
-    """
-    theta = math.sqrt(float(w @ w))
-    _, _, c, d = _rodrigues_coefficients(theta)
-    wx = skew(w)
-    return 0.5 * np.eye(3) + c * wx + d * (wx @ wx)
-
-
 def orthonormalize(rot: np.ndarray) -> np.ndarray:
     """Nearest rotation matrix (polar factor via SVD)."""
     u, _, vt = np.linalg.svd(rot)

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from coverage_inekf import se23
-from coverage_inekf.coverage import CoverageSpec, SamplerConfig, coverage_update
+from coverage_inekf.coverage import CoverageSpec, coverage_update
 from coverage_inekf.filter import (
     GRAVITY,
     AugmentedState,
@@ -78,10 +78,6 @@ class TruthTrajectory:
             self.bias_accel.copy(),
             self.bias_gyro.copy(),
         )
-
-    def states(self):
-        for i in range(self.n):
-            yield self.times[i], self.state_at(i)
 
     def body_velocities(self) -> np.ndarray:
         return np.einsum("nji,nj->ni", self.rots, self.vels)
@@ -337,37 +333,20 @@ def synthesize_measurements(truth: TruthTrajectory, model, seed: int = 0):
 
 
 @dataclass
-class TrialConfig:
-    """Everything one filter trial needs, including its seed."""
+class Arm:
+    """One update rule of a campaign and the measurement model it uses."""
 
-    trajectory: TrajectorySpec
-    noise_model: object
-    update: str  # "gaussian" | "coverage"
-    seed: int
+    method: str  # "gaussian" | "coverage"
     gamma: float | None = None
     epsilon: np.ndarray | None = None
     r_meas: np.ndarray | None = None
-    process: ProcessNoise = field(
-        default_factory=lambda: ProcessNoise.from_densities(0.02, 0.002, 1e-4, 1e-5)
-    )
-    bias_accel: np.ndarray = field(
-        default_factory=lambda: np.array([0.05, -0.03, 0.02])
-    )
-    bias_gyro: np.ndarray = field(
-        default_factory=lambda: np.array([0.002, -0.001, 0.0015])
-    )
-    init_std: tuple = (0.02, 0.05, 0.05, 0.02, 0.002)
-    measurement_stride: int = 1
-    n_samples: int = 1000
-    gravity: np.ndarray = field(default_factory=lambda: GRAVITY.copy())
-    record_trajectory: bool = False
 
     def __post_init__(self):
-        if self.update not in ("gaussian", "coverage"):
-            raise ValueError("update must be 'gaussian' or 'coverage'")
-        if self.update == "coverage" and (self.gamma is None or self.epsilon is None):
+        if self.method not in ("gaussian", "coverage"):
+            raise ValueError("method must be 'gaussian' or 'coverage'")
+        if self.method == "coverage" and (self.gamma is None or self.epsilon is None):
             raise ValueError("coverage update needs gamma and epsilon")
-        if self.update == "gaussian" and self.r_meas is None:
+        if self.method == "gaussian" and self.r_meas is None:
             raise ValueError("gaussian update needs a measurement covariance")
 
 
@@ -381,38 +360,31 @@ class TrialResult:
     fraction_active: float
     seed: int
     diverged: bool = False
-    trajectory: np.ndarray | None = None  # (N, 10): pos, quat wxyz, vel
 
 
-def _rot_to_quat_wxyz(rot: np.ndarray) -> np.ndarray:
-    from scipy.spatial.transform import Rotation
-
-    q = Rotation.from_matrix(rot).as_quat()  # x, y, z, w
-    return np.array([q[3], q[0], q[1], q[2]])
-
-
-def run_trial(cfg: TrialConfig) -> TrialResult:
+def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
     """Propagate at the IMU rate, update at the measurement rate, score.
 
     NEES uses the position block of the realized invariant error against
     the filter's position covariance; RMSE is the plain position error.
     A non-finite state or covariance flags the trial as diverged.
     """
-    root = np.random.SeedSequence(cfg.seed)
+    root = np.random.SeedSequence(seed)
     s_imu, s_meas, s_init = (int(c.generate_state(1)[0]) for c in root.spawn(3))
 
-    truth = generate_truth(cfg.trajectory)
+    truth = generate_truth(campaign.trajectory)
     update_seeds = np.random.SeedSequence(
-        entropy=cfg.seed, spawn_key=(17,)
+        entropy=seed, spawn_key=(17,)
     ).generate_state(max(truth.n - 1, 1), dtype=np.uint64)
-    truth.bias_accel = np.asarray(cfg.bias_accel, float)
-    truth.bias_gyro = np.asarray(cfg.bias_gyro, float)
+    truth.bias_accel = np.asarray(campaign.bias_accel, float)
+    truth.bias_gyro = np.asarray(campaign.bias_gyro, float)
     imu = synthesize_imu(
-        truth, truth.bias_accel, truth.bias_gyro, cfg.process, s_imu, cfg.gravity
+        truth, truth.bias_accel, truth.bias_gyro, campaign.process, s_imu,
+        campaign.gravity,
     )
-    meas = synthesize_measurements(truth, cfg.noise_model, s_meas)
+    meas = synthesize_measurements(truth, campaign.noise_model, s_meas)
 
-    cov0 = ErrorBelief.from_std(*cfg.init_std).cov
+    cov0 = ErrorBelief.from_std(*campaign.init_std).cov
     rng_init = np.random.default_rng(s_init)
     delta0 = rng_init.multivariate_normal(np.zeros(15), cov0)
     x = AugmentedState(
@@ -423,8 +395,8 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
     bel = ErrorBelief(np.zeros(15), cov0)
 
     spec = None
-    if cfg.update == "coverage":
-        spec = CoverageSpec(np.asarray(cfg.epsilon, float), cfg.gamma)
+    if arm.method == "coverage":
+        spec = CoverageSpec(np.asarray(arm.epsilon, float), arm.gamma)
 
     n = truth.n
     nees = []
@@ -432,28 +404,20 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
     n_updates = 0
     n_active = 0
     diverged = False
-    record = np.empty((n, 10)) if cfg.record_trajectory else None
-    if record is not None:
-        record[0] = np.concatenate(
-            [x.nav.pos, _rot_to_quat_wxyz(x.nav.rot), x.nav.vel]
-        )
 
     for k in range(n - 1):
         u = imu[k]
-        phi, q_d = error_transition(x, u, cfg.process, cfg.gravity)
-        x = propagate_mean(x, u, cfg.gravity)
+        phi, q_d = error_transition(x, u, campaign.process, campaign.gravity)
+        x = propagate_mean(x, u, campaign.gravity)
         bel = propagate_cov(bel, phi, q_d)
 
-        if (k + 1) % cfg.measurement_stride == 0:
-            if cfg.update == "gaussian":
-                x, bel = gaussian_update(x, bel, meas[k + 1], cfg.r_meas)
+        if (k + 1) % campaign.measurement_stride == 0:
+            if arm.method == "gaussian":
+                x, bel = gaussian_update(x, bel, meas[k + 1], arm.r_meas)
             else:
-                sampler = SamplerConfig(
-                    n_samples=cfg.n_samples,
-                    seed=int(update_seeds[k]),
-                    posterior_mass=False,
+                x, bel, diag = coverage_update(
+                    x, bel, meas[k + 1], spec, seed=int(update_seeds[k])
                 )
-                x, bel, diag = coverage_update(x, bel, meas[k + 1], spec, sampler)
                 n_active += diag.active
             n_updates += 1
 
@@ -463,10 +427,6 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
             nees.append(float(e_p @ np.linalg.solve(p_pos, e_p)))
 
         sq_pos_err += float(np.sum((x.nav.pos - truth.poss[k + 1]) ** 2))
-        if record is not None:
-            record[k + 1] = np.concatenate(
-                [x.nav.pos, _rot_to_quat_wxyz(x.nav.rot), x.nav.vel]
-            )
         if not np.isfinite(x.nav.pos).all() or not np.isfinite(bel.cov[0, 0]):
             diverged = True
             break
@@ -479,15 +439,14 @@ def run_trial(cfg: TrialConfig) -> TrialResult:
     else:
         rmse = math.sqrt(sq_pos_err / (n - 1))
         nees_mean = float(nees.mean()) if nees.size else float("nan")
-    frac = n_active / n_updates if (cfg.update == "coverage" and n_updates) else float("nan")
+    frac = n_active / n_updates if (arm.method == "coverage" and n_updates) else float("nan")
     return TrialResult(
         rmse_pos=rmse,
         nees_mean=nees_mean,
         nees_series=nees,
         fraction_active=frac,
-        seed=cfg.seed,
+        seed=seed,
         diverged=diverged,
-        trajectory=record,
     )
 
 
@@ -518,13 +477,16 @@ class CampaignConfig:
     )
     init_std: tuple = (0.02, 0.05, 0.05, 0.02, 0.002)
     measurement_stride: int = 1
-    n_samples: int = 1000
     gravity: np.ndarray = field(default_factory=lambda: GRAVITY.copy())
 
 
 @dataclass
 class CampaignRow:
-    """Aggregate of one (method, gamma) arm."""
+    """Aggregate of one (method, gamma) arm over its finite trials.
+
+    ``diverged`` counts the trials whose RMSE and NEES are NaN and so are
+    left out of the means and spreads.
+    """
 
     method: str
     gamma: float | None
@@ -536,74 +498,62 @@ class CampaignRow:
     diverged: int
 
 
-def _trial_configs(campaign: CampaignConfig):
-    """Per-arm trial configs; the same trial seeds recur across arms so all
-    methods see identical sensor streams."""
-    seeds = np.random.SeedSequence(campaign.seed).generate_state(
-        campaign.trials, dtype=np.uint64
-    )
+def _arms(campaign: CampaignConfig) -> list[Arm]:
     r_fit = campaign.noise_model.fitted_covariance()
-    arms = []
-    if campaign.include_baseline:
-        arms.append(("gaussian", None, None, r_fit))
+    arms = [Arm("gaussian", r_meas=r_fit)] if campaign.include_baseline else []
     for gamma in campaign.gammas:
-        arms.append(
-            ("coverage", gamma, campaign.noise_model.epsilon_for(gamma), None)
-        )
-    configs = []
-    for method, gamma, eps, r_meas in arms:
-        for seed in seeds:
-            configs.append(
-                TrialConfig(
-                    trajectory=campaign.trajectory,
-                    noise_model=campaign.noise_model,
-                    update=method,
-                    seed=int(seed),
-                    gamma=gamma,
-                    epsilon=eps,
-                    r_meas=r_meas,
-                    process=campaign.process,
-                    bias_accel=campaign.bias_accel,
-                    bias_gyro=campaign.bias_gyro,
-                    init_std=campaign.init_std,
-                    measurement_stride=campaign.measurement_stride,
-                    n_samples=campaign.n_samples,
-                    gravity=campaign.gravity,
-                )
-            )
-    return arms, configs
+        arms.append(Arm("coverage", gamma, campaign.noise_model.epsilon_for(gamma)))
+    return arms
+
+
+def _finite_stats(values) -> tuple[float, float]:
+    """Mean and standard deviation of the finite entries; NaN if none."""
+    x = np.asarray(values, dtype=float)
+    x = x[np.isfinite(x)]
+    if x.size == 0:
+        return float("nan"), float("nan")
+    return float(np.mean(x)), float(np.std(x))
 
 
 def run_monte_carlo(campaign: CampaignConfig) -> list[CampaignRow]:
     """Run every arm over the shared trial seeds and aggregate.
 
-    Deterministic for a fixed campaign seed; trials are independent, so the
-    aggregation does not depend on execution order or on ``jobs``.
+    The same trial seeds recur across arms, so all methods see identical
+    sensor streams.  Deterministic for a fixed campaign seed; trials are
+    independent, so the aggregation does not depend on execution order or
+    on ``jobs``.
     """
     if campaign.trials < 1:
         raise ValueError("campaign needs at least one trial")
-    arms, configs = _trial_configs(campaign)
+    seeds = np.random.SeedSequence(campaign.seed).generate_state(
+        campaign.trials, dtype=np.uint64
+    ).tolist()
+    arms = _arms(campaign)
+    trial_arms = [arm for arm in arms for _ in seeds]
+    trial_seeds = seeds * len(arms)
+    campaigns = [campaign] * len(trial_seeds)
     if campaign.jobs > 1:
         with ProcessPoolExecutor(max_workers=campaign.jobs) as pool:
-            results = list(pool.map(run_trial, configs, chunksize=4))
+            results = list(
+                pool.map(run_trial, campaigns, trial_arms, trial_seeds, chunksize=4)
+            )
     else:
-        results = [run_trial(c) for c in configs]
+        results = list(map(run_trial, campaigns, trial_arms, trial_seeds))
 
     rows = []
-    for i, (method, gamma, _, _) in enumerate(arms):
+    for i, arm in enumerate(arms):
         chunk = results[i * campaign.trials : (i + 1) * campaign.trials]
-        rmse = np.array([r.rmse_pos for r in chunk])
-        nees = np.array([r.nees_mean for r in chunk])
-        frac = np.array([r.fraction_active for r in chunk])
+        rmse_mean, rmse_std = _finite_stats([r.rmse_pos for r in chunk])
+        nees_mean, nees_std = _finite_stats([r.nees_mean for r in chunk])
         rows.append(
             CampaignRow(
-                method=method,
-                gamma=gamma,
-                rmse_mean=float(np.mean(rmse)),
-                rmse_std=float(np.std(rmse)),
-                nees_mean=float(np.mean(nees)),
-                nees_std=float(np.std(nees)),
-                frac_active=float(np.mean(frac)) if method == "coverage" else float("nan"),
+                method=arm.method,
+                gamma=arm.gamma,
+                rmse_mean=rmse_mean,
+                rmse_std=rmse_std,
+                nees_mean=nees_mean,
+                nees_std=nees_std,
+                frac_active=_finite_stats([r.fraction_active for r in chunk])[0],
                 diverged=sum(r.diverged for r in chunk),
             )
         )
@@ -612,12 +562,12 @@ def run_monte_carlo(campaign: CampaignConfig) -> list[CampaignRow]:
 
 def campaign_rows_to_csv(rows: list[CampaignRow]) -> str:
     """Deterministic CSV rendering of campaign aggregates."""
-    lines = ["method,gamma,rmse_mean,rmse_std,nees_mean,nees_std,frac_active"]
+    lines = ["method,gamma,rmse_mean,rmse_std,nees_mean,nees_std,frac_active,diverged"]
     for r in rows:
         gamma = "" if r.gamma is None else f"{r.gamma:.10g}"
         frac = "" if math.isnan(r.frac_active) else f"{r.frac_active:.10g}"
         lines.append(
             f"{r.method},{gamma},{r.rmse_mean:.10g},{r.rmse_std:.10g},"
-            f"{r.nees_mean:.10g},{r.nees_std:.10g},{frac}"
+            f"{r.nees_mean:.10g},{r.nees_std:.10g},{frac},{r.diverged}"
         )
     return "\n".join(lines) + "\n"

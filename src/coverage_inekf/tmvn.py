@@ -1,20 +1,11 @@
 """Gaussian probability mass and truncated moments over axis-aligned boxes.
 
-The fast estimator pushes one randomized low-discrepancy point set through
-the Cholesky factor of the covariance, so the box probability, truncated
-mean, and truncated second moment all come from the same points.  Two
-weighting schemes share that machinery:
-
-``conditioned`` (default)
-    Sequential conditioning: each coordinate is drawn inside its
-    conditional slab and carries the slab probability as a smooth weight.
-    The integrand has no discontinuity, which buys orders of magnitude in
-    accuracy per point.
-
-``indicator``
-    Plain box-indicator weighting of unconditioned points.  Noisier, but
-    the points do not depend on the box, so with a shared seed the
-    probability estimate is exactly monotone under box inclusion.
+The estimator pushes one randomized low-discrepancy point set through the
+Cholesky factor of the covariance by sequential conditioning: each
+coordinate is drawn inside its conditional slab and carries the slab
+probability as a smooth weight, so every point lands in the box and the
+integrand has no discontinuity.  The box probability, truncated mean and
+truncated second moment all come from the same weighted points.
 
 A plain rejection-sampling oracle with the same interface serves as the
 slow reference; it never runs inside the filter.
@@ -170,12 +161,11 @@ def box_moments(
     box: BoxRegion,
     n_samples: int = 1000,
     seed: int = 0,
-    method: str = "conditioned",
 ) -> TruncatedMoments:
     """Estimate box probability and truncated moments of N(mean, cov).
 
     Deterministic for a fixed seed; estimation error shrinks with
-    ``n_samples``.  See the module docstring for the two methods.
+    ``n_samples``.  See the module docstring for the method.
 
     Parameters
     ----------
@@ -183,7 +173,6 @@ def box_moments(
     box : integration region, infinite bounds allowed.
     n_samples : number of quadrature points, at least 100.
     seed : randomization seed.
-    method : "conditioned" (default) or "indicator".
 
     Raises
     ------
@@ -199,28 +188,13 @@ def box_moments(
     lo, hi = _clamped_bounds(mean, cov, box)
     u = _shifted_uniforms(n_samples, mean.size, seed)
 
-    if method == "conditioned":
-        w, x = _conditioned_estimate(mean, chol, lo, hi, u)
-        w_sum = float(w.sum())
-        prob = w_sum / n_samples
-        if prob < PROB_FLOOR:
-            return _degenerate(mean, cov)
-        mu = (w @ x) / w_sum
-        m2 = (x.T @ (x * w[:, None])) / w_sum
-    elif method == "indicator":
-        x = ndtri(np.clip(u, _TINY, 1.0 - _TINY)) @ chol.T
-        x += mean
-        inside = np.all((x >= lo) & (x <= hi), axis=1)
-        n_in = int(np.count_nonzero(inside))
-        prob = n_in / n_samples
-        if prob < PROB_FLOOR:
-            return _degenerate(mean, cov)
-        xin = x[inside]
-        mu = xin.mean(axis=0)
-        m2 = (xin.T @ xin) / n_in
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    w, x = _conditioned_estimate(mean, chol, lo, hi, u)
+    w_sum = float(w.sum())
+    prob = w_sum / n_samples
+    if prob < PROB_FLOOR:
+        return _degenerate(mean, cov)
+    mu = (w @ x) / w_sum
+    m2 = (x.T @ (x * w[:, None])) / w_sum
     return TruncatedMoments(
         prob=min(prob, 1.0), mean=mu, second_moment=0.5 * (m2 + m2.T)
     )
@@ -271,67 +245,3 @@ def oracle_box_moments(
     return TruncatedMoments(
         prob=n_in / n_samples, mean=mu, second_moment=0.5 * (m2 + m2.T)
     )
-
-
-def random_problem(rng: np.random.Generator, dim: int = 3):
-    """Random PD covariance plus a box with non-trivial mass, for benchmarks."""
-    a = rng.standard_normal((dim, dim))
-    cov = a @ a.T + 0.3 * np.eye(dim)
-    mean = rng.normal(0.0, 1.0, dim)
-    sigma = np.sqrt(np.diag(cov))
-    center = mean + rng.uniform(-1.5, 1.5, dim) * sigma
-    half = rng.uniform(0.3, 2.0, dim) * sigma
-    return mean, cov, BoxRegion(center - half, center + half)
-
-
-def benchmark_accuracy(
-    n_samples_list,
-    trials: int = 100,
-    seed: int = 0,
-    oracle_samples: int = 10_000_000,
-    dim: int = 3,
-    method: str = "conditioned",
-):
-    """Runtime/accuracy sweep against the rejection oracle.
-
-    Returns one row per entry of ``n_samples_list``:
-    ``(n_samples, time_ms, prob_err, mean_err, cov_err)`` where the errors
-    are medians over ``trials`` random problems (absolute probability error,
-    l2 truncated-mean error, Frobenius second-moment error) and time_ms is
-    the median per-call wall time.
-    """
-    import time
-
-    root = np.random.SeedSequence(seed)
-    problem_seeds = root.spawn(trials)
-    problems = []
-    for s in problem_seeds:
-        rng = np.random.default_rng(s)
-        mean, cov, box = random_problem(rng, dim)
-        ref = oracle_box_moments(
-            mean, cov, box, n_samples=oracle_samples, seed=int(s.generate_state(1)[0])
-        )
-        problems.append((mean, cov, box, ref))
-
-    rows = []
-    for n in n_samples_list:
-        perr, merr, cerr, times = [], [], [], []
-        for i, (mean, cov, box, ref) in enumerate(problems):
-            t0 = time.perf_counter()
-            est = box_moments(mean, cov, box, n_samples=n, seed=i, method=method)
-            times.append((time.perf_counter() - t0) * 1e3)
-            perr.append(abs(est.prob - ref.prob))
-            merr.append(float(np.linalg.norm(est.mean - ref.mean)))
-            cerr.append(
-                float(np.linalg.norm(est.second_moment - ref.second_moment))
-            )
-        rows.append(
-            (
-                int(n),
-                float(np.median(times)),
-                float(np.median(perr)),
-                float(np.median(merr)),
-                float(np.median(cerr)),
-            )
-        )
-    return rows

@@ -11,7 +11,6 @@ from coverage_inekf.coverage import (
     CoverageSpec,
     DegenerateMassError,
     FeasibleSet,
-    SamplerConfig,
     build_feasible_set,
     coverage_update,
     kl_coverage_posterior,
@@ -25,6 +24,7 @@ from coverage_inekf.filter import (
     predicted_body_velocity,
 )
 from coverage_inekf.se23 import Se23Element, so3_exp
+from coverage_inekf.tmvn import box_moments
 
 
 def random_state(rng):
@@ -136,12 +136,12 @@ class TestKlCoveragePosterior:
             np.eye(1),
             one_d_feasible(-3.0, 3.0),
             gamma=0.8,
-            sampler=SamplerConfig(n_samples=4096, seed=0),
+            n_samples=4096,
+            seed=0,
         )
         assert zp.prior_mass >= 0.8
         assert np.array_equal(zp.mean, np.zeros(1))
         assert np.array_equal(zp.cov, np.eye(1))
-        assert zp.posterior_mass == zp.prior_mass
 
     def test_active_1d_matches_quadrature_oracle(self):
         # frozen reference: N(0,1), C=[1,2], gamma=0.5 via piecewise Simpson
@@ -151,7 +151,8 @@ class TestKlCoveragePosterior:
             np.eye(1),
             one_d_feasible(1.0, 2.0),
             gamma=0.5,
-            sampler=SamplerConfig(n_samples=2**17, seed=1),
+            n_samples=2**17,
+            seed=1,
         )
         assert abs(zp.mean[0] - ref_mean) / abs(ref_mean) < 1e-3
         assert abs(zp.cov[0, 0] - ref_var) / ref_var < 1e-3
@@ -171,7 +172,8 @@ class TestKlCoveragePosterior:
             np.eye(3),
             fs,
             gamma=0.9,
-            sampler=SamplerConfig(n_samples=2**14, seed=2),
+            n_samples=2**14,
+            seed=2,
         )
         assert zp.prior_mass < 0.9
         assert np.allclose(zp.mean, 0, atol=5e-3)
@@ -190,14 +192,16 @@ class TestKlCoveragePosterior:
                 np.eye(3),
                 fs,
                 gamma=0.85,
-                sampler=SamplerConfig(n_samples=2048, seed=trial),
+                n_samples=2048,
+                seed=trial,
             )
             if zp.prior_mass >= 0.85:
                 continue
             cases += 1
-            if zp.posterior_mass > zp.prior_mass:
+            pi_post = box_moments(zp.mean, zp.cov, fs.box(), 2048, trial).prob
+            if pi_post > zp.prior_mass:
                 improved += 1
-            assert zp.posterior_mass <= 0.85 + 0.05
+            assert pi_post <= 0.85 + 0.05
         assert cases > 30
         assert improved / cases >= 0.95
 
@@ -208,7 +212,8 @@ class TestKlCoveragePosterior:
                 np.eye(1),
                 one_d_feasible(50.0, 51.0),
                 gamma=0.8,
-                sampler=SamplerConfig(n_samples=1000, seed=3),
+                n_samples=1000,
+                seed=3,
             )
 
 
@@ -232,7 +237,6 @@ class TestLiftAndApply:
             mean=self.mean_z.copy(),
             cov=self.cov_z.copy(),
             prior_mass=0.9,
-            posterior_mass=0.9,
             prior_mean=self.mean_z.copy(),
         )
         x2, bel2 = lift_and_apply(self.x, self.bel, zp, self.gain, self.cov_z)
@@ -246,7 +250,6 @@ class TestLiftAndApply:
             mean=self.mean_z + np.array([0.05, -0.02, 0.01]),
             cov=np.zeros((3, 3)),
             prior_mass=0.5,
-            posterior_mass=0.8,
             prior_mean=self.mean_z.copy(),
         )
         _, bel2 = lift_and_apply(self.x, self.bel, zp, self.gain, self.cov_z)
@@ -258,7 +261,7 @@ class TestLiftAndApply:
 
     def test_pushforward_identity(self):
         zp = kl_coverage_posterior(
-            self.mean_z, self.cov_z, self.fs, 0.8, SamplerConfig(4096, 7)
+            self.mean_z, self.cov_z, self.fs, 0.8, n_samples=4096, seed=7
         )
         mean_full = self.bel.mean + self.gain @ (zp.mean - zp.prior_mean)
         _, bel2 = lift_and_apply(self.x, self.bel, zp, self.gain, self.cov_z)
@@ -274,7 +277,6 @@ class TestLiftAndApply:
             mean=self.mean_z.copy(),
             cov=np.zeros((3, 3)),
             prior_mass=0.5,
-            posterior_mass=0.8,
             prior_mean=self.mean_z.copy(),
         )
         bogus_cov_z = 100.0 * self.cov_z
@@ -292,7 +294,7 @@ class TestCoverageUpdate:
         spec = CoverageSpec(np.array([5.0, 5.0, 5.0]), 0.8)
         x2, bel2, diag = coverage_update(
             self.x, self.bel, predicted_body_velocity(self.x), spec,
-            SamplerConfig(1000, 0),
+            n_samples=1000, seed=0,
         )
         assert x2 is self.x
         assert bel2 is self.bel
@@ -303,11 +305,18 @@ class TestCoverageUpdate:
         spec = CoverageSpec(np.array([0.05, 0.05, 0.05]), 0.8)
         meas = predicted_body_velocity(self.x) + np.array([0.25, 0.0, 0.0])
         x2, bel2, diag = coverage_update(
-            self.x, self.bel, meas, spec, SamplerConfig(4096, 1)
+            self.x, self.bel, meas, spec, n_samples=4096, seed=1
         )
         assert diag.active
         assert diag.pi_prior < 0.8
-        assert diag.pi_prior < diag.pi_post <= 0.8 + 0.03
+        # the moment-matched posterior moves z-space mass toward gamma
+        fs = build_feasible_set(self.x, meas, spec)
+        mean_z, cov_z, _ = project_prior(self.bel, fs)
+        zp = kl_coverage_posterior(
+            mean_z, cov_z, fs, spec.gamma, n_samples=4096, seed=1
+        )
+        pi_post = box_moments(zp.mean, zp.cov, fs.box(), 4096, 1).prob
+        assert diag.pi_prior < pi_post <= 0.8 + 0.03
         # estimate moves toward the measurement
         before = np.linalg.norm(meas - predicted_body_velocity(self.x))
         after = np.linalg.norm(meas - predicted_body_velocity(x2))
@@ -317,7 +326,7 @@ class TestCoverageUpdate:
         spec = CoverageSpec(np.array([0.05, 0.05, 0.05]), 0.8)
         meas = predicted_body_velocity(self.x) + np.array([500.0, 0.0, 0.0])
         x2, bel2, diag = coverage_update(
-            self.x, self.bel, meas, spec, SamplerConfig(1000, 2)
+            self.x, self.bel, meas, spec, n_samples=1000, seed=2
         )
         assert diag.skipped and not diag.active
         assert x2 is self.x and bel2 is self.bel
@@ -325,8 +334,8 @@ class TestCoverageUpdate:
     def test_determinism(self):
         spec = CoverageSpec(np.array([0.05, 0.05, 0.05]), 0.8)
         meas = predicted_body_velocity(self.x) + np.array([0.2, -0.1, 0.0])
-        out1 = coverage_update(self.x, self.bel, meas, spec, SamplerConfig(1000, 3))
-        out2 = coverage_update(self.x, self.bel, meas, spec, SamplerConfig(1000, 3))
+        out1 = coverage_update(self.x, self.bel, meas, spec, n_samples=1000, seed=3)
+        out2 = coverage_update(self.x, self.bel, meas, spec, n_samples=1000, seed=3)
         assert np.array_equal(out1[0].nav.as_matrix(), out2[0].nav.as_matrix())
         assert np.array_equal(out1[1].cov, out2[1].cov)
         assert out1[2].pi_prior == out2[2].pi_prior
@@ -337,5 +346,5 @@ class TestCoverageUpdate:
         x, bel = self.x, self.bel
         for k in range(50):
             meas = predicted_body_velocity(x) + rng.normal(0.1, 0.1, 3)
-            x, bel, _ = coverage_update(x, bel, meas, spec, SamplerConfig(1000, k))
+            x, bel, _ = coverage_update(x, bel, meas, spec, n_samples=1000, seed=k)
             assert np.linalg.eigvalsh(bel.cov).min() >= -1e-10

@@ -1,15 +1,24 @@
 import dataclasses
+import itertools
 import math
+import warnings
 
+import numpy as np
 import pytest
 
+from coverage_inekf import sim
+from coverage_inekf.filter import propagate_mean
 from coverage_inekf.sim import (
     CampaignConfig,
     CampaignRow,
     FixedComponentMixture,
     GaussianNoise,
     TrajectorySpec,
+    TrialResult,
+    campaign_rows_to_csv,
+    generate_truth,
     run_monte_carlo,
+    synthesize_imu,
 )
 
 NAN = float("nan")
@@ -70,3 +79,79 @@ def assert_rows_identical(got, want):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_campaign_rows(name):
     assert_rows_identical(run_monte_carlo(golden_campaign(name)), GOLDEN[name])
+
+
+def test_jobs_do_not_change_rows():
+    rows = run_monte_carlo(golden_campaign("mixture", jobs=2))
+    assert_rows_identical(rows, GOLDEN["mixture"])
+
+
+def script_trials(monkeypatch, diverge):
+    """Replace run_trial: trial i of every arm scores RMSE i + 1, NEES
+    2 (i + 1) and active fraction 0.1 (i + 1); the calls numbered in
+    ``diverge`` (0-based, arm by arm) diverge instead."""
+    calls = itertools.count()
+
+    def scripted(campaign, arm, seed):
+        n = next(calls)
+        i = n % campaign.trials
+        frac = 0.1 * (i + 1) if arm.method == "coverage" else NAN
+        if n in diverge:
+            return TrialResult(NAN, NAN, np.array([NAN]), frac, seed, diverged=True)
+        nees = 2.0 * (i + 1)
+        return TrialResult(float(i + 1), nees, np.array([nees]), frac, seed)
+
+    monkeypatch.setattr(sim, "run_trial", scripted)
+
+
+def test_diverged_trial_is_counted_not_averaged(monkeypatch):
+    script_trials(monkeypatch, diverge={0})
+    gauss, cover = run_monte_carlo(golden_campaign("gaussian"))
+    # the baseline arm keeps trials 1 and 2 (RMSE 2 and 3)
+    assert (gauss.rmse_mean, gauss.rmse_std) == (2.5, 0.5)
+    assert (gauss.nees_mean, gauss.nees_std) == (5.0, 1.0)
+    assert gauss.diverged == 1
+    assert math.isnan(gauss.frac_active)
+    assert (cover.rmse_mean, cover.nees_mean, cover.diverged) == (2.0, 4.0, 0)
+    assert cover.frac_active == pytest.approx(0.2)
+    lines = campaign_rows_to_csv([gauss, cover]).splitlines()
+    assert lines[0].endswith(",frac_active,diverged")
+    assert lines[1].endswith(",,1") and lines[2].endswith(",0")
+
+
+def test_all_trials_diverged_reports_nan_without_warning(monkeypatch):
+    script_trials(monkeypatch, diverge={0, 1, 2})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gauss, _ = run_monte_carlo(golden_campaign("gaussian"))
+    assert gauss.diverged == 3
+    for value in (gauss.rmse_mean, gauss.rmse_std, gauss.nees_mean, gauss.nees_std):
+        assert math.isnan(value)
+
+
+@pytest.mark.parametrize("pattern", ["serpentine", "circle"])
+def test_noise_free_imu_inversion_round_trip(pattern):
+    """Strapdown propagation of the synthesized IMU retraces the truth.
+
+    Rotation and velocity are reproduced to roundoff (measured <= 2e-13).
+    Position carries the truncation error of constant rates within a
+    sample, measured at 9.5e-6 m on the serpentine after 5 s; that error
+    follows the trajectory's oscillations and does not accumulate, so it
+    is no larger over the next 5 s.
+    """
+    truth = generate_truth(TrajectorySpec(duration=10.0, pattern=pattern))
+    imu = synthesize_imu(truth)
+    x = truth.state_at(0)
+    err = np.empty((len(imu), 3))
+    for k, u in enumerate(imu):
+        x = propagate_mean(x, u)
+        err[k] = [
+            np.abs(x.nav.rot - truth.rots[k + 1]).max(),
+            np.abs(x.nav.vel - truth.vels[k + 1]).max(),
+            np.abs(x.nav.pos - truth.poss[k + 1]).max(),
+        ]
+    assert err[:, :2].max() <= 1e-10
+    half = len(imu) // 2
+    first, second = err[:half, 2].max(), err[half:, 2].max()
+    assert first <= 5e-5
+    assert second <= 1.1 * first + 1e-12
