@@ -9,10 +9,10 @@ at least gamma) instead of a Gaussian likelihood.
 from coverage_inekf.se23 import Se23Element, exp_se23, log_se23
 from coverage_inekf.filter import (
     AugmentedState,
-    ErrorBelief,
     ImuSample,
     ProcessNoise,
     apply_correction,
+    cov_from_std,
     error_transition,
     gaussian_update,
     propagate_cov,
@@ -41,7 +41,7 @@ __all__ = [
     "exp_se23",
     "log_se23",
     "AugmentedState",
-    "ErrorBelief",
+    "cov_from_std",
     "ImuSample",
     "ProcessNoise",
     "propagate_mean",

@@ -10,6 +10,10 @@ The set-mass constraint only involves the 3-dim output z = H dx, so the
 expensive truncated-moment work runs in z-space; the full 15-dim posterior
 is recovered by keeping the prior conditional p(dx | z) and swapping in the
 new marginal over z.
+
+As in :mod:`coverage_inekf.filter`, every correction is folded into the
+state, so the prior error mean is zero: the prior is the 15x15 covariance
+alone, and its projection onto z is zero-mean.
 """
 
 from __future__ import annotations
@@ -20,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from coverage_inekf.filter import (
-    ERROR_DIM,
     AugmentedState,
-    ErrorBelief,
     apply_correction,
+    check_conditioning,
     predicted_body_velocity,
     velocity_output_matrix,
 )
@@ -79,14 +82,13 @@ class FeasibleSet:
 class ZPosterior:
     """Moment-matched posterior of the projected error z = H dx.
 
-    ``prior_mass`` is the prior box probability pi.  ``prior_mean`` is kept
-    so the lift can form the mean shift.
+    ``prior_mass`` is the prior box probability pi.  The prior mean of z is
+    zero, so ``mean`` is also the shift the update applies.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     prior_mass: float
-    prior_mean: np.ndarray
 
 
 @dataclass
@@ -132,35 +134,24 @@ def build_feasible_set(
 
 
 def project_prior(
-    bel: ErrorBelief, fs: FeasibleSet
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project the prior belief onto z = H dx.
+    cov: np.ndarray, fs: FeasibleSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project the prior covariance onto z = H dx.
 
-    Returns (mean_z, cov_z, gain) where cov_z = H Sigma H^T is the projected
+    Returns (cov_z, gain) where cov_z = H Sigma H^T is the projected
     covariance and gain = Sigma H^T cov_z^-1 lifts z-space corrections back
-    to the full error state.
+    to the full error state.  Raises LinAlgError when the prior has
+    collapsed along a measured direction.
     """
-    mean_z = fs.h @ bel.mean
-    sigma_ht = bel.cov @ fs.h.T
+    sigma_ht = cov @ fs.h.T
     cov_z = fs.h @ sigma_ht
     cov_z = 0.5 * (cov_z + cov_z.T)
-    # screen with the SPD bound cond <= trace^3/det; exact value only when
-    # the bound trips, so the hot path stays cheap
-    det = np.linalg.det(cov_z)
-    trace = float(np.trace(cov_z))
-    if det <= 0.0 or trace**3 / det > 1e12:
-        cond = float(np.linalg.cond(cov_z))
-        if not np.isfinite(cond) or cond > 1e12:
-            raise np.linalg.LinAlgError(
-                f"projected prior is numerically singular (cond={cond:.3e}); "
-                "the prior has collapsed along a measured direction"
-            )
+    check_conditioning(cov_z, "projected prior")
     gain = sigma_ht @ np.linalg.inv(cov_z)
-    return mean_z, cov_z, gain
+    return cov_z, gain
 
 
 def kl_coverage_posterior(
-    mean_z: np.ndarray,
     cov_z: np.ndarray,
     fs: FeasibleSet,
     gamma: float,
@@ -170,11 +161,12 @@ def kl_coverage_posterior(
 ) -> ZPosterior:
     """KL-minimal set-mass posterior in z-space, moment-matched to a Gaussian.
 
-    If the prior already puts mass >= gamma in the box the constraint is
-    inactive and the prior moments are returned unchanged.  Otherwise the
-    minimizer rescales the prior to mass gamma inside the box and 1 - gamma
-    outside; its first two moments follow from the truncated moments inside
-    the box and the law of total expectation for the complement.
+    The prior is N(0, cov_z).  If it already puts mass >= gamma in the box,
+    the constraint is inactive and the prior moments are returned unchanged.
+    Otherwise the minimizer rescales the prior to mass gamma inside the box
+    and 1 - gamma outside; its first two moments follow from the truncated
+    moments inside the box and the law of total expectation for the
+    complement.
     ``n_samples`` and ``seed`` go to :func:`coverage_inekf.tmvn.box_moments`.
 
     Raises DegenerateMassError when the estimated prior mass is at the
@@ -182,7 +174,8 @@ def kl_coverage_posterior(
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    tm = box_moments(mean_z, cov_z, fs.box(), n_samples, seed)
+    d = cov_z.shape[0]
+    tm = box_moments(np.zeros(d), cov_z, fs.box(), n_samples, seed)
     pi = tm.prob
     if tm.degenerate:
         raise DegenerateMassError(
@@ -190,59 +183,48 @@ def kl_coverage_posterior(
             "is an extreme outlier for this prior"
         )
     if pi >= gamma:
-        return ZPosterior(
-            mean=mean_z.copy(),
-            cov=cov_z.copy(),
-            prior_mass=pi,
-            prior_mean=mean_z.copy(),
-        )
+        return ZPosterior(mean=np.zeros(d), cov=cov_z.copy(), prior_mass=pi)
 
-    second_prior = cov_z + np.outer(mean_z, mean_z)
-    mean_comp = (mean_z - pi * tm.mean) / (1.0 - pi)
-    second_comp = (second_prior - pi * tm.second_moment) / (1.0 - pi)
+    mean_comp = -pi * tm.mean / (1.0 - pi)
+    second_comp = (cov_z - pi * tm.second_moment) / (1.0 - pi)
 
     mean_post = gamma * tm.mean + (1.0 - gamma) * mean_comp
     second_post = gamma * tm.second_moment + (1.0 - gamma) * second_comp
     cov_post = _floor_spd(
         second_post - np.outer(mean_post, mean_post), "moment matching"
     )
-    return ZPosterior(
-        mean=mean_post,
-        cov=cov_post,
-        prior_mass=pi,
-        prior_mean=mean_z.copy(),
-    )
+    return ZPosterior(mean=mean_post, cov=cov_post, prior_mass=pi)
 
 
 def lift_and_apply(
     x: AugmentedState,
-    bel: ErrorBelief,
+    cov: np.ndarray,
     zpost: ZPosterior,
     gain: np.ndarray,
     cov_z: np.ndarray,
-) -> tuple[AugmentedState, ErrorBelief]:
+) -> tuple[AugmentedState, np.ndarray]:
     """Lift the z-space posterior to the full error state and apply it.
 
     Keeps the prior conditional p(dx | z): the full mean shifts along the
     gain, and the covariance changes only in the measured directions.  The
-    correction is folded into the state; the returned belief mean is zero.
+    correction is folded into the state and the posterior covariance is
+    returned.
     """
-    mean_full = bel.mean + gain @ (zpost.mean - zpost.prior_mean)
-    cov_full = bel.cov + gain @ (zpost.cov - cov_z) @ gain.T
+    cov_full = cov + gain @ (zpost.cov - cov_z) @ gain.T
     cov_full = _floor_spd(cov_full, "lifted posterior")
-    x_new = apply_correction(x, mean_full)
-    return x_new, ErrorBelief(np.zeros(ERROR_DIM), cov_full)
+    x_new = apply_correction(x, gain @ zpost.mean)
+    return x_new, cov_full
 
 
 def coverage_update(
     x: AugmentedState,
-    bel: ErrorBelief,
+    cov: np.ndarray,
     meas: np.ndarray,
     spec: CoverageSpec,
     *,
     n_samples: int = 1000,
     seed: int = 0,
-) -> tuple[AugmentedState, ErrorBelief, UpdateDiagnostics]:
+) -> tuple[AugmentedState, np.ndarray, UpdateDiagnostics]:
     """Full coverage-constrained measurement update.
 
     Builds the feasible set, projects the prior to z-space, computes the
@@ -252,10 +234,10 @@ def coverage_update(
     update is skipped entirely and logged.
     """
     fs = build_feasible_set(x, meas, spec)
-    mean_z, cov_z, gain = project_prior(bel, fs)
+    cov_z, gain = project_prior(cov, fs)
     try:
         zpost = kl_coverage_posterior(
-            mean_z, cov_z, fs, spec.gamma, n_samples=n_samples, seed=seed
+            cov_z, fs, spec.gamma, n_samples=n_samples, seed=seed
         )
     except DegenerateMassError:
         log.debug(
@@ -263,7 +245,7 @@ def coverage_update(
             PROB_FLOOR,
         )
         diag = UpdateDiagnostics(pi_prior=PROB_FLOOR, active=False, skipped=True)
-        return x, bel, diag
+        return x, cov, diag
 
     near_full = (1.0 - zpost.prior_mass) < NEAR_FULL_MASS
     if zpost.prior_mass >= spec.gamma:
@@ -273,13 +255,13 @@ def coverage_update(
             skipped=False,
             near_full_mass=near_full,
         )
-        return x, bel, diag
+        return x, cov, diag
 
-    x_new, bel_new = lift_and_apply(x, bel, zpost, gain, cov_z)
+    x_new, cov_new = lift_and_apply(x, cov, zpost, gain, cov_z)
     diag = UpdateDiagnostics(
         pi_prior=zpost.prior_mass,
         active=True,
         skipped=False,
         near_full_mass=near_full,
     )
-    return x_new, bel_new, diag
+    return x_new, cov_new, diag

@@ -6,8 +6,14 @@ Uncertainty lives on the 15-dimensional right-invariant error state
     (xi_rot, xi_vel, xi_pos, d_bias_accel, d_bias_gyro)
 
 following the package-wide tangent ordering.  The module provides strapdown
-propagation of mean and covariance, the on-manifold correction operator, and
-a baseline Gaussian update for body-frame velocity measurements.
+propagation of the state and the error covariance, the on-manifold
+correction operator, and a baseline Gaussian update for body-frame velocity
+measurements.
+
+Every update folds its error-mean correction into the state estimate, so
+the error mean is reset to zero after each update (the standard invariant
+EKF reset) and stays zero under propagation.  The error belief is therefore
+carried as its 15x15 covariance alone.
 """
 
 from __future__ import annotations
@@ -20,11 +26,15 @@ import numpy as np
 from coverage_inekf import se23
 from coverage_inekf.se23 import Se23Element, skew
 
-# Default gravity (m/s^2); campaign configs may override it.
+# Gravity in the world frame (m/s^2).
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
 ERROR_DIM = 15
 NOISE_DIM = 12
+
+# Matrices that must be inverted (projected priors, innovation covariances)
+# are rejected above this condition number.
+MAX_COND = 1e12
 
 
 @dataclass
@@ -40,27 +50,13 @@ class AugmentedState:
         return cls(Se23Element.identity())
 
 
-@dataclass
-class ErrorBelief:
-    """Gaussian over the 15-dim right-invariant error state."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    @classmethod
-    def from_std(cls, rot, vel, pos, bias_accel, bias_gyro) -> "ErrorBelief":
-        """Diagonal belief from per-block standard deviations."""
-        stds = np.concatenate(
-            [np.broadcast_to(np.atleast_1d(np.asarray(s, dtype=float)), (3,))
-             for s in (rot, vel, pos, bias_accel, bias_gyro)]
-        )
-        return cls(np.zeros(ERROR_DIM), np.diag(stds**2))
-
-    def check_valid(self, atol: float = 1e-10) -> None:
-        if np.abs(self.cov - self.cov.T).max() > atol:
-            raise ValueError("covariance is not symmetric")
-        if np.linalg.eigvalsh(self.cov).min() < -atol:
-            raise ValueError("covariance has eigenvalues below -1e-10")
+def cov_from_std(rot, vel, pos, bias_accel, bias_gyro) -> np.ndarray:
+    """Diagonal 15x15 error covariance from per-block standard deviations."""
+    stds = np.concatenate(
+        [np.broadcast_to(np.atleast_1d(np.asarray(s, dtype=float)), (3,))
+         for s in (rot, vel, pos, bias_accel, bias_gyro)]
+    )
+    return np.diag(stds**2)
 
 
 @dataclass
@@ -96,9 +92,6 @@ class ProcessNoise:
             raise ValueError("Q must be symmetric")
         if np.linalg.eigvalsh(self.q).min() < -1e-12:
             raise ValueError("Q must be PSD")
-        # fast path for the common diagonal case
-        off = self.q - np.diag(np.diag(self.q))
-        self.diagonal = np.diag(self.q).copy() if not off.any() else None
 
     @classmethod
     def from_densities(cls, accel, gyro, accel_bias, gyro_bias) -> "ProcessNoise":
@@ -132,9 +125,25 @@ _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
 
 
-def propagate_mean(
-    x: AugmentedState, u: ImuSample, gravity: np.ndarray = GRAVITY
-) -> AugmentedState:
+def check_conditioning(m: np.ndarray, what: str) -> None:
+    """Raise LinAlgError unless the SPD matrix ``m`` has cond <= MAX_COND.
+
+    Screens with the SPD bound cond <= trace^d / det and computes the exact
+    condition number only when the bound trips, so the common case costs
+    one determinant.  A non-finite matrix fails both checks.
+    """
+    with np.errstate(invalid="ignore"):
+        det = np.linalg.det(m)
+    if det > 0.0 and np.trace(m) ** m.shape[0] <= MAX_COND * det:
+        return
+    cond = float(np.linalg.cond(m))
+    if not np.isfinite(cond) or cond > MAX_COND:
+        raise np.linalg.LinAlgError(
+            f"{what} is numerically singular (cond={cond:.3e})"
+        )
+
+
+def propagate_mean(x: AugmentedState, u: ImuSample) -> AugmentedState:
     """Strapdown propagation of the state estimate over one IMU sample.
 
     Bias-corrected rates are held constant over the interval, for which the
@@ -157,8 +166,8 @@ def propagate_mean(
     dt = u.dt
     nav = Se23Element(
         rot @ gamma0,
-        vel + (rot @ (gamma1 @ a) + gravity) * dt,
-        pos + vel * dt + (rot @ (gamma2 @ a) + 0.5 * gravity) * dt * dt,
+        vel + (rot @ (gamma1 @ a) + GRAVITY) * dt,
+        pos + vel * dt + (rot @ (gamma2 @ a) + 0.5 * GRAVITY) * dt * dt,
         chain=x.nav.chain + 1,
     )
     if nav.chain > se23.RENORM_CHAIN_LENGTH:
@@ -167,9 +176,7 @@ def propagate_mean(
     return AugmentedState(nav, x.bias_accel.copy(), x.bias_gyro.copy())
 
 
-def error_dynamics_matrices(
-    x: AugmentedState, gravity: np.ndarray = GRAVITY
-) -> tuple[np.ndarray, np.ndarray]:
+def error_dynamics_matrices(x: AugmentedState) -> tuple[np.ndarray, np.ndarray]:
     """Continuous right-invariant error dynamics (A, N).
 
     d/dt delta = A delta + N w, with w the 12-dim process noise in the order
@@ -183,7 +190,7 @@ def error_dynamics_matrices(
 
     a_mat = np.zeros((ERROR_DIM, ERROR_DIM))
     a_mat[0:3, 12:15] = -rot
-    a_mat[3:6, 0:3] = skew(gravity)
+    a_mat[3:6, 0:3] = skew(GRAVITY)
     a_mat[3:6, 9:12] = -rot
     a_mat[3:6, 12:15] = -vx_r
     a_mat[6:9, 3:6] = _EYE3
@@ -214,31 +221,24 @@ def transition_from_dynamics(a_mat: np.ndarray, dt: float) -> np.ndarray:
 
 
 def error_transition(
-    x: AugmentedState,
-    u: ImuSample,
-    noise: ProcessNoise,
-    gravity: np.ndarray = GRAVITY,
+    x: AugmentedState, u: ImuSample, noise: ProcessNoise
 ) -> tuple[np.ndarray, np.ndarray]:
     """Discrete error-state transition Phi and process noise Q_d.
 
     Phi is the exact exponential of the continuous dynamics over dt; Q_d
     uses the first-order discretization Phi N Q N^T Phi^T dt.
     """
-    a_mat, n_mat = error_dynamics_matrices(x, gravity)
+    a_mat, n_mat = error_dynamics_matrices(x)
     phi = transition_from_dynamics(a_mat, u.dt)
     phi_n = phi @ n_mat
-    if noise.diagonal is not None:
-        q_d = (phi_n * noise.diagonal) @ phi_n.T
-        q_d *= u.dt
-    else:
-        q_d = (phi_n @ noise.q @ phi_n.T) * u.dt
+    q_d = (phi_n @ noise.q @ phi_n.T) * u.dt
     return phi, 0.5 * (q_d + q_d.T)
 
 
-def propagate_cov(bel: ErrorBelief, phi: np.ndarray, q_d: np.ndarray) -> ErrorBelief:
+def propagate_cov(cov: np.ndarray, phi: np.ndarray, q_d: np.ndarray) -> np.ndarray:
     """Covariance propagation Phi Sigma Phi^T + Q_d, symmetrized."""
-    cov = phi @ bel.cov @ phi.T + q_d
-    return ErrorBelief(phi @ bel.mean, 0.5 * (cov + cov.T))
+    cov = phi @ cov @ phi.T + q_d
+    return 0.5 * (cov + cov.T)
 
 
 def apply_correction(x: AugmentedState, delta: np.ndarray) -> AugmentedState:
@@ -271,33 +271,28 @@ def realized_error(x_est: AugmentedState, x_true: AugmentedState) -> np.ndarray:
 
 def gaussian_update(
     x: AugmentedState,
-    bel: ErrorBelief,
+    cov: np.ndarray,
     meas: np.ndarray,
     r: np.ndarray,
-) -> tuple[AugmentedState, ErrorBelief]:
+) -> tuple[AugmentedState, np.ndarray]:
     """Baseline right-invariant Kalman update for a body-velocity measurement.
 
     ``meas`` is the measured body-frame velocity, ``r`` its assumed Gaussian
     noise covariance.  Innovation is formed from the invariant output
     residual; the posterior error mean is folded into the state and the
-    returned belief mean is zero.
+    posterior covariance is returned.
     """
     meas = np.asarray(meas, dtype=float)
     r = np.asarray(r, dtype=float)
     h = velocity_output_matrix(x.nav.rot)
     residual = meas - predicted_body_velocity(x)
 
-    pht = bel.cov @ h.T
+    pht = cov @ h.T
     s = h @ pht + r
-    cond = np.linalg.cond(s)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise np.linalg.LinAlgError(
-            f"innovation covariance is singular (cond={cond:.3e})"
-        )
+    check_conditioning(s, "innovation covariance")
     k = pht @ np.linalg.inv(s)
 
-    delta = bel.mean + k @ (residual - h @ bel.mean)
     ikh = np.eye(ERROR_DIM) - k @ h
-    cov = ikh @ bel.cov @ ikh.T + k @ r @ k.T
-    x_new = apply_correction(x, delta)
-    return x_new, ErrorBelief(np.zeros(ERROR_DIM), 0.5 * (cov + cov.T))
+    cov = ikh @ cov @ ikh.T + k @ r @ k.T
+    x_new = apply_correction(x, k @ residual)
+    return x_new, 0.5 * (cov + cov.T)

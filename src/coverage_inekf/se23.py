@@ -156,10 +156,6 @@ class Se23Element:
     def identity(cls) -> "Se23Element":
         return cls(np.eye(3), np.zeros(3), np.zeros(3))
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Se23Element":
-        return cls(m[:3, :3].copy(), m[:3, 3].copy(), m[:3, 4].copy())
-
     def as_matrix(self) -> np.ndarray:
         m = np.eye(5)
         m[:3, :3] = self.rot
@@ -240,20 +236,3 @@ def log_se23(x: Se23Element) -> np.ndarray:
     jinv = so3_left_jacobian_inv(w)
     return np.concatenate([w, jinv @ x.vel, jinv @ x.pos])
 
-
-def act_on_d(x_inv: Se23Element, d: np.ndarray) -> np.ndarray:
-    """Apply an extended pose to a homogeneous 5-vector.
-
-    With x_inv the inverse pose and d = (0, 0, 0, -1, 0) this produces the
-    invariant output (body-frame velocity, -1, 0).
-    """
-    d = np.asarray(d, dtype=float)
-    out = np.empty(5)
-    out[:3] = x_inv.rot @ d[:3] + x_inv.vel * d[3] + x_inv.pos * d[4]
-    out[3] = d[3]
-    out[4] = d[4]
-    return out
-
-
-# Constant homogeneous vector of the body-velocity invariant output.
-OUTPUT_D = np.array([0.0, 0.0, 0.0, -1.0, 0.0])

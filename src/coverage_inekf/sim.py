@@ -22,9 +22,9 @@ from coverage_inekf.coverage import CoverageSpec, coverage_update
 from coverage_inekf.filter import (
     GRAVITY,
     AugmentedState,
-    ErrorBelief,
     ImuSample,
     ProcessNoise,
+    cov_from_std,
     error_transition,
     gaussian_update,
     propagate_cov,
@@ -159,7 +159,6 @@ def synthesize_imu(
     bias_gyro: np.ndarray | None = None,
     noise: ProcessNoise | None = None,
     seed: int = 0,
-    gravity: np.ndarray = GRAVITY,
 ) -> list[ImuSample]:
     """Invert the strapdown dynamics into per-interval IMU samples.
 
@@ -203,7 +202,7 @@ def synthesize_imu(
         (theta - np.sin(theta)) / np.where(small, 1.0, t2 * theta),
     )
     gamma1 = np.eye(3) + b[:, None, None] * wx + c[:, None, None] * (wx @ wx)
-    dv = (truth.vels[1:] - truth.vels[:-1]) / dts[:, None] - gravity
+    dv = (truth.vels[1:] - truth.vels[:-1]) / dts[:, None] - GRAVITY
     body_dv = np.einsum("nji,nj->ni", truth.rots[:-1], dv)
     a = np.linalg.solve(gamma1, body_dv[:, :, None])[:, :, 0]
 
@@ -356,14 +355,12 @@ class TrialResult:
 
     rmse_pos: float
     nees_mean: float
-    nees_series: np.ndarray
     fraction_active: float
-    seed: int
     diverged: bool = False
 
 
 def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
-    """Propagate at the IMU rate, update at the measurement rate, score.
+    """Propagate and update at the IMU rate, then score.
 
     NEES uses the position block of the realized invariant error against
     the filter's position covariance; RMSE is the plain position error.
@@ -379,20 +376,18 @@ def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
     truth.bias_accel = np.asarray(campaign.bias_accel, float)
     truth.bias_gyro = np.asarray(campaign.bias_gyro, float)
     imu = synthesize_imu(
-        truth, truth.bias_accel, truth.bias_gyro, campaign.process, s_imu,
-        campaign.gravity,
+        truth, truth.bias_accel, truth.bias_gyro, campaign.process, s_imu
     )
     meas = synthesize_measurements(truth, campaign.noise_model, s_meas)
 
-    cov0 = ErrorBelief.from_std(*campaign.init_std).cov
+    cov = cov_from_std(*campaign.init_std)
     rng_init = np.random.default_rng(s_init)
-    delta0 = rng_init.multivariate_normal(np.zeros(15), cov0)
+    delta0 = rng_init.multivariate_normal(np.zeros(15), cov)
     x = AugmentedState(
         se23.compose(exp_se23(delta0[:9]), truth.state_at(0).nav),
         truth.bias_accel + delta0[9:12],
         truth.bias_gyro + delta0[12:15],
     )
-    bel = ErrorBelief(np.zeros(15), cov0)
 
     spec = None
     if arm.method == "coverage":
@@ -401,33 +396,29 @@ def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
     n = truth.n
     nees = []
     sq_pos_err = 0.0
-    n_updates = 0
     n_active = 0
     diverged = False
 
     for k in range(n - 1):
         u = imu[k]
-        phi, q_d = error_transition(x, u, campaign.process, campaign.gravity)
-        x = propagate_mean(x, u, campaign.gravity)
-        bel = propagate_cov(bel, phi, q_d)
+        phi, q_d = error_transition(x, u, campaign.process)
+        x = propagate_mean(x, u)
+        cov = propagate_cov(cov, phi, q_d)
 
-        if (k + 1) % campaign.measurement_stride == 0:
-            if arm.method == "gaussian":
-                x, bel = gaussian_update(x, bel, meas[k + 1], arm.r_meas)
-            else:
-                x, bel, diag = coverage_update(
-                    x, bel, meas[k + 1], spec, seed=int(update_seeds[k])
-                )
-                n_active += diag.active
-            n_updates += 1
+        if arm.method == "gaussian":
+            x, cov = gaussian_update(x, cov, meas[k + 1], arm.r_meas)
+        else:
+            x, cov, diag = coverage_update(
+                x, cov, meas[k + 1], spec, seed=int(update_seeds[k])
+            )
+            n_active += diag.active
 
-            err = realized_error(x, truth.state_at(k + 1))
-            e_p = err[6:9]
-            p_pos = bel.cov[6:9, 6:9]
-            nees.append(float(e_p @ np.linalg.solve(p_pos, e_p)))
+        err = realized_error(x, truth.state_at(k + 1))
+        e_p = err[6:9]
+        nees.append(float(e_p @ np.linalg.solve(cov[6:9, 6:9], e_p)))
 
         sq_pos_err += float(np.sum((x.nav.pos - truth.poss[k + 1]) ** 2))
-        if not np.isfinite(x.nav.pos).all() or not np.isfinite(bel.cov[0, 0]):
+        if not np.isfinite(x.nav.pos).all() or not np.isfinite(cov[0, 0]):
             diverged = True
             break
 
@@ -439,13 +430,11 @@ def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
     else:
         rmse = math.sqrt(sq_pos_err / (n - 1))
         nees_mean = float(nees.mean()) if nees.size else float("nan")
-    frac = n_active / n_updates if (arm.method == "coverage" and n_updates) else float("nan")
+    frac = n_active / nees.size if (arm.method == "coverage" and nees.size) else float("nan")
     return TrialResult(
         rmse_pos=rmse,
         nees_mean=nees_mean,
-        nees_series=nees,
         fraction_active=frac,
-        seed=seed,
         diverged=diverged,
     )
 
@@ -476,8 +465,6 @@ class CampaignConfig:
         default_factory=lambda: np.array([0.002, -0.001, 0.0015])
     )
     init_std: tuple = (0.02, 0.05, 0.05, 0.02, 0.002)
-    measurement_stride: int = 1
-    gravity: np.ndarray = field(default_factory=lambda: GRAVITY.copy())
 
 
 @dataclass

@@ -19,8 +19,9 @@ from coverage_inekf.coverage import (
 )
 from coverage_inekf.filter import (
     AugmentedState,
-    ErrorBelief,
     apply_correction,
+    cov_from_std,
+    gaussian_update,
     predicted_body_velocity,
 )
 from coverage_inekf.se23 import Se23Element, so3_exp
@@ -98,10 +99,7 @@ class TestProjectPrior:
         fs = build_feasible_set(
             x, predicted_body_velocity(x), CoverageSpec(np.ones(3), 0.8)
         )
-        mean_z, cov_z, gain = project_prior(
-            ErrorBelief(np.zeros(15), np.eye(15)), fs
-        )
-        assert np.allclose(mean_z, 0, atol=0)
+        cov_z, gain = project_prior(np.eye(15), fs)
         assert np.allclose(cov_z, np.eye(3), atol=1e-12)
 
     def test_gain_identity(self):
@@ -112,8 +110,7 @@ class TestProjectPrior:
         )
         a = rng.standard_normal((15, 15))
         cov = a @ a.T + 0.5 * np.eye(15)
-        bel = ErrorBelief(np.zeros(15), cov)
-        mean_z, cov_z, gain = project_prior(bel, fs)
+        cov_z, gain = project_prior(cov, fs)
         assert np.allclose(gain @ cov_z, cov @ fs.h.T, atol=1e-9)
 
     def test_collapsed_prior_rejected(self):
@@ -125,14 +122,13 @@ class TestProjectPrior:
         cov = np.eye(15)
         cov[3:6, 3:6] = np.diag([1.0, 1e-15, 1.0])
         with pytest.raises(np.linalg.LinAlgError, match="cond"):
-            project_prior(ErrorBelief(np.zeros(15), cov), fs)
+            project_prior(cov, fs)
 
 
 class TestKlCoveragePosterior:
     def test_inactive_constraint_returns_prior(self):
         # N(0,1) on [-3,3] holds ~0.9973 mass, above gamma
         zp = kl_coverage_posterior(
-            np.zeros(1),
             np.eye(1),
             one_d_feasible(-3.0, 3.0),
             gamma=0.8,
@@ -147,7 +143,6 @@ class TestKlCoveragePosterior:
         # frozen reference: N(0,1), C=[1,2], gamma=0.5 via piecewise Simpson
         ref_mean, ref_var = 0.5828118857337737, 1.075748758692856
         zp = kl_coverage_posterior(
-            np.zeros(1),
             np.eye(1),
             one_d_feasible(1.0, 2.0),
             gamma=0.5,
@@ -168,7 +163,6 @@ class TestKlCoveragePosterior:
             np.zeros((3, 15)), -0.5 * np.ones(3), 0.5 * np.ones(3)
         )
         zp = kl_coverage_posterior(
-            np.zeros(3),
             np.eye(3),
             fs,
             gamma=0.9,
@@ -188,7 +182,6 @@ class TestKlCoveragePosterior:
             half = rng.uniform(0.3, 1.0, 3)
             fs = FeasibleSet(np.zeros((3, 15)), center - half, center + half)
             zp = kl_coverage_posterior(
-                np.zeros(3),
                 np.eye(3),
                 fs,
                 gamma=0.85,
@@ -208,7 +201,6 @@ class TestKlCoveragePosterior:
     def test_extreme_outlier_raises(self):
         with pytest.raises(DegenerateMassError):
             kl_coverage_posterior(
-                np.zeros(1),
                 np.eye(1),
                 one_d_feasible(50.0, 51.0),
                 gamma=0.8,
@@ -222,99 +214,81 @@ class TestLiftAndApply:
         rng = np.random.default_rng(6)
         self.x = random_state(rng)
         a = rng.standard_normal((15, 15))
-        self.bel = ErrorBelief(np.zeros(15), 0.01 * (a @ a.T + 2 * np.eye(15)))
+        self.cov = 0.01 * (a @ a.T + 2 * np.eye(15))
         self.fs = build_feasible_set(
             self.x,
             predicted_body_velocity(self.x) + np.array([0.3, 0.0, -0.2]),
             CoverageSpec(0.1 * np.ones(3), 0.8),
         )
-        self.mean_z, self.cov_z, self.gain = project_prior(self.bel, self.fs)
+        self.cov_z, self.gain = project_prior(self.cov, self.fs)
 
     def test_noop_when_posterior_is_prior(self):
         from coverage_inekf.coverage import ZPosterior
 
-        zp = ZPosterior(
-            mean=self.mean_z.copy(),
-            cov=self.cov_z.copy(),
-            prior_mass=0.9,
-            prior_mean=self.mean_z.copy(),
-        )
-        x2, bel2 = lift_and_apply(self.x, self.bel, zp, self.gain, self.cov_z)
+        zp = ZPosterior(mean=np.zeros(3), cov=self.cov_z.copy(), prior_mass=0.9)
+        x2, cov2 = lift_and_apply(self.x, self.cov, zp, self.gain, self.cov_z)
         assert np.allclose(x2.nav.as_matrix(), self.x.nav.as_matrix(), atol=1e-14)
-        assert np.allclose(bel2.cov, self.bel.cov, atol=1e-14)
+        assert np.allclose(cov2, self.cov, atol=1e-14)
 
     def test_zero_z_cov_matches_kalman_noise_free(self):
         from coverage_inekf.coverage import ZPosterior
 
         zp = ZPosterior(
-            mean=self.mean_z + np.array([0.05, -0.02, 0.01]),
-            cov=np.zeros((3, 3)),
-            prior_mass=0.5,
-            prior_mean=self.mean_z.copy(),
+            mean=np.array([0.05, -0.02, 0.01]), cov=np.zeros((3, 3)), prior_mass=0.5
         )
-        _, bel2 = lift_and_apply(self.x, self.bel, zp, self.gain, self.cov_z)
+        _, cov2 = lift_and_apply(self.x, self.cov, zp, self.gain, self.cov_z)
         h = self.fs.h
-        k = self.bel.cov @ h.T @ np.linalg.inv(h @ self.bel.cov @ h.T)
+        k = self.cov @ h.T @ np.linalg.inv(h @ self.cov @ h.T)
         ikh = np.eye(15) - k @ h
-        kalman_cov = ikh @ self.bel.cov @ ikh.T
-        assert np.allclose(bel2.cov, kalman_cov, atol=1e-9)
+        kalman_cov = ikh @ self.cov @ ikh.T
+        assert np.allclose(cov2, kalman_cov, atol=1e-9)
 
     def test_pushforward_identity(self):
         zp = kl_coverage_posterior(
-            self.mean_z, self.cov_z, self.fs, 0.8, n_samples=4096, seed=7
+            self.cov_z, self.fs, 0.8, n_samples=4096, seed=7
         )
-        mean_full = self.bel.mean + self.gain @ (zp.mean - zp.prior_mean)
-        _, bel2 = lift_and_apply(self.x, self.bel, zp, self.gain, self.cov_z)
-        assert np.allclose(self.fs.h @ mean_full, zp.mean, atol=1e-9)
-        assert np.allclose(
-            self.fs.h @ bel2.cov @ self.fs.h.T, zp.cov, atol=1e-9
-        )
+        _, cov2 = lift_and_apply(self.x, self.cov, zp, self.gain, self.cov_z)
+        assert np.allclose(self.fs.h @ self.gain @ zp.mean, zp.mean, atol=1e-9)
+        assert np.allclose(self.fs.h @ cov2 @ self.fs.h.T, zp.cov, atol=1e-9)
 
     def test_indefinite_result_rejected(self):
         from coverage_inekf.coverage import ZPosterior
 
-        zp = ZPosterior(
-            mean=self.mean_z.copy(),
-            cov=np.zeros((3, 3)),
-            prior_mass=0.5,
-            prior_mean=self.mean_z.copy(),
-        )
+        zp = ZPosterior(mean=np.zeros(3), cov=np.zeros((3, 3)), prior_mass=0.5)
         bogus_cov_z = 100.0 * self.cov_z
         with pytest.raises(np.linalg.LinAlgError):
-            lift_and_apply(self.x, self.bel, zp, self.gain, bogus_cov_z)
+            lift_and_apply(self.x, self.cov, zp, self.gain, bogus_cov_z)
 
 
 class TestCoverageUpdate:
     def setup_method(self):
         rng = np.random.default_rng(8)
         self.x = random_state(rng)
-        self.bel = ErrorBelief.from_std(0.02, 0.1, 0.1, 0.01, 0.001)
+        self.cov = cov_from_std(0.02, 0.1, 0.1, 0.01, 0.001)
 
     def test_wide_bounds_are_bit_identical_noop(self):
         spec = CoverageSpec(np.array([5.0, 5.0, 5.0]), 0.8)
-        x2, bel2, diag = coverage_update(
-            self.x, self.bel, predicted_body_velocity(self.x), spec,
+        x2, cov2, diag = coverage_update(
+            self.x, self.cov, predicted_body_velocity(self.x), spec,
             n_samples=1000, seed=0,
         )
         assert x2 is self.x
-        assert bel2 is self.bel
+        assert cov2 is self.cov
         assert not diag.active and not diag.skipped
         assert diag.pi_prior >= 0.8
 
     def test_offset_measurement_activates(self):
         spec = CoverageSpec(np.array([0.05, 0.05, 0.05]), 0.8)
         meas = predicted_body_velocity(self.x) + np.array([0.25, 0.0, 0.0])
-        x2, bel2, diag = coverage_update(
-            self.x, self.bel, meas, spec, n_samples=4096, seed=1
+        x2, _, diag = coverage_update(
+            self.x, self.cov, meas, spec, n_samples=4096, seed=1
         )
         assert diag.active
         assert diag.pi_prior < 0.8
         # the moment-matched posterior moves z-space mass toward gamma
         fs = build_feasible_set(self.x, meas, spec)
-        mean_z, cov_z, _ = project_prior(self.bel, fs)
-        zp = kl_coverage_posterior(
-            mean_z, cov_z, fs, spec.gamma, n_samples=4096, seed=1
-        )
+        cov_z, _ = project_prior(self.cov, fs)
+        zp = kl_coverage_posterior(cov_z, fs, spec.gamma, n_samples=4096, seed=1)
         pi_post = box_moments(zp.mean, zp.cov, fs.box(), 4096, 1).prob
         assert diag.pi_prior < pi_post <= 0.8 + 0.03
         # estimate moves toward the measurement
@@ -325,26 +299,43 @@ class TestCoverageUpdate:
     def test_extreme_outlier_skipped(self):
         spec = CoverageSpec(np.array([0.05, 0.05, 0.05]), 0.8)
         meas = predicted_body_velocity(self.x) + np.array([500.0, 0.0, 0.0])
-        x2, bel2, diag = coverage_update(
-            self.x, self.bel, meas, spec, n_samples=1000, seed=2
+        x2, cov2, diag = coverage_update(
+            self.x, self.cov, meas, spec, n_samples=1000, seed=2
         )
         assert diag.skipped and not diag.active
-        assert x2 is self.x and bel2 is self.bel
+        assert x2 is self.x and cov2 is self.cov
 
     def test_determinism(self):
         spec = CoverageSpec(np.array([0.05, 0.05, 0.05]), 0.8)
         meas = predicted_body_velocity(self.x) + np.array([0.2, -0.1, 0.0])
-        out1 = coverage_update(self.x, self.bel, meas, spec, n_samples=1000, seed=3)
-        out2 = coverage_update(self.x, self.bel, meas, spec, n_samples=1000, seed=3)
+        out1 = coverage_update(self.x, self.cov, meas, spec, n_samples=1000, seed=3)
+        out2 = coverage_update(self.x, self.cov, meas, spec, n_samples=1000, seed=3)
         assert np.array_equal(out1[0].nav.as_matrix(), out2[0].nav.as_matrix())
-        assert np.array_equal(out1[1].cov, out2[1].cov)
+        assert np.array_equal(out1[1], out2[1])
         assert out1[2].pi_prior == out2[2].pi_prior
 
     def test_posterior_cov_stays_psd(self):
         rng = np.random.default_rng(9)
         spec = CoverageSpec(np.array([0.05, 0.08, 0.05]), 0.85)
-        x, bel = self.x, self.bel
+        x, cov = self.x, self.cov
         for k in range(50):
             meas = predicted_body_velocity(x) + rng.normal(0.1, 0.1, 3)
-            x, bel, _ = coverage_update(x, bel, meas, spec, n_samples=1000, seed=k)
-            assert np.linalg.eigvalsh(bel.cov).min() >= -1e-10
+            x, cov, _ = coverage_update(x, cov, meas, spec, n_samples=1000, seed=k)
+            assert np.linalg.eigvalsh(cov).min() >= -1e-10
+
+
+@pytest.mark.parametrize(
+    "update",
+    [
+        lambda x, cov, meas: gaussian_update(x, cov, meas, 0.01 * np.eye(3)),
+        lambda x, cov, meas: coverage_update(
+            x, cov, meas, CoverageSpec(0.05 * np.ones(3), 0.8)
+        ),
+    ],
+    ids=["gaussian", "coverage"],
+)
+def test_nan_prior_rejected_by_both_rules(update):
+    x = random_state(np.random.default_rng(10))
+    cov = np.full((15, 15), np.nan)
+    with pytest.raises(np.linalg.LinAlgError):
+        update(x, cov, predicted_body_velocity(x) + 0.1)

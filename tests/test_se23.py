@@ -5,9 +5,7 @@ import pytest
 
 from coverage_inekf import se23
 from coverage_inekf.se23 import (
-    OUTPUT_D,
     Se23Element,
-    act_on_d,
     compose,
     exp_se23,
     hat,
@@ -163,30 +161,3 @@ class TestGroupOps:
             x = compose(x, step)
         x.check_valid(atol=1e-9)
 
-
-class TestInvariantOutput:
-    def test_identity_pose_gives_zero_velocity(self):
-        out = act_on_d(inverse(Se23Element.identity()), OUTPUT_D)
-        assert np.allclose(out, [0, 0, 0, -1, 0], atol=0)
-
-    def test_block_form_value(self):
-        # X with identity rotation and vel (1,0,0): output is the body-frame
-        # velocity with the homogeneous constants (-1, 0) appended.
-        x = Se23Element(np.eye(3), np.array([1.0, 0, 0]), np.zeros(3))
-        out = act_on_d(inverse(x), OUTPUT_D)
-        assert np.allclose(out, [1, 0, 0, -1, 0], atol=1e-15)
-
-    def test_matches_dense_product_oracle(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            x = random_element(rng)
-            xinv = inverse(x)
-            assert np.allclose(
-                act_on_d(xinv, OUTPUT_D), xinv.as_matrix() @ OUTPUT_D, atol=1e-12
-            )
-
-    def test_output_is_body_frame_velocity(self):
-        rng = np.random.default_rng(10)
-        x = random_element(rng)
-        out = act_on_d(inverse(x), OUTPUT_D)
-        assert np.allclose(out[:3], x.rot.T @ x.vel, atol=1e-12)

@@ -97,9 +97,8 @@ def script_trials(monkeypatch, diverge):
         i = n % campaign.trials
         frac = 0.1 * (i + 1) if arm.method == "coverage" else NAN
         if n in diverge:
-            return TrialResult(NAN, NAN, np.array([NAN]), frac, seed, diverged=True)
-        nees = 2.0 * (i + 1)
-        return TrialResult(float(i + 1), nees, np.array([nees]), frac, seed)
+            return TrialResult(NAN, NAN, frac, diverged=True)
+        return TrialResult(float(i + 1), 2.0 * (i + 1), frac)
 
     monkeypatch.setattr(sim, "run_trial", scripted)
 
