@@ -27,8 +27,8 @@ from coverage_inekf.filter import (
     AugmentedState,
     apply_correction,
     check_conditioning,
-    predicted_body_velocity,
     velocity_output_matrix,
+    velocity_residual,
 )
 from coverage_inekf.tmvn import PROB_FLOOR, BoxRegion, box_moments
 
@@ -127,8 +127,7 @@ def build_feasible_set(
     (:func:`coverage_inekf.filter.velocity_output_matrix`); the bounds are
     the innovation plus/minus the calibrated radii.
     """
-    meas = np.asarray(meas, dtype=float)
-    innovation = meas - predicted_body_velocity(prior_state)
+    innovation = velocity_residual(prior_state, meas)
     h = velocity_output_matrix(prior_state.nav.rot)
     return FeasibleSet(h, innovation - spec.epsilon, innovation + spec.epsilon)
 

@@ -121,6 +121,18 @@ def predicted_body_velocity(x: AugmentedState) -> np.ndarray:
     return x.nav.rot.T @ x.nav.vel
 
 
+def velocity_residual(x: AugmentedState, meas: np.ndarray) -> np.ndarray:
+    """Innovation of a body-velocity measurement, shared by both update rules.
+
+    Raises ValueError on a non-finite measurement, which neither rule can
+    use.
+    """
+    meas = np.asarray(meas, dtype=float)
+    if not np.isfinite(meas).all():
+        raise ValueError(f"measurement must be finite, got {meas}")
+    return meas - predicted_body_velocity(x)
+
+
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
 
@@ -282,10 +294,9 @@ def gaussian_update(
     residual; the posterior error mean is folded into the state and the
     posterior covariance is returned.
     """
-    meas = np.asarray(meas, dtype=float)
     r = np.asarray(r, dtype=float)
     h = velocity_output_matrix(x.nav.rot)
-    residual = meas - predicted_body_velocity(x)
+    residual = velocity_residual(x, meas)
 
     pht = cov @ h.T
     s = h @ pht + r

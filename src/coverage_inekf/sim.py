@@ -14,7 +14,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from coverage_inekf import se23
@@ -295,6 +294,10 @@ class FixedComponentMixture:
 
     def epsilon_for(self, gamma: float) -> np.ndarray:
         """Per-axis outer quantile radii solved numerically on the mixture."""
+        # Imported here, not at module level: scipy.optimize adds about
+        # 0.3 s to start-up and only mixture calibration needs it.
+        from scipy.optimize import brentq
+
         per_axis = gamma ** (1.0 / 3.0)
         hi = float(np.abs(self.means).max() + 12.0 * np.sqrt(self.covs.max()))
         eps = np.empty(3)
@@ -351,12 +354,17 @@ class Arm:
 
 @dataclass
 class TrialResult:
-    """Metrics of one trial."""
+    """Metrics of one trial.
+
+    ``skipped`` counts the coverage updates skipped as outliers (prior set
+    mass at the probability floor).
+    """
 
     rmse_pos: float
     nees_mean: float
     fraction_active: float
     diverged: bool = False
+    skipped: int = 0
 
 
 def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
@@ -397,6 +405,7 @@ def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
     nees = []
     sq_pos_err = 0.0
     n_active = 0
+    n_skipped = 0
     diverged = False
 
     for k in range(n - 1):
@@ -412,6 +421,7 @@ def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
                 x, cov, meas[k + 1], spec, seed=int(update_seeds[k])
             )
             n_active += diag.active
+            n_skipped += diag.skipped
 
         err = realized_error(x, truth.state_at(k + 1))
         e_p = err[6:9]
@@ -436,6 +446,7 @@ def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
         nees_mean=nees_mean,
         fraction_active=frac,
         diverged=diverged,
+        skipped=n_skipped,
     )
 
 
@@ -472,7 +483,8 @@ class CampaignRow:
     """Aggregate of one (method, gamma) arm over its finite trials.
 
     ``diverged`` counts the trials whose RMSE and NEES are NaN and so are
-    left out of the means and spreads.
+    left out of the means and spreads.  ``skipped`` sums the outlier-skipped
+    coverage updates over all of the arm's trials.
     """
 
     method: str
@@ -483,6 +495,7 @@ class CampaignRow:
     nees_std: float
     frac_active: float
     diverged: int
+    skipped: int
 
 
 def _arms(campaign: CampaignConfig) -> list[Arm]:
@@ -542,6 +555,7 @@ def run_monte_carlo(campaign: CampaignConfig) -> list[CampaignRow]:
                 nees_std=nees_std,
                 frac_active=_finite_stats([r.fraction_active for r in chunk])[0],
                 diverged=sum(r.diverged for r in chunk),
+                skipped=sum(r.skipped for r in chunk),
             )
         )
     return rows
@@ -549,12 +563,15 @@ def run_monte_carlo(campaign: CampaignConfig) -> list[CampaignRow]:
 
 def campaign_rows_to_csv(rows: list[CampaignRow]) -> str:
     """Deterministic CSV rendering of campaign aggregates."""
-    lines = ["method,gamma,rmse_mean,rmse_std,nees_mean,nees_std,frac_active,diverged"]
+    lines = [
+        "method,gamma,rmse_mean,rmse_std,nees_mean,nees_std,frac_active,"
+        "diverged,skipped"
+    ]
     for r in rows:
         gamma = "" if r.gamma is None else f"{r.gamma:.10g}"
         frac = "" if math.isnan(r.frac_active) else f"{r.frac_active:.10g}"
         lines.append(
             f"{r.method},{gamma},{r.rmse_mean:.10g},{r.rmse_std:.10g},"
-            f"{r.nees_mean:.10g},{r.nees_std:.10g},{frac},{r.diverged}"
+            f"{r.nees_mean:.10g},{r.nees_std:.10g},{frac},{r.diverged},{r.skipped}"
         )
     return "\n".join(lines) + "\n"

@@ -324,7 +324,7 @@ class TestCoverageUpdate:
             assert np.linalg.eigvalsh(cov).min() >= -1e-10
 
 
-@pytest.mark.parametrize(
+both_rules = pytest.mark.parametrize(
     "update",
     [
         lambda x, cov, meas: gaussian_update(x, cov, meas, 0.01 * np.eye(3)),
@@ -334,8 +334,20 @@ class TestCoverageUpdate:
     ],
     ids=["gaussian", "coverage"],
 )
+
+
+@both_rules
 def test_nan_prior_rejected_by_both_rules(update):
     x = random_state(np.random.default_rng(10))
     cov = np.full((15, 15), np.nan)
     with pytest.raises(np.linalg.LinAlgError):
         update(x, cov, predicted_body_velocity(x) + 0.1)
+
+
+@both_rules
+def test_nan_measurement_rejected_by_both_rules(update):
+    x = random_state(np.random.default_rng(11))
+    cov = np.eye(15)
+    meas = predicted_body_velocity(x) + np.array([np.nan, 0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        update(x, cov, meas)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from coverage_inekf import sim
+from coverage_inekf.coverage import UpdateDiagnostics
 from coverage_inekf.filter import propagate_mean
 from coverage_inekf.sim import (
     CampaignConfig,
@@ -20,6 +21,7 @@ from coverage_inekf.sim import (
     run_monte_carlo,
     synthesize_imu,
 )
+from coverage_inekf.tmvn import PROB_FLOOR
 
 NAN = float("nan")
 
@@ -29,20 +31,22 @@ GOLDEN = {
     "mixture": [
         CampaignRow(method="gaussian", gamma=None, rmse_mean=0.24123384393958167,
                     rmse_std=0.014152129925418666, nees_mean=20.227191423594373,
-                    nees_std=2.176123059797559, frac_active=NAN, diverged=0),
+                    nees_std=2.176123059797559, frac_active=NAN, diverged=0,
+                    skipped=0),
         CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.21963922802022626,
                     rmse_std=0.013731795316793607, nees_mean=9.273306621147137,
                     nees_std=1.292751514862138, frac_active=0.27499999999999997,
-                    diverged=0),
+                    diverged=0, skipped=0),
     ],
     "gaussian": [
         CampaignRow(method="gaussian", gamma=None, rmse_mean=0.07631534107758006,
                     rmse_std=0.037924234005869396, nees_mean=2.839262815262964,
-                    nees_std=2.5558181027511506, frac_active=NAN, diverged=0),
+                    nees_std=2.5558181027511506, frac_active=NAN, diverged=0,
+                    skipped=0),
         CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.08673370543638836,
                     rmse_std=0.03629006016650421, nees_mean=3.044359435306346,
                     nees_std=2.433826063756055, frac_active=0.43166666666666664,
-                    diverged=0),
+                    diverged=0, skipped=2),
     ],
 }
 
@@ -114,8 +118,8 @@ def test_diverged_trial_is_counted_not_averaged(monkeypatch):
     assert (cover.rmse_mean, cover.nees_mean, cover.diverged) == (2.0, 4.0, 0)
     assert cover.frac_active == pytest.approx(0.2)
     lines = campaign_rows_to_csv([gauss, cover]).splitlines()
-    assert lines[0].endswith(",frac_active,diverged")
-    assert lines[1].endswith(",,1") and lines[2].endswith(",0")
+    assert lines[0].endswith(",frac_active,diverged,skipped")
+    assert lines[1].endswith(",,1,0") and lines[2].endswith(",0,0")
 
 
 def test_all_trials_diverged_reports_nan_without_warning(monkeypatch):
@@ -126,6 +130,31 @@ def test_all_trials_diverged_reports_nan_without_warning(monkeypatch):
     assert gauss.diverged == 3
     for value in (gauss.rmse_mean, gauss.rmse_std, gauss.nees_mean, gauss.nees_std):
         assert math.isnan(value)
+
+
+def test_skipped_updates_are_counted(monkeypatch):
+    """Every tenth coverage update is skipped as an outlier; the others
+    leave the state alone.  Three 0.5 s trials make 150 updates, 15 of
+    them skipped."""
+    calls = itertools.count()
+
+    def scripted(x, cov, meas, spec, **kwargs):
+        skipped = next(calls) % 10 == 0
+        pi = PROB_FLOOR if skipped else 0.9
+        return x, cov, UpdateDiagnostics(pi, active=False, skipped=skipped)
+
+    monkeypatch.setattr(sim, "coverage_update", scripted)
+    campaign = CampaignConfig(
+        trajectory=TrajectorySpec(duration=0.5),
+        noise_model=GaussianNoise.isotropic(0.1),
+        trials=3,
+        seed=7,
+        gammas=(0.8,),
+        include_baseline=False,
+    )
+    (row,) = run_monte_carlo(campaign)
+    assert (row.skipped, row.diverged, row.frac_active) == (15, 0, 0.0)
+    assert campaign_rows_to_csv([row]).splitlines()[1].endswith(",0,0,15")
 
 
 @pytest.mark.parametrize("pattern", ["serpentine", "circle"])

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from coverage_inekf.tmvn import (
     PROB_FLOOR,
     BoxRegion,
+    _base_points,
     box_moments,
     oracle_box_moments,
 )
@@ -30,6 +32,20 @@ class TestBoxRegion:
     def test_full_space(self):
         box = BoxRegion.full_space(3)
         assert np.all(np.isinf(box.lower)) and np.all(np.isinf(box.upper))
+
+    def test_rejects_nan_bounds(self):
+        with pytest.raises(ValueError):
+            BoxRegion([np.nan, 0.0, 0.0], [1.0, 1.0, 1.0])
+
+
+# SciPy warns that a non-power-of-two draw loses the balance properties.
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("n", [100, 128, 1000, 4096])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_base_points_match_reference_sobol(dim, n):
+    """The in-module point set is SciPy's unscrambled Sobol sequence."""
+    ref = qmc.Sobol(d=dim, scramble=False).random(n)
+    assert np.array_equal(_base_points(n, dim), ref)
 
 
 class TestBoxMoments:
@@ -111,6 +127,10 @@ class TestBoxMoments:
         cov = np.diag([1.0, -1.0, 1.0])
         with pytest.raises(np.linalg.LinAlgError):
             box_moments(np.zeros(3), cov, BoxRegion.full_space(3))
+
+    def test_rejects_more_than_three_dimensions(self):
+        with pytest.raises(ValueError):
+            box_moments(np.zeros(4), np.eye(4), BoxRegion.full_space(4))
 
     def test_rejects_tiny_sample_count(self):
         with pytest.raises(ValueError):
