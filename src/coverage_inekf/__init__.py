@@ -18,7 +18,7 @@ from coverage_inekf.filter import (
     propagate_cov,
     propagate_mean,
 )
-from coverage_inekf.tmvn import BoxRegion, TruncatedMoments, box_moments, oracle_box_moments
+from coverage_inekf.tmvn import BoxRegion, TruncatedMoments, box_moments
 from coverage_inekf.coverage import (
     CoverageSpec,
     FeasibleSet,
@@ -52,7 +52,6 @@ __all__ = [
     "BoxRegion",
     "TruncatedMoments",
     "box_moments",
-    "oracle_box_moments",
     "CoverageSpec",
     "FeasibleSet",
     "ZPosterior",

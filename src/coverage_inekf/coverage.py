@@ -154,9 +154,6 @@ def kl_coverage_posterior(
     cov_z: np.ndarray,
     fs: FeasibleSet,
     gamma: float,
-    *,
-    n_samples: int = 1000,
-    seed: int = 0,
 ) -> ZPosterior:
     """KL-minimal set-mass posterior in z-space, moment-matched to a Gaussian.
 
@@ -166,7 +163,6 @@ def kl_coverage_posterior(
     and 1 - gamma outside; its first two moments follow from the truncated
     moments inside the box and the law of total expectation for the
     complement.
-    ``n_samples`` and ``seed`` go to :func:`coverage_inekf.tmvn.box_moments`.
 
     Raises DegenerateMassError when the estimated prior mass is at the
     probability floor (extreme outlier; callers should skip the update).
@@ -174,7 +170,7 @@ def kl_coverage_posterior(
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     d = cov_z.shape[0]
-    tm = box_moments(np.zeros(d), cov_z, fs.box(), n_samples, seed)
+    tm = box_moments(np.zeros(d), cov_z, fs.box())
     pi = tm.prob
     if tm.degenerate:
         raise DegenerateMassError(
@@ -220,9 +216,6 @@ def coverage_update(
     cov: np.ndarray,
     meas: np.ndarray,
     spec: CoverageSpec,
-    *,
-    n_samples: int = 1000,
-    seed: int = 0,
 ) -> tuple[AugmentedState, np.ndarray, UpdateDiagnostics]:
     """Full coverage-constrained measurement update.
 
@@ -235,9 +228,7 @@ def coverage_update(
     fs = build_feasible_set(x, meas, spec)
     cov_z, gain = project_prior(cov, fs)
     try:
-        zpost = kl_coverage_posterior(
-            cov_z, fs, spec.gamma, n_samples=n_samples, seed=seed
-        )
+        zpost = kl_coverage_posterior(cov_z, fs, spec.gamma)
     except DegenerateMassError:
         log.debug(
             "coverage update skipped: prior set mass below %g (outlier)",

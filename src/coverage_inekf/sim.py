@@ -293,18 +293,21 @@ class FixedComponentMixture:
         return total
 
     def epsilon_for(self, gamma: float) -> np.ndarray:
-        """Per-axis outer quantile radii solved numerically on the mixture."""
-        # Imported here, not at module level: scipy.optimize adds about
-        # 0.3 s to start-up and only mixture calibration needs it.
-        from scipy.optimize import brentq
-
+        """Per-axis outer quantile radii, by bisection of the monotone
+        ``marginal_abs_cdf`` until the bracket cannot be split further."""
         per_axis = gamma ** (1.0 / 3.0)
-        hi = float(np.abs(self.means).max() + 12.0 * np.sqrt(self.covs.max()))
+        top = float(np.abs(self.means).max() + 12.0 * np.sqrt(self.covs.max()))
         eps = np.empty(3)
         for j in range(3):
-            eps[j] = brentq(
-                lambda r: self.marginal_abs_cdf(j, r) - per_axis, 0.0, hi
-            )
+            lo, hi = 0.0, top
+            mid = 0.5 * (lo + hi)
+            while lo < mid < hi:
+                if self.marginal_abs_cdf(j, mid) < per_axis:
+                    lo = mid
+                else:
+                    hi = mid
+                mid = 0.5 * (lo + hi)
+            eps[j] = mid
         return eps
 
 
@@ -378,9 +381,6 @@ def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
     s_imu, s_meas, s_init = (int(c.generate_state(1)[0]) for c in root.spawn(3))
 
     truth = generate_truth(campaign.trajectory)
-    update_seeds = np.random.SeedSequence(
-        entropy=seed, spawn_key=(17,)
-    ).generate_state(max(truth.n - 1, 1), dtype=np.uint64)
     truth.bias_accel = np.asarray(campaign.bias_accel, float)
     truth.bias_gyro = np.asarray(campaign.bias_gyro, float)
     imu = synthesize_imu(
@@ -417,9 +417,7 @@ def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
         if arm.method == "gaussian":
             x, cov = gaussian_update(x, cov, meas[k + 1], arm.r_meas)
         else:
-            x, cov, diag = coverage_update(
-                x, cov, meas[k + 1], spec, seed=int(update_seeds[k])
-            )
+            x, cov, diag = coverage_update(x, cov, meas[k + 1], spec)
             n_active += diag.active
             n_skipped += diag.skipped
 

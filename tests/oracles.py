@@ -2,7 +2,7 @@
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.stats import norm
+from scipy.stats import multivariate_normal, norm, truncnorm
 
 
 def piecewise_posterior_moments_1d(m, s, lo, hi, gamma, span=14.0, pts=400_001):
@@ -35,3 +35,31 @@ def mass_inside_piecewise_posterior_1d(m, s, lo, hi, gamma, pts=200_001):
     pi = norm.cdf(hi, m, s) - norm.cdf(lo, m, s)
     xs = np.linspace(lo, hi, pts)
     return simpson((gamma / pi) * norm.pdf(xs, m, s), x=xs)
+
+
+def truncated_normal_1d(m, s, lo, hi):
+    """Mass, mean and variance of N(m, s^2) restricted to [lo, hi]."""
+    a, b = (lo - m) / s, (hi - m) / s
+    mean, var = truncnorm.stats(a, b, loc=m, scale=s, moments="mv")
+    return norm.cdf(b) - norm.cdf(a), float(mean), float(var)
+
+
+def tensor_gauss_legendre_box_moments(mean, cov, lower, upper, order):
+    """Mass, mean and second moment of N(mean, cov) over a finite box.
+
+    Integrates the density, x and x x^T directly in x-space with an
+    order^d tensor-product Gauss-Legendre rule: no factorization of the
+    covariance and no conditioning, so it shares no steps with the
+    library's estimator.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * (np.asarray(upper) - np.asarray(lower))
+    mid = 0.5 * (np.asarray(upper) + np.asarray(lower))
+    axes = [mid[j] + half[j] * nodes for j in range(mid.size)]
+    x = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, mid.size)
+    w = np.ones(1)
+    for j in range(mid.size):
+        w = np.multiply.outer(w, half[j] * weights).ravel()
+    f = w * multivariate_normal(mean, cov).pdf(x)
+    mass = f.sum()
+    return mass, f @ x / mass, x.T @ (x * f[:, None]) / mass

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from oracles import (
     mass_inside_piecewise_posterior_1d,
@@ -8,6 +9,7 @@ from oracles import (
 
 from coverage_inekf import se23
 from coverage_inekf.coverage import (
+    NEAR_FULL_MASS,
     CoverageSpec,
     DegenerateMassError,
     FeasibleSet,
@@ -128,13 +130,7 @@ class TestProjectPrior:
 class TestKlCoveragePosterior:
     def test_inactive_constraint_returns_prior(self):
         # N(0,1) on [-3,3] holds ~0.9973 mass, above gamma
-        zp = kl_coverage_posterior(
-            np.eye(1),
-            one_d_feasible(-3.0, 3.0),
-            gamma=0.8,
-            n_samples=4096,
-            seed=0,
-        )
+        zp = kl_coverage_posterior(np.eye(1), one_d_feasible(-3.0, 3.0), gamma=0.8)
         assert zp.prior_mass >= 0.8
         assert np.array_equal(zp.mean, np.zeros(1))
         assert np.array_equal(zp.cov, np.eye(1))
@@ -142,13 +138,7 @@ class TestKlCoveragePosterior:
     def test_active_1d_matches_quadrature_oracle(self):
         # frozen reference: N(0,1), C=[1,2], gamma=0.5 via piecewise Simpson
         ref_mean, ref_var = 0.5828118857337737, 1.075748758692856
-        zp = kl_coverage_posterior(
-            np.eye(1),
-            one_d_feasible(1.0, 2.0),
-            gamma=0.5,
-            n_samples=2**17,
-            seed=1,
-        )
+        zp = kl_coverage_posterior(np.eye(1), one_d_feasible(1.0, 2.0), gamma=0.5)
         assert abs(zp.mean[0] - ref_mean) / abs(ref_mean) < 1e-3
         assert abs(zp.cov[0, 0] - ref_var) / ref_var < 1e-3
 
@@ -162,13 +152,7 @@ class TestKlCoveragePosterior:
         fs = FeasibleSet(
             np.zeros((3, 15)), -0.5 * np.ones(3), 0.5 * np.ones(3)
         )
-        zp = kl_coverage_posterior(
-            np.eye(3),
-            fs,
-            gamma=0.9,
-            n_samples=2**14,
-            seed=2,
-        )
+        zp = kl_coverage_posterior(np.eye(3), fs, gamma=0.9)
         assert zp.prior_mass < 0.9
         assert np.allclose(zp.mean, 0, atol=5e-3)
         assert np.all(np.diag(zp.cov) < 1.0)
@@ -177,21 +161,15 @@ class TestKlCoveragePosterior:
         rng = np.random.default_rng(5)
         improved = 0
         cases = 0
-        for trial in range(50):
+        for _ in range(50):
             center = rng.uniform(0.5, 2.0, 3)
             half = rng.uniform(0.3, 1.0, 3)
             fs = FeasibleSet(np.zeros((3, 15)), center - half, center + half)
-            zp = kl_coverage_posterior(
-                np.eye(3),
-                fs,
-                gamma=0.85,
-                n_samples=2048,
-                seed=trial,
-            )
+            zp = kl_coverage_posterior(np.eye(3), fs, gamma=0.85)
             if zp.prior_mass >= 0.85:
                 continue
             cases += 1
-            pi_post = box_moments(zp.mean, zp.cov, fs.box(), 2048, trial).prob
+            pi_post = box_moments(zp.mean, zp.cov, fs.box()).prob
             if pi_post > zp.prior_mass:
                 improved += 1
             assert pi_post <= 0.85 + 0.05
@@ -200,13 +178,7 @@ class TestKlCoveragePosterior:
 
     def test_extreme_outlier_raises(self):
         with pytest.raises(DegenerateMassError):
-            kl_coverage_posterior(
-                np.eye(1),
-                one_d_feasible(50.0, 51.0),
-                gamma=0.8,
-                n_samples=1000,
-                seed=3,
-            )
+            kl_coverage_posterior(np.eye(1), one_d_feasible(50.0, 51.0), gamma=0.8)
 
 
 class TestLiftAndApply:
@@ -244,9 +216,7 @@ class TestLiftAndApply:
         assert np.allclose(cov2, kalman_cov, atol=1e-9)
 
     def test_pushforward_identity(self):
-        zp = kl_coverage_posterior(
-            self.cov_z, self.fs, 0.8, n_samples=4096, seed=7
-        )
+        zp = kl_coverage_posterior(self.cov_z, self.fs, 0.8)
         _, cov2 = lift_and_apply(self.x, self.cov, zp, self.gain, self.cov_z)
         assert np.allclose(self.fs.h @ self.gain @ zp.mean, zp.mean, atol=1e-9)
         assert np.allclose(self.fs.h @ cov2 @ self.fs.h.T, zp.cov, atol=1e-9)
@@ -269,8 +239,7 @@ class TestCoverageUpdate:
     def test_wide_bounds_are_bit_identical_noop(self):
         spec = CoverageSpec(np.array([5.0, 5.0, 5.0]), 0.8)
         x2, cov2, diag = coverage_update(
-            self.x, self.cov, predicted_body_velocity(self.x), spec,
-            n_samples=1000, seed=0,
+            self.x, self.cov, predicted_body_velocity(self.x), spec
         )
         assert x2 is self.x
         assert cov2 is self.cov
@@ -280,16 +249,14 @@ class TestCoverageUpdate:
     def test_offset_measurement_activates(self):
         spec = CoverageSpec(np.array([0.05, 0.05, 0.05]), 0.8)
         meas = predicted_body_velocity(self.x) + np.array([0.25, 0.0, 0.0])
-        x2, _, diag = coverage_update(
-            self.x, self.cov, meas, spec, n_samples=4096, seed=1
-        )
+        x2, _, diag = coverage_update(self.x, self.cov, meas, spec)
         assert diag.active
         assert diag.pi_prior < 0.8
         # the moment-matched posterior moves z-space mass toward gamma
         fs = build_feasible_set(self.x, meas, spec)
         cov_z, _ = project_prior(self.cov, fs)
-        zp = kl_coverage_posterior(cov_z, fs, spec.gamma, n_samples=4096, seed=1)
-        pi_post = box_moments(zp.mean, zp.cov, fs.box(), 4096, 1).prob
+        zp = kl_coverage_posterior(cov_z, fs, spec.gamma)
+        pi_post = box_moments(zp.mean, zp.cov, fs.box()).prob
         assert diag.pi_prior < pi_post <= 0.8 + 0.03
         # estimate moves toward the measurement
         before = np.linalg.norm(meas - predicted_body_velocity(self.x))
@@ -299,17 +266,30 @@ class TestCoverageUpdate:
     def test_extreme_outlier_skipped(self):
         spec = CoverageSpec(np.array([0.05, 0.05, 0.05]), 0.8)
         meas = predicted_body_velocity(self.x) + np.array([500.0, 0.0, 0.0])
-        x2, cov2, diag = coverage_update(
-            self.x, self.cov, meas, spec, n_samples=1000, seed=2
-        )
+        x2, cov2, diag = coverage_update(self.x, self.cov, meas, spec)
         assert diag.skipped and not diag.active
         assert x2 is self.x and cov2 is self.cov
+
+    @pytest.mark.parametrize("radius, near_full", [(5.5, True), (4.5, False)])
+    def test_near_full_mass_flag(self, radius, near_full):
+        """Radii of ``radius`` prior sigmas on every axis: 1 - pi is 1.1e-7
+        at 5.5 (flagged) and 2.0e-5 at 4.5 (not flagged)."""
+        x = AugmentedState.identity()
+        sd = 0.1
+        cov = cov_from_std(0.02, sd, 0.1, 0.01, 0.001)
+        spec = CoverageSpec(np.full(3, radius * sd), 0.8)
+        x2, cov2, diag = coverage_update(x, cov, predicted_body_velocity(x), spec)
+        expected = (2.0 * ndtr(radius) - 1.0) ** 3
+        assert abs(diag.pi_prior - expected) <= 1e-12
+        assert (1.0 - expected < NEAR_FULL_MASS) == near_full
+        assert diag.near_full_mass == near_full
+        assert not diag.active and x2 is x and cov2 is cov
 
     def test_determinism(self):
         spec = CoverageSpec(np.array([0.05, 0.05, 0.05]), 0.8)
         meas = predicted_body_velocity(self.x) + np.array([0.2, -0.1, 0.0])
-        out1 = coverage_update(self.x, self.cov, meas, spec, n_samples=1000, seed=3)
-        out2 = coverage_update(self.x, self.cov, meas, spec, n_samples=1000, seed=3)
+        out1 = coverage_update(self.x, self.cov, meas, spec)
+        out2 = coverage_update(self.x, self.cov, meas, spec)
         assert np.array_equal(out1[0].nav.as_matrix(), out2[0].nav.as_matrix())
         assert np.array_equal(out1[1], out2[1])
         assert out1[2].pi_prior == out2[2].pi_prior
@@ -320,7 +300,7 @@ class TestCoverageUpdate:
         x, cov = self.x, self.cov
         for k in range(50):
             meas = predicted_body_velocity(x) + rng.normal(0.1, 0.1, 3)
-            x, cov, _ = coverage_update(x, cov, meas, spec, n_samples=1000, seed=k)
+            x, cov, _ = coverage_update(x, cov, meas, spec)
             assert np.linalg.eigvalsh(cov).min() >= -1e-10
 
 

@@ -33,9 +33,9 @@ GOLDEN = {
                     rmse_std=0.014152129925418666, nees_mean=20.227191423594373,
                     nees_std=2.176123059797559, frac_active=NAN, diverged=0,
                     skipped=0),
-        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.21963922802022626,
-                    rmse_std=0.013731795316793607, nees_mean=9.273306621147137,
-                    nees_std=1.292751514862138, frac_active=0.27499999999999997,
+        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.21994425632608516,
+                    rmse_std=0.013461005856522755, nees_mean=9.282956581546864,
+                    nees_std=1.1901372064078455, frac_active=0.2733333333333334,
                     diverged=0, skipped=0),
     ],
     "gaussian": [
@@ -43,9 +43,9 @@ GOLDEN = {
                     rmse_std=0.037924234005869396, nees_mean=2.839262815262964,
                     nees_std=2.5558181027511506, frac_active=NAN, diverged=0,
                     skipped=0),
-        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.08673370543638836,
-                    rmse_std=0.03629006016650421, nees_mean=3.044359435306346,
-                    nees_std=2.433826063756055, frac_active=0.43166666666666664,
+        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.08668812892082424,
+                    rmse_std=0.0362406129506607, nees_mean=3.0376901271287,
+                    nees_std=2.4292283136635566, frac_active=0.43333333333333335,
                     diverged=0, skipped=2),
     ],
 }
@@ -138,7 +138,7 @@ def test_skipped_updates_are_counted(monkeypatch):
     them skipped."""
     calls = itertools.count()
 
-    def scripted(x, cov, meas, spec, **kwargs):
+    def scripted(x, cov, meas, spec):
         skipped = next(calls) % 10 == 0
         pi = PROB_FLOOR if skipped else 0.9
         return x, cov, UpdateDiagnostics(pi, active=False, skipped=skipped)
@@ -183,3 +183,16 @@ def test_noise_free_imu_inversion_round_trip(pattern):
     first, second = err[:half, 2].max(), err[half:, 2].max()
     assert first <= 5e-5
     assert second <= 1.1 * first + 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.8, 0.95])
+def test_mixture_radii_match_brentq(gamma):
+    from scipy.optimize import brentq
+
+    model = FixedComponentMixture.default_biased()
+    per_axis = gamma ** (1.0 / 3.0)
+    ref = [
+        brentq(lambda r: model.marginal_abs_cdf(j, r) - per_axis, 0.0, 1.0, xtol=1e-15)
+        for j in range(3)
+    ]
+    assert np.abs(model.epsilon_for(gamma) - ref).max() <= 1e-11
