@@ -2,7 +2,10 @@
 
 import numpy as np
 from scipy.integrate import simpson
+from scipy.special import ndtri
 from scipy.stats import multivariate_normal, norm, truncnorm
+
+from coverage_inekf.tmvn import TruncatedMoments
 
 
 def piecewise_posterior_moments_1d(m, s, lo, hi, gamma, span=14.0, pts=400_001):
@@ -63,3 +66,74 @@ def tensor_gauss_legendre_box_moments(mean, cov, lower, upper, order):
     f = w * multivariate_normal(mean, cov).pdf(x)
     mass = f.sum()
     return mass, f @ x / mass, x.T @ (x * f[:, None]) / mass
+
+
+SOBOL_BITS = 30
+
+
+def _sobol_directions(dim):
+    """Direction numbers of the first ``dim`` <= 3 Sobol dimensions.
+
+    Row k holds the 30-bit integers v_k = m_k 2^(30-k) of bit k (0-based)
+    for each dimension (Joe & Kuo 2008).  Dimension 1 is van der Corput;
+    dimension 2 has primitive polynomial x + 1 and m = (1), so
+    v_k = v_{k-1} ^ (v_{k-1} >> 1); dimension 3 has x^2 + x + 1 and
+    m = (1, 3), so v_k = v_{k-1} ^ v_{k-2} ^ (v_{k-2} >> 2).
+    """
+    v = np.zeros((3, SOBOL_BITS), dtype=np.int64)
+    v[:, 0] = 1 << (SOBOL_BITS - 1)
+    v[2, 1] = 3 << (SOBOL_BITS - 2)
+    for k in range(1, SOBOL_BITS):
+        v[0, k] = v[0, k - 1] >> 1
+        v[1, k] = v[1, k - 1] ^ (v[1, k - 1] >> 1)
+        if k >= 2:
+            v[2, k] = v[2, k - 1] ^ v[2, k - 2] ^ (v[2, k - 2] >> 2)
+    return v.T[:, :dim]
+
+
+def _base_points(n_samples, dim, start=0):
+    """Points start .. start + n_samples - 1 of the unscrambled Sobol
+    sequence in [0, 1)^dim, dim <= 3.
+
+    Point i XORs the direction numbers of the set bits of its Gray code
+    i ^ (i >> 1) and is scaled by 2^-30, which is SciPy's unscrambled
+    Sobol engine bit for bit.
+    """
+    i = np.arange(start, start + n_samples, dtype=np.int64)
+    gray = i ^ (i >> 1)
+    v = _sobol_directions(dim)
+    bits = np.zeros((n_samples, dim), dtype=np.int64)
+    for k in range(int(start + n_samples).bit_length()):
+        bits ^= ((gray >> k) & 1)[:, None] * v[k]
+    return bits * 2.0**-SOBOL_BITS
+
+
+def oracle_box_moments(mean, cov, box, n_samples, seed=0, chunk=1_000_000):
+    """Rejection-sampling estimate of box mass and truncated moments.
+
+    Normal draws come from the Sobol points under a seeded uniform shift
+    modulo one, pushed through the inverse normal CDF; a draw counts if it
+    lands in the box.  It shares no quadrature with ``box_moments``.
+    Raises ValueError when no draw lands in the box.
+    """
+    mean = np.asarray(mean, dtype=float)
+    chol = np.linalg.cholesky(np.asarray(cov, dtype=float))
+    dim = mean.size
+    shift = np.random.default_rng(seed).random(dim)
+    n_in = 0
+    sum_x = np.zeros(dim)
+    sum_xx = np.zeros((dim, dim))
+    for start in range(0, n_samples, chunk):
+        u = _base_points(min(chunk, n_samples - start), dim, start) + shift
+        u -= np.floor(u)
+        x = ndtri(np.clip(u, 1e-16, 1.0 - 1e-16)) @ chol.T + mean
+        xin = x[np.all((x >= box.lower) & (x <= box.upper), axis=1)]
+        n_in += xin.shape[0]
+        sum_x += xin.sum(axis=0)
+        sum_xx += xin.T @ xin
+    if n_in == 0:
+        raise ValueError(f"no draw out of {n_samples} landed in the box")
+    m2 = sum_xx / n_in
+    return TruncatedMoments(
+        prob=n_in / n_samples, mean=sum_x / n_in, second_moment=0.5 * (m2 + m2.T)
+    )

@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 from scipy.special import ndtri
+from scipy.stats import qmc
 
-from oracles import tensor_gauss_legendre_box_moments, truncated_normal_1d
+from oracles import (
+    _base_points,
+    oracle_box_moments,
+    tensor_gauss_legendre_box_moments,
+    truncated_normal_1d,
+)
 
 from coverage_inekf import tmvn
 from coverage_inekf.tmvn import PROB_FLOOR, BoxRegion, box_moments
@@ -33,6 +39,19 @@ class TestBoxRegion:
     def test_rejects_nan_bounds(self):
         with pytest.raises(ValueError):
             BoxRegion([np.nan, 0.0, 0.0], [1.0, 1.0, 1.0])
+
+
+# SciPy warns that a non-power-of-two draw loses the balance properties.
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("n", [100, 128, 1000, 4096])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_base_points_match_reference_sobol(dim, n):
+    """The oracle's point set is SciPy's unscrambled Sobol sequence, also
+    when it is generated in chunks."""
+    ref = qmc.Sobol(d=dim, scramble=False).random(n)
+    assert np.array_equal(_base_points(n, dim), ref)
+    half = n // 2
+    assert np.array_equal(_base_points(n - half, dim, start=half), ref[half:])
 
 
 class TestBoxMoments:
@@ -95,6 +114,15 @@ class TestBoxMoments:
         assert abs(tm.prob - mass) <= 1e-8
         assert np.abs(tm.mean - mean).max() <= 1e-8
         assert np.abs(tm.second_moment - m2).max() <= 1e-8
+
+    def test_3d_against_rejection_oracle(self):
+        rng = np.random.default_rng(11)
+        mean, cov, box = random_problem(rng)
+        ref = oracle_box_moments(mean, cov, box, n_samples=2_000_000, seed=5)
+        tm = box_moments(mean, cov, box)
+        assert abs(tm.prob - ref.prob) < 1e-3
+        assert np.linalg.norm(tm.mean - ref.mean) < 0.05
+        assert np.linalg.norm(tm.second_moment - ref.second_moment) < 0.1
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_3d_against_tensor_gauss_legendre(self, seed):
@@ -206,3 +234,38 @@ class TestBoxMoments:
             if tm.prob > 1e-6:
                 gram = tm.second_moment - np.outer(tm.mean, tm.mean)
                 assert np.linalg.eigvalsh(gram).min() >= -1e-8
+
+
+class TestOracle:
+    def test_full_space_prob_exactly_one(self):
+        tm = oracle_box_moments(
+            np.zeros(2), np.eye(2), BoxRegion.full_space(2), n_samples=100_000, seed=0
+        )
+        assert tm.prob == 1.0
+
+    def test_halfline_half_normal(self):
+        sigma = 2.0
+        tm = oracle_box_moments(
+            np.zeros(1),
+            np.array([[sigma**2]]),
+            BoxRegion([0.0], [np.inf]),
+            n_samples=2_000_000,
+            seed=1,
+        )
+        assert abs(tm.prob - 0.5) < 1.5e-3
+        assert abs(tm.mean[0] - sigma * math.sqrt(2.0 / math.pi)) < 5e-3
+
+    def test_zero_acceptance_raises(self):
+        far = BoxRegion(np.full(2, 100.0), np.full(2, 101.0))
+        with pytest.raises(ValueError):
+            oracle_box_moments(np.zeros(2), np.eye(2), far, n_samples=10_000, seed=2)
+
+    def test_cross_estimator_consistency(self):
+        # large-sample agreement within a few binomial standard errors
+        rng = np.random.default_rng(17)
+        mean, cov, box = random_problem(rng)
+        n = 4_000_000
+        fast = box_moments(mean, cov, box)
+        slow = oracle_box_moments(mean, cov, box, n_samples=n, seed=10)
+        se = math.sqrt(slow.prob * (1 - slow.prob) / n)
+        assert abs(fast.prob - slow.prob) <= 4 * se
