@@ -108,8 +108,8 @@ def velocity_output_matrix(rot: np.ndarray) -> np.ndarray:
 
     Linearizing the output through the right-invariant error gives
     H = [0, -R^T, 0, 0, 0]: only the velocity error enters, rotated into the
-    body frame; bias columns are zero.  Shared by the Gaussian baseline and
-    the coverage update so the two differ only in the update rule.
+    body frame; bias columns are zero.  The coverage update uses it as is;
+    the Gaussian baseline applies its velocity block directly.
     """
     h = np.zeros((3, ERROR_DIM))
     h[:, 3:6] = -rot.T
@@ -267,18 +267,22 @@ def realized_error(x_est: AugmentedState, x_true: AugmentedState) -> np.ndarray:
 
     Returns delta such that x_true == x_est boxplus delta (to the group's
     exactness): the log of the right-invariant error, with bias differences
-    appended.
+    appended.  Batched over leading axes of the states' arrays.
     """
-    rot_e = x_est.nav.rot @ x_true.nav.rot.T
-    w = se23.so3_log(rot_e)
-    jinv = se23.so3_left_jacobian_inv(w)
-    out = np.empty(ERROR_DIM)
-    out[0:3] = w
-    out[3:6] = jinv @ (x_est.nav.vel - rot_e @ x_true.nav.vel)
-    out[6:9] = jinv @ (x_est.nav.pos - rot_e @ x_true.nav.pos)
-    out[9:12] = x_est.bias_accel - x_true.bias_accel
-    out[12:15] = x_est.bias_gyro - x_true.bias_gyro
-    return out
+    rot_e = x_est.nav.rot @ np.swapaxes(x_true.nav.rot, -1, -2)
+    nav_e = Se23Element(
+        rot_e,
+        x_est.nav.vel - np.einsum("...ij,...j->...i", rot_e, x_true.nav.vel),
+        x_est.nav.pos - np.einsum("...ij,...j->...i", rot_e, x_true.nav.pos),
+    )
+    return np.concatenate(
+        [
+            se23.log_se23(nav_e),
+            x_est.bias_accel - x_true.bias_accel,
+            x_est.bias_gyro - x_true.bias_gyro,
+        ],
+        axis=-1,
+    )
 
 
 def gaussian_update(
@@ -293,17 +297,23 @@ def gaussian_update(
     noise covariance.  Innovation is formed from the invariant output
     residual; the posterior error mean is folded into the state and the
     posterior covariance is returned.
+
+    H = [0, -R^T, 0, 0, 0] (:func:`velocity_output_matrix`) is applied by
+    its velocity block alone: Sigma H^T = -Sigma[:, 3:6] R, H Sigma H^T is
+    -R^T times that product's velocity rows, and I - K H differs from the
+    identity only in the velocity columns, by K R^T.
     """
     r = np.asarray(r, dtype=float)
-    h = velocity_output_matrix(x.nav.rot)
+    rot = x.nav.rot
     residual = velocity_residual(x, meas)
 
-    pht = cov @ h.T
-    s = h @ pht + r
+    pht = -(cov[:, 3:6] @ rot)
+    s = -rot.T @ pht[3:6] + r
     check_conditioning(s, "innovation covariance")
     k = pht @ np.linalg.inv(s)
 
-    ikh = np.eye(ERROR_DIM) - k @ h
+    ikh = np.eye(ERROR_DIM)
+    ikh[:, 3:6] += k @ rot.T
     cov = ikh @ cov @ ikh.T + k @ r @ k.T
     x_new = apply_correction(x, k @ residual)
     return x_new, 0.5 * (cov + cov.T)

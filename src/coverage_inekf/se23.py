@@ -38,20 +38,24 @@ ALGEBRA_PATTERN_TOL = 1e-12
 RENORM_CHAIN_LENGTH = 100
 
 
+# Levi-Civita tensor with the sign of the hat map: skew(v)[i, j] = _HAT[i, j] @ v.
+_HAT = np.zeros((3, 3, 3))
+_HAT[0, 1, 2] = _HAT[1, 2, 0] = _HAT[2, 0, 1] = -1.0
+_HAT[0, 2, 1] = _HAT[1, 0, 2] = _HAT[2, 1, 0] = 1.0
+_HAT.setflags(write=False)
+
+
 def skew(v: np.ndarray) -> np.ndarray:
-    """3x3 skew-symmetric matrix of a 3-vector (so(3) hat operator)."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    """Skew-symmetric matrices of 3-vectors (so(3) hat operator).
+
+    Batched over leading axes: (..., 3) -> (..., 3, 3).
+    """
+    return (_HAT @ np.asarray(v)[..., None, :, None])[..., 0]
 
 
 def unskew(m: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`skew`."""
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
+    """Inverse of :func:`skew`, batched over leading axes."""
+    return m[..., [2, 0, 1], [1, 2, 0]]
 
 
 def _rodrigues_coefficients(theta: float) -> tuple[float, float, float, float]:
@@ -88,24 +92,37 @@ def so3_exp(w: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * wx + b * (wx @ wx)
 
 
-def so3_log(rot: np.ndarray) -> np.ndarray:
-    """Logarithm map SO(3) -> so(3) as a rotation vector.
+def _so3_log_angle(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation vectors and angles of rotation matrices (..., 3, 3).
 
-    Raises ValueError for angles within ``PI_SINGULARITY_EPS`` of pi, where
-    the axis is not recoverable from the skew part; the filter never visits
-    that regime.
+    The angle comes from the trace; the axis from the skew part, scaled
+    by theta / sin(theta), which is replaced by its Taylor series below
+    ``SMALL_ANGLE_EPS``.
     """
-    trace = float(np.trace(rot))
-    theta = math.acos(min(1.0, max(-1.0, (trace - 1.0) / 2.0)))
-    if theta >= math.pi - PI_SINGULARITY_EPS:
+    rot = np.asarray(rot, dtype=float)
+    trace = np.trace(rot, axis1=-2, axis2=-1)
+    theta = np.arccos(np.clip(0.5 * (trace - 1.0), -1.0, 1.0))
+    if np.any(theta >= math.pi - PI_SINGULARITY_EPS):
         raise ValueError(
-            f"rotation angle {theta:.9f} rad is within {PI_SINGULARITY_EPS} of pi; "
-            "log map is singular there"
+            f"rotation angle {np.max(theta):.9f} rad is within "
+            f"{PI_SINGULARITY_EPS} of pi; log map is singular there"
         )
-    if theta < SMALL_ANGLE_EPS:
-        # log(R) ~ (R - R^T)/2 with an O(theta^3) angle correction
-        return unskew(rot - rot.T) * (0.5 + theta * theta / 12.0)
-    return unskew(rot - rot.T) * (0.5 * theta / math.sin(theta))
+    small = theta < SMALL_ANGLE_EPS
+    factor = np.where(
+        small, 1.0 + theta * theta / 6.0, theta / np.where(small, 1.0, np.sin(theta))
+    )
+    w = unskew(rot - np.swapaxes(rot, -1, -2)) * (0.5 * factor)[..., None]
+    return w, theta
+
+
+def so3_log(rot: np.ndarray) -> np.ndarray:
+    """Logarithm map SO(3) -> so(3) as rotation vectors.
+
+    Batched over leading axes: (..., 3, 3) -> (..., 3).  Raises ValueError
+    for angles within ``PI_SINGULARITY_EPS`` of pi, where the axis is not
+    recoverable from the skew part; the filter never visits that regime.
+    """
+    return _so3_log_angle(rot)[0]
 
 
 def so3_left_jacobian(w: np.ndarray) -> np.ndarray:
@@ -117,16 +134,19 @@ def so3_left_jacobian(w: np.ndarray) -> np.ndarray:
 
 
 def so3_left_jacobian_inv(w: np.ndarray) -> np.ndarray:
-    """Inverse left Jacobian J_l^-1 of SO(3)."""
-    theta = math.sqrt(float(w @ w))
+    """Inverse left Jacobian J_l^-1 of SO(3), batched over leading axes."""
+    w = np.asarray(w, dtype=float)
+    t2 = np.sum(w * w, axis=-1)
+    theta = np.sqrt(t2)
+    small = theta < SMALL_ANGLE_EPS
+    t = np.where(small, 1.0, theta)
+    coeff = np.where(
+        small,
+        1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
+        1.0 / (t * t) - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t)),
+    )
     wx = skew(w)
-    if theta < SMALL_ANGLE_EPS:
-        t2 = theta * theta
-        coeff = 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
-    else:
-        coeff = (1.0 / (theta * theta)
-                 - (1.0 + math.cos(theta)) / (2.0 * theta * math.sin(theta)))
-    return np.eye(3) - 0.5 * wx + coeff * (wx @ wx)
+    return np.eye(3) - 0.5 * wx + coeff[..., None, None] * (wx @ wx)
 
 
 def orthonormalize(rot: np.ndarray) -> np.ndarray:
@@ -231,8 +251,12 @@ def exp_se23(v: np.ndarray) -> Se23Element:
 
 
 def log_se23(x: Se23Element) -> np.ndarray:
-    """Logarithm map SE2(3) -> R^9, inverse of :func:`exp_se23`."""
+    """Logarithm map SE2(3) -> R^9, inverse of :func:`exp_se23`.
+
+    Batched over leading axes of the element's arrays.
+    """
     w = so3_log(x.rot)
     jinv = so3_left_jacobian_inv(w)
-    return np.concatenate([w, jinv @ x.vel, jinv @ x.pos])
-
+    vel = np.einsum("...ij,...j->...i", jinv, x.vel)
+    pos = np.einsum("...ij,...j->...i", jinv, x.pos)
+    return np.concatenate([w, vel, pos], axis=-1)

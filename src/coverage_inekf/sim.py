@@ -5,6 +5,10 @@ into ideal IMU samples, corrupts body-velocity pseudo-measurements with
 configurable noise (Gaussian, or a Gaussian mixture whose component is drawn
 once per trial and then held fixed), runs filter trials with either update
 rule, and aggregates position RMSE / NEES statistics across trials.
+
+A trial's step loop only filters and stores each posterior estimate; the
+trial is scored once, after the loop, in one batched pass over the stored
+estimates.
 """
 
 from __future__ import annotations
@@ -71,7 +75,8 @@ class TruthTrajectory:
     def n(self) -> int:
         return self.times.size
 
-    def state_at(self, i: int) -> AugmentedState:
+    def state_at(self, i: int | slice) -> AugmentedState:
+        """The true state at sample i; a slice gives a batch of states."""
         return AugmentedState(
             Se23Element(self.rots[i], self.vels[i], self.poss[i]),
             self.bias_accel.copy(),
@@ -171,29 +176,15 @@ def synthesize_imu(
     n = truth.n
     dts = np.diff(truth.times)
 
-    # batched relative rotations and their logs
+    # relative rotations and their logs; a turn of nearly pi within one
+    # sample raises ValueError
     rel = np.einsum("nji,njk->nik", truth.rots[:-1], truth.rots[1:])
-    traces = np.einsum("nii->n", rel)
-    cos_t = np.clip(0.5 * (traces - 1.0), -1.0, 1.0)
-    theta = np.arccos(cos_t)
-    if np.any(theta >= math.pi - se23.PI_SINGULARITY_EPS):
-        raise ValueError("truth rotates by nearly pi within one sample")
-    skew_part = 0.5 * (rel - np.transpose(rel, (0, 2, 1)))
-    vec = np.stack(
-        [skew_part[:, 2, 1], skew_part[:, 0, 2], skew_part[:, 1, 0]], axis=1
-    )
-    small = theta < se23.SMALL_ANGLE_EPS
-    factor = np.where(
-        small, 1.0 + theta**2 / 12.0, theta / np.where(small, 1.0, np.sin(theta))
-    )
-    phis = vec * factor[:, None]
+    phis, theta = se23._so3_log_angle(rel)
     w = phis / dts[:, None]
 
     # accelerations from the velocity increments through the first integral
-    wx = np.zeros((n - 1, 3, 3))
-    wx[:, 0, 1], wx[:, 0, 2] = -phis[:, 2], phis[:, 1]
-    wx[:, 1, 0], wx[:, 1, 2] = phis[:, 2], -phis[:, 0]
-    wx[:, 2, 0], wx[:, 2, 1] = -phis[:, 1], phis[:, 0]
+    wx = se23.skew(phis)
+    small = theta < se23.SMALL_ANGLE_EPS
     t2 = theta * theta
     b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / np.where(small, 1.0, t2))
     c = np.where(
@@ -371,11 +362,16 @@ class TrialResult:
 
 
 def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
-    """Propagate and update at the IMU rate, then score.
+    """Propagate and update at the IMU rate, then score the trial once.
 
-    NEES uses the position block of the realized invariant error against
-    the filter's position covariance; RMSE is the plain position error.
-    A non-finite state or covariance flags the trial as diverged.
+    Each step stores the posterior estimate and the position block of its
+    covariance.  After the last step, one batched pass over the stored
+    estimates scores them: NEES uses the position block of the realized
+    invariant error against the filter's position covariance; RMSE is the
+    plain position error.  A non-finite prior (state or covariance) flags
+    the trial as diverged and ends it before the update, which would
+    refuse it; a diverged trial is not scored.  A non-finite score flags
+    it as diverged too.
     """
     root = np.random.SeedSequence(seed)
     s_imu, s_meas, s_init = (int(c.generate_state(1)[0]) for c in root.spawn(3))
@@ -401,18 +397,24 @@ def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
     if arm.method == "coverage":
         spec = CoverageSpec(np.asarray(arm.epsilon, float), arm.gamma)
 
-    n = truth.n
-    nees = []
-    sq_pos_err = 0.0
+    # posterior estimates and position covariances, one row per update
+    steps = truth.n - 1
+    est_rot = np.empty((steps, 3, 3))
+    est_vel, est_pos = np.empty((steps, 3)), np.empty((steps, 3))
+    est_ba, est_bg = np.empty((steps, 3)), np.empty((steps, 3))
+    cov_pos = np.empty((steps, 3, 3))
     n_active = 0
     n_skipped = 0
-    diverged = False
+    taken = steps
 
-    for k in range(n - 1):
+    for k in range(steps):
         u = imu[k]
         phi, q_d = error_transition(x, u, campaign.process)
         x = propagate_mean(x, u)
         cov = propagate_cov(cov, phi, q_d)
+        if not np.isfinite(x.nav.pos).all() or not np.isfinite(cov[0, 0]):
+            taken = k
+            break
 
         if arm.method == "gaussian":
             x, cov = gaussian_update(x, cov, meas[k + 1], arm.r_meas)
@@ -421,24 +423,27 @@ def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
             n_active += diag.active
             n_skipped += diag.skipped
 
-        err = realized_error(x, truth.state_at(k + 1))
-        e_p = err[6:9]
-        nees.append(float(e_p @ np.linalg.solve(cov[6:9, 6:9], e_p)))
+        est_rot[k] = x.nav.rot
+        est_vel[k] = x.nav.vel
+        est_pos[k] = x.nav.pos
+        est_ba[k] = x.bias_accel
+        est_bg[k] = x.bias_gyro
+        cov_pos[k] = cov[6:9, 6:9]
 
-        sq_pos_err += float(np.sum((x.nav.pos - truth.poss[k + 1]) ** 2))
-        if not np.isfinite(x.nav.pos).all() or not np.isfinite(cov[0, 0]):
+    diverged = taken < steps
+    rmse = nees_mean = float("nan")
+    if not diverged:
+        est = AugmentedState(Se23Element(est_rot, est_vel, est_pos), est_ba, est_bg)
+        e_p = realized_error(est, truth.state_at(slice(1, None)))[:, 6:9]
+        solved = np.linalg.solve(cov_pos, e_p[:, :, None])[:, :, 0]
+        nees = np.einsum("ni,ni->n", e_p, solved)
+        if np.isfinite(nees).all():
+            sq_pos_err = np.sum((est_pos - truth.poss[1:]) ** 2, axis=1)
+            rmse = math.sqrt(float(sq_pos_err.mean()))
+            nees_mean = float(nees.mean())
+        else:
             diverged = True
-            break
-
-    nees = np.asarray(nees)
-    if diverged or not np.isfinite(nees).all():
-        diverged = True
-        rmse = float("nan")
-        nees_mean = float("nan")
-    else:
-        rmse = math.sqrt(sq_pos_err / (n - 1))
-        nees_mean = float(nees.mean()) if nees.size else float("nan")
-    frac = n_active / nees.size if (arm.method == "coverage" and nees.size) else float("nan")
+    frac = n_active / taken if (arm.method == "coverage" and taken) else float("nan")
     return TrialResult(
         rmse_pos=rmse,
         nees_mean=nees_mean,

@@ -150,7 +150,13 @@ def box_moments(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> TruncatedM
         raise ValueError("box dimension does not match the prior")
     if mean.size > MAX_DIM:
         raise ValueError(f"box_moments supports at most {MAX_DIM} dimensions")
-    sigma = np.sqrt(np.diag(cov))
+    variances = np.diag(cov)
+    if not np.all(variances > 0.0):
+        raise np.linalg.LinAlgError(
+            f"covariance diagonal {variances} is not positive; "
+            "cov has no Cholesky factor"
+        )
+    sigma = np.sqrt(variances)
     lo, hi = _clamped_bounds(mean, sigma, box)
     lo, hi = lo - mean, hi - mean
     # narrowest marginal slab first, so that the closed-form last

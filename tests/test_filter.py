@@ -40,6 +40,19 @@ def random_state(rng, vel_scale=1.0, pos_scale=5.0):
     )
 
 
+def stack_states(states):
+    """One AugmentedState whose arrays stack those of ``states``."""
+    return AugmentedState(
+        Se23Element(
+            np.array([x.nav.rot for x in states]),
+            np.array([x.nav.vel for x in states]),
+            np.array([x.nav.pos for x in states]),
+        ),
+        np.array([x.bias_accel for x in states]),
+        np.array([x.bias_gyro for x in states]),
+    )
+
+
 def rk4_strapdown(rot, vel, pos, gyro, accel, dt, substeps=20, gravity=GRAVITY):
     """RK4 oracle for the continuous kinematics under held body rates."""
 
@@ -226,6 +239,16 @@ class TestApplyCorrection:
         truth = apply_correction(est, delta)
         assert np.allclose(realized_error(est, truth), delta, atol=1e-12)
 
+        # a batch of pairs gives each pair's error
+        pairs = []
+        for _ in range(50):
+            est = random_state(rng)
+            pairs.append((est, apply_correction(est, 0.3 * rng.standard_normal(15))))
+        batched = realized_error(*(stack_states(p) for p in zip(*pairs)))
+        single = np.array([realized_error(e, t) for e, t in pairs])
+        assert batched.shape == (50, 15)
+        assert np.allclose(batched, single, rtol=0, atol=1e-14)
+
 
 class TestGaussianUpdate:
     def setup_method(self):
@@ -267,6 +290,31 @@ class TestGaussianUpdate:
         meas = predicted_body_velocity(self.x) + np.array([0.05, 0.02, -0.04])
         x2, _ = gaussian_update(self.x, self.cov, meas, 1e-12 * np.eye(3))
         assert np.allclose(predicted_body_velocity(x2), meas, atol=1e-6)
+
+    def test_matches_dense_h_formula(self):
+        """The block-structured update equals the textbook one with the
+        dense 3x15 H, on a prior with full cross-covariances."""
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            x = random_state(rng)
+            a = 0.1 * rng.standard_normal((15, 15))
+            cov = a @ a.T + 1e-4 * np.eye(15)
+            meas = predicted_body_velocity(x) + 0.1 * rng.standard_normal(3)
+            b = 0.1 * rng.standard_normal((3, 3))
+            r = b @ b.T + 1e-3 * np.eye(3)
+
+            h = velocity_output_matrix(x.nav.rot)
+            k = cov @ h.T @ np.linalg.inv(h @ cov @ h.T + r)
+            ikh = np.eye(15) - k @ h
+            cov_ref = ikh @ cov @ ikh.T + k @ r @ k.T
+            x_ref = apply_correction(x, k @ (meas - predicted_body_velocity(x)))
+
+            x2, cov2 = gaussian_update(x, cov, meas, r)
+            assert np.allclose(cov2, cov_ref, rtol=0, atol=1e-14 * np.abs(cov).max())
+            nav, nav_ref = x2.nav.as_matrix(), x_ref.nav.as_matrix()
+            assert np.allclose(nav, nav_ref, rtol=0, atol=1e-12)
+            assert np.allclose(x2.bias_accel, x_ref.bias_accel, rtol=0, atol=1e-14)
+            assert np.allclose(x2.bias_gyro, x_ref.bias_gyro, rtol=0, atol=1e-14)
 
     def test_singular_innovation_rejected(self):
         meas = predicted_body_velocity(self.x)

@@ -120,6 +120,64 @@ class TestExpLog:
             log_se23(x)
 
 
+class TestBatchedSo3:
+    """so3_log, so3_left_jacobian_inv and log_se23 take leading batch axes;
+    each entry of a batch is that entry's own result."""
+
+    def rotation_vectors(self, rng, n=60):
+        w = rng.standard_normal((n, 3))
+        # angles on both sides of SMALL_ANGLE_EPS, and up to near pi
+        angles = np.concatenate(
+            [[0.0, 1e-9, 9e-5, 1.1e-4], rng.uniform(1e-3, 3.1, n - 4)]
+        )
+        return w / np.linalg.norm(w, axis=1, keepdims=True) * angles[:, None]
+
+    def test_log_batch_matches_each_entry(self):
+        w = self.rotation_vectors(np.random.default_rng(20))
+        rots = np.array([se23.so3_exp(v) for v in w])
+        batched = se23.so3_log(rots)
+        assert batched.shape == w.shape
+        for i, r in enumerate(rots):
+            assert np.array_equal(batched[i], se23.so3_log(r))
+        assert np.abs(batched - w).max() <= 1e-9
+        assert se23.so3_log(rots.reshape(6, 10, 3, 3)).shape == (6, 10, 3)
+
+    def test_left_jacobian_inv_inverts_left_jacobian(self):
+        w = self.rotation_vectors(np.random.default_rng(21))
+        jinv = se23.so3_left_jacobian_inv(w)
+        assert jinv.shape == (len(w), 3, 3)
+        for v, m in zip(w, jinv):
+            assert np.abs(m @ se23.so3_left_jacobian(v) - np.eye(3)).max() <= 1e-12
+            assert np.array_equal(m, se23.so3_left_jacobian_inv(v))
+
+    def test_log_se23_batch_matches_each_entry(self):
+        rng = np.random.default_rng(22)
+        xs = [random_element(rng, angle_scale=rng.uniform(0.1, 3.0)) for _ in range(20)]
+        batch = Se23Element(
+            np.array([x.rot for x in xs]),
+            np.array([x.vel for x in xs]),
+            np.array([x.pos for x in xs]),
+        )
+        single = np.array([log_se23(x) for x in xs])
+        assert np.allclose(log_se23(batch), single, rtol=0, atol=1e-14)
+
+    def test_skew_batch_matches_each_entry(self):
+        v = np.random.default_rng(23).standard_normal((4, 5, 3))
+        m = se23.skew(v)
+        assert m.shape == (4, 5, 3, 3)
+        assert np.array_equal(m, -np.swapaxes(m, -1, -2))
+        cross = (m @ v[::-1, ..., None])[..., 0]
+        assert np.allclose(cross, np.cross(v, v[::-1]), rtol=0, atol=1e-14)
+        assert np.array_equal(se23.unskew(m), v)
+
+    def test_log_rejects_pi_anywhere_in_batch(self):
+        w = np.zeros((3, 3))
+        w[1, 2] = math.pi
+        rots = np.array([se23.so3_exp(v) for v in w])
+        with pytest.raises(ValueError):
+            se23.so3_log(rots)
+
+
 class TestGroupOps:
     def test_inverse_of_identity(self):
         x = inverse(Se23Element.identity())

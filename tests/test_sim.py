@@ -8,7 +8,7 @@ import pytest
 
 from coverage_inekf import sim
 from coverage_inekf.coverage import UpdateDiagnostics
-from coverage_inekf.filter import propagate_mean
+from coverage_inekf.filter import propagate_mean, realized_error
 from coverage_inekf.sim import (
     CampaignConfig,
     CampaignRow,
@@ -16,6 +16,7 @@ from coverage_inekf.sim import (
     GaussianNoise,
     TrajectorySpec,
     TrialResult,
+    TruthTrajectory,
     campaign_rows_to_csv,
     generate_truth,
     run_monte_carlo,
@@ -30,21 +31,21 @@ NAN = float("nan")
 GOLDEN = {
     "mixture": [
         CampaignRow(method="gaussian", gamma=None, rmse_mean=0.24123384393958167,
-                    rmse_std=0.014152129925418666, nees_mean=20.227191423594373,
+                    rmse_std=0.014152129925418633, nees_mean=20.227191423594373,
                     nees_std=2.176123059797559, frac_active=NAN, diverged=0,
                     skipped=0),
         CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.21994425632608516,
-                    rmse_std=0.013461005856522755, nees_mean=9.282956581546864,
-                    nees_std=1.1901372064078455, frac_active=0.2733333333333334,
+                    rmse_std=0.013461005856522754, nees_mean=9.282956581546864,
+                    nees_std=1.1901372064078457, frac_active=0.2733333333333334,
                     diverged=0, skipped=0),
     ],
     "gaussian": [
-        CampaignRow(method="gaussian", gamma=None, rmse_mean=0.07631534107758006,
-                    rmse_std=0.037924234005869396, nees_mean=2.839262815262964,
-                    nees_std=2.5558181027511506, frac_active=NAN, diverged=0,
+        CampaignRow(method="gaussian", gamma=None, rmse_mean=0.07631534107758005,
+                    rmse_std=0.03792423400586938, nees_mean=2.839262815262964,
+                    nees_std=2.55581810275115, frac_active=NAN, diverged=0,
                     skipped=0),
         CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.08668812892082424,
-                    rmse_std=0.0362406129506607, nees_mean=3.0376901271287,
+                    rmse_std=0.03624061295066072, nees_mean=3.0376901271287,
                     nees_std=2.4292283136635566, frac_active=0.43333333333333335,
                     diverged=0, skipped=2),
     ],
@@ -155,6 +156,107 @@ def test_skipped_updates_are_counted(monkeypatch):
     (row,) = run_monte_carlo(campaign)
     assert (row.skipped, row.diverged, row.frac_active) == (15, 0, 0.0)
     assert campaign_rows_to_csv([row]).splitlines()[1].endswith(",0,0,15")
+
+
+# (golden noise model, update rule) pairs for single-trial tests
+ARMS = [("gaussian", "gaussian"), ("mixture", "coverage")]
+
+
+def one_trial(name, method, duration=1.0):
+    """A trial of ``method`` on the golden campaign's noise, and the
+    campaign and arm it ran with."""
+    campaign = dataclasses.replace(
+        golden_campaign(name), trajectory=TrajectorySpec(duration=duration)
+    )
+    arm = next(a for a in sim._arms(campaign) if a.method == method)
+    return campaign, arm
+
+
+def spy(monkeypatch, name):
+    """Wrap ``sim.<name>``; returns the list of (args, result) per call."""
+    calls = []
+    real = getattr(sim, name)
+
+    def wrapped(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(sim, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("name, method", ARMS)
+def test_nan_prior_diverges_the_trial(monkeypatch, name, method):
+    """A NaN covariance out of propagation at step 50 of a real 1 s trial
+    ends it before the update, which would refuse a NaN prior.  The
+    active fraction counts the 50 updates made; the trial is not scored,
+    so no unfilled row of its stored estimates is read."""
+    steps = itertools.count()
+    real_propagate_cov = sim.propagate_cov
+
+    def nan_at_step_50(cov, phi, q_d):
+        out = real_propagate_cov(cov, phi, q_d)
+        return np.full_like(out, np.nan) if next(steps) == 50 else out
+
+    monkeypatch.setattr(sim, "propagate_cov", nan_at_step_50)
+    updates = spy(monkeypatch, f"{method}_update")
+    scores = spy(monkeypatch, "realized_error")
+    campaign, arm = one_trial(name, method)
+    result = sim.run_trial(campaign, arm, seed=11)
+
+    assert result.diverged
+    assert math.isnan(result.rmse_pos) and math.isnan(result.nees_mean)
+    assert len(updates) == 50
+    assert scores == []
+    if method == "coverage":
+        active = sum(out[2].active for _, out in updates)
+        assert 0 < active < 50
+        assert result.fraction_active == active / 50
+    else:
+        assert math.isnan(result.fraction_active)
+
+
+@pytest.mark.parametrize("name, method", ARMS)
+def test_trial_is_scored_once_like_step_by_step(monkeypatch, name, method):
+    """One batched scoring pass over all 100 stored posteriors gives the
+    RMSE and NEES that scoring each posterior as it is made gives."""
+    updates = spy(monkeypatch, f"{method}_update")
+    scores = spy(monkeypatch, "realized_error")
+    campaign, arm = one_trial(name, method)
+    result = sim.run_trial(campaign, arm, seed=11)
+
+    assert not result.diverged
+    ((_, batch),) = scores
+    assert batch.shape == (100, 15)
+
+    truth = generate_truth(campaign.trajectory)
+    truth.bias_accel = np.asarray(campaign.bias_accel, float)
+    truth.bias_gyro = np.asarray(campaign.bias_gyro, float)
+    nees, sq = [], []
+    for k, (_, out) in enumerate(updates):
+        x, cov = out[0], out[1]
+        e_p = realized_error(x, truth.state_at(k + 1))[6:9]
+        nees.append(e_p @ np.linalg.solve(cov[6:9, 6:9], e_p))
+        sq.append(np.sum((x.nav.pos - truth.poss[k + 1]) ** 2))
+    assert len(nees) == 100
+    assert result.nees_mean == pytest.approx(np.mean(nees), rel=1e-12)
+    assert result.rmse_pos == pytest.approx(math.sqrt(np.mean(sq)), rel=1e-12)
+
+
+def test_small_turn_gives_exact_gyro():
+    """A turn of 9e-5 rad, below SMALL_ANGLE_EPS, within one 10 ms sample.
+    theta / sin(theta) has the series 1 + theta^2/6; a factor of
+    1 + theta^2/12 would make the gyro off by theta^2/12 = 6.75e-10
+    relative."""
+    theta, dt = 9e-5, 0.01
+    c, s = math.cos(theta), math.sin(theta)
+    rots = np.array([np.eye(3), [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]])
+    still = np.zeros((2, 3))
+    truth = TruthTrajectory(np.array([0.0, dt]), rots, still, still)
+    (u,) = synthesize_imu(truth)
+    rate = theta / dt
+    assert np.abs(u.gyro - [0.0, 0.0, rate]).max() <= 1e-14 * rate
 
 
 @pytest.mark.parametrize("pattern", ["serpentine", "circle"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -218,9 +219,13 @@ class TestBoxMoments:
             assert abs(tm.mean[2] - mean_2) <= 1e-6 * sd
 
     def test_rejects_non_pd_cov(self):
-        cov = np.diag([1.0, -1.0, 1.0])
-        with pytest.raises(np.linalg.LinAlgError):
-            box_moments(np.zeros(3), cov, BoxRegion.full_space(3))
+        """A negative or NaN variance raises before any arithmetic warns."""
+        for bad in (-1.0, np.nan):
+            cov = np.diag([1.0, bad, 1.0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(np.linalg.LinAlgError):
+                    box_moments(np.zeros(3), cov, BoxRegion.full_space(3))
 
     def test_rejects_more_than_three_dimensions(self):
         with pytest.raises(ValueError):
