@@ -18,13 +18,12 @@ carried as its 15x15 covariance alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from coverage_inekf import se23
-from coverage_inekf.se23 import Se23Element, skew
+from coverage_inekf.se23 import _EYE3, Se23Element, skew
 
 # Gravity in the world frame (m/s^2).
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -50,13 +49,19 @@ class AugmentedState:
         return cls(Se23Element.identity())
 
 
+def _diag_of_squares(*blocks) -> np.ndarray:
+    """Diagonal matrix of squared per-block values, each a scalar or a
+    3-vector broadcast to three axes."""
+    x = np.concatenate(
+        [np.broadcast_to(np.atleast_1d(np.asarray(s, dtype=float)), (3,))
+         for s in blocks]
+    )
+    return np.diag(x**2)
+
+
 def cov_from_std(rot, vel, pos, bias_accel, bias_gyro) -> np.ndarray:
     """Diagonal 15x15 error covariance from per-block standard deviations."""
-    stds = np.concatenate(
-        [np.broadcast_to(np.atleast_1d(np.asarray(s, dtype=float)), (3,))
-         for s in (rot, vel, pos, bias_accel, bias_gyro)]
-    )
-    return np.diag(stds**2)
+    return _diag_of_squares(rot, vel, pos, bias_accel, bias_gyro)
 
 
 @dataclass
@@ -96,11 +101,7 @@ class ProcessNoise:
     @classmethod
     def from_densities(cls, accel, gyro, accel_bias, gyro_bias) -> "ProcessNoise":
         """Diagonal Q from white-noise densities (per-axis or scalar)."""
-        d = np.concatenate(
-            [np.broadcast_to(np.atleast_1d(np.asarray(s, dtype=float)), (3,))
-             for s in (accel, gyro, accel_bias, gyro_bias)]
-        )
-        return cls(np.diag(d**2))
+        return cls(_diag_of_squares(accel, gyro, accel_bias, gyro_bias))
 
 
 def velocity_output_matrix(rot: np.ndarray) -> np.ndarray:
@@ -133,10 +134,6 @@ def velocity_residual(x: AugmentedState, meas: np.ndarray) -> np.ndarray:
     return meas - predicted_body_velocity(x)
 
 
-_EYE3 = np.eye(3)
-_EYE3.setflags(write=False)
-
-
 def check_conditioning(m: np.ndarray, what: str) -> None:
     """Raise LinAlgError unless the SPD matrix ``m`` has cond <= MAX_COND.
 
@@ -166,25 +163,14 @@ def propagate_mean(x: AugmentedState, u: ImuSample) -> AugmentedState:
     w = (u.gyro - x.bias_gyro) * u.dt
     a = u.accel - x.bias_accel
     rot, vel, pos = x.nav.rot, x.nav.vel, x.nav.pos
-
-    theta = math.sqrt(w @ w)
-    ca, cb, cc, cd = se23._rodrigues_coefficients(theta)
-    wx = skew(w)
-    wx2 = wx @ wx
-    gamma0 = _EYE3 + ca * wx + cb * wx2
-    gamma1 = _EYE3 + cb * wx + cc * wx2
-    gamma2 = 0.5 * _EYE3 + cc * wx + cd * wx2
-
+    gamma0, gamma1, gamma2 = se23.so3_gammas(w)
     dt = u.dt
-    nav = Se23Element(
+    nav = se23.renormalized(
         rot @ gamma0,
         vel + (rot @ (gamma1 @ a) + GRAVITY) * dt,
         pos + vel * dt + (rot @ (gamma2 @ a) + 0.5 * GRAVITY) * dt * dt,
-        chain=x.nav.chain + 1,
+        x.nav.chain + 1,
     )
-    if nav.chain > se23.RENORM_CHAIN_LENGTH:
-        nav.rot = se23.orthonormalize(nav.rot)
-        nav.chain = 0
     return AugmentedState(nav, x.bias_accel.copy(), x.bias_gyro.copy())
 
 

@@ -23,9 +23,14 @@ import numpy as np
 # covariance blocks) indexes against this.
 TANGENT_ORDER = ("rot", "vel", "pos")
 
-# Below this rotation angle (rad) the Rodrigues coefficients switch to their
-# 4th-order Taylor expansions to avoid 0/0.
+# Below this rotation angle (rad) so3_log and so3_left_jacobian_inv switch to
+# Taylor expansions to avoid 0/0.
 SMALL_ANGLE_EPS = 1e-4
+
+# Below this rotation angle (rad) so3_gammas takes c and d from their power
+# series: their closed forms lose eps/theta^2 of relative accuracy to
+# cancellation.  Through t^8, the truncation error stays below 1e-16 here.
+SERIES_ANGLE = 0.25
 
 # log() is a hard error within this distance of the pi singularity.
 PI_SINGULARITY_EPS = 1e-6
@@ -44,6 +49,9 @@ _HAT[0, 1, 2] = _HAT[1, 2, 0] = _HAT[2, 0, 1] = -1.0
 _HAT[0, 2, 1] = _HAT[1, 0, 2] = _HAT[2, 1, 0] = 1.0
 _HAT.setflags(write=False)
 
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
+
 
 def skew(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrices of 3-vectors (so(3) hat operator).
@@ -58,46 +66,52 @@ def unskew(m: np.ndarray) -> np.ndarray:
     return m[..., [2, 0, 1], [1, 2, 0]]
 
 
-def _rodrigues_coefficients(theta: float) -> tuple[float, float, float, float]:
-    """Series coefficients (a, b, c, d) with
+def so3_gammas(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The series Gamma_k(w) = sum_n (w^)^n / (n + k)! for k = 0, 1, 2.
 
-    exp(w^) = I + a*w^ + b*w^2        (Rodrigues)
-    J_l(w)  = I + b*w^ + c*w^2        (left Jacobian)
-    G2(w)   = I/2 + c*w^ + d*w^2      (second integral, used by propagation)
+    Gamma_0 = exp(w^) = I + a*w^ + b*w^2       (Rodrigues)
+    Gamma_1 = J_l(w)  = I + b*w^ + c*w^2       (left Jacobian)
+    Gamma_2           = I/2 + c*w^ + d*w^2     (second integral, used by propagation)
 
-    where a = sin(t)/t, b = (1-cos t)/t^2, c = (t-sin t)/t^3,
-    d = (t^2 + 2cos t - 2)/(2 t^4), all evaluated stably near t = 0.
+    where a = sin(t)/t, b = (1-cos t)/t^2, c = (t-sin t)/t^3 and
+    d = (t^2 + 2cos t - 2)/(2 t^4).  Since Gamma_k = I/k! + w^ Gamma_{k+1},
+    a = 1 - t^2 c and b = 1/2 - t^2 d.  Below ``SERIES_ANGLE`` c and d come
+    from their power series, above it a and b from sines; each side uses
+    the pair that does not cancel.  ``w`` is one 3-vector: every caller
+    evaluates it once per step.
     """
-    if theta < SMALL_ANGLE_EPS:
-        t2 = theta * theta
-        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-        c = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-        d = 1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0
-        return a, b, c, d
-    t2 = theta * theta
-    s, co = math.sin(theta), math.cos(theta)
-    a = s / theta
-    b = (1.0 - co) / t2
-    c = (theta - s) / (t2 * theta)
-    d = (t2 + 2.0 * co - 2.0) / (2.0 * t2 * t2)
-    return a, b, c, d
-
-
-def so3_exp(w: np.ndarray) -> np.ndarray:
-    """Exponential map so(3) -> SO(3) via the Rodrigues formula."""
     theta = math.sqrt(float(w @ w))
-    a, b, _, _ = _rodrigues_coefficients(theta)
+    t2 = theta * theta
+    if theta < SERIES_ANGLE:
+        # Horner forms of sum_n (-t^2)^n / (2n + 3)! and of / (2n + 4)!
+        c = (1 - t2 / 20 * (1 - t2 / 42 * (1 - t2 / 72 * (1 - t2 / 110)))) / 6
+        d = (1 - t2 / 30 * (1 - t2 / 56 * (1 - t2 / 90 * (1 - t2 / 132)))) / 24
+        a = 1.0 - t2 * c
+        b = 0.5 - t2 * d
+    else:
+        a = math.sin(theta) / theta
+        h = math.sin(0.5 * theta) / theta
+        b = 2.0 * h * h
+        c = (1.0 - a) / t2
+        d = (0.5 - b) / t2
     wx = skew(w)
-    return np.eye(3) + a * wx + b * (wx @ wx)
+    wx2 = wx @ wx
+    return (
+        _EYE3 + a * wx + b * wx2,
+        _EYE3 + b * wx + c * wx2,
+        0.5 * _EYE3 + c * wx + d * wx2,
+    )
 
 
-def _so3_log_angle(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation vectors and angles of rotation matrices (..., 3, 3).
+def so3_log(rot: np.ndarray) -> np.ndarray:
+    """Logarithm map SO(3) -> so(3) as rotation vectors.
 
-    The angle comes from the trace; the axis from the skew part, scaled
-    by theta / sin(theta), which is replaced by its Taylor series below
-    ``SMALL_ANGLE_EPS``.
+    Batched over leading axes: (..., 3, 3) -> (..., 3).  The angle comes
+    from the trace; the axis from the skew part, scaled by
+    theta / sin(theta), which is replaced by its Taylor series below
+    ``SMALL_ANGLE_EPS``.  Raises ValueError for angles within
+    ``PI_SINGULARITY_EPS`` of pi, where the axis is not recoverable from
+    the skew part; the filter never visits that regime.
     """
     rot = np.asarray(rot, dtype=float)
     trace = np.trace(rot, axis1=-2, axis2=-1)
@@ -111,26 +125,7 @@ def _so3_log_angle(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     factor = np.where(
         small, 1.0 + theta * theta / 6.0, theta / np.where(small, 1.0, np.sin(theta))
     )
-    w = unskew(rot - np.swapaxes(rot, -1, -2)) * (0.5 * factor)[..., None]
-    return w, theta
-
-
-def so3_log(rot: np.ndarray) -> np.ndarray:
-    """Logarithm map SO(3) -> so(3) as rotation vectors.
-
-    Batched over leading axes: (..., 3, 3) -> (..., 3).  Raises ValueError
-    for angles within ``PI_SINGULARITY_EPS`` of pi, where the axis is not
-    recoverable from the skew part; the filter never visits that regime.
-    """
-    return _so3_log_angle(rot)[0]
-
-
-def so3_left_jacobian(w: np.ndarray) -> np.ndarray:
-    """Left Jacobian J_l of SO(3)."""
-    theta = math.sqrt(float(w @ w))
-    _, b, c, _ = _rodrigues_coefficients(theta)
-    wx = skew(w)
-    return np.eye(3) + b * wx + c * (wx @ wx)
+    return unskew(rot - np.swapaxes(rot, -1, -2)) * (0.5 * factor)[..., None]
 
 
 def so3_left_jacobian_inv(w: np.ndarray) -> np.ndarray:
@@ -146,7 +141,7 @@ def so3_left_jacobian_inv(w: np.ndarray) -> np.ndarray:
         1.0 / (t * t) - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t)),
     )
     wx = skew(w)
-    return np.eye(3) - 0.5 * wx + coeff[..., None, None] * (wx @ wx)
+    return _EYE3 - 0.5 * wx + coeff[..., None, None] * (wx @ wx)
 
 
 def orthonormalize(rot: np.ndarray) -> np.ndarray:
@@ -192,14 +187,23 @@ class Se23Element:
             raise ValueError("rotation determinant is not +1")
 
 
+def renormalized(rot, vel, pos, chain: int) -> Se23Element:
+    """The element (rot, vel, pos) ``chain`` compositions after the last
+    re-orthonormalization; past ``RENORM_CHAIN_LENGTH`` the rotation is
+    re-orthonormalized and the count restarts."""
+    if chain > RENORM_CHAIN_LENGTH:
+        return Se23Element(orthonormalize(rot), vel, pos, 0)
+    return Se23Element(rot, vel, pos, chain)
+
+
 def compose(a: Se23Element, b: Se23Element) -> Se23Element:
     """Group composition a * b, with periodic rotation re-orthonormalization."""
-    rot = a.rot @ b.rot
-    chain = a.chain + b.chain + 1
-    if chain > RENORM_CHAIN_LENGTH:
-        rot = orthonormalize(rot)
-        chain = 0
-    return Se23Element(rot, a.rot @ b.vel + a.vel, a.rot @ b.pos + a.pos, chain)
+    return renormalized(
+        a.rot @ b.rot,
+        a.rot @ b.vel + a.vel,
+        a.rot @ b.pos + a.pos,
+        a.chain + b.chain + 1,
+    )
 
 
 def inverse(x: Se23Element) -> Se23Element:
@@ -244,9 +248,7 @@ def exp_se23(v: np.ndarray) -> Se23Element:
     velocity and position components.
     """
     v = np.asarray(v, dtype=float)
-    w = v[0:3]
-    rot = so3_exp(w)
-    jl = so3_left_jacobian(w)
+    rot, jl, _ = so3_gammas(v[0:3])
     return Se23Element(rot, jl @ v[3:6], jl @ v[6:9])
 
 

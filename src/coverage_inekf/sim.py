@@ -168,8 +168,11 @@ def synthesize_imu(
 
     Each sample holds the constant body rates that reproduce the truth's
     rotation and velocity increments exactly under the closed-form
-    propagation, then adds the fixed biases and (optionally) white noise
-    with the given densities.
+    propagation: the gyro rate is the SO(3) log of the relative rotation
+    over dt, and the acceleration is the body-frame velocity increment
+    mapped through the inverse left Jacobian J_l^-1 of that log.  The fixed
+    biases and (optionally) white noise with the given densities are then
+    added.
     """
     ba = np.zeros(3) if bias_accel is None else np.asarray(bias_accel, float)
     bg = np.zeros(3) if bias_gyro is None else np.asarray(bias_gyro, float)
@@ -179,22 +182,14 @@ def synthesize_imu(
     # relative rotations and their logs; a turn of nearly pi within one
     # sample raises ValueError
     rel = np.einsum("nji,njk->nik", truth.rots[:-1], truth.rots[1:])
-    phis, theta = se23._so3_log_angle(rel)
+    phis = se23.so3_log(rel)
     w = phis / dts[:, None]
 
-    # accelerations from the velocity increments through the first integral
-    wx = se23.skew(phis)
-    small = theta < se23.SMALL_ANGLE_EPS
-    t2 = theta * theta
-    b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / np.where(small, 1.0, t2))
-    c = np.where(
-        small, 1.0 / 6.0 - t2 / 120.0,
-        (theta - np.sin(theta)) / np.where(small, 1.0, t2 * theta),
-    )
-    gamma1 = np.eye(3) + b[:, None, None] * wx + c[:, None, None] * (wx @ wx)
+    # accelerations from the velocity increments, inverting the first
+    # integral J_l(phi) of the closed-form propagation
     dv = (truth.vels[1:] - truth.vels[:-1]) / dts[:, None] - GRAVITY
     body_dv = np.einsum("nji,nj->ni", truth.rots[:-1], dv)
-    a = np.linalg.solve(gamma1, body_dv[:, :, None])[:, :, 0]
+    a = np.einsum("nij,nj->ni", se23.so3_left_jacobian_inv(phis), body_dv)
 
     gyro = w + bg
     accel = a + ba

@@ -26,7 +26,7 @@ from coverage_inekf.filter import (
     gaussian_update,
     predicted_body_velocity,
 )
-from coverage_inekf.se23 import Se23Element, so3_exp
+from coverage_inekf.se23 import Se23Element, so3_gammas
 from coverage_inekf.tmvn import box_moments
 
 
@@ -34,7 +34,7 @@ def random_state(rng):
     w = rng.standard_normal(3)
     w *= rng.uniform(0.1, 2.0) / np.linalg.norm(w)
     return AugmentedState(
-        Se23Element(so3_exp(w), rng.standard_normal(3), 3 * rng.standard_normal(3)),
+        Se23Element(so3_gammas(w)[0], rng.standard_normal(3), 3 * rng.standard_normal(3)),
         bias_accel=0.05 * rng.standard_normal(3),
         bias_gyro=0.005 * rng.standard_normal(3),
     )

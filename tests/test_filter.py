@@ -31,7 +31,7 @@ def random_state(rng, vel_scale=1.0, pos_scale=5.0):
     w *= rng.uniform(0.1, 2.5) / np.linalg.norm(w)
     return AugmentedState(
         Se23Element(
-            se23.so3_exp(w),
+            se23.so3_gammas(w)[0],
             vel_scale * rng.standard_normal(3),
             pos_scale * rng.standard_normal(3),
         ),
@@ -127,6 +127,39 @@ class TestPropagateMean:
         y = propagate_mean(x, ImuSample(rng.normal(size=3), rng.normal(size=3), 0.01))
         assert np.array_equal(y.bias_accel, x.bias_accel)
         assert np.array_equal(y.bias_gyro, x.bias_gyro)
+
+
+class TestRenormalization:
+    """compose and propagate_mean re-orthonormalize through one rule."""
+
+    STEPS = {
+        "compose": lambda nav: se23.compose(nav, Se23Element.identity()),
+        "propagate_mean": lambda nav: propagate_mean(
+            AugmentedState(nav), ImuSample(np.zeros(3), np.array([0.1, -0.2, 0.3]), 0.01)
+        ).nav,
+    }
+
+    @staticmethod
+    def off_so3(chain):
+        """An element whose rotation is 1e-10 off SO(3)."""
+        rot = (1.0 + 1e-10) * se23.so3_gammas(np.array([0.3, -0.2, 0.5]))[0]
+        return Se23Element(rot, np.ones(3), np.zeros(3), chain)
+
+    @staticmethod
+    def drift(rot):
+        return np.abs(rot @ rot.T - np.eye(3)).max()
+
+    @pytest.mark.parametrize("step", sorted(STEPS))
+    def test_chain_past_limit_is_renormalized(self, step):
+        x = self.STEPS[step](self.off_so3(se23.RENORM_CHAIN_LENGTH))
+        assert x.chain == 0
+        assert self.drift(x.rot) <= 1e-14
+
+    @pytest.mark.parametrize("step", sorted(STEPS))
+    def test_short_chain_is_left_alone(self, step):
+        x = self.STEPS[step](self.off_so3(0))
+        assert x.chain == 1
+        assert self.drift(x.rot) >= 1e-10
 
 
 class TestErrorTransition:

@@ -30,23 +30,23 @@ NAN = float("nan")
 # Any change to them is a change in the filter's output, not a refactor.
 GOLDEN = {
     "mixture": [
-        CampaignRow(method="gaussian", gamma=None, rmse_mean=0.24123384393958167,
-                    rmse_std=0.014152129925418633, nees_mean=20.227191423594373,
-                    nees_std=2.176123059797559, frac_active=NAN, diverged=0,
+        CampaignRow(method="gaussian", gamma=None, rmse_mean=0.241233843939584,
+                    rmse_std=0.014152129925417988, nees_mean=20.227191423594746,
+                    nees_std=2.1761230597975514, frac_active=NAN, diverged=0,
                     skipped=0),
-        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.21994425632608516,
-                    rmse_std=0.013461005856522754, nees_mean=9.282956581546864,
-                    nees_std=1.1901372064078457, frac_active=0.2733333333333334,
+        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.21994425632608236,
+                    rmse_std=0.013461005856521253, nees_mean=9.282956581546596,
+                    nees_std=1.1901372064076579, frac_active=0.2733333333333334,
                     diverged=0, skipped=0),
     ],
     "gaussian": [
-        CampaignRow(method="gaussian", gamma=None, rmse_mean=0.07631534107758005,
-                    rmse_std=0.03792423400586938, nees_mean=2.839262815262964,
-                    nees_std=2.55581810275115, frac_active=NAN, diverged=0,
+        CampaignRow(method="gaussian", gamma=None, rmse_mean=0.07631534107757797,
+                    rmse_std=0.03792423400586736, nees_mean=2.839262815262776,
+                    nees_std=2.55581810275094, frac_active=NAN, diverged=0,
                     skipped=0),
-        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.08668812892082424,
-                    rmse_std=0.03624061295066072, nees_mean=3.0376901271287,
-                    nees_std=2.4292283136635566, frac_active=0.43333333333333335,
+        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.08668812892082806,
+                    rmse_std=0.0362406129506647, nees_mean=3.037690127129032,
+                    nees_std=2.42922831366394, frac_active=0.43333333333333335,
                     diverged=0, skipped=2),
     ],
 }
@@ -245,18 +245,23 @@ def test_trial_is_scored_once_like_step_by_step(monkeypatch, name, method):
 
 
 def test_small_turn_gives_exact_gyro():
-    """A turn of 9e-5 rad, below SMALL_ANGLE_EPS, within one 10 ms sample.
-    theta / sin(theta) has the series 1 + theta^2/6; a factor of
-    1 + theta^2/12 would make the gyro off by theta^2/12 = 6.75e-10
-    relative."""
-    theta, dt = 9e-5, 0.01
-    c, s = math.cos(theta), math.sin(theta)
-    rots = np.array([np.eye(3), [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]])
-    still = np.zeros((2, 3))
-    truth = TruthTrajectory(np.array([0.0, dt]), rots, still, still)
-    (u,) = synthesize_imu(truth)
-    rate = theta / dt
-    assert np.abs(u.gyro - [0.0, 0.0, rate]).max() <= 1e-14 * rate
+    """A turn of theta within one 10 ms sample, on either side of
+    SMALL_ANGLE_EPS, while the velocity changes.  theta / sin(theta) has
+    the series 1 + theta^2/6; a factor of 1 + theta^2/12 would make the
+    gyro off by theta^2/12 = 6.75e-10 relative at 9e-5 rad.  The
+    acceleration goes through J_l^-1 of the same angle, so propagating
+    the sample lands on the truth's velocity to roundoff."""
+    dt = 0.01
+    vels = np.array([[0.5, -0.2, 0.1], [0.52, -0.19, 0.08]])
+    for theta in (9e-5, 2e-4):
+        c, s = math.cos(theta), math.sin(theta)
+        rots = np.array([np.eye(3), [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]])
+        truth = TruthTrajectory(np.array([0.0, dt]), rots, vels, np.zeros((2, 3)))
+        (u,) = synthesize_imu(truth)
+        rate = theta / dt
+        assert np.abs(u.gyro - [0.0, 0.0, rate]).max() <= 1e-14 * rate
+        vel = propagate_mean(truth.state_at(0), u).nav.vel
+        assert np.abs(vel - vels[1]).max() <= 1e-14 * np.abs(vels[1]).max()
 
 
 @pytest.mark.parametrize("pattern", ["serpentine", "circle"])
