@@ -14,6 +14,18 @@ new marginal over z.
 As in :mod:`coverage_inekf.filter`, every correction is folded into the
 state, so the prior error mean is zero: the prior is the 15x15 covariance
 alone, and its projection onto z is zero-mean.
+
+Most updates find the constraint inactive (prior mass pi >= gamma) and
+leave the state alone, so the update first tries to certify that from
+the marginal tails: :func:`coverage_inekf.tmvn.box_mass_lower_bound`
+(six values of Phi) is a lower bound on pi.  When it clears gamma by
+``CERTIFY_MARGIN`` (1e-9), far above the grid's mass error (1e-14
+relative), the grid would find pi >= gamma too, so the update returns its
+inputs without running ``box_moments``; the decision is the grid's, and a
+certified update is never a degenerate skip.  Its diagnostics keep the
+projected prior and box, and compute pi with the grid's own call only when
+``pi_prior`` or ``near_full_mass`` is read, so a diagnostic nobody reads
+costs nothing and one that is read has the grid path's value bit for bit.
 """
 
 from __future__ import annotations
@@ -28,9 +40,15 @@ from coverage_inekf.filter import (
     apply_correction,
     check_conditioning,
     velocity_output_matrix,
+    velocity_projection,
     velocity_residual,
 )
-from coverage_inekf.tmvn import PROB_FLOOR, BoxRegion, box_moments
+from coverage_inekf.tmvn import (
+    PROB_FLOOR,
+    BoxRegion,
+    box_mass_lower_bound,
+    box_moments,
+)
 
 log = logging.getLogger(__name__)
 
@@ -45,6 +63,13 @@ COV_EIG_HARD_MIN = -1e-8
 # Complement reweighting becomes ill-conditioned when nearly all prior mass
 # is already inside the set; such updates are flagged in the diagnostics.
 NEAR_FULL_MASS = 1e-6
+
+# An update is certified inactive when the Bonferroni bound on its prior set
+# mass clears gamma by this much.  The grid's mass is within 1e-14 relative
+# of the x-space reference, and the bound's own rounding is a few 1e-16, so
+# a bound >= gamma + 1e-9 proves that the grid, too, finds pi >= gamma: five
+# orders of headroom, and the certified decision is the grid's decision.
+CERTIFY_MARGIN = 1e-9
 
 
 class DegenerateMassError(ValueError):
@@ -91,14 +116,43 @@ class ZPosterior:
     prior_mass: float
 
 
-@dataclass
 class UpdateDiagnostics:
-    """Per-update record: prior set mass and the branch taken."""
+    """Per-update record: prior set mass pi, and the branch taken.
 
-    pi_prior: float
-    active: bool
-    skipped: bool
-    near_full_mass: bool = False
+    ``near_full_mass`` flags pi within ``NEAR_FULL_MASS`` of 1.  An update
+    certified inactive passes ``prior = (cov_z, lower, upper)`` instead of
+    pi; the first read of ``pi_prior`` or ``near_full_mass`` computes pi
+    from it with the ``box_moments`` call the grid path makes, so the value
+    is the grid path's bit for bit, and a record nobody reads costs nothing.
+    """
+
+    def __init__(self, pi_prior=None, active=False, skipped=False, prior=None):
+        if (pi_prior is None) == (prior is None):
+            raise ValueError("give exactly one of pi_prior and prior")
+        self._pi = pi_prior
+        self._prior = prior
+        self.active = active
+        self.skipped = skipped
+
+    @property
+    def pi_prior(self) -> float:
+        if self._pi is None:
+            cov_z, lower, upper = self._prior
+            self._pi = box_moments(
+                np.zeros(cov_z.shape[0]), cov_z, BoxRegion(lower, upper)
+            ).prob
+            self._prior = None
+        return self._pi
+
+    @property
+    def near_full_mass(self) -> bool:
+        return (1.0 - self.pi_prior) < NEAR_FULL_MASS
+
+    def __repr__(self) -> str:
+        return (
+            f"UpdateDiagnostics(pi_prior={self.pi_prior!r}, active={self.active}, "
+            f"skipped={self.skipped})"
+        )
 
 
 def _floor_spd(m: np.ndarray, context: str) -> np.ndarray:
@@ -139,11 +193,12 @@ def project_prior(
 
     Returns (cov_z, gain) where cov_z = H Sigma H^T is the projected
     covariance and gain = Sigma H^T cov_z^-1 lifts z-space corrections back
-    to the full error state.  Raises LinAlgError when the prior has
+    to the full error state.  H is the velocity output matrix, applied by
+    its velocity block -R^T (:func:`coverage_inekf.filter.velocity_projection`).
+    Raises LinAlgError when the prior is not positive definite or has
     collapsed along a measured direction.
     """
-    sigma_ht = cov @ fs.h.T
-    cov_z = fs.h @ sigma_ht
+    sigma_ht, cov_z = velocity_projection(cov, -fs.h[:, 3:6].T)
     cov_z = 0.5 * (cov_z + cov_z.T)
     check_conditioning(cov_z, "projected prior")
     gain = sigma_ht @ np.linalg.inv(cov_z)
@@ -222,11 +277,16 @@ def coverage_update(
     Builds the feasible set, projects the prior to z-space, computes the
     KL-minimal moment-matched posterior, and lifts it back.  When the
     constraint is inactive the inputs are returned unchanged (the same
-    objects).  When the prior set mass is at the probability floor the
-    update is skipped entirely and logged.
+    objects).  An update whose Bonferroni bound certifies the constraint
+    inactive returns before the grid runs, with pi left for the
+    diagnostics to compute when read.  When the prior set mass is at the
+    probability floor the update is skipped entirely and logged.
     """
     fs = build_feasible_set(x, meas, spec)
     cov_z, gain = project_prior(cov, fs)
+    bound = box_mass_lower_bound(np.zeros(cov_z.shape[0]), cov_z, fs)
+    if bound >= spec.gamma + CERTIFY_MARGIN:
+        return x, cov, UpdateDiagnostics(prior=(cov_z, fs.lower, fs.upper))
     try:
         zpost = kl_coverage_posterior(cov_z, fs, spec.gamma)
     except DegenerateMassError:
@@ -237,21 +297,8 @@ def coverage_update(
         diag = UpdateDiagnostics(pi_prior=PROB_FLOOR, active=False, skipped=True)
         return x, cov, diag
 
-    near_full = (1.0 - zpost.prior_mass) < NEAR_FULL_MASS
     if zpost.prior_mass >= spec.gamma:
-        diag = UpdateDiagnostics(
-            pi_prior=zpost.prior_mass,
-            active=False,
-            skipped=False,
-            near_full_mass=near_full,
-        )
-        return x, cov, diag
+        return x, cov, UpdateDiagnostics(zpost.prior_mass)
 
     x_new, cov_new = lift_and_apply(x, cov, zpost, gain, cov_z)
-    diag = UpdateDiagnostics(
-        pi_prior=zpost.prior_mass,
-        active=True,
-        skipped=False,
-        near_full_mass=near_full,
-    )
-    return x_new, cov_new, diag
+    return x_new, cov_new, UpdateDiagnostics(zpost.prior_mass, active=True)

@@ -109,8 +109,8 @@ def velocity_output_matrix(rot: np.ndarray) -> np.ndarray:
 
     Linearizing the output through the right-invariant error gives
     H = [0, -R^T, 0, 0, 0]: only the velocity error enters, rotated into the
-    body frame; bias columns are zero.  The coverage update uses it as is;
-    the Gaussian baseline applies its velocity block directly.
+    body frame; bias columns are zero.  Both update rules apply it by its
+    velocity block (:func:`velocity_projection`).
     """
     h = np.zeros((3, ERROR_DIM))
     h[:, 3:6] = -rot.T
@@ -134,18 +134,38 @@ def velocity_residual(x: AugmentedState, meas: np.ndarray) -> np.ndarray:
     return meas - predicted_body_velocity(x)
 
 
-def check_conditioning(m: np.ndarray, what: str) -> None:
-    """Raise LinAlgError unless the SPD matrix ``m`` has cond <= MAX_COND.
+def velocity_projection(cov: np.ndarray, rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sigma H^T and H Sigma H^T for H = :func:`velocity_output_matrix` (rot).
 
-    Screens with the SPD bound cond <= trace^d / det and computes the exact
-    condition number only when the bound trips, so the common case costs
-    one determinant.  A non-finite matrix fails both checks.
+    H is applied by its velocity block alone: Sigma H^T = -Sigma[:, 3:6] R
+    and H Sigma H^T is -R^T times that product's velocity rows.  Both update
+    rules project their prior through it.
+    """
+    sigma_ht = -(cov[:, 3:6] @ rot)
+    return sigma_ht, -rot.T @ sigma_ht[3:6]
+
+
+def check_conditioning(m: np.ndarray, what: str) -> None:
+    """Raise LinAlgError unless the 3x3 matrix ``m`` is positive definite
+    with cond <= MAX_COND.
+
+    Definiteness is Sylvester's test: the leading minors m00,
+    m00 m11 - m01 m10 and det must all be positive.  Conditioning is
+    screened with the SPD bound cond <= trace^d / det, and the exact
+    condition number is computed only when the bound trips, so the common
+    case costs one determinant and two products.  A non-finite matrix fails
+    both checks.
     """
     with np.errstate(invalid="ignore"):
         det = np.linalg.det(m)
-    if det > 0.0 and np.trace(m) ** m.shape[0] <= MAX_COND * det:
+    spd = m[0, 0] > 0.0 and m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] > 0.0 and det > 0.0
+    if spd and np.trace(m) ** m.shape[0] <= MAX_COND * det:
         return
     cond = float(np.linalg.cond(m))
+    if not spd:
+        raise np.linalg.LinAlgError(
+            f"{what} is not positive definite (cond={cond:.3e})"
+        )
     if not np.isfinite(cond) or cond > MAX_COND:
         raise np.linalg.LinAlgError(
             f"{what} is numerically singular (cond={cond:.3e})"
@@ -285,16 +305,15 @@ def gaussian_update(
     posterior covariance is returned.
 
     H = [0, -R^T, 0, 0, 0] (:func:`velocity_output_matrix`) is applied by
-    its velocity block alone: Sigma H^T = -Sigma[:, 3:6] R, H Sigma H^T is
-    -R^T times that product's velocity rows, and I - K H differs from the
-    identity only in the velocity columns, by K R^T.
+    its velocity block alone (:func:`velocity_projection`), and I - K H
+    differs from the identity only in the velocity columns, by K R^T.
     """
     r = np.asarray(r, dtype=float)
     rot = x.nav.rot
     residual = velocity_residual(x, meas)
 
-    pht = -(cov[:, 3:6] @ rot)
-    s = -rot.T @ pht[3:6] + r
+    pht, hpht = velocity_projection(cov, rot)
+    s = hpht + r
     check_conditioning(s, "innovation covariance")
     k = pht @ np.linalg.inv(s)
 

@@ -66,19 +66,11 @@ def unskew(m: np.ndarray) -> np.ndarray:
     return m[..., [2, 0, 1], [1, 2, 0]]
 
 
-def so3_gammas(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The series Gamma_k(w) = sum_n (w^)^n / (n + k)! for k = 0, 1, 2.
+def _series_terms(w: np.ndarray) -> tuple:
+    """(w^, w^2, a, b, c, d): the terms of every Gamma_k, see :func:`so3_gammas`.
 
-    Gamma_0 = exp(w^) = I + a*w^ + b*w^2       (Rodrigues)
-    Gamma_1 = J_l(w)  = I + b*w^ + c*w^2       (left Jacobian)
-    Gamma_2           = I/2 + c*w^ + d*w^2     (second integral, used by propagation)
-
-    where a = sin(t)/t, b = (1-cos t)/t^2, c = (t-sin t)/t^3 and
-    d = (t^2 + 2cos t - 2)/(2 t^4).  Since Gamma_k = I/k! + w^ Gamma_{k+1},
-    a = 1 - t^2 c and b = 1/2 - t^2 d.  Below ``SERIES_ANGLE`` c and d come
-    from their power series, above it a and b from sines; each side uses
-    the pair that does not cancel.  ``w`` is one 3-vector: every caller
-    evaluates it once per step.
+    :func:`so3_gammas` assembles all three Gamma_k from them and
+    :func:`exp_se23` only Gamma_0 and Gamma_1.
     """
     theta = math.sqrt(float(w @ w))
     t2 = theta * theta
@@ -95,7 +87,24 @@ def so3_gammas(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         c = (1.0 - a) / t2
         d = (0.5 - b) / t2
     wx = skew(w)
-    wx2 = wx @ wx
+    return wx, wx @ wx, a, b, c, d
+
+
+def so3_gammas(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The series Gamma_k(w) = sum_n (w^)^n / (n + k)! for k = 0, 1, 2.
+
+    Gamma_0 = exp(w^) = I + a*w^ + b*w^2       (Rodrigues)
+    Gamma_1 = J_l(w)  = I + b*w^ + c*w^2       (left Jacobian)
+    Gamma_2           = I/2 + c*w^ + d*w^2     (second integral, used by propagation)
+
+    where a = sin(t)/t, b = (1-cos t)/t^2, c = (t-sin t)/t^3 and
+    d = (t^2 + 2cos t - 2)/(2 t^4).  Since Gamma_k = I/k! + w^ Gamma_{k+1},
+    a = 1 - t^2 c and b = 1/2 - t^2 d.  Below ``SERIES_ANGLE`` c and d come
+    from their power series, above it a and b from sines; each side uses
+    the pair that does not cancel.  ``w`` is one 3-vector: every caller
+    evaluates it once per step.
+    """
+    wx, wx2, a, b, c, d = _series_terms(w)
     return (
         _EYE3 + a * wx + b * wx2,
         _EYE3 + b * wx + c * wx2,
@@ -244,12 +253,14 @@ def vee(m: np.ndarray) -> np.ndarray:
 def exp_se23(v: np.ndarray) -> Se23Element:
     """Exponential map R^9 -> SE2(3).
 
-    Closed form: Rodrigues rotation, with the left Jacobian applied to the
-    velocity and position components.
+    Closed form: Rodrigues rotation (Gamma_0), with the left Jacobian
+    (Gamma_1) applied to the velocity and position components; Gamma_2 is
+    not built.
     """
     v = np.asarray(v, dtype=float)
-    rot, jl, _ = so3_gammas(v[0:3])
-    return Se23Element(rot, jl @ v[3:6], jl @ v[6:9])
+    wx, wx2, a, b, c, _ = _series_terms(v[0:3])
+    jl = _EYE3 + b * wx + c * wx2
+    return Se23Element(_EYE3 + a * wx + b * wx2, jl @ v[3:6], jl @ v[6:9])
 
 
 def log_se23(x: Se23Element) -> np.ndarray:

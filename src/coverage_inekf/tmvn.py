@@ -28,6 +28,17 @@ An axis open on both sides carries the 24-node error of the normal second
 moment over +-8: 3.4e-6 relative to the second moment, both on the full
 space and on boxes open on two axes (against a 96-node run of this rule);
 mass and mean stay within 1e-14.
+
+:func:`box_mass_lower_bound` bounds the box mass from below without the
+grid.  The box's complement is the union of the 2d half-spaces beyond its
+faces, so its mass is at most the sum of their marginal tail masses
+(Bonferroni; Genz & Bretz 2009, Computation of Multivariate Normal and t
+Probabilities, section 2).  No approximation enters: the bound holds for
+every mean and covariance, is attained in one dimension, and costs 2d
+values of Phi.  Each tail is Phi of its face's standardized distance, never
+one minus a slab mass, so a tail of 1e-12 keeps its relative accuracy and
+the computed bound is within one rounding of its final 1 - sum (one
+spacing of doubles below 1, 2^-53) of the exact bound.
 """
 
 from __future__ import annotations
@@ -126,6 +137,20 @@ def _slab(chol, lo, hi, i, outer):
     """Standardized bounds of coordinate i given the outer coordinates."""
     shift = sum(chol[i, j] * z for j, z in enumerate(outer))
     return (lo[i] - shift) / chol[i, i], (hi[i] - shift) / chol[i, i]
+
+
+def box_mass_lower_bound(mean: np.ndarray, cov: np.ndarray, box) -> float:
+    """Bonferroni lower bound on the box mass of N(mean, cov).
+
+    1 - sum_i [Phi((l_i - mu_i) / s_i) + Phi((mu_i - u_i) / s_i)]: one
+    minus the marginal tail masses, each taken directly rather than as one
+    minus a slab mass.  ``box`` is anything with ``lower`` and ``upper``
+    vectors; cov must have a positive diagonal.  See the module docstring
+    for why it is a bound and how closely it is computed.
+    """
+    sigma = np.sqrt(np.diag(cov))
+    tails = ndtr((box.lower - mean) / sigma) + ndtr((mean - box.upper) / sigma)
+    return 1.0 - float(tails.sum())
 
 
 def box_moments(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> TruncatedMoments:

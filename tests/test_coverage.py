@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -7,8 +9,9 @@ from oracles import (
     piecewise_posterior_moments_1d,
 )
 
-from coverage_inekf import se23
+from coverage_inekf import coverage, se23
 from coverage_inekf.coverage import (
+    CERTIFY_MARGIN,
     NEAR_FULL_MASS,
     CoverageSpec,
     DegenerateMassError,
@@ -27,7 +30,7 @@ from coverage_inekf.filter import (
     predicted_body_velocity,
 )
 from coverage_inekf.se23 import Se23Element, so3_gammas
-from coverage_inekf.tmvn import box_moments
+from coverage_inekf.tmvn import box_mass_lower_bound, box_moments
 
 
 def random_state(rng):
@@ -331,3 +334,127 @@ def test_nan_measurement_rejected_by_both_rules(update):
     meas = predicted_body_velocity(x) + np.array([np.nan, 0.0, 0.0])
     with pytest.raises(ValueError, match="finite"):
         update(x, cov, meas)
+
+
+# A velocity block with two negative eigenvalues and a positive determinant,
+# and one with a positive diagonal as well: 0.01 (11/3 J - I) has
+# eigenvalues (0.1, -0.01, -0.01).
+INDEFINITE_VELOCITY_BLOCKS = [
+    np.diag([0.05, -0.01, -0.01]),
+    0.01 * (11.0 / 3.0 * np.ones((3, 3)) - np.eye(3)),
+]
+
+
+@pytest.mark.parametrize("block", INDEFINITE_VELOCITY_BLOCKS, ids=["diagonal", "dense"])
+@pytest.mark.parametrize("radius", [0.05, 50.0], ids=["narrow", "wide"])
+def test_indefinite_prior_rejected_by_both_rules(block, radius):
+    """Both rules raise on an indefinite prior.  The wide box would be
+    certified inactive from the dense block's positive diagonal, so the
+    prior must be refused before the certificate is tried."""
+    x = AugmentedState.identity()
+    cov = cov_from_std(0.02, 0.1, 0.1, 0.01, 0.001)
+    cov[3:6, 3:6] = block
+    meas = predicted_body_velocity(x) + 0.01
+    with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+        gaussian_update(x, cov, meas, 0.001 * np.eye(3))
+    with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+        coverage_update(x, cov, meas, CoverageSpec(np.full(3, radius), 0.8))
+
+
+def random_correlation(rng, max_abs=0.95):
+    while True:
+        r = np.eye(3)
+        r[0, 1], r[0, 2], r[1, 2] = rng.uniform(-max_abs, max_abs, 3)
+        r = np.triu(r) + np.triu(r, 1).T
+        if np.linalg.eigvalsh(r).min() > 1e-3:
+            return r
+
+
+def certificate_problem(rng, kind):
+    """A prior whose projected covariance has scale 1e-3 to 1e3 and
+    correlations up to 0.95, and a measurement and radii making a centred,
+    offset or partly infinite box of 0.5 to 5 marginal sigmas per side."""
+    x = random_state(rng)
+    sd = 10.0 ** rng.uniform(-3.0, 3.0) * 10.0 ** rng.uniform(-0.5, 0.5, 3)
+    cov_z = random_correlation(rng) * np.outer(sd, sd)
+    cov = cov_from_std(0.02, 1.0, 0.1, 0.01, 0.001)
+    # H = -R^T on the velocity block, so this block projects to cov_z
+    cov[3:6, 3:6] = x.nav.rot @ cov_z @ x.nav.rot.T
+    eps = rng.uniform(0.5, 5.0, 3) * sd
+    shift = np.zeros(3) if kind == "centred" else rng.uniform(-2.0, 2.0, 3) * sd
+    if kind == "infinite":
+        eps[rng.permutation(3)[: rng.integers(1, 3)]] = np.inf
+    gamma = float(rng.choice([0.5, 0.8, 0.95]))
+    return x, cov, predicted_body_velocity(x) + shift, CoverageSpec(eps, gamma)
+
+
+class TestCertificate:
+    def count_grid_calls(self, monkeypatch):
+        calls = []
+        real = coverage.box_moments
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(coverage, "box_moments", counted)
+        return calls
+
+    def test_certified_updates_match_the_grid(self, monkeypatch):
+        """2000 random problems.  Wherever the bound clears gamma by the
+        margin, the grid's mass is at least gamma, the update runs no grid,
+        and the diagnostics read later (also after pickling) are the grid
+        path's bit for bit."""
+        rng = np.random.default_rng(42)
+        grid = self.count_grid_calls(monkeypatch)
+        certified = 0
+        for k in range(2000):
+            kind = ("centred", "offset", "infinite")[k % 3]
+            x, cov, meas, spec = certificate_problem(rng, kind)
+            fs = build_feasible_set(x, meas, spec)
+            cov_z, _ = project_prior(cov, fs)
+            pi = box_moments(np.zeros(3), cov_z, fs.box()).prob
+            bound = box_mass_lower_bound(np.zeros(3), cov_z, fs.box())
+            assert bound <= pi + 1e-14
+
+            grid.clear()
+            x2, cov2, diag = coverage_update(x, cov, meas, spec)
+            if bound < spec.gamma + CERTIFY_MARGIN:
+                assert len(grid) == 1
+                continue
+            certified += 1
+            assert pi >= spec.gamma
+            assert grid == []
+            assert x2 is x and cov2 is cov
+            assert not diag.active and not diag.skipped
+            unread = pickle.loads(pickle.dumps(diag))
+            assert diag.pi_prior == pi
+            assert diag.near_full_mass == ((1.0 - pi) < NEAR_FULL_MASS)
+            read = pickle.loads(pickle.dumps(diag))
+            for d in (unread, read):
+                assert d.pi_prior == pi
+                assert d.near_full_mass == diag.near_full_mass
+        assert 600 <= certified <= 1400
+
+    @pytest.mark.parametrize("clearance, certified", [(0.5, False), (2.0, True)])
+    def test_bound_within_margin_defers_to_the_grid(
+        self, monkeypatch, clearance, certified
+    ):
+        """gamma set ``clearance`` margins below the bound: within one
+        margin the grid decides, beyond it the bound does."""
+        x = AugmentedState.identity()
+        cov = cov_from_std(0.02, 0.1, 0.1, 0.01, 0.001)
+        meas = predicted_body_velocity(x) + np.array([0.05, -0.02, 0.0])
+        eps = np.array([0.3, 0.25, 0.3])
+        fs = build_feasible_set(x, meas, CoverageSpec(eps, 0.5))
+        cov_z, _ = project_prior(cov, fs)
+        bound = box_mass_lower_bound(np.zeros(3), cov_z, fs)
+        spec = CoverageSpec(eps, bound - clearance * CERTIFY_MARGIN)
+        grid = self.count_grid_calls(monkeypatch)
+        _, _, diag = coverage_update(x, cov, meas, spec)
+        assert len(grid) == (0 if certified else 1)
+        assert not diag.active and diag.pi_prior >= spec.gamma
+
+    def test_diagnostics_need_one_source_of_pi(self):
+        with pytest.raises(ValueError):
+            coverage.UpdateDiagnostics(active=False, skipped=False)

@@ -22,6 +22,7 @@ from coverage_inekf.filter import (
     realized_error,
     transition_from_dynamics,
     velocity_output_matrix,
+    velocity_projection,
 )
 from coverage_inekf.se23 import Se23Element, exp_se23, inverse, log_se23, skew
 
@@ -360,6 +361,22 @@ class TestCheckConditioning:
         # trace^3 / det = 4e12 trips the screen; the exact cond is 5e11
         check_conditioning(np.diag([1.0, 1.0, 2e-12]), "test matrix")
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.diag([5.0, -1.0, -1.0]),
+            11.0 / 3.0 * np.ones((3, 3)) - np.eye(3),
+            np.diag([-1.0, -1.0, 5.0]),
+        ],
+        ids=["diagonal", "dense", "negative-leading"],
+    )
+    def test_indefinite_rejected(self, m):
+        """Two negative eigenvalues give a positive determinant and a small
+        condition number; a leading minor is what gives them away."""
+        assert np.linalg.det(m) > 0.0 and np.linalg.cond(m) < 20.0
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            check_conditioning(m, "test matrix")
+
 
 class TestTypes:
     def test_imu_sample_rejects_bad_dt(self):
@@ -381,6 +398,18 @@ class TestTypes:
         assert np.array_equal(h[:, 3:6], -x.nav.rot.T)
         assert np.array_equal(h[:, :3], np.zeros((3, 3)))
         assert np.array_equal(h[:, 6:], np.zeros((3, 9)))
+
+    def test_velocity_projection_matches_dense_h(self):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            x = random_state(rng)
+            a = rng.standard_normal((15, 15))
+            cov = a @ a.T
+            h = velocity_output_matrix(x.nav.rot)
+            sigma_ht, hsht = velocity_projection(cov, x.nav.rot)
+            scale = np.abs(cov).max()
+            assert np.allclose(sigma_ht, cov @ h.T, rtol=0, atol=1e-14 * scale)
+            assert np.allclose(hsht, h @ cov @ h.T, rtol=0, atol=1e-14 * scale)
 
     def test_predicted_body_velocity_matches_dense_oracle(self):
         # the invariant output X^-1 d with d = (0, 0, 0, -1, 0)

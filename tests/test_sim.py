@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from coverage_inekf import sim
+from coverage_inekf import coverage, sim
 from coverage_inekf.coverage import UpdateDiagnostics
 from coverage_inekf.filter import propagate_mean, realized_error
 from coverage_inekf.sim import (
@@ -184,6 +184,31 @@ def spy(monkeypatch, name):
 
     monkeypatch.setattr(sim, name, wrapped)
     return calls
+
+
+def test_grid_runs_only_where_the_constraint_can_bind(monkeypatch):
+    """On a 2.5 s biased-mixture trial at gamma 0.8 the marginal-tail
+    bound certifies most inactive updates, so ``box_moments`` serves at
+    most 35 % of the 250 updates (measured: 60), the same count on every
+    run."""
+    grid = []
+    real = coverage.box_moments
+
+    def counted(*args):
+        grid.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(coverage, "box_moments", counted)
+    updates = spy(monkeypatch, "coverage_update")
+    campaign, arm = one_trial("mixture", "coverage", duration=2.5)
+    counts = []
+    for _ in range(2):
+        grid.clear()
+        result = sim.run_trial(campaign, arm, seed=11)
+        counts.append(len(grid))
+    assert len(updates) == 500 and not result.diverged
+    assert counts[0] == counts[1] <= 0.35 * 250
+    assert counts[0] >= result.fraction_active * 250
 
 
 @pytest.mark.parametrize("name, method", ARMS)
