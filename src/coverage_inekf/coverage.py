@@ -38,7 +38,7 @@ import numpy as np
 from coverage_inekf.filter import (
     AugmentedState,
     apply_correction,
-    check_conditioning,
+    spd_inverse,
     velocity_output_matrix,
     velocity_projection,
     velocity_residual,
@@ -188,21 +188,21 @@ def build_feasible_set(
 
 def project_prior(
     cov: np.ndarray, fs: FeasibleSet
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project the prior covariance onto z = H dx.
 
-    Returns (cov_z, gain) where cov_z = H Sigma H^T is the projected
-    covariance and gain = Sigma H^T cov_z^-1 lifts z-space corrections back
-    to the full error state.  H is the velocity output matrix, applied by
+    Returns (cov_z, sigma_ht, cov_z_inv): the projected covariance
+    cov_z = H Sigma H^T, the cross-covariance Sigma H^T and the inverse of
+    cov_z.  The gain sigma_ht @ cov_z_inv lifts z-space corrections back to
+    the full error state; :func:`coverage_update` forms it only for an
+    update that applies one.  H is the velocity output matrix, applied by
     its velocity block -R^T (:func:`coverage_inekf.filter.velocity_projection`).
     Raises LinAlgError when the prior is not positive definite or has
     collapsed along a measured direction.
     """
     sigma_ht, cov_z = velocity_projection(cov, -fs.h[:, 3:6].T)
     cov_z = 0.5 * (cov_z + cov_z.T)
-    check_conditioning(cov_z, "projected prior")
-    gain = sigma_ht @ np.linalg.inv(cov_z)
-    return cov_z, gain
+    return cov_z, sigma_ht, spd_inverse(cov_z, "projected prior")
 
 
 def kl_coverage_posterior(
@@ -283,7 +283,7 @@ def coverage_update(
     probability floor the update is skipped entirely and logged.
     """
     fs = build_feasible_set(x, meas, spec)
-    cov_z, gain = project_prior(cov, fs)
+    cov_z, sigma_ht, cov_z_inv = project_prior(cov, fs)
     bound = box_mass_lower_bound(np.zeros(cov_z.shape[0]), cov_z, fs)
     if bound >= spec.gamma + CERTIFY_MARGIN:
         return x, cov, UpdateDiagnostics(prior=(cov_z, fs.lower, fs.upper))
@@ -300,5 +300,6 @@ def coverage_update(
     if zpost.prior_mass >= spec.gamma:
         return x, cov, UpdateDiagnostics(zpost.prior_mass)
 
+    gain = sigma_ht @ cov_z_inv
     x_new, cov_new = lift_and_apply(x, cov, zpost, gain, cov_z)
     return x_new, cov_new, UpdateDiagnostics(zpost.prior_mass, active=True)

@@ -14,10 +14,29 @@ Every update folds its error-mean correction into the state estimate, so
 the error mean is reset to zero after each update (the standard invariant
 EKF reset) and stays zero under propagation.  The error belief is therefore
 carried as its 15x15 covariance alone.
+
+The error dynamics d/dt delta = A delta + N w have a nilpotent A (index 4),
+so the transition Phi = exp(A dt) = I + A dt + A^2 dt^2/2 + A^3 dt^3/6 has
+a closed form (Hartley et al. 2020, "Contact-aided invariant extended
+Kalman filtering for robot state estimation", IJRR).  Besides the identity
+its nonzero blocks, with g^ the skew of gravity, are
+
+    Phi[r, bg] = -R dt
+    Phi[v, r]  = g^ dt
+    Phi[v, ba] = -R dt
+    Phi[v, bg] = -v^R dt - g^R dt^2/2
+    Phi[p, r]  = g^ dt^2/2
+    Phi[p, v]  = I dt
+    Phi[p, ba] = -R dt^2/2
+    Phi[p, bg] = -p^R dt - v^R dt^2/2 - g^R dt^3/6
+
+and Phi N is a combination of the same matrices, so both are built from
+one stack of features [R, v^R, p^R, g^R, g^, I] without forming A.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +46,9 @@ from coverage_inekf.se23 import _EYE3, Se23Element, skew
 
 # Gravity in the world frame (m/s^2).
 GRAVITY = np.array([0.0, 0.0, -9.81])
+GRAVITY.setflags(write=False)
+_HALF_GRAVITY = 0.5 * GRAVITY
+_HALF_GRAVITY.setflags(write=False)
 
 ERROR_DIM = 15
 NOISE_DIM = 12
@@ -119,7 +141,7 @@ def velocity_output_matrix(rot: np.ndarray) -> np.ndarray:
 
 def predicted_body_velocity(x: AugmentedState) -> np.ndarray:
     """First three components of the invariant output X^-1 d."""
-    return x.nav.rot.T @ x.nav.vel
+    return np.dot(x.nav.rot.T, x.nav.vel)
 
 
 def velocity_residual(x: AugmentedState, meas: np.ndarray) -> np.ndarray:
@@ -129,7 +151,7 @@ def velocity_residual(x: AugmentedState, meas: np.ndarray) -> np.ndarray:
     use.
     """
     meas = np.asarray(meas, dtype=float)
-    if not np.isfinite(meas).all():
+    if not all(map(math.isfinite, meas.tolist())):
         raise ValueError(f"measurement must be finite, got {meas}")
     return meas - predicted_body_velocity(x)
 
@@ -141,35 +163,62 @@ def velocity_projection(cov: np.ndarray, rot: np.ndarray) -> tuple[np.ndarray, n
     and H Sigma H^T is -R^T times that product's velocity rows.  Both update
     rules project their prior through it.
     """
-    sigma_ht = -(cov[:, 3:6] @ rot)
-    return sigma_ht, -rot.T @ sigma_ht[3:6]
+    neg_rot = -rot
+    sigma_ht = np.dot(cov[:, 3:6], neg_rot)
+    return sigma_ht, np.dot(neg_rot.T, sigma_ht[3:6])
 
 
-def check_conditioning(m: np.ndarray, what: str) -> None:
-    """Raise LinAlgError unless the 3x3 matrix ``m`` is positive definite
-    with cond <= MAX_COND.
+def spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of the 3x3 matrix ``m``, in closed form.
 
-    Definiteness is Sylvester's test: the leading minors m00,
-    m00 m11 - m01 m10 and det must all be positive.  Conditioning is
-    screened with the SPD bound cond <= trace^d / det, and the exact
-    condition number is computed only when the bound trips, so the common
-    case costs one determinant and two products.  A non-finite matrix fails
-    both checks.
+    Raises LinAlgError unless ``m`` is positive definite with
+    cond <= MAX_COND.  Definiteness is Sylvester's test: the leading minors
+    m00, m00 m11 - m01 m10 and det must all be positive.  Conditioning is
+    screened with the SPD bound cond <= trace^3 / det, and the exact
+    condition number is computed only when the bound trips.
+
+    Gaussian elimination without pivoting, which is stable on SPD matrices,
+    gives pivots m00, u11 and u22 whose running products are the three
+    leading minors, so Sylvester's test is that all three are positive and
+    det is their product; the inverse is then U^-1 L^-1, written out.  The
+    cofactor formula would be shorter but loses up to cond^2 eps in det.
+    A non-finite matrix fails: NaN fails Sylvester's test, and one that
+    passes it with an infinite entry has an infinite determinant, which the
+    screen sends to the exact check.
     """
-    with np.errstate(invalid="ignore"):
-        det = np.linalg.det(m)
-    spd = m[0, 0] > 0.0 and m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] > 0.0 and det > 0.0
-    if spd and np.trace(m) ** m.shape[0] <= MAX_COND * det:
-        return
-    cond = float(np.linalg.cond(m))
-    if not spd:
-        raise np.linalg.LinAlgError(
-            f"{what} is not positive definite (cond={cond:.3e})"
-        )
-    if not np.isfinite(cond) or cond > MAX_COND:
-        raise np.linalg.LinAlgError(
-            f"{what} is numerically singular (cond={cond:.3e})"
-        )
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    u11 = u22 = math.nan
+    if a > 0.0:
+        l10, l20 = d / a, g / a
+        u11, u12 = e - l10 * b, f - l10 * c
+        if u11 > 0.0:
+            l21 = (h - l20 * b) / u11
+            u22 = (i - l20 * c) - l21 * u12
+    spd = u22 > 0.0  # NaN unless the first two pivots are positive
+    det = a * u11 * u22
+    trace = a + e + i
+    if not (spd and trace * trace * trace <= MAX_COND * det < math.inf):
+        finite = all(map(math.isfinite, (a, b, c, d, e, f, g, h, i)))
+        cond = float(np.linalg.cond(m)) if finite else math.nan
+        if not spd:
+            raise np.linalg.LinAlgError(
+                f"{what} is not positive definite (cond={cond:.3e})"
+            )
+        if not cond <= MAX_COND:
+            raise np.linalg.LinAlgError(
+                f"{what} is numerically singular (cond={cond:.3e})"
+            )
+    # U^-1 (upper, v..) and L^-1 (unit lower, k..)
+    v00, v11, v22 = 1.0 / a, 1.0 / u11, 1.0 / u22
+    v12 = -u12 * v11 * v22
+    v01, v02 = -b * v11 * v00, -(b * v12 + c * v22) * v00
+    k10, k21 = -l10, -l21
+    k20 = -l20 - l21 * k10
+    return np.array([
+        v00 + v01 * k10 + v02 * k20, v01 + v02 * k21, v02,
+        v11 * k10 + v12 * k20, v11 + v12 * k21, v12,
+        v22 * k20, v22 * k21, v22,
+    ]).reshape(3, 3)
 
 
 def propagate_mean(x: AugmentedState, u: ImuSample) -> AugmentedState:
@@ -180,62 +229,82 @@ def propagate_mean(x: AugmentedState, u: ImuSample) -> AugmentedState:
     exponential while velocity and position use its first and second
     integrals.  Biases are constant under the nominal dynamics.
     """
-    w = (u.gyro - x.bias_gyro) * u.dt
-    a = u.accel - x.bias_accel
-    rot, vel, pos = x.nav.rot, x.nav.vel, x.nav.pos
-    gamma0, gamma1, gamma2 = se23.so3_gammas(w)
     dt = u.dt
+    w = (u.gyro - x.bias_gyro) * dt
+    a = u.accel - x.bias_accel
+    rot, vel = x.nav.rot, x.nav.vel
+    gammas = se23.so3_gammas(w)
+    # rows R Gamma_k a for k = 0, 1, 2
+    ra = np.dot(np.dot(gammas.reshape(9, 3), a).reshape(3, 3), rot.T)
     nav = se23.renormalized(
-        rot @ gamma0,
-        vel + (rot @ (gamma1 @ a) + GRAVITY) * dt,
-        pos + vel * dt + (rot @ (gamma2 @ a) + 0.5 * GRAVITY) * dt * dt,
+        np.dot(rot, gammas[0]),
+        vel + (ra[1] + GRAVITY) * dt,
+        x.nav.pos + vel * dt + (ra[2] + _HALF_GRAVITY) * (dt * dt),
         x.nav.chain + 1,
     )
     return AugmentedState(nav, x.bias_accel.copy(), x.bias_gyro.copy())
 
 
-def error_dynamics_matrices(x: AugmentedState) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous right-invariant error dynamics (A, N).
+# The closed-form transition's feature stack, in the order error_transition
+# builds it; the last two do not depend on the state.
+_FEATURES = ("R", "v^R", "p^R", "g^R", "g^", "I")
+_CONST_FEATURES = np.stack((skew(GRAVITY), _EYE3))
+_CONST_FEATURES.setflags(write=False)
 
-    d/dt delta = A delta + N w, with w the 12-dim process noise in the order
-    (accel, gyro, accel bias walk, gyro bias walk), evaluated at the current
-    estimate.  N's top 9x9 action is the group adjoint carrying body-frame
-    IMU noise into the invariant error coordinates.
-    """
-    rot, vel, pos = x.nav.rot, x.nav.vel, x.nav.pos
-    vx_r = skew(vel) @ rot
-    px_r = skew(pos) @ rot
+# Nonzero 3x3 blocks of Phi (15x15, error blocks rot, vel, pos, accel bias,
+# gyro bias) and of Phi N (15x12, noise blocks accel, gyro, accel-bias walk,
+# gyro-bias walk), keyed by (matrix, row block, column block).  A term
+# (feature, s, k) contributes s * feature * dt^k / k!.
+_TRANSITION_BLOCKS = {
+    ("phi", 0, 0): (("I", 1, 0),),
+    ("phi", 0, 4): (("R", -1, 1),),
+    ("phi", 1, 0): (("g^", 1, 1),),
+    ("phi", 1, 1): (("I", 1, 0),),
+    ("phi", 1, 3): (("R", -1, 1),),
+    ("phi", 1, 4): (("v^R", -1, 1), ("g^R", -1, 2)),
+    ("phi", 2, 0): (("g^", 1, 2),),
+    ("phi", 2, 1): (("I", 1, 1),),
+    ("phi", 2, 2): (("I", 1, 0),),
+    ("phi", 2, 3): (("R", -1, 2),),
+    ("phi", 2, 4): (("p^R", -1, 1), ("v^R", -1, 2), ("g^R", -1, 3)),
+    ("phi", 3, 3): (("I", 1, 0),),
+    ("phi", 4, 4): (("I", 1, 0),),
+    ("phi_n", 0, 1): (("R", 1, 0),),
+    ("phi_n", 0, 3): (("R", 1, 1),),
+    ("phi_n", 1, 0): (("R", 1, 0),),
+    ("phi_n", 1, 1): (("v^R", 1, 0), ("g^R", 1, 1)),
+    ("phi_n", 1, 2): (("R", 1, 1),),
+    ("phi_n", 1, 3): (("v^R", 1, 1), ("g^R", 1, 2)),
+    ("phi_n", 2, 0): (("R", 1, 1),),
+    ("phi_n", 2, 1): (("p^R", 1, 0), ("v^R", 1, 1), ("g^R", 1, 2)),
+    ("phi_n", 2, 2): (("R", 1, 2),),
+    ("phi_n", 2, 3): (("p^R", 1, 1), ("v^R", 1, 2), ("g^R", 1, 3)),
+    ("phi_n", 3, 2): (("I", -1, 0),),
+    ("phi_n", 4, 3): (("I", -1, 0),),
+}
 
-    a_mat = np.zeros((ERROR_DIM, ERROR_DIM))
-    a_mat[0:3, 12:15] = -rot
-    a_mat[3:6, 0:3] = skew(GRAVITY)
-    a_mat[3:6, 9:12] = -rot
-    a_mat[3:6, 12:15] = -vx_r
-    a_mat[6:9, 3:6] = _EYE3
-    a_mat[6:9, 12:15] = -px_r
 
-    n_mat = np.zeros((ERROR_DIM, NOISE_DIM))
-    n_mat[0:3, 3:6] = rot
-    n_mat[3:6, 0:3] = rot
-    n_mat[3:6, 3:6] = vx_r
-    n_mat[6:9, 3:6] = px_r
-    n_mat[9:12, 6:9] = -_EYE3
-    n_mat[12:15, 9:12] = -_EYE3
-    return a_mat, n_mat
+def _transition_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The blocks' coefficients as polynomials in (1, dt, dt^2/2, dt^3/6),
+    shape (4, blocks * features), and the flat positions of their entries
+    in the buffer holding Phi then Phi N."""
+    poly = np.zeros((4, len(_TRANSITION_BLOCKS), len(_FEATURES)))
+    index = []
+    entry = np.arange(3)
+    for b, ((matrix, i, j), terms) in enumerate(_TRANSITION_BLOCKS.items()):
+        for feature, sign, k in terms:
+            poly[k, b, _FEATURES.index(feature)] = sign
+        cols, offset = (
+            (ERROR_DIM, 0) if matrix == "phi" else (NOISE_DIM, ERROR_DIM * ERROR_DIM)
+        )
+        rows = (3 * i + entry)[:, None] * cols + 3 * j + entry
+        index.append(offset + rows.ravel())
+    return poly.reshape(4, -1), np.concatenate(index)
 
 
-def transition_from_dynamics(a_mat: np.ndarray, dt: float) -> np.ndarray:
-    """exp(A dt) for the error dynamics matrix.
-
-    A is nilpotent of index 4 (gravity feeds velocity feeds position, biases
-    feed nothing), so the exponential equals the finite sum
-    I + A dt + A^2 dt^2/2 + A^3 dt^3/6 exactly.
-    """
-    a_dt = a_mat * dt
-    a2 = a_dt @ a_dt
-    phi = a_dt + 0.5 * a2 + (a2 @ a_dt) / 6.0
-    phi.flat[:: ERROR_DIM + 1] += 1.0
-    return phi
+_BLOCK_POLY, _BLOCK_INDEX = _transition_tables()
+_BLOCK_POLY.setflags(write=False)
+_BLOCK_INDEX.setflags(write=False)
 
 
 def error_transition(
@@ -243,14 +312,25 @@ def error_transition(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Discrete error-state transition Phi and process noise Q_d.
 
-    Phi is the exact exponential of the continuous dynamics over dt; Q_d
-    uses the first-order discretization Phi N Q N^T Phi^T dt.
+    Phi is the exact exponential of the continuous dynamics over dt, in the
+    closed form of the module docstring; Q_d uses the first-order
+    discretization Phi N Q N^T Phi^T dt.  The feature stack
+    [R, v^R, p^R, g^R, g^, I] comes from one batched skew and one product,
+    and every block of Phi and of Phi N from one product of it with the
+    coefficients at this dt.
     """
-    a_mat, n_mat = error_dynamics_matrices(x)
-    phi = transition_from_dynamics(a_mat, u.dt)
-    phi_n = phi @ n_mat
-    q_d = (phi_n @ noise.q @ phi_n.T) * u.dt
-    return phi, 0.5 * (q_d + q_d.T)
+    rot = x.nav.rot
+    hats = skew(np.array((x.nav.vel, x.nav.pos, GRAVITY)))
+    feats = np.concatenate((rot[None], np.dot(hats, rot), _CONST_FEATURES))
+    dt = u.dt
+    coef = np.dot(np.array((1.0, dt, dt * dt / 2.0, dt * dt * dt / 6.0)), _BLOCK_POLY)
+    blocks = np.dot(coef.reshape(-1, len(feats)), feats.reshape(len(feats), 9))
+    out = np.zeros(ERROR_DIM * (ERROR_DIM + NOISE_DIM))
+    out[_BLOCK_INDEX] = blocks.ravel()
+    phi = out[: ERROR_DIM * ERROR_DIM].reshape(ERROR_DIM, ERROR_DIM)
+    phi_n = out[ERROR_DIM * ERROR_DIM :].reshape(ERROR_DIM, NOISE_DIM)
+    q_d = np.dot(np.dot(phi_n, noise.q), phi_n.T)
+    return phi, (q_d + q_d.T) * (0.5 * dt)
 
 
 def propagate_cov(cov: np.ndarray, phi: np.ndarray, q_d: np.ndarray) -> np.ndarray:
@@ -306,19 +386,18 @@ def gaussian_update(
 
     H = [0, -R^T, 0, 0, 0] (:func:`velocity_output_matrix`) is applied by
     its velocity block alone (:func:`velocity_projection`), and I - K H
-    differs from the identity only in the velocity columns, by K R^T.
+    differs from the identity only in the velocity columns, by M = K R^T:
+    (I - K H) Sigma = Sigma + M Sigma[3:6, :], and that times (I - K H)^T
+    adds its velocity columns times M^T.
     """
     r = np.asarray(r, dtype=float)
     rot = x.nav.rot
     residual = velocity_residual(x, meas)
 
     pht, hpht = velocity_projection(cov, rot)
-    s = hpht + r
-    check_conditioning(s, "innovation covariance")
-    k = pht @ np.linalg.inv(s)
-
-    ikh = np.eye(ERROR_DIM)
-    ikh[:, 3:6] += k @ rot.T
-    cov = ikh @ cov @ ikh.T + k @ r @ k.T
-    x_new = apply_correction(x, k @ residual)
+    k = np.dot(pht, spd_inverse(hpht + r, "innovation covariance"))
+    m = np.dot(k, rot.T)
+    ikh_cov = cov + np.dot(m, cov[3:6])
+    cov = ikh_cov + np.dot(ikh_cov[:, 3:6], m.T) + np.dot(np.dot(k, r), k.T)
+    x_new = apply_correction(x, np.dot(k, residual))
     return x_new, 0.5 * (cov + cov.T)

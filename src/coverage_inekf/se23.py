@@ -43,10 +43,12 @@ ALGEBRA_PATTERN_TOL = 1e-12
 RENORM_CHAIN_LENGTH = 100
 
 
-# Levi-Civita tensor with the sign of the hat map: skew(v)[i, j] = _HAT[i, j] @ v.
+# Levi-Civita tensor with the sign of the hat map, flattened so that one
+# product gives every entry: skew(v).ravel() == v @ _HAT.
 _HAT = np.zeros((3, 3, 3))
-_HAT[0, 1, 2] = _HAT[1, 2, 0] = _HAT[2, 0, 1] = -1.0
-_HAT[0, 2, 1] = _HAT[1, 0, 2] = _HAT[2, 1, 0] = 1.0
+_HAT[2, 0, 1] = _HAT[0, 1, 2] = _HAT[1, 2, 0] = -1.0
+_HAT[1, 0, 2] = _HAT[2, 1, 0] = _HAT[0, 2, 1] = 1.0
+_HAT = _HAT.reshape(3, 9)
 _HAT.setflags(write=False)
 
 _EYE3 = np.eye(3)
@@ -58,7 +60,8 @@ def skew(v: np.ndarray) -> np.ndarray:
 
     Batched over leading axes: (..., 3) -> (..., 3, 3).
     """
-    return (_HAT @ np.asarray(v)[..., None, :, None])[..., 0]
+    v = np.asarray(v)
+    return np.dot(v, _HAT).reshape(v.shape + (3,))
 
 
 def unskew(m: np.ndarray) -> np.ndarray:
@@ -66,14 +69,29 @@ def unskew(m: np.ndarray) -> np.ndarray:
     return m[..., [2, 0, 1], [1, 2, 0]]
 
 
-def _series_terms(w: np.ndarray) -> tuple:
-    """(w^, w^2, a, b, c, d): the terms of every Gamma_k, see :func:`so3_gammas`.
+def so3_gammas(w: np.ndarray) -> np.ndarray:
+    """The series Gamma_k(w) = sum_n (w^)^n / (n + k)! for k = 0, 1, 2,
+    stacked as a (3, 3, 3) array.
 
-    :func:`so3_gammas` assembles all three Gamma_k from them and
-    :func:`exp_se23` only Gamma_0 and Gamma_1.
+    Gamma_0 = exp(w^) = I + a*w^ + b*w^2       (Rodrigues)
+    Gamma_1 = J_l(w)  = I + b*w^ + c*w^2       (left Jacobian)
+    Gamma_2           = I/2 + c*w^ + d*w^2     (second integral, used by propagation)
+
+    where a = sin(t)/t, b = (1-cos t)/t^2, c = (t-sin t)/t^3 and
+    d = (t^2 + 2cos t - 2)/(2 t^4).  Since Gamma_k = I/k! + w^ Gamma_{k+1},
+    a = 1 - t^2 c and b = 1/2 - t^2 d.  Below ``SERIES_ANGLE`` c and d come
+    from their power series, above it a and b from sines; each side uses
+    the pair that does not cancel.
+
+    The basis [I, w^, w^2] is written as one (3, 9) array straight from the
+    components of ``w`` (w^2 = w w^T - t^2 I), and all three Gamma_k come
+    from one product with the coefficient rows.  ``w`` is one 3-vector:
+    every caller evaluates it once per step.
     """
-    theta = math.sqrt(float(w @ w))
-    t2 = theta * theta
+    x, y, z = np.asarray(w, dtype=float).tolist()
+    xx, yy, zz = x * x, y * y, z * z
+    t2 = xx + yy + zz
+    theta = math.sqrt(t2)
     if theta < SERIES_ANGLE:
         # Horner forms of sum_n (-t^2)^n / (2n + 3)! and of / (2n + 4)!
         c = (1 - t2 / 20 * (1 - t2 / 42 * (1 - t2 / 72 * (1 - t2 / 110)))) / 6
@@ -86,30 +104,14 @@ def _series_terms(w: np.ndarray) -> tuple:
         b = 2.0 * h * h
         c = (1.0 - a) / t2
         d = (0.5 - b) / t2
-    wx = skew(w)
-    return wx, wx @ wx, a, b, c, d
-
-
-def so3_gammas(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The series Gamma_k(w) = sum_n (w^)^n / (n + k)! for k = 0, 1, 2.
-
-    Gamma_0 = exp(w^) = I + a*w^ + b*w^2       (Rodrigues)
-    Gamma_1 = J_l(w)  = I + b*w^ + c*w^2       (left Jacobian)
-    Gamma_2           = I/2 + c*w^ + d*w^2     (second integral, used by propagation)
-
-    where a = sin(t)/t, b = (1-cos t)/t^2, c = (t-sin t)/t^3 and
-    d = (t^2 + 2cos t - 2)/(2 t^4).  Since Gamma_k = I/k! + w^ Gamma_{k+1},
-    a = 1 - t^2 c and b = 1/2 - t^2 d.  Below ``SERIES_ANGLE`` c and d come
-    from their power series, above it a and b from sines; each side uses
-    the pair that does not cancel.  ``w`` is one 3-vector: every caller
-    evaluates it once per step.
-    """
-    wx, wx2, a, b, c, d = _series_terms(w)
-    return (
-        _EYE3 + a * wx + b * wx2,
-        _EYE3 + b * wx + c * wx2,
-        0.5 * _EYE3 + c * wx + d * wx2,
-    )
+    xy, xz, yz = x * y, x * z, y * z
+    basis = np.array([
+        1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0,
+        0.0, -z, y, z, 0.0, -x, -y, x, 0.0,
+        -(yy + zz), xy, xz, xy, -(xx + zz), yz, xz, yz, -(xx + yy),
+    ]).reshape(3, 9)
+    coef = np.array([1.0, a, b, 1.0, b, c, 0.5, c, d]).reshape(3, 3)
+    return np.dot(coef, basis).reshape(3, 3, 3)
 
 
 def so3_log(rot: np.ndarray) -> np.ndarray:
@@ -208,9 +210,9 @@ def renormalized(rot, vel, pos, chain: int) -> Se23Element:
 def compose(a: Se23Element, b: Se23Element) -> Se23Element:
     """Group composition a * b, with periodic rotation re-orthonormalization."""
     return renormalized(
-        a.rot @ b.rot,
-        a.rot @ b.vel + a.vel,
-        a.rot @ b.pos + a.pos,
+        np.dot(a.rot, b.rot),
+        np.dot(a.rot, b.vel) + a.vel,
+        np.dot(a.rot, b.pos) + a.pos,
         a.chain + b.chain + 1,
     )
 
@@ -254,13 +256,13 @@ def exp_se23(v: np.ndarray) -> Se23Element:
     """Exponential map R^9 -> SE2(3).
 
     Closed form: Rodrigues rotation (Gamma_0), with the left Jacobian
-    (Gamma_1) applied to the velocity and position components; Gamma_2 is
-    not built.
+    (Gamma_1) applied to the velocity and position components in one
+    product.
     """
     v = np.asarray(v, dtype=float)
-    wx, wx2, a, b, c, _ = _series_terms(v[0:3])
-    jl = _EYE3 + b * wx + c * wx2
-    return Se23Element(_EYE3 + a * wx + b * wx2, jl @ v[3:6], jl @ v[6:9])
+    gammas = so3_gammas(v[0:3])
+    vel_pos = np.dot(v[3:9].reshape(2, 3), gammas[1].T)
+    return Se23Element(gammas[0], vel_pos[0], vel_pos[1])
 
 
 def log_se23(x: Se23Element) -> np.ndarray:

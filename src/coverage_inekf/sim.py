@@ -407,7 +407,8 @@ def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
         phi, q_d = error_transition(x, u, campaign.process)
         x = propagate_mean(x, u)
         cov = propagate_cov(cov, phi, q_d)
-        if not np.isfinite(x.nav.pos).all() or not np.isfinite(cov[0, 0]):
+        pos = x.nav.pos.tolist()
+        if not (all(map(math.isfinite, pos)) and math.isfinite(cov[0, 0])):
             taken = k
             break
 

@@ -5,6 +5,7 @@ from scipy.integrate import simpson
 from scipy.special import ndtri
 from scipy.stats import multivariate_normal, norm, truncnorm
 
+from coverage_inekf.filter import ERROR_DIM, GRAVITY, NOISE_DIM
 from coverage_inekf.tmvn import TruncatedMoments
 
 
@@ -137,3 +138,64 @@ def oracle_box_moments(mean, cov, box, n_samples, seed=0, chunk=1_000_000):
     return TruncatedMoments(
         prob=n_in / n_samples, mean=sum_x / n_in, second_moment=0.5 * (m2 + m2.T)
     )
+
+
+def _hat(v):
+    """so(3) hat of one 3-vector, written out entry by entry."""
+    x, y, z = v
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def error_dynamics_matrices(x):
+    """Continuous right-invariant error dynamics (A, N).
+
+    d/dt delta = A delta + N w, with w the 12-dim process noise in the order
+    (accel, gyro, accel bias walk, gyro bias walk), evaluated at the state
+    ``x``.  N's top 9x9 action is the group adjoint carrying body-frame IMU
+    noise into the invariant error coordinates.  The reference for the
+    closed-form transition of ``filter.error_transition``.
+    """
+    rot, vel, pos = x.nav.rot, x.nav.vel, x.nav.pos
+    vx_r = _hat(vel) @ rot
+    px_r = _hat(pos) @ rot
+
+    a_mat = np.zeros((ERROR_DIM, ERROR_DIM))
+    a_mat[0:3, 12:15] = -rot
+    a_mat[3:6, 0:3] = _hat(GRAVITY)
+    a_mat[3:6, 9:12] = -rot
+    a_mat[3:6, 12:15] = -vx_r
+    a_mat[6:9, 3:6] = np.eye(3)
+    a_mat[6:9, 12:15] = -px_r
+
+    n_mat = np.zeros((ERROR_DIM, NOISE_DIM))
+    n_mat[0:3, 3:6] = rot
+    n_mat[3:6, 0:3] = rot
+    n_mat[3:6, 3:6] = vx_r
+    n_mat[6:9, 3:6] = px_r
+    n_mat[9:12, 6:9] = -np.eye(3)
+    n_mat[12:15, 9:12] = -np.eye(3)
+    return a_mat, n_mat
+
+
+def transition_from_dynamics(a_mat, dt):
+    """exp(A dt) for the error dynamics matrix.
+
+    A is nilpotent of index 4 (gravity feeds velocity feeds position, biases
+    feed nothing), so the exponential equals the finite sum
+    I + A dt + A^2 dt^2/2 + A^3 dt^3/6 exactly.
+    """
+    a_dt = a_mat * dt
+    a2 = a_dt @ a_dt
+    phi = a_dt + 0.5 * a2 + (a2 @ a_dt) / 6.0
+    phi.flat[:: ERROR_DIM + 1] += 1.0
+    return phi
+
+
+def error_transition_reference(x, dt, q):
+    """(Phi, Q_d) from the dense dynamics: Phi by the finite sum above and
+    Q_d = Phi N Q N^T Phi^T dt, symmetrized."""
+    a_mat, n_mat = error_dynamics_matrices(x)
+    phi = transition_from_dynamics(a_mat, dt)
+    phi_n = phi @ n_mat
+    q_d = (phi_n @ q @ phi_n.T) * dt
+    return phi, 0.5 * (q_d + q_d.T)

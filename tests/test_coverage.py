@@ -104,7 +104,7 @@ class TestProjectPrior:
         fs = build_feasible_set(
             x, predicted_body_velocity(x), CoverageSpec(np.ones(3), 0.8)
         )
-        cov_z, gain = project_prior(np.eye(15), fs)
+        cov_z, _, _ = project_prior(np.eye(15), fs)
         assert np.allclose(cov_z, np.eye(3), atol=1e-12)
 
     def test_gain_identity(self):
@@ -115,7 +115,11 @@ class TestProjectPrior:
         )
         a = rng.standard_normal((15, 15))
         cov = a @ a.T + 0.5 * np.eye(15)
-        cov_z, gain = project_prior(cov, fs)
+        cov_z, sigma_ht, cov_z_inv = project_prior(cov, fs)
+        scale = np.abs(cov).max()
+        assert np.allclose(sigma_ht, cov @ fs.h.T, rtol=0, atol=1e-14 * scale)
+        assert np.allclose(cov_z_inv, np.linalg.inv(cov_z), rtol=1e-12, atol=0)
+        gain = sigma_ht @ cov_z_inv
         assert np.allclose(gain @ cov_z, cov @ fs.h.T, atol=1e-9)
 
     def test_collapsed_prior_rejected(self):
@@ -195,7 +199,8 @@ class TestLiftAndApply:
             predicted_body_velocity(self.x) + np.array([0.3, 0.0, -0.2]),
             CoverageSpec(0.1 * np.ones(3), 0.8),
         )
-        self.cov_z, self.gain = project_prior(self.cov, self.fs)
+        self.cov_z, sigma_ht, cov_z_inv = project_prior(self.cov, self.fs)
+        self.gain = sigma_ht @ cov_z_inv
 
     def test_noop_when_posterior_is_prior(self):
         from coverage_inekf.coverage import ZPosterior
@@ -257,7 +262,7 @@ class TestCoverageUpdate:
         assert diag.pi_prior < 0.8
         # the moment-matched posterior moves z-space mass toward gamma
         fs = build_feasible_set(self.x, meas, spec)
-        cov_z, _ = project_prior(self.cov, fs)
+        cov_z, _, _ = project_prior(self.cov, fs)
         zp = kl_coverage_posterior(cov_z, fs, spec.gamma)
         pi_post = box_moments(zp.mean, zp.cov, fs.box()).prob
         assert diag.pi_prior < pi_post <= 0.8 + 0.03
@@ -412,7 +417,7 @@ class TestCertificate:
             kind = ("centred", "offset", "infinite")[k % 3]
             x, cov, meas, spec = certificate_problem(rng, kind)
             fs = build_feasible_set(x, meas, spec)
-            cov_z, _ = project_prior(cov, fs)
+            cov_z, _, _ = project_prior(cov, fs)
             pi = box_moments(np.zeros(3), cov_z, fs.box()).prob
             bound = box_mass_lower_bound(np.zeros(3), cov_z, fs.box())
             assert bound <= pi + 1e-14
@@ -447,7 +452,7 @@ class TestCertificate:
         meas = predicted_body_velocity(x) + np.array([0.05, -0.02, 0.0])
         eps = np.array([0.3, 0.25, 0.3])
         fs = build_feasible_set(x, meas, CoverageSpec(eps, 0.5))
-        cov_z, _ = project_prior(cov, fs)
+        cov_z, _, _ = project_prior(cov, fs)
         bound = box_mass_lower_bound(np.zeros(3), cov_z, fs)
         spec = CoverageSpec(eps, bound - clearance * CERTIFY_MARGIN)
         grid = self.count_grid_calls(monkeypatch)

@@ -2,25 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from oracles import (
+    error_dynamics_matrices,
+    error_transition_reference,
+    transition_from_dynamics,
+)
 from scipy.linalg import expm
 
 from coverage_inekf import se23
 from coverage_inekf.filter import (
     GRAVITY,
+    MAX_COND,
     AugmentedState,
     ImuSample,
     ProcessNoise,
     apply_correction,
-    check_conditioning,
     cov_from_std,
-    error_dynamics_matrices,
     error_transition,
     gaussian_update,
     predicted_body_velocity,
     propagate_cov,
     propagate_mean,
     realized_error,
-    transition_from_dynamics,
+    spd_inverse,
     velocity_output_matrix,
     velocity_projection,
 )
@@ -196,6 +200,25 @@ class TestErrorTransition:
         bwd = transition_from_dynamics(a_mat, -0.05)
         assert np.allclose(fwd @ bwd, np.eye(15), atol=1e-9)
 
+    @pytest.mark.parametrize("dt", [1e-8, 1e-3, 0.01, 0.1])
+    def test_closed_form_matches_dense_references(self, dt):
+        """Phi within 1e-12 absolute of the dense finite sum and of
+        scipy's expm(A dt); Q_d within 1e-14 of the dense Phi N Q N^T Phi^T
+        dt, relative to its largest entry, for a full random PSD Q."""
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            x = random_state(rng)
+            b = rng.standard_normal((12, 12)) * rng.uniform(1e-4, 0.1, 12)
+            q = ProcessNoise(b @ b.T)
+            u = ImuSample(np.zeros(3), np.zeros(3), dt)
+            phi, q_d = error_transition(x, u, q)
+            phi_ref, q_d_ref = error_transition_reference(x, dt, q.q)
+            a_mat, _ = error_dynamics_matrices(x)
+            assert np.abs(phi - phi_ref).max() <= 1e-12
+            assert np.abs(phi - expm(a_mat * dt)).max() <= 1e-12
+            assert np.abs(q_d - q_d_ref).max() <= 1e-14 * np.abs(q_d_ref).max()
+            assert np.array_equal(q_d, q_d.T)
+
     def test_zero_q_gives_zero_qd(self):
         rng = np.random.default_rng(7)
         x = random_state(rng)
@@ -357,9 +380,12 @@ class TestGaussianUpdate:
 
 
 class TestCheckConditioning:
+    """spd_inverse: the check-and-inverse both update rules share."""
+
     def test_screen_trips_but_exact_check_passes(self):
         # trace^3 / det = 4e12 trips the screen; the exact cond is 5e11
-        check_conditioning(np.diag([1.0, 1.0, 2e-12]), "test matrix")
+        inv = spd_inverse(np.diag([1.0, 1.0, 2e-12]), "test matrix")
+        assert np.array_equal(inv, np.diag([1.0, 1.0, 5e11]))
 
     @pytest.mark.parametrize(
         "m",
@@ -375,7 +401,65 @@ class TestCheckConditioning:
         condition number; a leading minor is what gives them away."""
         assert np.linalg.det(m) > 0.0 and np.linalg.cond(m) < 20.0
         with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
-            check_conditioning(m, "test matrix")
+            spd_inverse(m, "test matrix")
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.diag([1.0, -1.0, 1.0]),
+            np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        ],
+        ids=["diagonal", "dense"],
+    )
+    def test_negative_second_minor_rejected(self, m):
+        """m00 > 0 and a positive last pivot, but m00 m11 - m01 m10 < 0:
+        only the 2x2 leading minor gives these away."""
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            spd_inverse(m, "test matrix")
+
+    @pytest.mark.parametrize(
+        "entry, value, message",
+        [
+            ((0, 0), math.nan, "not positive definite"),
+            ((2, 2), math.nan, "not positive definite"),
+            ((1, 2), math.nan, "not positive definite"),
+            ((0, 0), math.inf, "numerically singular"),
+            ((2, 2), math.inf, "numerically singular"),
+            ((0, 2), math.inf, "not positive definite"),
+            ((1, 1), -math.inf, "not positive definite"),
+        ],
+    )
+    def test_non_finite_rejected(self, entry, value, message):
+        m = np.eye(3)
+        m[entry] = value
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            spd_inverse(m, "test matrix")
+
+    @pytest.mark.parametrize("cond", [2e12, 1e13, 1e14])
+    def test_ill_conditioned_rejected(self, cond):
+        rng = np.random.default_rng(26)
+        u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        m = (u * [1.0, 1.0 / math.sqrt(cond), 1.0 / cond]) @ u.T
+        with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
+            spd_inverse(0.5 * (m + m.T), "test matrix")
+
+    def test_matches_numpy_inverse(self):
+        """Random SPD matrices with cond from 1 to 1e11: the closed-form
+        inverse is within 4 cond eps of numpy's, relative to its largest
+        entry (measured worst: 0.98 cond eps over 2000 such matrices)."""
+        rng = np.random.default_rng(27)
+        eps = np.finfo(float).eps
+        for log_cond in np.linspace(0.0, 11.0, 200):
+            u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            spread = np.array([0.0, rng.uniform(0, log_cond), log_cond])
+            vals = 10.0 ** (rng.uniform(-3, 3) - spread)
+            m = (u * vals) @ u.T
+            m = 0.5 * (m + m.T)
+            cond = np.linalg.cond(m)
+            ref = np.linalg.inv(m)
+            inv = spd_inverse(m, "test matrix")
+            assert np.abs(inv - ref).max() <= 4.0 * cond * eps * np.abs(ref).max()
+        assert cond <= MAX_COND
 
 
 class TestTypes:

@@ -30,23 +30,23 @@ NAN = float("nan")
 # Any change to them is a change in the filter's output, not a refactor.
 GOLDEN = {
     "mixture": [
-        CampaignRow(method="gaussian", gamma=None, rmse_mean=0.241233843939584,
-                    rmse_std=0.014152129925417988, nees_mean=20.227191423594746,
-                    nees_std=2.1761230597975514, frac_active=NAN, diverged=0,
+        CampaignRow(method="gaussian", gamma=None, rmse_mean=0.24123384393958403,
+                    rmse_std=0.014152129925417976, nees_mean=20.22719142359475,
+                    nees_std=2.1761230597975496, frac_active=NAN, diverged=0,
                     skipped=0),
         CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.21994425632608236,
-                    rmse_std=0.013461005856521253, nees_mean=9.282956581546596,
-                    nees_std=1.1901372064076579, frac_active=0.2733333333333334,
+                    rmse_std=0.013461005856521284, nees_mean=9.282956581546598,
+                    nees_std=1.190137206407656, frac_active=0.2733333333333334,
                     diverged=0, skipped=0),
     ],
     "gaussian": [
         CampaignRow(method="gaussian", gamma=None, rmse_mean=0.07631534107757797,
-                    rmse_std=0.03792423400586736, nees_mean=2.839262815262776,
-                    nees_std=2.55581810275094, frac_active=NAN, diverged=0,
+                    rmse_std=0.037924234005867336, nees_mean=2.839262815262775,
+                    nees_std=2.5558181027509375, frac_active=NAN, diverged=0,
                     skipped=0),
-        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.08668812892082806,
-                    rmse_std=0.0362406129506647, nees_mean=3.037690127129032,
-                    nees_std=2.42922831366394, frac_active=0.43333333333333335,
+        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.08668812892082799,
+                    rmse_std=0.036240612950664663, nees_mean=3.0376901271290264,
+                    nees_std=2.4292283136639363, frac_active=0.43333333333333335,
                     diverged=0, skipped=2),
     ],
 }
