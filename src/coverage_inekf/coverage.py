@@ -39,7 +39,6 @@ from coverage_inekf.filter import (
     AugmentedState,
     apply_correction,
     spd_inverse,
-    velocity_output_matrix,
     velocity_projection,
     velocity_residual,
 )
@@ -85,7 +84,7 @@ class CoverageSpec:
 
     def __post_init__(self):
         self.epsilon = np.asarray(self.epsilon, dtype=float)
-        if self.epsilon.shape != (3,) or np.any(self.epsilon < 0.0):
+        if self.epsilon.shape != (3,) or not np.all(self.epsilon >= 0.0):
             raise ValueError("epsilon must be three non-negative radii")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
@@ -93,9 +92,13 @@ class CoverageSpec:
 
 @dataclass
 class FeasibleSet:
-    """Error-state region {dx : lower <= H dx <= upper} induced by coverage."""
+    """Error-state region {dx : lower <= H dx <= upper} induced by coverage.
 
-    h: np.ndarray
+    H = [0, -R^T, 0, 0, 0] is the body-velocity output matrix, held by the
+    prior's rotation R alone.
+    """
+
+    rot: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
@@ -177,13 +180,13 @@ def build_feasible_set(
 ) -> FeasibleSet:
     """Feasible set of the error state induced by the coverage statement.
 
-    H comes from the shared invariant-output linearization
-    (:func:`coverage_inekf.filter.velocity_output_matrix`); the bounds are
-    the innovation plus/minus the calibrated radii.
+    H is the invariant-output linearization at the prior's rotation; the
+    bounds are the innovation plus/minus the calibrated radii.
     """
     innovation = velocity_residual(prior_state, meas)
-    h = velocity_output_matrix(prior_state.nav.rot)
-    return FeasibleSet(h, innovation - spec.epsilon, innovation + spec.epsilon)
+    return FeasibleSet(
+        prior_state.nav.rot, innovation - spec.epsilon, innovation + spec.epsilon
+    )
 
 
 def project_prior(
@@ -195,12 +198,12 @@ def project_prior(
     cov_z = H Sigma H^T, the cross-covariance Sigma H^T and the inverse of
     cov_z.  The gain sigma_ht @ cov_z_inv lifts z-space corrections back to
     the full error state; :func:`coverage_update` forms it only for an
-    update that applies one.  H is the velocity output matrix, applied by
-    its velocity block -R^T (:func:`coverage_inekf.filter.velocity_projection`).
+    update that applies one.  H is applied by its velocity block -R^T
+    (:func:`coverage_inekf.filter.velocity_projection`).
     Raises LinAlgError when the prior is not positive definite or has
     collapsed along a measured direction.
     """
-    sigma_ht, cov_z = velocity_projection(cov, -fs.h[:, 3:6].T)
+    sigma_ht, cov_z = velocity_projection(cov, fs.rot)
     cov_z = 0.5 * (cov_z + cov_z.T)
     return cov_z, sigma_ht, spd_inverse(cov_z, "projected prior")
 

@@ -126,19 +126,6 @@ class ProcessNoise:
         return cls(_diag_of_squares(accel, gyro, accel_bias, gyro_bias))
 
 
-def velocity_output_matrix(rot: np.ndarray) -> np.ndarray:
-    """Observation matrix H of the body-velocity invariant output.
-
-    Linearizing the output through the right-invariant error gives
-    H = [0, -R^T, 0, 0, 0]: only the velocity error enters, rotated into the
-    body frame; bias columns are zero.  Both update rules apply it by its
-    velocity block (:func:`velocity_projection`).
-    """
-    h = np.zeros((3, ERROR_DIM))
-    h[:, 3:6] = -rot.T
-    return h
-
-
 def predicted_body_velocity(x: AugmentedState) -> np.ndarray:
     """First three components of the invariant output X^-1 d."""
     return np.dot(x.nav.rot.T, x.nav.vel)
@@ -157,9 +144,12 @@ def velocity_residual(x: AugmentedState, meas: np.ndarray) -> np.ndarray:
 
 
 def velocity_projection(cov: np.ndarray, rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sigma H^T and H Sigma H^T for H = :func:`velocity_output_matrix` (rot).
+    """Sigma H^T and H Sigma H^T for the body-velocity output matrix H.
 
-    H is applied by its velocity block alone: Sigma H^T = -Sigma[:, 3:6] R
+    Linearizing the invariant output X^-1 d through the right-invariant
+    error gives H = [0, -R^T, 0, 0, 0]: only the velocity error enters,
+    rotated into the body frame.  H is never formed; it is applied by its
+    velocity block alone: Sigma H^T = -Sigma[:, 3:6] R
     and H Sigma H^T is -R^T times that product's velocity rows.  Both update
     rules project their prior through it.
     """
@@ -384,9 +374,9 @@ def gaussian_update(
     residual; the posterior error mean is folded into the state and the
     posterior covariance is returned.
 
-    H = [0, -R^T, 0, 0, 0] (:func:`velocity_output_matrix`) is applied by
-    its velocity block alone (:func:`velocity_projection`), and I - K H
-    differs from the identity only in the velocity columns, by M = K R^T:
+    H = [0, -R^T, 0, 0, 0] is applied by its velocity block alone
+    (:func:`velocity_projection`), and I - K H differs from the identity
+    only in the velocity columns, by M = K R^T:
     (I - K H) Sigma = Sigma + M Sigma[3:6, :], and that times (I - K H)^T
     adds its velocity columns times M^T.
     """

@@ -1,10 +1,11 @@
 """Synthetic truth, sensor generation, and the Monte-Carlo filter harness.
 
 Builds closed-form rigid-body trajectories, inverts the strapdown dynamics
-into ideal IMU samples, corrupts body-velocity pseudo-measurements with
-configurable noise (Gaussian, or a Gaussian mixture whose component is drawn
-once per trial and then held fixed), runs filter trials with either update
-rule, and aggregates position RMSE / NEES statistics across trials.
+into ideal IMU samples, corrupts body-velocity pseudo-measurements with noise
+from one model, a Gaussian mixture whose component is drawn once per trial
+and then held fixed (Gaussian noise is its one-component case), runs filter
+trials with either update rule, and aggregates position RMSE / NEES
+statistics across trials.
 
 A trial's step loop only filters and stores each posterior estimate; the
 trial is scored once, after the loop, in one batched pass over the stored
@@ -18,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from coverage_inekf import se23
 from coverage_inekf.coverage import CoverageSpec, coverage_update
@@ -206,35 +207,12 @@ def synthesize_imu(
 
 
 @dataclass
-class GaussianNoise:
-    """Zero-mean Gaussian pseudo-measurement error."""
-
-    cov: np.ndarray
-
-    def __post_init__(self):
-        self.cov = np.asarray(self.cov, dtype=float)
-        np.linalg.cholesky(self.cov)
-
-    @classmethod
-    def isotropic(cls, sigma: float) -> "GaussianNoise":
-        return cls(sigma**2 * np.eye(3))
-
-    def fitted_covariance(self) -> np.ndarray:
-        return self.cov.copy()
-
-    def epsilon_for(self, gamma: float) -> np.ndarray:
-        """Per-axis radii at the exact Gaussian quantiles for joint gamma."""
-        per_axis = gamma ** (1.0 / 3.0)
-        z = ndtri(0.5 * (1.0 + per_axis))
-        return z * np.sqrt(np.diag(self.cov))
-
-
-@dataclass
 class FixedComponentMixture:
     """Gaussian mixture error; one component is drawn per trial and held.
 
     Models a persistently biased pseudo-measurement: each trial commits to
-    one component mean for the whole trajectory.
+    one component mean for the whole trajectory.  Zero-mean Gaussian noise
+    is the one-component mixture (:meth:`isotropic`).
     """
 
     weights: np.ndarray
@@ -242,13 +220,26 @@ class FixedComponentMixture:
     covs: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
+        self.weights = w = np.asarray(self.weights, dtype=float)
         self.means = np.asarray(self.means, dtype=float)
         self.covs = np.asarray(self.covs, dtype=float)
-        if abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("mixture weights must sum to 1")
-        for c in self.covs:
-            np.linalg.cholesky(c)
+        if w.ndim != 1 or not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12):
+            raise ValueError("mixture weights must be 1-D, >= 0 and sum to 1")
+        if self.means.shape != (w.size, 3) or self.covs.shape != (w.size, 3, 3):
+            raise ValueError(
+                f"{w.size} components need means of shape ({w.size}, 3) and "
+                f"covs of shape ({w.size}, 3, 3), got {self.means.shape} and "
+                f"{self.covs.shape}"
+            )
+        if not (np.isfinite(self.means).all() and np.isfinite(self.covs).all()):
+            raise ValueError("mixture means and covariances must be finite")
+        # LinAlgError, a ValueError, unless every covariance is positive definite
+        np.linalg.cholesky(self.covs)
+
+    @classmethod
+    def isotropic(cls, sigma: float) -> "FixedComponentMixture":
+        """Zero-mean Gaussian noise, sigma per axis: one component."""
+        return cls(np.ones(1), np.zeros((1, 3)), sigma**2 * np.eye(3)[None])
 
     @classmethod
     def default_biased(
@@ -297,25 +288,25 @@ class FixedComponentMixture:
         return eps
 
 
-def synthesize_measurements(truth: TruthTrajectory, model, seed: int = 0):
+# Gaussian noise is the one-component mixture; the name is kept for callers.
+GaussianNoise = FixedComponentMixture
+
+
+def synthesize_measurements(
+    truth: TruthTrajectory, model: FixedComponentMixture, seed: int = 0
+):
     """Body-frame velocity pseudo-measurements corrupted by the error model.
 
-    Returns an (N, 3) array aligned with the truth samples.  For the fixed
-    mixture, the component index is drawn once at the start of the stream.
+    Returns an (N, 3) array aligned with the truth samples.  The component
+    index is drawn once at the start of the stream; a one-component model
+    draws none, so its stream holds the Gaussian draws alone.
     """
     rng = np.random.default_rng(seed)
-    body_vel = truth.body_velocities()
-    n = truth.n
-    if isinstance(model, GaussianNoise):
-        chol = np.linalg.cholesky(model.cov)
-        err = rng.standard_normal((n, 3)) @ chol.T
-    elif isinstance(model, FixedComponentMixture):
-        comp = int(rng.choice(model.weights.size, p=model.weights))
-        chol = np.linalg.cholesky(model.covs[comp])
-        err = model.means[comp] + rng.standard_normal((n, 3)) @ chol.T
-    else:
-        raise TypeError(f"unsupported noise model {type(model).__name__}")
-    return body_vel + err
+    k = model.weights.size
+    comp = int(rng.choice(k, p=model.weights)) if k > 1 else 0
+    chol = np.linalg.cholesky(model.covs[comp])
+    err = model.means[comp] + rng.standard_normal((truth.n, 3)) @ chol.T
+    return truth.body_velocities() + err
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +450,9 @@ class CampaignConfig:
     """A Monte-Carlo comparison: one baseline arm plus a gamma sweep."""
 
     trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
-    noise_model: object = field(default_factory=lambda: GaussianNoise.isotropic(0.1))
+    noise_model: FixedComponentMixture = field(
+        default_factory=lambda: FixedComponentMixture.isotropic(0.1)
+    )
     trials: int = 50
     seed: int = 1234
     gammas: tuple = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95)

@@ -199,3 +199,18 @@ def error_transition_reference(x, dt, q):
     phi_n = phi @ n_mat
     q_d = (phi_n @ q @ phi_n.T) * dt
     return phi, 0.5 * (q_d + q_d.T)
+
+
+def velocity_output_matrix(rot):
+    """Dense observation matrix H = [0, -R^T, 0, 0, 0] of the body-velocity
+    invariant output, which the filter applies by its velocity block."""
+    h = np.zeros((3, ERROR_DIM))
+    h[:, 3:6] = -rot.T
+    return h
+
+
+def gaussian_radius(sigma, gamma):
+    """Closed-form per-axis radius of zero-mean N(0, sigma^2) noise whose
+    three independent axes jointly cover gamma: sigma times the
+    (1 + gamma^(1/3)) / 2 standard-normal quantile."""
+    return sigma * ndtri(0.5 * (1.0 + gamma ** (1.0 / 3.0)))

@@ -7,6 +7,7 @@ from scipy.special import ndtr
 from oracles import (
     mass_inside_piecewise_posterior_1d,
     piecewise_posterior_moments_1d,
+    velocity_output_matrix,
 )
 
 from coverage_inekf import coverage, se23
@@ -59,13 +60,16 @@ def fd_output_jacobian(x, step=1e-6):
 
 
 def one_d_feasible(lo, hi):
-    return FeasibleSet(np.zeros((1, 15)), np.array([lo]), np.array([hi]))
+    return FeasibleSet(np.eye(3), np.array([lo]), np.array([hi]))
 
 
 class TestCoverageSpec:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CoverageSpec(np.array([0.1, -0.1, 0.1]), 0.8)
+        for eps in ([0.1, -0.1, 0.1], [0.1, np.nan, 0.1]):
+            with pytest.raises(ValueError):
+                CoverageSpec(np.array(eps), 0.8)
+        # an infinite radius leaves its axis open
+        CoverageSpec(np.array([0.1, np.inf, 0.1]), 0.8)
         with pytest.raises(ValueError):
             CoverageSpec(np.array([0.1, 0.1, 0.1]), 1.0)
 
@@ -82,7 +86,9 @@ class TestBuildFeasibleSet:
     def test_identity_rotation_velocity_block(self):
         x = AugmentedState.identity()
         fs = build_feasible_set(x, np.zeros(3), CoverageSpec(np.ones(3), 0.8))
-        assert np.array_equal(fs.h[:, 3:6], -np.eye(3))
+        assert np.array_equal(fs.rot, np.eye(3))
+        _, sigma_ht, _ = project_prior(np.eye(15), fs)
+        assert np.array_equal(sigma_ht[3:6], -np.eye(3))
 
     def test_h_matches_finite_difference_jacobian(self):
         rng = np.random.default_rng(1)
@@ -93,7 +99,8 @@ class TestBuildFeasibleSet:
             )
             jac = fd_output_jacobian(x)
             # the corrected state is exp(-xi^) X, so the output moves as +H
-            rel = np.linalg.norm(jac - fs.h) / np.linalg.norm(fs.h)
+            h = velocity_output_matrix(fs.rot)
+            rel = np.linalg.norm(jac - h) / np.linalg.norm(h)
             assert rel <= 1e-6
 
 
@@ -117,10 +124,11 @@ class TestProjectPrior:
         cov = a @ a.T + 0.5 * np.eye(15)
         cov_z, sigma_ht, cov_z_inv = project_prior(cov, fs)
         scale = np.abs(cov).max()
-        assert np.allclose(sigma_ht, cov @ fs.h.T, rtol=0, atol=1e-14 * scale)
+        h = velocity_output_matrix(fs.rot)
+        assert np.allclose(sigma_ht, cov @ h.T, rtol=0, atol=1e-14 * scale)
         assert np.allclose(cov_z_inv, np.linalg.inv(cov_z), rtol=1e-12, atol=0)
         gain = sigma_ht @ cov_z_inv
-        assert np.allclose(gain @ cov_z, cov @ fs.h.T, atol=1e-9)
+        assert np.allclose(gain @ cov_z, cov @ h.T, atol=1e-9)
 
     def test_collapsed_prior_rejected(self):
         rng = np.random.default_rng(4)
@@ -156,9 +164,7 @@ class TestKlCoveragePosterior:
         assert abs(inside - 0.5) < 1e-10
 
     def test_symmetric_box_keeps_mean_shrinks_variance(self):
-        fs = FeasibleSet(
-            np.zeros((3, 15)), -0.5 * np.ones(3), 0.5 * np.ones(3)
-        )
+        fs = FeasibleSet(np.eye(3), -0.5 * np.ones(3), 0.5 * np.ones(3))
         zp = kl_coverage_posterior(np.eye(3), fs, gamma=0.9)
         assert zp.prior_mass < 0.9
         assert np.allclose(zp.mean, 0, atol=5e-3)
@@ -171,7 +177,7 @@ class TestKlCoveragePosterior:
         for _ in range(50):
             center = rng.uniform(0.5, 2.0, 3)
             half = rng.uniform(0.3, 1.0, 3)
-            fs = FeasibleSet(np.zeros((3, 15)), center - half, center + half)
+            fs = FeasibleSet(np.eye(3), center - half, center + half)
             zp = kl_coverage_posterior(np.eye(3), fs, gamma=0.85)
             if zp.prior_mass >= 0.85:
                 continue
@@ -217,7 +223,7 @@ class TestLiftAndApply:
             mean=np.array([0.05, -0.02, 0.01]), cov=np.zeros((3, 3)), prior_mass=0.5
         )
         _, cov2 = lift_and_apply(self.x, self.cov, zp, self.gain, self.cov_z)
-        h = self.fs.h
+        h = velocity_output_matrix(self.fs.rot)
         k = self.cov @ h.T @ np.linalg.inv(h @ self.cov @ h.T)
         ikh = np.eye(15) - k @ h
         kalman_cov = ikh @ self.cov @ ikh.T
@@ -226,8 +232,9 @@ class TestLiftAndApply:
     def test_pushforward_identity(self):
         zp = kl_coverage_posterior(self.cov_z, self.fs, 0.8)
         _, cov2 = lift_and_apply(self.x, self.cov, zp, self.gain, self.cov_z)
-        assert np.allclose(self.fs.h @ self.gain @ zp.mean, zp.mean, atol=1e-9)
-        assert np.allclose(self.fs.h @ cov2 @ self.fs.h.T, zp.cov, atol=1e-9)
+        h = velocity_output_matrix(self.fs.rot)
+        assert np.allclose(h @ self.gain @ zp.mean, zp.mean, atol=1e-9)
+        assert np.allclose(h @ cov2 @ h.T, zp.cov, atol=1e-9)
 
     def test_indefinite_result_rejected(self):
         from coverage_inekf.coverage import ZPosterior

@@ -6,6 +6,7 @@ from oracles import (
     error_dynamics_matrices,
     error_transition_reference,
     transition_from_dynamics,
+    velocity_output_matrix,
 )
 from scipy.linalg import expm
 
@@ -25,7 +26,6 @@ from coverage_inekf.filter import (
     propagate_mean,
     realized_error,
     spd_inverse,
-    velocity_output_matrix,
     velocity_projection,
 )
 from coverage_inekf.se23 import Se23Element, exp_se23, inverse, log_se23, skew

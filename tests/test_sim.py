@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import gaussian_radius
 
 from coverage_inekf import coverage, sim
 from coverage_inekf.coverage import UpdateDiagnostics
@@ -44,9 +45,9 @@ GOLDEN = {
                     rmse_std=0.037924234005867336, nees_mean=2.839262815262775,
                     nees_std=2.5558181027509375, frac_active=NAN, diverged=0,
                     skipped=0),
-        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.08668812892082799,
-                    rmse_std=0.036240612950664663, nees_mean=3.0376901271290264,
-                    nees_std=2.4292283136639363, frac_active=0.43333333333333335,
+        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.08668812892082796,
+                    rmse_std=0.036240612950664775, nees_mean=3.037690127129031,
+                    nees_std=2.4292283136639456, frac_active=0.43333333333333335,
                     diverged=0, skipped=2),
     ],
 }
@@ -321,10 +322,47 @@ def test_noise_free_imu_inversion_round_trip(pattern):
 def test_mixture_radii_match_brentq(gamma):
     from scipy.optimize import brentq
 
-    model = FixedComponentMixture.default_biased()
     per_axis = gamma ** (1.0 / 3.0)
-    ref = [
-        brentq(lambda r: model.marginal_abs_cdf(j, r) - per_axis, 0.0, 1.0, xtol=1e-15)
-        for j in range(3)
-    ]
-    assert np.abs(model.epsilon_for(gamma) - ref).max() <= 1e-11
+    for model in (FixedComponentMixture.default_biased(), GaussianNoise.isotropic(0.1)):
+        ref = [
+            brentq(lambda r: model.marginal_abs_cdf(j, r) - per_axis, 0.0, 1.0,
+                   xtol=1e-15)
+            for j in range(3)
+        ]
+        assert np.abs(model.epsilon_for(gamma) - ref).max() <= 1e-11
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.1, 0.3])
+def test_gaussian_radii_match_closed_form(sigma):
+    """Bisecting the one-component CDF lands within a few ulp of the
+    closed-form Gaussian quantile (measured <= 1.2e-15 relative)."""
+    for gamma in (0.5, 0.8, 0.95):
+        eps = GaussianNoise.isotropic(sigma).epsilon_for(gamma)
+        ref = gaussian_radius(sigma, gamma)
+        assert np.abs(eps / ref - 1.0).max() <= 4e-15
+
+
+EYES = np.broadcast_to(np.eye(3), (2, 3, 3))
+
+
+@pytest.mark.parametrize(
+    "weights, means, covs",
+    [
+        ([1.5, -0.5], np.zeros((2, 3)), EYES),
+        ([0.6, 0.6], np.zeros((2, 3)), EYES),
+        ([[0.5, 0.5]], np.zeros((2, 3)), EYES),
+        ([np.nan, 1.0], np.zeros((2, 3)), EYES),
+        ([0.5, 0.5], np.zeros((3, 3)), EYES),
+        ([0.5, 0.5], np.zeros((2, 2)), EYES),
+        ([0.5, 0.5], np.zeros((2, 3)), np.eye(3)),
+        ([0.5, 0.5], np.zeros((2, 3)), [np.eye(3), np.diag([1.0, 0.0, 1.0])]),
+        ([0.5, 0.5], [[0.0, np.nan, 0.0], [0.0, 0.0, 0.0]], EYES),
+        ([0.5, 0.5], np.zeros((2, 3)), [np.eye(3), np.full((3, 3), np.nan)]),
+    ],
+    ids=["negative-weight", "weights-sum", "weights-2d", "nan-weight",
+         "means-rows", "means-cols", "covs-shape", "covs-singular",
+         "nan-mean", "nan-cov"],
+)
+def test_malformed_mixture_is_rejected(weights, means, covs):
+    with pytest.raises(ValueError):
+        FixedComponentMixture(weights, means, covs)
