@@ -8,8 +8,8 @@ An extended pose packs orientation R, velocity v, and position p into one
         [0  0  1]
 
 with tangent vectors ordered (rotation, velocity, position).  That ordering
-is a global convention of this package (see ``TANGENT_ORDER``); the
-15-dimensional filter error state appends (accel bias, gyro bias) to it.
+is a global convention of this package; the 15-dimensional filter error
+state appends (accel bias, gyro bias) to it.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# Global tangent ordering. Everything downstream (error states, Jacobians,
-# covariance blocks) indexes against this.
-TANGENT_ORDER = ("rot", "vel", "pos")
 
 # Below this rotation angle (rad) so3_log and so3_left_jacobian_inv switch to
 # Taylor expansions to avoid 0/0.
@@ -34,10 +30,6 @@ SERIES_ANGLE = 0.25
 
 # log() is a hard error within this distance of the pi singularity.
 PI_SINGULARITY_EPS = 1e-6
-
-# Off-pattern entries of a Lie-algebra matrix larger than this are rejected
-# by vee().
-ALGEBRA_PATTERN_TOL = 1e-12
 
 # Compositions drift; re-orthonormalize after chains longer than this.
 RENORM_CHAIN_LENGTH = 100
@@ -215,41 +207,6 @@ def compose(a: Se23Element, b: Se23Element) -> Se23Element:
         np.dot(a.rot, b.pos) + a.pos,
         a.chain + b.chain + 1,
     )
-
-
-def inverse(x: Se23Element) -> Se23Element:
-    """Group inverse (R^T, -R^T v, -R^T p)."""
-    rt = x.rot.T
-    return Se23Element(rt.copy(), -(rt @ x.vel), -(rt @ x.pos), x.chain)
-
-
-def hat(v: np.ndarray) -> np.ndarray:
-    """Hat operator R^9 -> 5x5 Lie-algebra matrix.
-
-    Input ordering follows ``TANGENT_ORDER``: v = (xi_rot, xi_vel, xi_pos).
-    """
-    v = np.asarray(v, dtype=float)
-    m = np.zeros((5, 5))
-    m[:3, :3] = skew(v[0:3])
-    m[:3, 3] = v[3:6]
-    m[:3, 4] = v[6:9]
-    return m
-
-
-def vee(m: np.ndarray) -> np.ndarray:
-    """Vee operator, inverse of :func:`hat`.
-
-    Rejects matrices that violate the algebra sparsity pattern (nonzero
-    bottom rows, non-skew top-left block) beyond ``ALGEBRA_PATTERN_TOL``.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (5, 5):
-        raise ValueError(f"expected 5x5 matrix, got {m.shape}")
-    if np.abs(m[3:, :]).max() > ALGEBRA_PATTERN_TOL:
-        raise ValueError("bottom rows must be zero for a Lie-algebra matrix")
-    if np.abs(m[:3, :3] + m[:3, :3].T).max() > ALGEBRA_PATTERN_TOL:
-        raise ValueError("top-left block must be skew-symmetric")
-    return np.concatenate([unskew(m[:3, :3]), m[:3, 3], m[:3, 4]])
 
 
 def exp_se23(v: np.ndarray) -> Se23Element:

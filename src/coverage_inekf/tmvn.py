@@ -21,6 +21,21 @@ nodes cannot resolve.  The outer nodes of a d-dimensional box form a
 broadcast grid of NODES^(d-1) points, so one code path serves d = 1, 2
 and 3, and the result is deterministic.
 
+Evaluation.  The rule is fixed; only its evaluation is tuned, because a
+3-D call spends its time on small array operations, not on its ~2.3k
+special-function values.  A prelude in Python floats takes the marginal
+deviations, the clamped faces and the order from one ``ndtr`` call on the
+2d standardized faces, and writes out the Cholesky factor of the permuted
+covariance.  l_00 is the first coordinate's marginal deviation, so its slab
+mass is the one the ordering computed; every later coordinate stacks its
+two faces in one (2, ...) array for one ``ndtr`` call (and the last for one
+``exp``).  All sums come from one product of the features Y_j Y_k,
+Y = [z_0, .., z_{d-2}, 1], with the last coordinate's moment terms, scaled
+by 1/sqrt(2 pi) after the sum.  On 3000 seeded problems it agrees with the
+first evaluation of the rule (kept in the tests as the nested-grid
+reference) within 1e-15 in mass and 1e-12 of the covariance scale in the
+moments.
+
 Measured errors: on 200 correlated 3-D boxes with masses from 1e-3 to 0.7,
 the median errors against an x-space tensor Gauss-Legendre reference are
 1e-16 in mass, 2e-15 in mean and 9e-15 in second moment (at most 2e-11).
@@ -43,6 +58,7 @@ spacing of doubles below 1, 2^-53) of the exact bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +87,9 @@ MAX_DIM = 3
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
+# Rows (b - a) / 2 and (a + b) / 2 of a stacked pair of faces (a, b).
+_HALF_MID = np.array([[-0.5, 0.5], [0.5, 0.5]])
+
 
 @dataclass
 class BoxRegion:
@@ -84,9 +103,11 @@ class BoxRegion:
         self.upper = np.asarray(self.upper, dtype=float)
         if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
             raise ValueError("lower and upper must be 1-D vectors of equal length")
-        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
-            raise ValueError("box bounds must not be NaN")
-        if np.any(self.lower > self.upper):
+        lower, upper = self.lower.tolist(), self.upper.tolist()
+        # a NaN fails l <= u too; the check tells the two faults apart
+        if not all(l <= u for l, u in zip(lower, upper)):
+            if any(x != x for x in lower + upper):
+                raise ValueError("box bounds must not be NaN")
             raise ValueError("box requires lower <= upper elementwise")
 
     @property
@@ -112,31 +133,29 @@ class TruncatedMoments:
     degenerate: bool = False
 
 
-def _clamped_bounds(mean, sigma, box):
-    if np.isfinite(box.lower).all() and np.isfinite(box.upper).all():
-        return box.lower, box.upper
-    lo = np.where(
-        np.isfinite(box.lower), box.lower, mean - INFINITE_BOUND_SIGMA * sigma
-    )
-    hi = np.where(
-        np.isfinite(box.upper), box.upper, mean + INFINITE_BOUND_SIGMA * sigma
-    )
-    return lo, hi
+def _root(pivot):
+    """Square root of a Cholesky pivot; one that is not positive, NaN
+    included, means the covariance has no Cholesky factor."""
+    if pivot > 0.0:
+        return math.sqrt(pivot)
+    raise np.linalg.LinAlgError(f"covariance pivot {pivot} is not positive")
 
 
-def _degenerate(mean, cov) -> TruncatedMoments:
-    return TruncatedMoments(
-        prob=PROB_FLOOR,
-        mean=mean.copy(),
-        second_moment=cov + np.outer(mean, mean),
-        degenerate=True,
-    )
-
-
-def _slab(chol, lo, hi, i, outer):
-    """Standardized bounds of coordinate i given the outer coordinates."""
-    shift = sum(chol[i, j] * z for j, z in enumerate(outer))
-    return (lo[i] - shift) / chol[i, i], (hi[i] - shift) / chol[i, i]
+def _cholesky(c, order):
+    """Lower Cholesky factor of the covariance c (nested lists, at most
+    3x3, lower triangle read) with rows and columns taken in ``order``."""
+    rows = [c[k] for k in order]
+    l00 = _root(rows[0][order[0]])
+    if len(order) == 1:
+        return [[l00]]
+    l10 = rows[1][order[0]] / l00
+    l11 = _root(rows[1][order[1]] - l10 * l10)
+    if len(order) == 2:
+        return [[l00, 0.0], [l10, l11]]
+    l20 = rows[2][order[0]] / l00
+    l21 = (rows[2][order[1]] - l20 * l10) / l11
+    l22 = _root(rows[2][order[2]] - l20 * l20 - l21 * l21)
+    return [[l00, 0.0, 0.0], [l10, l11, 0.0], [l20, l21, l22]]
 
 
 def box_mass_lower_bound(mean: np.ndarray, cov: np.ndarray, box) -> float:
@@ -148,9 +167,14 @@ def box_mass_lower_bound(mean: np.ndarray, cov: np.ndarray, box) -> float:
     vectors; cov must have a positive diagonal.  See the module docstring
     for why it is a bound and how closely it is computed.
     """
-    sigma = np.sqrt(np.diag(cov))
-    tails = ndtr((box.lower - mean) / sigma) + ndtr((mean - box.upper) / sigma)
-    return 1.0 - float(tails.sum())
+    mean = np.asarray(mean, dtype=float).tolist()
+    sd = [math.sqrt(v) for v in np.diagonal(cov).tolist()]
+    t = [(x - m) / s for x, m, s in zip(box.lower.tolist(), mean, sd)]
+    t += [(m - x) / s for x, m, s in zip(box.upper.tolist(), mean, sd)]
+    tails = ndtr(t).tolist()
+    d = len(mean)
+    # each axis's pair of tails first, then the axes left to right
+    return 1.0 - sum(tails[i] + tails[d + i] for i in range(d))
 
 
 def box_moments(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> TruncatedMoments:
@@ -171,72 +195,89 @@ def box_moments(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> TruncatedM
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    if box.dim != mean.size:
+    d = mean.size
+    if box.dim != d:
         raise ValueError("box dimension does not match the prior")
-    if mean.size > MAX_DIM:
+    if d > MAX_DIM:
         raise ValueError(f"box_moments supports at most {MAX_DIM} dimensions")
-    variances = np.diag(cov)
-    if not np.all(variances > 0.0):
-        raise np.linalg.LinAlgError(
-            f"covariance diagonal {variances} is not positive; "
-            "cov has no Cholesky factor"
-        )
-    sigma = np.sqrt(variances)
-    lo, hi = _clamped_bounds(mean, sigma, box)
-    lo, hi = lo - mean, hi - mean
+    cov_f = cov.tolist()
+    sd = [_root(cov_f[i][i]) for i in range(d)]
+    lo, hi = [], []  # faces relative to the mean
+    for x, y, x0, s in zip(box.lower.tolist(), box.upper.tolist(), mean.tolist(), sd):
+        lo.append((x if math.isfinite(x) else x0 - INFINITE_BOUND_SIGMA * s) - x0)
+        hi.append((y if math.isfinite(y) else x0 + INFINITE_BOUND_SIGMA * s) - x0)
+    t = [x / s for x, s in zip(lo + hi, sd + sd)]
+    cdf = ndtr(t).tolist()
+    marginal = [cdf[d + i] - cdf[i] for i in range(d)]
     # narrowest marginal slab first, so that the closed-form last
     # coordinate is the widest and the grid resolves the narrow ones
-    order = np.argsort(ndtr(hi / sigma) - ndtr(lo / sigma), kind="stable")
-    lo, hi = lo[order], hi[order]
-    chol = np.linalg.cholesky(cov[np.ix_(order, order)])
-    last = mean.size - 1
+    order = sorted(range(d), key=marginal.__getitem__)
+    chol = _cholesky(cov_f, order)
+    last = d - 1
 
-    # outer coordinates: one grid axis each; w is the product weight and
-    # every entry of `outer` broadcasts against it
-    w = np.ones(())
-    outer = []
-    for i in range(last):
-        a, b = _slab(chol, lo, hi, i, outer)
-        mass = ndtr(b) - ndtr(a)
-        a = np.minimum(np.maximum(a, -Z_CLAMP), Z_CLAMP)[..., None]
-        b = np.minimum(np.maximum(b, -Z_CLAMP), Z_CLAMP)[..., None]
-        z = 0.5 * (a + b) + 0.5 * (b - a) * _NODES
-        wi = _WEIGHTS * np.exp(-0.5 * z * z)
-        wi *= mass[..., None] / wi.sum(axis=-1, keepdims=True)
-        w = w[..., None] * wi
-        outer = [zj[..., None] for zj in outer] + [z]
+    # ab holds each coordinate's standardized faces stacked (2, ...) and
+    # mass their slab mass; every coordinate but the last is one grid
+    # axis, w the product weight and each entry of z broadcasts against it
+    w, z = 1.0, []
+    for i, k in enumerate(order):
+        if i == 0:
+            # l_00 is the marginal deviation: the marginal slab and its mass
+            ab, mass = np.array([t[k], t[d + k]]), marginal[k]
+        else:
+            shift = chol[i][0] * z[0]
+            for j in range(1, i):
+                shift = shift + chol[i][j] * z[j]
+            ab = np.array([lo[k], hi[k]]).reshape((2,) + (1,) * shift.ndim) - shift
+            ab /= chol[i][i]
+            p = ndtr(ab)
+            mass = p[1] - p[0]
+        if i == last:
+            break
+        clipped = np.minimum(np.maximum(ab, -Z_CLAMP), Z_CLAMP)
+        half, mid = (_HALF_MID @ clipped)[..., None]
+        zi = half * _NODES + mid
+        wi = np.exp(-0.5 * zi * zi)
+        mass = mass / (wi @ _WEIGHTS)
+        wi *= _WEIGHTS
+        wi *= mass[..., None]
+        w = w[..., None] * wi if i else wi
+        z = [zj[..., None] for zj in z] + [zi]
 
-    # last coordinate in closed form
-    alpha, beta = _slab(chol, lo, hi, last, outer)
-    pdf_a = _INV_SQRT_2PI * np.exp(-0.5 * alpha * alpha)
-    pdf_b = _INV_SQRT_2PI * np.exp(-0.5 * beta * beta)
-    m0 = w * (ndtr(beta) - ndtr(alpha))
-    m1 = w * (pdf_a - pdf_b)
-    m2 = m0 + w * (alpha * pdf_a - beta * pdf_b)
+    # the last coordinate in closed form over its faces [alpha, beta]: the
+    # rows of m hold w times its mass, its first moment and the part of its
+    # second moment beyond the mass, the last two without 1/sqrt(2 pi)
+    m = np.empty((3,) + np.shape(w))
+    m[0] = mass
+    pdf = np.exp(-0.5 * ab * ab)
+    np.subtract(pdf[0], pdf[1], out=m[1, ...])
+    pdf *= ab
+    np.subtract(pdf[0], pdf[1], out=m[2, ...])
+    m *= w
 
-    prob = float(m0.sum())
+    # every sum from one product: Y_j Y_k m for Y = [z_0, .., z_last-1, 1]
+    y = np.ones((d,) + np.shape(w))
+    for j, zj in enumerate(z):
+        y[j] = zj
+    y = y.reshape(d, -1)
+    sums = (y[:, None] * y).reshape(d * d, -1) @ m.reshape(3, -1).T
+    prob = sums.item(-3)  # the mass: Y_last Y_last m0
     if prob < PROB_FLOOR:
-        return _degenerate(mean, cov)
-    u = np.empty((last,) + w.shape)
-    for j, z in enumerate(outer):
-        u[j] = z
-    u = u.reshape(last, w.size)
-    m0, m1 = m0.ravel(), m1.ravel()
-    ez = np.empty(last + 1)
-    ez[:last] = u @ m0
-    ez[last] = m1.sum()
-    ez /= prob
-    ezz = np.empty((last + 1, last + 1))
-    ezz[:last, :last] = (u * m0) @ u.T
-    ezz[:last, last] = ezz[last, :last] = u @ m1
-    ezz[last, last] = m2.sum()
-    ezz /= prob
+        return TruncatedMoments(
+            PROB_FLOOR, mean.copy(), cov + np.outer(mean, mean), degenerate=True
+        )
+    sums = sums.reshape(d, d, 3) / prob
+    ezz = sums[..., 0]  # E z_j z_k, with E z_j in its last row
+    ez = ezz[last].copy()
+    ezz[last] = ezz[:, last] = _INV_SQRT_2PI * sums[last, :, 1]
+    ez[last] = ezz[last, last]
+    ezz[last, last] = 1.0 + _INV_SQRT_2PI * sums[last, last, 2]
 
     # x - mean = lx z, with the rows of the factor back in box order
-    lx = np.empty_like(chol)
-    lx[order] = chol
-    mu = mean + lx @ ez
-    c = lx @ (ezz - np.outer(ez, ez)) @ lx.T
-    return TruncatedMoments(
-        prob=min(prob, 1.0), mean=mu, second_moment=0.5 * (c + c.T) + np.outer(mu, mu)
-    )
+    lx = np.array([chol[order.index(k)] for k in range(d)])
+    mu = lx @ ez + mean
+    ezz -= ez[:, None] * ez
+    c = lx @ ezz @ lx.T
+    c += c.T
+    c *= 0.5
+    c += mu[:, None] * mu
+    return TruncatedMoments(prob=min(prob, 1.0), mean=mu, second_moment=c)

@@ -2,11 +2,19 @@
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal, norm, truncnorm
 
 from coverage_inekf.filter import ERROR_DIM, GRAVITY, NOISE_DIM
-from coverage_inekf.tmvn import TruncatedMoments
+from coverage_inekf.se23 import Se23Element
+from coverage_inekf.tmvn import (
+    INFINITE_BOUND_SIGMA,
+    MAX_DIM,
+    NODES,
+    PROB_FLOOR,
+    Z_CLAMP,
+    TruncatedMoments,
+)
 
 
 def piecewise_posterior_moments_1d(m, s, lo, hi, gamma, span=14.0, pts=400_001):
@@ -146,6 +154,23 @@ def _hat(v):
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
+def se23_hat(v):
+    """The 5x5 Lie-algebra matrix of a tangent vector ordered (rotation,
+    velocity, position)."""
+    v = np.asarray(v, dtype=float)
+    m = np.zeros((5, 5))
+    m[:3, :3] = _hat(v[0:3])
+    m[:3, 3] = v[3:6]
+    m[:3, 4] = v[6:9]
+    return m
+
+
+def se23_inverse(x):
+    """Group inverse (R^T, -R^T v, -R^T p) of an extended pose."""
+    rt = x.rot.T
+    return Se23Element(rt.copy(), -(rt @ x.vel), -(rt @ x.pos), x.chain)
+
+
 def error_dynamics_matrices(x):
     """Continuous right-invariant error dynamics (A, N).
 
@@ -214,3 +239,108 @@ def gaussian_radius(sigma, gamma):
     three independent axes jointly cover gamma: sigma times the
     (1 + gamma^(1/3)) / 2 standard-normal quantile."""
     return sigma * ndtri(0.5 * (1.0 + gamma ** (1.0 / 3.0)))
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(NODES)
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def _clamped_bounds(mean, sigma, box):
+    if np.isfinite(box.lower).all() and np.isfinite(box.upper).all():
+        return box.lower, box.upper
+    lo = np.where(
+        np.isfinite(box.lower), box.lower, mean - INFINITE_BOUND_SIGMA * sigma
+    )
+    hi = np.where(
+        np.isfinite(box.upper), box.upper, mean + INFINITE_BOUND_SIGMA * sigma
+    )
+    return lo, hi
+
+
+def _slab(chol, lo, hi, i, outer):
+    """Standardized bounds of coordinate i given the outer coordinates."""
+    shift = sum(chol[i, j] * z for j, z in enumerate(outer))
+    return (lo[i] - shift) / chol[i, i], (hi[i] - shift) / chol[i, i]
+
+
+def nested_grid_box_moments(mean, cov, box):
+    """The ``tmvn.box_moments`` rule, evaluated the way it first was: a
+    LAPACK Cholesky of the permuted covariance, one ``ndtr`` per face and
+    separate reductions per moment.  The reference that pins the lean
+    kernel to the same rule at roundoff."""
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    if box.dim != mean.size:
+        raise ValueError("box dimension does not match the prior")
+    if mean.size > MAX_DIM:
+        raise ValueError(f"box_moments supports at most {MAX_DIM} dimensions")
+    variances = np.diag(cov)
+    if not np.all(variances > 0.0):
+        raise np.linalg.LinAlgError(
+            f"covariance diagonal {variances} is not positive; "
+            "cov has no Cholesky factor"
+        )
+    sigma = np.sqrt(variances)
+    lo, hi = _clamped_bounds(mean, sigma, box)
+    lo, hi = lo - mean, hi - mean
+    # narrowest marginal slab first, so that the closed-form last
+    # coordinate is the widest and the grid resolves the narrow ones
+    order = np.argsort(ndtr(hi / sigma) - ndtr(lo / sigma), kind="stable")
+    lo, hi = lo[order], hi[order]
+    chol = np.linalg.cholesky(cov[np.ix_(order, order)])
+    last = mean.size - 1
+
+    # outer coordinates: one grid axis each; w is the product weight and
+    # every entry of `outer` broadcasts against it
+    w = np.ones(())
+    outer = []
+    for i in range(last):
+        a, b = _slab(chol, lo, hi, i, outer)
+        mass = ndtr(b) - ndtr(a)
+        a = np.minimum(np.maximum(a, -Z_CLAMP), Z_CLAMP)[..., None]
+        b = np.minimum(np.maximum(b, -Z_CLAMP), Z_CLAMP)[..., None]
+        z = 0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
+        wi = _GL_WEIGHTS * np.exp(-0.5 * z * z)
+        wi *= mass[..., None] / wi.sum(axis=-1, keepdims=True)
+        w = w[..., None] * wi
+        outer = [zj[..., None] for zj in outer] + [z]
+
+    # last coordinate in closed form
+    alpha, beta = _slab(chol, lo, hi, last, outer)
+    pdf_a = _INV_SQRT_2PI * np.exp(-0.5 * alpha * alpha)
+    pdf_b = _INV_SQRT_2PI * np.exp(-0.5 * beta * beta)
+    m0 = w * (ndtr(beta) - ndtr(alpha))
+    m1 = w * (pdf_a - pdf_b)
+    m2 = m0 + w * (alpha * pdf_a - beta * pdf_b)
+
+    prob = float(m0.sum())
+    if prob < PROB_FLOOR:
+        return TruncatedMoments(
+            prob=PROB_FLOOR,
+            mean=mean.copy(),
+            second_moment=cov + np.outer(mean, mean),
+            degenerate=True,
+        )
+    u = np.empty((last,) + w.shape)
+    for j, z in enumerate(outer):
+        u[j] = z
+    u = u.reshape(last, w.size)
+    m0, m1 = m0.ravel(), m1.ravel()
+    ez = np.empty(last + 1)
+    ez[:last] = u @ m0
+    ez[last] = m1.sum()
+    ez /= prob
+    ezz = np.empty((last + 1, last + 1))
+    ezz[:last, :last] = (u * m0) @ u.T
+    ezz[:last, last] = ezz[last, :last] = u @ m1
+    ezz[last, last] = m2.sum()
+    ezz /= prob
+
+    # x - mean = lx z, with the rows of the factor back in box order
+    lx = np.empty_like(chol)
+    lx[order] = chol
+    mu = mean + lx @ ez
+    c = lx @ (ezz - np.outer(ez, ez)) @ lx.T
+    return TruncatedMoments(
+        prob=min(prob, 1.0), mean=mu, second_moment=0.5 * (c + c.T) + np.outer(mu, mu)
+    )

@@ -5,6 +5,7 @@ import pytest
 from oracles import (
     error_dynamics_matrices,
     error_transition_reference,
+    se23_inverse,
     transition_from_dynamics,
     velocity_output_matrix,
 )
@@ -28,7 +29,7 @@ from coverage_inekf.filter import (
     spd_inverse,
     velocity_projection,
 )
-from coverage_inekf.se23 import Se23Element, exp_se23, inverse, log_se23, skew
+from coverage_inekf.se23 import Se23Element, exp_se23, log_se23, skew
 
 
 def random_state(rng, vel_scale=1.0, pos_scale=5.0):
@@ -286,7 +287,7 @@ class TestApplyCorrection:
         delta = np.zeros(15)
         delta[:9] = 1e-3 * rng.standard_normal(9)
         y = apply_correction(x, delta)
-        xi = log_se23(se23.compose(y.nav, inverse(x.nav)))
+        xi = log_se23(se23.compose(y.nav, se23_inverse(x.nav)))
         assert np.allclose(xi, -delta[:9], atol=1e-12)
 
     def test_realized_error_roundtrip(self):

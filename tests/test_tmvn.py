@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
 from oracles import (
     _base_points,
+    nested_grid_box_moments,
     oracle_box_moments,
     tensor_gauss_legendre_box_moments,
     truncated_normal_1d,
@@ -43,8 +44,21 @@ class TestBoxRegion:
         assert np.all(np.isinf(box.lower)) and np.all(np.isinf(box.upper))
 
     def test_rejects_nan_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="NaN"):
             BoxRegion([np.nan, 0.0, 0.0], [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="NaN"):
+            BoxRegion([0.0, 0.0, 0.0], [1.0, np.nan, 1.0])
+
+    def test_accepts_infinite_faces(self):
+        box = BoxRegion([-np.inf, 0.0, -np.inf], [1.0, np.inf, np.inf])
+        assert box.dim == 3
+        assert box.lower.dtype == float and box.upper.dtype == float
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="equal length"):
+            BoxRegion([0.0, 0.0], [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="1-D"):
+            BoxRegion(np.zeros((2, 2)), np.ones((2, 2)))
 
 
 # SciPy warns that a non-power-of-two draw loses the balance properties.
@@ -232,6 +246,14 @@ class TestBoxMoments:
                 with pytest.raises(np.linalg.LinAlgError):
                     box_moments(np.zeros(3), cov, BoxRegion.full_space(3))
 
+    def test_rejects_indefinite_cov(self):
+        """A positive diagonal with an indefinite or NaN off-diagonal fails
+        at the Cholesky pivot."""
+        for bad in (2.0, np.nan):
+            cov = np.array([[1.0, bad, 0.0], [bad, 1.0, 0.0], [0.0, 0.0, 1.0]])
+            with pytest.raises(np.linalg.LinAlgError):
+                box_moments(np.zeros(3), cov, BoxRegion.full_space(3))
+
     def test_rejects_more_than_three_dimensions(self):
         with pytest.raises(ValueError):
             box_moments(np.zeros(4), np.eye(4), BoxRegion.full_space(4))
@@ -244,6 +266,56 @@ class TestBoxMoments:
             if tm.prob > 1e-6:
                 gram = tm.second_moment - np.outer(tm.mean, tm.mean)
                 assert np.linalg.eigvalsh(gram).min() >= -1e-8
+
+
+def random_equivalence_problem(rng: np.random.Generator, dim: int):
+    """A prior at covariance scale 1e-3 to 1e3 with correlations up to 0.95,
+    and a box that may be open on either side of any axis, far out in a
+    tail, or of zero width on one axis."""
+    while True:
+        corr = np.eye(dim)
+        corr[np.triu_indices(dim, 1)] = rng.uniform(-0.95, 0.95, dim * (dim - 1) // 2)
+        corr = np.triu(corr) + np.triu(corr, 1).T
+        if np.linalg.eigvalsh(corr).min() > 1e-3:
+            break
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    sd = math.sqrt(scale) * rng.uniform(0.5, 2.0, dim)
+    cov = corr * np.outer(sd, sd)
+    mean = math.sqrt(scale) * rng.normal(0.0, 1.0, dim)
+    center = mean + rng.uniform(-3.0, 3.0, dim) * sd
+    if rng.random() < 0.05:  # far out: below PROB_FLOOR or just above it
+        j = rng.integers(dim)
+        center[j] += rng.choice([-1.0, 1.0]) * rng.uniform(5.0, 9.0) * sd[j]
+    half = rng.uniform(0.05, 3.0, dim) * sd
+    if rng.random() < 0.03:
+        half[rng.integers(dim)] = 0.0
+    lower, upper = center - half, center + half
+    for j in range(dim):
+        kind = rng.random()
+        if kind < 0.15:
+            lower[j] = -np.inf
+        elif kind < 0.3:
+            upper[j] = np.inf
+        elif kind < 0.4:
+            lower[j], upper[j] = -np.inf, np.inf
+    return scale, mean, cov, BoxRegion(lower, upper)
+
+
+def test_lean_kernel_matches_the_nested_grid():
+    """box_moments evaluates the same rule as the nested-grid reference,
+    only with fewer array operations, so the two agree at roundoff."""
+    rng = np.random.default_rng(2603)
+    degenerate = 0
+    for k in range(3000):
+        scale, mean, cov, box = random_equivalence_problem(rng, 1 + k % 3)
+        got = box_moments(mean, cov, box)
+        ref = nested_grid_box_moments(mean, cov, box)
+        assert got.degenerate == ref.degenerate
+        degenerate += got.degenerate
+        assert abs(got.prob - ref.prob) <= 1e-15
+        assert np.abs(got.mean - ref.mean).max() <= 1e-12 * math.sqrt(scale)
+        assert np.abs(got.second_moment - ref.second_moment).max() <= 1e-12 * scale
+    assert 0 < degenerate < 300
 
 
 class TestBoxMassLowerBound:
@@ -264,6 +336,16 @@ class TestBoxMassLowerBound:
                 box.lower[rng.integers(3)] = -np.inf
             bound = box_mass_lower_bound(mean, cov, box)
             assert bound <= box_moments(mean, cov, box).prob + 1e-14
+
+    def test_matches_the_array_form(self):
+        """Bit for bit the vectorized formula: each axis's two tails added,
+        then the axes summed left to right."""
+        rng = np.random.default_rng(42)
+        for k in range(3000):
+            scale, mean, cov, box = random_equivalence_problem(rng, 1 + k % 3)
+            sd = np.sqrt(np.diag(cov))
+            tails = ndtr((box.lower - mean) / sd) + ndtr((mean - box.upper) / sd)
+            assert box_mass_lower_bound(mean, cov, box) == 1.0 - float(tails.sum())
 
     def test_tails_are_taken_directly(self):
         """Faces 4-8 sigma out: the bound is within one spacing of doubles
