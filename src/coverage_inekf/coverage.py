@@ -6,10 +6,10 @@ distribution closest to the Gaussian prior in KL divergence subject to that
 set-mass constraint, moment-matches it back to a Gaussian, and applies the
 result on-manifold.
 
-The set-mass constraint only involves the 3-dim output z = H dx, so the
-expensive truncated-moment work runs in z-space; the full 15-dim posterior
-is recovered by keeping the prior conditional p(dx | z) and swapping in the
-new marginal over z.
+It is the Gaussian update's pipeline (:mod:`coverage_inekf.filter`) with a
+different 3x3 rule in z = H dx: the truncated-moment work runs in z-space,
+and the shared lift keeps the prior conditional p(dx | z) and swaps in the
+moment-matched marginal of z, PSD because that marginal is.
 
 As in :mod:`coverage_inekf.filter`, every correction is folded into the
 state, so the prior error mean is zero: the prior is the 15x15 covariance
@@ -37,7 +37,7 @@ import numpy as np
 
 from coverage_inekf.filter import (
     AugmentedState,
-    apply_correction,
+    lift_and_apply,
     spd_inverse,
     velocity_projection,
     velocity_residual,
@@ -51,12 +51,12 @@ from coverage_inekf.tmvn import (
 
 log = logging.getLogger(__name__)
 
-# Eigenvalue floor applied to posterior covariances so downstream Cholesky
-# factorizations always succeed.
+# Eigenvalue floor of the moment-matched z-space posterior P', which makes
+# it positive definite and so the lifted posterior PSD.
 COV_EIG_FLOOR = 1e-12
 
-# A posterior covariance with an eigenvalue below this is treated as a bug
-# in the inputs rather than roundoff.
+# A moment-matched covariance with an eigenvalue below this is treated as a
+# bug in the inputs rather than roundoff.
 COV_EIG_HARD_MIN = -1e-8
 
 # Complement reweighting becomes ill-conditioned when nearly all prior mass
@@ -158,7 +158,7 @@ class UpdateDiagnostics:
         )
 
 
-def _floor_spd(m: np.ndarray, context: str) -> np.ndarray:
+def _floor_spd(m: np.ndarray) -> np.ndarray:
     """Symmetrize and floor-clip eigenvalues; error on clearly indefinite input."""
     m = 0.5 * (m + m.T)
     try:
@@ -169,7 +169,7 @@ def _floor_spd(m: np.ndarray, context: str) -> np.ndarray:
     vals, vecs = np.linalg.eigh(m)
     if vals.min() < COV_EIG_HARD_MIN:
         raise np.linalg.LinAlgError(
-            f"{context}: covariance lost positive semidefiniteness "
+            "moment matching: covariance lost positive semidefiniteness "
             f"(min eigenvalue {vals.min():.3e})"
         )
     return (vecs * np.maximum(vals, COV_EIG_FLOOR)) @ vecs.T
@@ -196,10 +196,9 @@ def project_prior(
 
     Returns (cov_z, sigma_ht, cov_z_inv): the projected covariance
     cov_z = H Sigma H^T, the cross-covariance Sigma H^T and the inverse of
-    cov_z.  The gain sigma_ht @ cov_z_inv lifts z-space corrections back to
-    the full error state; :func:`coverage_update` forms it only for an
-    update that applies one.  H is applied by its velocity block -R^T
-    (:func:`coverage_inekf.filter.velocity_projection`).
+    cov_z, the pipeline's projection step; an active update passes the last
+    two to :func:`coverage_inekf.filter.lift_and_apply` as Sigma H^T and W.
+    H is applied by its velocity block -R^T (:func:`velocity_projection`).
     Raises LinAlgError when the prior is not positive definite or has
     collapsed along a measured direction.
     """
@@ -243,30 +242,8 @@ def kl_coverage_posterior(
 
     mean_post = gamma * tm.mean + (1.0 - gamma) * mean_comp
     second_post = gamma * tm.second_moment + (1.0 - gamma) * second_comp
-    cov_post = _floor_spd(
-        second_post - np.outer(mean_post, mean_post), "moment matching"
-    )
+    cov_post = _floor_spd(second_post - np.outer(mean_post, mean_post))
     return ZPosterior(mean=mean_post, cov=cov_post, prior_mass=pi)
-
-
-def lift_and_apply(
-    x: AugmentedState,
-    cov: np.ndarray,
-    zpost: ZPosterior,
-    gain: np.ndarray,
-    cov_z: np.ndarray,
-) -> tuple[AugmentedState, np.ndarray]:
-    """Lift the z-space posterior to the full error state and apply it.
-
-    Keeps the prior conditional p(dx | z): the full mean shifts along the
-    gain, and the covariance changes only in the measured directions.  The
-    correction is folded into the state and the posterior covariance is
-    returned.
-    """
-    cov_full = cov + gain @ (zpost.cov - cov_z) @ gain.T
-    cov_full = _floor_spd(cov_full, "lifted posterior")
-    x_new = apply_correction(x, gain @ zpost.mean)
-    return x_new, cov_full
 
 
 def coverage_update(
@@ -303,6 +280,5 @@ def coverage_update(
     if zpost.prior_mass >= spec.gamma:
         return x, cov, UpdateDiagnostics(zpost.prior_mass)
 
-    gain = sigma_ht @ cov_z_inv
-    x_new, cov_new = lift_and_apply(x, cov, zpost, gain, cov_z)
-    return x_new, cov_new, UpdateDiagnostics(zpost.prior_mass, active=True)
+    x, cov = lift_and_apply(x, cov, sigma_ht, cov_z_inv, zpost.mean, zpost.cov)
+    return x, cov, UpdateDiagnostics(zpost.prior_mass, active=True)

@@ -7,8 +7,19 @@ Uncertainty lives on the 15-dimensional right-invariant error state
 
 following the package-wide tangent ordering.  The module provides strapdown
 propagation of the state and the error covariance, the on-manifold
-correction operator, and a baseline Gaussian update for body-frame velocity
-measurements.
+correction operator, and the update pipeline with a baseline Gaussian
+update for body-frame velocity measurements.
+
+Both update rules run one pipeline: the residual, its projection onto
+z = H dx (:func:`velocity_projection`), a 3x3 rule in z-space, and one lift
+(:func:`lift_and_apply`).  A rule passes a weight W, a correction y and a
+noise N in z; with K = Sigma H^T W the posterior is the Joseph form
+(I - K H) Sigma (I - K H)^T + K N K^T.  The Gaussian rule passes
+((H Sigma H^T + R)^-1, residual, R); the coverage rule passes (cov_z^-1,
+its moment-matched z mean and covariance P'), giving Sigma + K (P' - cov_z)
+K^T.  The Joseph form is a sum of PSD terms; the shorter Sigma + Sigma H^T
+B H Sigma cancels when R << H Sigma H^T and went indefinite by up to 2.2e-7
+of ||Sigma|| on test priors with R in [1e-14, 1e-8].
 
 Every update folds its error-mean correction into the state estimate, so
 the error mean is reset to zero after each update (the standard invariant
@@ -361,6 +372,30 @@ def realized_error(x_est: AugmentedState, x_true: AugmentedState) -> np.ndarray:
     )
 
 
+def lift_and_apply(
+    x: AugmentedState,
+    cov: np.ndarray,
+    sigma_ht: np.ndarray,
+    w: np.ndarray,
+    y: np.ndarray,
+    n: np.ndarray,
+) -> tuple[AugmentedState, np.ndarray]:
+    """Apply K y and return the Joseph-form posterior, K = Sigma H^T W.
+
+    The one lift of both update rules (module docstring); ``sigma_ht`` is
+    from :func:`velocity_projection` at the rotation of ``x``.  I - K H
+    differs from the identity only in the velocity columns, by M = K R^T:
+    (I - K H) Sigma = Sigma + M Sigma[3:6, :], and that times (I - K H)^T
+    adds its velocity columns times M^T.
+    """
+    k = np.dot(sigma_ht, w)
+    m = np.dot(k, x.nav.rot.T)
+    ikh_cov = cov + np.dot(m, cov[3:6])
+    cov = ikh_cov + np.dot(ikh_cov[:, 3:6], m.T) + np.dot(np.dot(k, n), k.T)
+    x_new = apply_correction(x, np.dot(k, y))
+    return x_new, 0.5 * (cov + cov.T)
+
+
 def gaussian_update(
     x: AugmentedState,
     cov: np.ndarray,
@@ -370,24 +405,10 @@ def gaussian_update(
     """Baseline right-invariant Kalman update for a body-velocity measurement.
 
     ``meas`` is the measured body-frame velocity, ``r`` its assumed Gaussian
-    noise covariance.  Innovation is formed from the invariant output
-    residual; the posterior error mean is folded into the state and the
-    posterior covariance is returned.
-
-    H = [0, -R^T, 0, 0, 0] is applied by its velocity block alone
-    (:func:`velocity_projection`), and I - K H differs from the identity
-    only in the velocity columns, by M = K R^T:
-    (I - K H) Sigma = Sigma + M Sigma[3:6, :], and that times (I - K H)^T
-    adds its velocity columns times M^T.
+    noise covariance; the z-space rule is Kalman's (module docstring).
     """
     r = np.asarray(r, dtype=float)
-    rot = x.nav.rot
     residual = velocity_residual(x, meas)
-
-    pht, hpht = velocity_projection(cov, rot)
-    k = np.dot(pht, spd_inverse(hpht + r, "innovation covariance"))
-    m = np.dot(k, rot.T)
-    ikh_cov = cov + np.dot(m, cov[3:6])
-    cov = ikh_cov + np.dot(ikh_cov[:, 3:6], m.T) + np.dot(np.dot(k, r), k.T)
-    x_new = apply_correction(x, np.dot(k, residual))
-    return x_new, 0.5 * (cov + cov.T)
+    pht, hpht = velocity_projection(cov, x.nav.rot)
+    s_inv = spd_inverse(hpht + r, "innovation covariance")
+    return lift_and_apply(x, cov, pht, s_inv, residual, r)

@@ -354,10 +354,10 @@ def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
     covariance.  After the last step, one batched pass over the stored
     estimates scores them: NEES uses the position block of the realized
     invariant error against the filter's position covariance; RMSE is the
-    plain position error.  A non-finite prior (state or covariance) flags
-    the trial as diverged and ends it before the update, which would
-    refuse it; a diverged trial is not scored.  A non-finite score flags
-    it as diverged too.
+    plain position error.  A non-finite prior position or covariance entry
+    [0, 0], the only entries checked, flags the trial as diverged and ends
+    it before the update, which would refuse it; a diverged trial is not
+    scored.  A non-finite score flags it as diverged too.
     """
     root = np.random.SeedSequence(seed)
     s_imu, s_meas, s_init = (int(c.generate_state(1)[0]) for c in root.spawn(3))

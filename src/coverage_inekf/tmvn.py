@@ -109,6 +109,8 @@ class BoxRegion:
             if any(x != x for x in lower + upper):
                 raise ValueError("box bounds must not be NaN")
             raise ValueError("box requires lower <= upper elementwise")
+        if math.inf in lower or -math.inf in upper:
+            raise ValueError("box is empty: a lower face is +inf or an upper face -inf")
 
     @property
     def dim(self) -> int:

@@ -234,6 +234,19 @@ def velocity_output_matrix(rot):
     return h
 
 
+def conditional_swap_lift(cov, sigma_ht, cov_z_inv, cov_z, z_mean, z_cov):
+    """The coverage update's lift in its conditional form: keep the prior
+    p(dx | z) and swap in the z-space posterior N(z_mean, z_cov).
+
+    With G = Sigma H^T cov_z^-1 the correction is G z_mean and the
+    covariance Sigma + G (z_cov - cov_z) G^T, symmetrized.  Returns
+    (correction, covariance).
+    """
+    gain = sigma_ht @ cov_z_inv
+    lifted = cov + gain @ (z_cov - cov_z) @ gain.T
+    return gain @ z_mean, 0.5 * (lifted + lifted.T)
+
+
 def gaussian_radius(sigma, gamma):
     """Closed-form per-axis radius of zero-mean N(0, sigma^2) noise whose
     three independent axes jointly cover gamma: sigma times the

@@ -35,9 +35,9 @@ GOLDEN = {
                     rmse_std=0.014152129925417976, nees_mean=20.22719142359475,
                     nees_std=2.1761230597975496, frac_active=NAN, diverged=0,
                     skipped=0),
-        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.2199442563260823,
-                    rmse_std=0.013461005856521319, nees_mean=9.282956581546593,
-                    nees_std=1.190137206407662, frac_active=0.2733333333333334,
+        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.21994425632608228,
+                    rmse_std=0.013461005856521279, nees_mean=9.282956581546587,
+                    nees_std=1.190137206407641, frac_active=0.2733333333333334,
                     diverged=0, skipped=0),
     ],
     "gaussian": [
@@ -46,8 +46,8 @@ GOLDEN = {
                     nees_std=2.5558181027509375, frac_active=NAN, diverged=0,
                     skipped=0),
         CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.08668812892082807,
-                    rmse_std=0.03624061295066461, nees_mean=3.037690127129032,
-                    nees_std=2.429228313663935, frac_active=0.43333333333333335,
+                    rmse_std=0.036240612950664615, nees_mean=3.0376901271290335,
+                    nees_std=2.4292283136639377, frac_active=0.43333333333333335,
                     diverged=0, skipped=2),
     ],
 }

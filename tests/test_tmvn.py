@@ -54,6 +54,18 @@ class TestBoxRegion:
         assert box.dim == 3
         assert box.lower.dtype == float and box.upper.dtype == float
 
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [([np.inf], [np.inf]), ([0.0, -np.inf], [1.0, -np.inf])],
+        ids=["lower_plus_inf", "upper_minus_inf"],
+    )
+    def test_rejects_empty_infinite_faces(self, lower, upper):
+        """A lower face of +inf or an upper face of -inf bounds an empty
+        box; the moment rules would read the face as open (mass 1.0 and
+        0.341 under a standard normal)."""
+        with pytest.raises(ValueError, match="empty"):
+            BoxRegion(lower, upper)
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
             BoxRegion([0.0, 0.0], [1.0, 1.0, 1.0])
