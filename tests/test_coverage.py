@@ -14,6 +14,8 @@ from oracles import (
 from coverage_inekf import coverage, se23
 from coverage_inekf.coverage import (
     CERTIFY_MARGIN,
+    COV_EIG_FLOOR,
+    COV_EIG_HARD_MIN,
     NEAR_FULL_MASS,
     CoverageSpec,
     DegenerateMassError,
@@ -194,6 +196,39 @@ class TestKlCoveragePosterior:
     def test_extreme_outlier_raises(self):
         with pytest.raises(DegenerateMassError):
             kl_coverage_posterior(np.eye(1), one_d_feasible(50.0, 51.0), gamma=0.8)
+
+
+class TestFloorSpd:
+    """The eigenvalue floor on the moment-matched z posterior P'."""
+
+    @staticmethod
+    def with_eigenvalues(vals, seed=12):
+        u = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))[0]
+        return u, (u * vals) @ u.T
+
+    def test_positive_definite_input_is_only_symmetrized(self):
+        rng = np.random.default_rng(13)
+        for d in (1, 2, 3):
+            for _ in range(20):
+                a = rng.standard_normal((d, d))
+                m = a @ a.T + 1e-6 * np.eye(d)
+                m[-1, 0] += 1e-9 * m[-1, -1] * (d > 1)  # asymmetric input
+                out = coverage._floor_spd(m)
+                assert np.array_equal(out, 0.5 * (m + m.T))
+
+    @pytest.mark.parametrize("low", [-1e-9, 0.999 * COV_EIG_HARD_MIN])
+    def test_small_negative_eigenvalue_is_raised_to_the_floor(self, low):
+        u, m = self.with_eigenvalues([low, 0.5, 2.0])
+        out = coverage._floor_spd(m)
+        want = (u * [COV_EIG_FLOOR, 0.5, 2.0]) @ u.T
+        assert np.abs(out - want).max() <= 1e-15
+        assert np.linalg.eigvalsh(out)[0] == pytest.approx(COV_EIG_FLOOR, rel=1e-3)
+
+    @pytest.mark.parametrize("low", [-1.01e-8, -1e-4])
+    def test_clearly_indefinite_input_is_rejected(self, low):
+        _, m = self.with_eigenvalues([low, 0.5, 2.0])
+        with pytest.raises(np.linalg.LinAlgError, match="lost positive semidefiniteness"):
+            coverage._floor_spd(m)
 
 
 class TestLiftAndApply:
