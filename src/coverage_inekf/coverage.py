@@ -47,12 +47,13 @@ from coverage_inekf.tmvn import (
     BoxRegion,
     box_mass_lower_bound,
     box_moments,
+    cholesky,
 )
 
 log = logging.getLogger(__name__)
 
-# Eigenvalue floor of the moment-matched z-space posterior P', which makes
-# it positive definite and so the lifted posterior PSD.
+# Eigenvalue floor of the moment-matched z-space posterior P' when
+# tmvn.cholesky refuses it; it keeps P' definite, the lifted posterior PSD.
 COV_EIG_FLOOR = 1e-12
 
 # A moment-matched covariance with an eigenvalue below this is treated as a
@@ -159,10 +160,10 @@ class UpdateDiagnostics:
 
 
 def _floor_spd(m: np.ndarray) -> np.ndarray:
-    """Symmetrize and floor-clip eigenvalues; error on clearly indefinite input."""
+    """Symmetrize; floor-clip the eigenvalues if tmvn.cholesky refuses."""
     m = 0.5 * (m + m.T)
     try:
-        np.linalg.cholesky(m)
+        cholesky(m.tolist())
         return m
     except np.linalg.LinAlgError:
         pass

@@ -17,9 +17,11 @@ noise N in z; with K = Sigma H^T W the posterior is the Joseph form
 (I - K H) Sigma (I - K H)^T + K N K^T.  The Gaussian rule passes
 ((H Sigma H^T + R)^-1, residual, R); the coverage rule passes (cov_z^-1,
 its moment-matched z mean and covariance P'), giving Sigma + K (P' - cov_z)
-K^T.  The Joseph form is a sum of PSD terms; the shorter Sigma + Sigma H^T
-B H Sigma cancels when R << H Sigma H^T and went indefinite by up to 2.2e-7
-of ||Sigma|| on test priors with R in [1e-14, 1e-8].
+K^T; both inverses are :func:`spd_inverse`'s, from the package's one SPD
+factorization, :func:`coverage_inekf.tmvn.cholesky`.  The Joseph form is a
+sum of PSD terms; the shorter Sigma + Sigma H^T B H Sigma cancels when
+R << H Sigma H^T and went indefinite by up to 2.2e-7 of ||Sigma|| on test
+priors with R in [1e-14, 1e-8].
 
 Every update folds its error-mean correction into the state estimate, so
 the error mean is reset to zero after each update (the standard invariant
@@ -54,6 +56,7 @@ import numpy as np
 
 from coverage_inekf import se23
 from coverage_inekf.se23 import _EYE3, Se23Element, skew
+from coverage_inekf.tmvn import cholesky
 
 # Gravity in the world frame (m/s^2).
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -170,55 +173,40 @@ def velocity_projection(cov: np.ndarray, rot: np.ndarray) -> tuple[np.ndarray, n
 
 
 def spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of the 3x3 matrix ``m``, in closed form.
+    """Inverse of the symmetric 3x3 matrix ``m``, from its lower triangle.
 
     Raises LinAlgError unless ``m`` is positive definite with
-    cond <= MAX_COND.  Definiteness is Sylvester's test: the leading minors
-    m00, m00 m11 - m01 m10 and det must all be positive.  Conditioning is
-    screened with the SPD bound cond <= trace^3 / det, and the exact
-    condition number is computed only when the bound trips.
-
-    Gaussian elimination without pivoting, which is stable on SPD matrices,
-    gives pivots m00, u11 and u22 whose running products are the three
-    leading minors, so Sylvester's test is that all three are positive and
-    det is their product; the inverse is then U^-1 L^-1, written out.  The
-    cofactor formula would be shorter but loses up to cond^2 eps in det.
-    A non-finite matrix fails: NaN fails Sylvester's test, and one that
-    passes it with an infinite entry has an infinite determinant, which the
-    screen sends to the exact check.
+    cond <= MAX_COND.  Definiteness is that :func:`~coverage_inekf.tmvn.cholesky`
+    factors it and that the upper triangle is finite.  Conditioning is
+    screened with cond <= trace^3 / det, det the product of the pivots, and
+    the exact condition number is computed only when the bound trips, as an
+    infinite diagonal entry makes it.  The inverse L^-T L^-1 is written out
+    as V^T D^-1 V, V the inverse of the unit lower factor L diag(L)^-1 and D
+    the pivots, so a diagonal matrix inverts exactly.
     """
-    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
-    u11 = u22 = math.nan
-    if a > 0.0:
-        l10, l20 = d / a, g / a
-        u11, u12 = e - l10 * b, f - l10 * c
-        if u11 > 0.0:
-            l21 = (h - l20 * b) / u11
-            u22 = (i - l20 * c) - l21 * u12
-    spd = u22 > 0.0  # NaN unless the first two pivots are positive
-    det = a * u11 * u22
+    rows = m.tolist()
+    try:
+        ((l00, _, _), (l10, l11, _), (l20, l21, _)), (p0, p1, p2) = cholesky(rows)
+    except np.linalg.LinAlgError:
+        p0 = p1 = p2 = math.nan
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    det = p0 * p1 * p2 if math.isfinite(b + c + f) else math.nan
     trace = a + e + i
-    if not (spd and trace * trace * trace <= MAX_COND * det < math.inf):
+    if not trace * trace * trace <= MAX_COND * det < math.inf:
         finite = all(map(math.isfinite, (a, b, c, d, e, f, g, h, i)))
         cond = float(np.linalg.cond(m)) if finite else math.nan
-        if not spd:
-            raise np.linalg.LinAlgError(
-                f"{what} is not positive definite (cond={cond:.3e})"
-            )
-        if not cond <= MAX_COND:
-            raise np.linalg.LinAlgError(
-                f"{what} is numerically singular (cond={cond:.3e})"
-            )
-    # U^-1 (upper, v..) and L^-1 (unit lower, k..)
-    v00, v11, v22 = 1.0 / a, 1.0 / u11, 1.0 / u22
-    v12 = -u12 * v11 * v22
-    v01, v02 = -b * v11 * v00, -(b * v12 + c * v22) * v00
-    k10, k21 = -l10, -l21
-    k20 = -l20 - l21 * k10
+        fault = "not positive definite" if math.isnan(det) else "numerically singular"
+        if math.isnan(det) or not cond <= MAX_COND:
+            raise np.linalg.LinAlgError(f"{what} is {fault} (cond={cond:.3e})")
+    q1, q2 = 1.0 / p1, 1.0 / p2
+    t10, t21 = l10 / l00, l21 / l11
+    v20 = t10 * t21 - l20 / l00
+    v20q2 = v20 * q2
+    m01, m12 = -(t10 * q1 + v20q2 * t21), -t21 * q2
     return np.array([
-        v00 + v01 * k10 + v02 * k20, v01 + v02 * k21, v02,
-        v11 * k10 + v12 * k20, v11 + v12 * k21, v12,
-        v22 * k20, v22 * k21, v22,
+        1.0 / p0 + t10 * t10 * q1 + v20 * v20q2, m01, v20q2,
+        m01, q1 + t21 * t21 * q2, m12,
+        v20q2, m12, q2,
     ]).reshape(3, 3)
 
 

@@ -354,10 +354,11 @@ def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
     covariance.  After the last step, one batched pass over the stored
     estimates scores them: NEES uses the position block of the realized
     invariant error against the filter's position covariance; RMSE is the
-    plain position error.  A non-finite prior position or covariance entry
-    [0, 0], the only entries checked, flags the trial as diverged and ends
-    it before the update, which would refuse it; a diverged trial is not
-    scored.  A non-finite score flags it as diverged too.
+    plain position error.  A non-finite entry in the prior position,
+    velocity or covariance (or a covariance entry beyond 1e154, whose
+    square overflows) flags the trial as diverged and ends it before the
+    update, which would refuse it or fail; a diverged trial is not scored.
+    A non-finite score flags it as diverged too.
     """
     root = np.random.SeedSequence(seed)
     s_imu, s_meas, s_init = (int(c.generate_state(1)[0]) for c in root.spawn(3))
@@ -398,8 +399,9 @@ def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
         phi, q_d = error_transition(x, u, campaign.process)
         x = propagate_mean(x, u)
         cov = propagate_cov(cov, phi, q_d)
-        pos = x.nav.pos.tolist()
-        if not (all(map(math.isfinite, pos)) and math.isfinite(cov[0, 0])):
+        # a sum is finite only if every term is
+        terms = sum(x.nav.pos.tolist()) + sum(x.nav.vel.tolist())
+        if not (math.isfinite(terms) and math.isfinite(np.vdot(cov, cov))):
             taken = k
             break
 

@@ -25,16 +25,17 @@ Evaluation.  The rule is fixed; only its evaluation is tuned, because a
 3-D call spends its time on small array operations, not on its ~2.3k
 special-function values.  A prelude in Python floats takes the marginal
 deviations, the clamped faces and the order from one ``ndtr`` call on the
-2d standardized faces, and writes out the Cholesky factor of the permuted
-covariance.  l_00 is the first coordinate's marginal deviation, so its slab
-mass is the one the ordering computed; every later coordinate stacks its
-two faces in one (2, ...) array for one ``ndtr`` call (and the last for one
-``exp``).  All sums come from one product of the features Y_j Y_k,
-Y = [z_0, .., z_{d-2}, 1], with the last coordinate's moment terms, scaled
-by 1/sqrt(2 pi) after the sum.  On 3000 seeded problems it agrees with the
-first evaluation of the rule (kept in the tests as the nested-grid
-reference) within 1e-15 in mass and 1e-12 of the covariance scale in the
-moments.
+2d standardized faces, and factors the permuted covariance with
+:func:`cholesky`, the package's one SPD factorization, which the filter's
+3x3 inverse and moment matching's definiteness test use too.  l_00 is the
+first coordinate's marginal deviation, so its slab mass is the one the
+ordering computed; every later coordinate stacks its two faces in one
+(2, ...) array for one ``ndtr`` call (and the last for one ``exp``).  All
+sums come from one product of the features Y_j Y_k, Y = [z_0, .., z_{d-2},
+1], with the last coordinate's moment terms, scaled by 1/sqrt(2 pi) after
+the sum.  On 3000 seeded problems it agrees with the first evaluation of
+the rule (kept in the tests as the nested-grid reference) within 1e-15 in
+mass and 1e-12 of the covariance scale in the moments.
 
 Measured errors: on 200 correlated 3-D boxes with masses from 1e-3 to 0.7,
 the median errors against an x-space tensor Gauss-Legendre reference are
@@ -136,28 +137,34 @@ class TruncatedMoments:
 
 
 def _root(pivot):
-    """Square root of a Cholesky pivot; one that is not positive, NaN
-    included, means the covariance has no Cholesky factor."""
+    """Square root of a Cholesky pivot; LinAlgError unless it is > 0."""
     if pivot > 0.0:
         return math.sqrt(pivot)
     raise np.linalg.LinAlgError(f"covariance pivot {pivot} is not positive")
 
 
-def _cholesky(c, order):
-    """Lower Cholesky factor of the covariance c (nested lists, at most
-    3x3, lower triangle read) with rows and columns taken in ``order``."""
-    rows = [c[k] for k in order]
-    l00 = _root(rows[0][order[0]])
-    if len(order) == 1:
-        return [[l00]]
-    l10 = rows[1][order[0]] / l00
-    l11 = _root(rows[1][order[1]] - l10 * l10)
-    if len(order) == 2:
-        return [[l00, 0.0], [l10, l11]]
-    l20 = rows[2][order[0]] / l00
-    l21 = (rows[2][order[1]] - l20 * l10) / l11
-    l22 = _root(rows[2][order[2]] - l20 * l20 - l21 * l21)
-    return [[l00, 0.0, 0.0], [l10, l11, 0.0], [l20, l21, l22]]
+def cholesky(c, order=(0, 1, 2)):
+    """Lower Cholesky factor of the SPD matrix c (nested lists, at most
+    3x3, lower triangle read) with rows and columns taken in ``order``, and
+    its pivots l_ii^2 before their roots.  A pivot that is not positive,
+    NaN included, raises LinAlgError: it is also the definiteness test."""
+    o0 = order[0]
+    p0 = c[o0][o0]
+    l00 = math.sqrt(p0) if p0 > 0.0 else _root(p0)
+    if len(c) == 1:
+        return [[l00]], [p0]
+    o1 = order[1]
+    l10 = c[o1][o0] / l00
+    p1 = c[o1][o1] - l10 * l10
+    l11 = math.sqrt(p1) if p1 > 0.0 else _root(p1)
+    if len(c) == 2:
+        return [[l00, 0.0], [l10, l11]], [p0, p1]
+    o2 = order[2]
+    l20 = c[o2][o0] / l00
+    l21 = (c[o2][o1] - l20 * l10) / l11
+    p2 = c[o2][o2] - l20 * l20 - l21 * l21
+    l22 = math.sqrt(p2) if p2 > 0.0 else _root(p2)
+    return [[l00, 0.0, 0.0], [l10, l11, 0.0], [l20, l21, l22]], [p0, p1, p2]
 
 
 def box_mass_lower_bound(mean: np.ndarray, cov: np.ndarray, box) -> float:
@@ -214,7 +221,7 @@ def box_moments(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> TruncatedM
     # narrowest marginal slab first, so that the closed-form last
     # coordinate is the widest and the grid resolves the narrow ones
     order = sorted(range(d), key=marginal.__getitem__)
-    chol = _cholesky(cov_f, order)
+    chol, _ = cholesky(cov_f, order)
     last = d - 1
 
     # ab holds each coordinate's standardized faces stacked (2, ...) and

@@ -33,11 +33,11 @@ GOLDEN = {
     "mixture": [
         CampaignRow(method="gaussian", gamma=None, rmse_mean=0.24123384393958403,
                     rmse_std=0.014152129925417976, nees_mean=20.22719142359475,
-                    nees_std=2.1761230597975496, frac_active=NAN, diverged=0,
+                    nees_std=2.176123059797551, frac_active=NAN, diverged=0,
                     skipped=0),
         CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.21994425632608228,
-                    rmse_std=0.013461005856521279, nees_mean=9.282956581546587,
-                    nees_std=1.190137206407641, frac_active=0.2733333333333334,
+                    rmse_std=0.013461005856521307, nees_mean=9.282956581546598,
+                    nees_std=1.190137206407655, frac_active=0.2733333333333334,
                     diverged=0, skipped=0),
     ],
     "gaussian": [
@@ -45,9 +45,9 @@ GOLDEN = {
                     rmse_std=0.037924234005867336, nees_mean=2.839262815262775,
                     nees_std=2.5558181027509375, frac_active=NAN, diverged=0,
                     skipped=0),
-        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.08668812892082807,
-                    rmse_std=0.036240612950664615, nees_mean=3.0376901271290335,
-                    nees_std=2.4292283136639377, frac_active=0.43333333333333335,
+        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.08668812892082811,
+                    rmse_std=0.03624061295066468, nees_mean=3.037690127129037,
+                    nees_std=2.4292283136639425, frac_active=0.43333333333333335,
                     diverged=0, skipped=2),
     ],
 }
@@ -212,20 +212,44 @@ def test_grid_runs_only_where_the_constraint_can_bind(monkeypatch):
     assert counts[0] >= result.fraction_active * 250
 
 
+def nan_velocity_block(cov):
+    cov = cov.copy()
+    cov[3:6, 3:6] = np.nan
+    return cov
+
+
+def infinite_velocity(x):
+    x.nav.vel = x.nav.vel + [np.inf, 0.0, 0.0]
+    return x
+
+
+# a fault in the prior: the propagation step it corrupts, and how
+PRIOR_FAULTS = {
+    "nan_cov": ("propagate_cov", lambda cov: np.full_like(cov, np.nan)),
+    "nan_velocity_cov": ("propagate_cov", nan_velocity_block),
+    "inf_velocity": ("propagate_mean", infinite_velocity),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PRIOR_FAULTS))
 @pytest.mark.parametrize("name, method", ARMS)
-def test_nan_prior_diverges_the_trial(monkeypatch, name, method):
-    """A NaN covariance out of propagation at step 50 of a real 1 s trial
-    ends it before the update, which would refuse a NaN prior.  The
-    active fraction counts the 50 updates made; the trial is not scored,
-    so no unfilled row of its stored estimates is read."""
+def test_nan_prior_diverges_the_trial(monkeypatch, name, method, fault):
+    """A non-finite prior out of propagation at step 50 of a real 1 s
+    trial ends it before the update: a NaN covariance, a NaN velocity
+    block (which the update would refuse) or an infinite velocity (which
+    would make an empty box for the coverage rule and overflow in the
+    Gaussian one).  The active fraction counts the 50 updates made; the
+    trial is not scored, so no unfilled row of its stored estimates is
+    read."""
     steps = itertools.count()
-    real_propagate_cov = sim.propagate_cov
+    target, corrupt = PRIOR_FAULTS[fault]
+    real = getattr(sim, target)
 
-    def nan_at_step_50(cov, phi, q_d):
-        out = real_propagate_cov(cov, phi, q_d)
-        return np.full_like(out, np.nan) if next(steps) == 50 else out
+    def fault_at_step_50(*args):
+        out = real(*args)
+        return corrupt(out) if next(steps) == 50 else out
 
-    monkeypatch.setattr(sim, "propagate_cov", nan_at_step_50)
+    monkeypatch.setattr(sim, target, fault_at_step_50)
     updates = spy(monkeypatch, f"{method}_update")
     scores = spy(monkeypatch, "realized_error")
     campaign, arm = one_trial(name, method)
