@@ -19,15 +19,9 @@ from coverage_inekf.filter import (
     propagate_mean,
 )
 from coverage_inekf.tmvn import BoxRegion, TruncatedMoments, box_moments
-from coverage_inekf.coverage import (
-    CoverageSpec,
-    FeasibleSet,
-    UpdateDiagnostics,
-    ZPosterior,
-    coverage_update,
-)
+from coverage_inekf.coverage import UpdateDiagnostics, ZPosterior, coverage_update
 from coverage_inekf.calibration import (
-    CoverageBounds,
+    CoverageSpec,
     ErrorSeries,
     conformal_thresholds,
     empirical_coverage,
@@ -53,11 +47,9 @@ __all__ = [
     "TruncatedMoments",
     "box_moments",
     "CoverageSpec",
-    "FeasibleSet",
     "ZPosterior",
     "UpdateDiagnostics",
     "coverage_update",
-    "CoverageBounds",
     "ErrorSeries",
     "subsample",
     "conformal_thresholds",

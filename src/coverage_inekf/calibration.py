@@ -1,8 +1,12 @@
 """Distribution-free calibration of coverage radii from prediction errors.
 
-Per-axis split-conformal quantiles of absolute errors, composed into a joint
-confidence level, with mixing-aware subsampling of temporally correlated
-series.  The subsampling interval is a user choice; an autocorrelation
+Per-axis split-conformal quantiles of absolute errors at the per-axis level
+gamma^(1/3), with mixing-aware subsampling of temporally correlated series.
+The three per-axis statements compose into a joint confidence of gamma only
+when the axis errors are independent; on dependent axes the joint coverage
+can fall well below gamma (0.434 at gamma = 0.5 on an adversarial law).
+The result is a :class:`CoverageSpec`, the statement the coverage update
+takes.  The subsampling interval is a user choice; an autocorrelation
 report helps pick it.
 """
 
@@ -12,6 +16,26 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+@dataclass
+class CoverageSpec:
+    """Calibrated per-axis error radii at confidence gamma.
+
+    Each axis is covered with probability per_axis_level(gamma); the box as
+    a whole holds with probability gamma only for independent axis errors.
+    An infinite radius leaves its axis open.
+    """
+
+    epsilon: np.ndarray
+    gamma: float
+
+    def __post_init__(self):
+        self.epsilon = np.asarray(self.epsilon, dtype=float)
+        if self.epsilon.shape != (3,) or not np.all(self.epsilon >= 0.0):
+            raise ValueError("epsilon must be three non-negative radii")
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError("gamma must lie in (0, 1)")
 
 
 @dataclass
@@ -26,23 +50,16 @@ class ErrorSeries:
         self.errors = np.asarray(self.errors, dtype=float)
         if self.timestamps.ndim != 1 or self.timestamps.size < 1:
             raise ValueError("need at least one timestamped sample")
-        if np.any(np.diff(self.timestamps) <= 0.0):
-            raise ValueError("timestamps must be strictly increasing")
+        ts = self.timestamps
+        if not np.isfinite(ts).all() or np.any(np.diff(ts) <= 0.0):
+            raise ValueError("timestamps must be finite and strictly increasing")
         if self.errors.shape != (self.timestamps.size, 3):
             raise ValueError("errors must have shape (len(timestamps), 3)")
+        if not np.isfinite(self.errors).all():
+            raise ValueError("errors must be finite")
 
     def __len__(self) -> int:
         return self.timestamps.size
-
-
-@dataclass
-class CoverageBounds:
-    """Calibrated per-axis radii with joint confidence gamma."""
-
-    epsilon: np.ndarray
-    gamma: float
-    per_axis_gamma: float
-    n_effective: int
 
 
 def subsample(series: ErrorSeries, k: int) -> ErrorSeries:
@@ -53,7 +70,8 @@ def subsample(series: ErrorSeries, k: int) -> ErrorSeries:
 
 
 def per_axis_level(gamma: float) -> float:
-    """Per-axis confidence whose three-fold product recovers gamma."""
+    """Per-axis confidence whose three-fold product is gamma: the joint
+    confidence when the three axis errors are independent."""
     return gamma ** (1.0 / 3.0)
 
 
@@ -71,8 +89,8 @@ def min_samples_for(gamma: float) -> int:
     return n
 
 
-def conformal_thresholds(series: ErrorSeries, gamma: float) -> CoverageBounds:
-    """Split-conformal per-axis radii for joint confidence gamma.
+def conformal_thresholds(series: ErrorSeries, gamma: float) -> CoverageSpec:
+    """Split-conformal per-axis radii at per-axis level gamma^(1/3).
 
     Scores are the absolute errors per axis; each radius is the k-th
     smallest score with k = ceil((N+1) * gamma^(1/3)).  Raises when the
@@ -92,19 +110,14 @@ def conformal_thresholds(series: ErrorSeries, gamma: float) -> CoverageBounds:
             f"{min_samples_for(gamma)} samples, got {n}"
         )
     scores = np.sort(np.abs(series.errors), axis=0, kind="stable")
-    return CoverageBounds(
-        epsilon=scores[k - 1].copy(),
-        gamma=gamma,
-        per_axis_gamma=per_axis,
-        n_effective=n,
-    )
+    return CoverageSpec(scores[k - 1].copy(), gamma)
 
 
 def empirical_coverage(
-    series: ErrorSeries, bounds: CoverageBounds
+    series: ErrorSeries, spec: CoverageSpec
 ) -> tuple[float, np.ndarray]:
     """Fraction of samples inside the radii, jointly and per axis."""
-    inside = np.abs(series.errors) <= bounds.epsilon
+    inside = np.abs(series.errors) <= spec.epsilon
     return float(inside.all(axis=1).mean()), inside.mean(axis=0)
 
 

@@ -22,19 +22,20 @@ the marginal tails: :func:`coverage_inekf.tmvn.box_mass_lower_bound`
 ``CERTIFY_MARGIN`` (1e-9), far above the grid's mass error (1e-14
 relative), the grid would find pi >= gamma too, so the update returns its
 inputs without running ``box_moments``; the decision is the grid's, and a
-certified update is never a degenerate skip.  Its diagnostics keep the
-projected prior and box, and compute pi with the grid's own call only when
-``pi_prior`` or ``near_full_mass`` is read, so a diagnostic nobody reads
-costs nothing and one that is read has the grid path's value bit for bit.
+certified update is never a degenerate skip.  Every update's diagnostics
+keep the projected prior and box and compute pi with the grid's own call
+when first read, so pi nobody reads costs nothing.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from coverage_inekf.calibration import CoverageSpec
 from coverage_inekf.filter import (
     AugmentedState,
     lift_and_apply,
@@ -77,37 +78,6 @@ class DegenerateMassError(ValueError):
 
 
 @dataclass
-class CoverageSpec:
-    """Calibrated per-axis error radii with joint confidence gamma."""
-
-    epsilon: np.ndarray
-    gamma: float
-
-    def __post_init__(self):
-        self.epsilon = np.asarray(self.epsilon, dtype=float)
-        if self.epsilon.shape != (3,) or not np.all(self.epsilon >= 0.0):
-            raise ValueError("epsilon must be three non-negative radii")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-
-
-@dataclass
-class FeasibleSet:
-    """Error-state region {dx : lower <= H dx <= upper} induced by coverage.
-
-    H = [0, -R^T, 0, 0, 0] is the body-velocity output matrix, held by the
-    prior's rotation R alone.
-    """
-
-    rot: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def box(self) -> BoxRegion:
-        return BoxRegion(self.lower, self.upper)
-
-
-@dataclass
 class ZPosterior:
     """Moment-matched posterior of the projected error z = H dx.
 
@@ -120,43 +90,29 @@ class ZPosterior:
     prior_mass: float
 
 
+@dataclass(eq=False)
 class UpdateDiagnostics:
-    """Per-update record: prior set mass pi, and the branch taken.
+    """Per-update record: the projected prior N(0, cov_z), the box, and the
+    branch taken.
 
-    ``near_full_mass`` flags pi within ``NEAR_FULL_MASS`` of 1.  An update
-    certified inactive passes ``prior = (cov_z, lower, upper)`` instead of
-    pi; the first read of ``pi_prior`` or ``near_full_mass`` computes pi
-    from it with the ``box_moments`` call the grid path makes, so the value
-    is the grid path's bit for bit, and a record nobody reads costs nothing.
+    ``pi_prior``, the prior set mass, is the grid path's ``box_moments``
+    call, made on first read: bit for bit the value the update saw, and
+    ``PROB_FLOOR`` for a skipped update, whose mass the grid clamps there.
+    ``near_full_mass`` flags pi within ``NEAR_FULL_MASS`` of 1.
     """
 
-    def __init__(self, pi_prior=None, active=False, skipped=False, prior=None):
-        if (pi_prior is None) == (prior is None):
-            raise ValueError("give exactly one of pi_prior and prior")
-        self._pi = pi_prior
-        self._prior = prior
-        self.active = active
-        self.skipped = skipped
+    cov_z: np.ndarray
+    box: BoxRegion
+    active: bool = False
+    skipped: bool = False
 
-    @property
+    @cached_property
     def pi_prior(self) -> float:
-        if self._pi is None:
-            cov_z, lower, upper = self._prior
-            self._pi = box_moments(
-                np.zeros(cov_z.shape[0]), cov_z, BoxRegion(lower, upper)
-            ).prob
-            self._prior = None
-        return self._pi
+        return box_moments(np.zeros(self.cov_z.shape[0]), self.cov_z, self.box).prob
 
     @property
     def near_full_mass(self) -> bool:
         return (1.0 - self.pi_prior) < NEAR_FULL_MASS
-
-    def __repr__(self) -> str:
-        return (
-            f"UpdateDiagnostics(pi_prior={self.pi_prior!r}, active={self.active}, "
-            f"skipped={self.skipped})"
-        )
 
 
 def _floor_spd(m: np.ndarray) -> np.ndarray:
@@ -178,20 +134,15 @@ def _floor_spd(m: np.ndarray) -> np.ndarray:
 
 def build_feasible_set(
     prior_state: AugmentedState, meas: np.ndarray, spec: CoverageSpec
-) -> FeasibleSet:
-    """Feasible set of the error state induced by the coverage statement.
-
-    H is the invariant-output linearization at the prior's rotation; the
-    bounds are the innovation plus/minus the calibrated radii.
-    """
+) -> BoxRegion:
+    """The box the coverage statement puts around the innovation in
+    z = H dx: the innovation plus/minus the calibrated radii."""
     innovation = velocity_residual(prior_state, meas)
-    return FeasibleSet(
-        prior_state.nav.rot, innovation - spec.epsilon, innovation + spec.epsilon
-    )
+    return BoxRegion(innovation - spec.epsilon, innovation + spec.epsilon)
 
 
 def project_prior(
-    cov: np.ndarray, fs: FeasibleSet
+    cov: np.ndarray, rot: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project the prior covariance onto z = H dx.
 
@@ -199,18 +150,19 @@ def project_prior(
     cov_z = H Sigma H^T, the cross-covariance Sigma H^T and the inverse of
     cov_z, the pipeline's projection step; an active update passes the last
     two to :func:`coverage_inekf.filter.lift_and_apply` as Sigma H^T and W.
-    H is applied by its velocity block -R^T (:func:`velocity_projection`).
-    Raises LinAlgError when the prior is not positive definite or has
-    collapsed along a measured direction.
+    H = [0, -R^T, 0, 0, 0] is the body-velocity output matrix at the
+    prior's rotation ``rot``, applied by its velocity block
+    (:func:`velocity_projection`).  Raises LinAlgError when the prior is
+    not positive definite or has collapsed along a measured direction.
     """
-    sigma_ht, cov_z = velocity_projection(cov, fs.rot)
+    sigma_ht, cov_z = velocity_projection(cov, rot)
     cov_z = 0.5 * (cov_z + cov_z.T)
     return cov_z, sigma_ht, spd_inverse(cov_z, "projected prior")
 
 
 def kl_coverage_posterior(
     cov_z: np.ndarray,
-    fs: FeasibleSet,
+    box: BoxRegion,
     gamma: float,
 ) -> ZPosterior:
     """KL-minimal set-mass posterior in z-space, moment-matched to a Gaussian.
@@ -228,7 +180,7 @@ def kl_coverage_posterior(
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     d = cov_z.shape[0]
-    tm = box_moments(np.zeros(d), cov_z, fs.box())
+    tm = box_moments(np.zeros(d), cov_z, box)
     pi = tm.prob
     if tm.degenerate:
         raise DegenerateMassError(
@@ -259,27 +211,28 @@ def coverage_update(
     KL-minimal moment-matched posterior, and lifts it back.  When the
     constraint is inactive the inputs are returned unchanged (the same
     objects).  An update whose Bonferroni bound certifies the constraint
-    inactive returns before the grid runs, with pi left for the
-    diagnostics to compute when read.  When the prior set mass is at the
+    inactive returns before the grid runs.  When the prior set mass is at the
     probability floor the update is skipped entirely and logged.
     """
-    fs = build_feasible_set(x, meas, spec)
-    cov_z, sigma_ht, cov_z_inv = project_prior(cov, fs)
-    bound = box_mass_lower_bound(np.zeros(cov_z.shape[0]), cov_z, fs)
+    box = build_feasible_set(x, meas, spec)
+    cov_z, sigma_ht, cov_z_inv = project_prior(cov, x.nav.rot)
+    diag = UpdateDiagnostics(cov_z, box)
+    bound = box_mass_lower_bound(np.zeros(cov_z.shape[0]), cov_z, box)
     if bound >= spec.gamma + CERTIFY_MARGIN:
-        return x, cov, UpdateDiagnostics(prior=(cov_z, fs.lower, fs.upper))
+        return x, cov, diag
     try:
-        zpost = kl_coverage_posterior(cov_z, fs, spec.gamma)
+        zpost = kl_coverage_posterior(cov_z, box, spec.gamma)
     except DegenerateMassError:
         log.debug(
             "coverage update skipped: prior set mass below %g (outlier)",
             PROB_FLOOR,
         )
-        diag = UpdateDiagnostics(pi_prior=PROB_FLOOR, active=False, skipped=True)
+        diag.skipped = True
         return x, cov, diag
 
     if zpost.prior_mass >= spec.gamma:
-        return x, cov, UpdateDiagnostics(zpost.prior_mass)
+        return x, cov, diag
 
+    diag.active = True
     x, cov = lift_and_apply(x, cov, sigma_ht, cov_z_inv, zpost.mean, zpost.cov)
-    return x, cov, UpdateDiagnostics(zpost.prior_mass, active=True)
+    return x, cov, diag

@@ -174,21 +174,6 @@ class Se23Element:
     def identity(cls) -> "Se23Element":
         return cls(np.eye(3), np.zeros(3), np.zeros(3))
 
-    def as_matrix(self) -> np.ndarray:
-        m = np.eye(5)
-        m[:3, :3] = self.rot
-        m[:3, 3] = self.vel
-        m[:3, 4] = self.pos
-        return m
-
-    def check_valid(self, atol: float = 1e-9) -> None:
-        """Raise ValueError unless rot is orthonormal with det +1."""
-        err = np.abs(self.rot @ self.rot.T - np.eye(3)).max()
-        if err > atol:
-            raise ValueError(f"rotation not orthonormal: max |R R^T - I| = {err:.3e}")
-        if abs(np.linalg.det(self.rot) - 1.0) > atol:
-            raise ValueError("rotation determinant is not +1")
-
 
 def renormalized(rot, vel, pos, chain: int) -> Se23Element:
     """The element (rot, vel, pos) ``chain`` compositions after the last

@@ -22,7 +22,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from coverage_inekf import se23
-from coverage_inekf.coverage import CoverageSpec, coverage_update
+from coverage_inekf.calibration import CoverageSpec, per_axis_level
+from coverage_inekf.coverage import coverage_update
 from coverage_inekf.filter import (
     GRAVITY,
     AugmentedState,
@@ -43,6 +44,11 @@ from coverage_inekf.se23 import Se23Element, exp_se23
 # ---------------------------------------------------------------------------
 
 
+# Speed scale of the trajectories, m/s: the circle's speed and the
+# serpentine's amplitude scale.
+TRAJECTORY_SPEED = 0.5
+
+
 @dataclass
 class TrajectorySpec:
     """Closed-form rigid-body trajectory parameters."""
@@ -50,7 +56,6 @@ class TrajectorySpec:
     duration: float = 60.0
     rate: float = 100.0
     pattern: str = "serpentine"
-    speed: float = 0.5
 
     def __post_init__(self):
         if self.duration <= 0.0:
@@ -116,12 +121,7 @@ def generate_truth(spec: TrajectorySpec) -> TruthTrajectory:
     """
     n = int(round(spec.duration * spec.rate)) + 1
     t = np.arange(n) / spec.rate
-    s = spec.speed
-
-    if s == 0.0:
-        zeros = np.zeros((n, 3))
-        return TruthTrajectory(t, np.broadcast_to(np.eye(3), (n, 3, 3)).copy(),
-                               zeros, zeros.copy())
+    s = TRAJECTORY_SPEED
 
     if spec.pattern == "circle":
         period = 20.0
@@ -272,7 +272,7 @@ class FixedComponentMixture:
     def epsilon_for(self, gamma: float) -> np.ndarray:
         """Per-axis outer quantile radii, by bisection of the monotone
         ``marginal_abs_cdf`` until the bracket cannot be split further."""
-        per_axis = gamma ** (1.0 / 3.0)
+        per_axis = per_axis_level(gamma)
         top = float(np.abs(self.means).max() + 12.0 * np.sqrt(self.covs.max()))
         eps = np.empty(3)
         for j in range(3):

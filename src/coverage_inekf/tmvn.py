@@ -167,14 +167,13 @@ def cholesky(c, order=(0, 1, 2)):
     return [[l00, 0.0, 0.0], [l10, l11, 0.0], [l20, l21, l22]], [p0, p1, p2]
 
 
-def box_mass_lower_bound(mean: np.ndarray, cov: np.ndarray, box) -> float:
-    """Bonferroni lower bound on the box mass of N(mean, cov).
+def box_mass_lower_bound(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> float:
+    """Bonferroni lower bound on the mass of N(mean, cov) in a ``BoxRegion``.
 
     1 - sum_i [Phi((l_i - mu_i) / s_i) + Phi((mu_i - u_i) / s_i)]: one
     minus the marginal tail masses, each taken directly rather than as one
-    minus a slab mass.  ``box`` is anything with ``lower`` and ``upper``
-    vectors; cov must have a positive diagonal.  See the module docstring
-    for why it is a bound and how closely it is computed.
+    minus a slab mass.  cov must have a positive diagonal.  See the module
+    docstring for why it is a bound and how closely it is computed.
     """
     mean = np.asarray(mean, dtype=float).tolist()
     sd = [math.sqrt(v) for v in np.diagonal(cov).tolist()]

@@ -171,6 +171,25 @@ def se23_inverse(x):
     return Se23Element(rt.copy(), -(rt @ x.vel), -(rt @ x.pos), x.chain)
 
 
+def se23_matrix(x):
+    """The 5x5 homogeneous matrix [[R, v, p], [0, 1, 0], [0, 0, 1]] of an
+    extended pose."""
+    m = np.eye(5)
+    m[:3, :3] = x.rot
+    m[:3, 3] = x.vel
+    m[:3, 4] = x.pos
+    return m
+
+
+def check_se23_valid(x, atol=1e-9):
+    """Raise ValueError unless the rotation is orthonormal with det +1."""
+    err = np.abs(x.rot @ x.rot.T - np.eye(3)).max()
+    if err > atol:
+        raise ValueError(f"rotation not orthonormal: max |R R^T - I| = {err:.3e}")
+    if abs(np.linalg.det(x.rot) - 1.0) > atol:
+        raise ValueError("rotation determinant is not +1")
+
+
 def error_dynamics_matrices(x):
     """Continuous right-invariant error dynamics (A, N).
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coverage_inekf.calibration import (
-    CoverageBounds,
+    CoverageSpec,
     ErrorSeries,
     conformal_thresholds,
     decorrelation_lags,
@@ -21,9 +21,21 @@ def make_series(errors, dt=0.01, t0=0.0):
 
 
 class TestErrorSeries:
-    def test_rejects_non_monotone_timestamps(self):
-        with pytest.raises(ValueError):
-            ErrorSeries(np.array([0.0, 0.0, 0.1]), np.zeros((3, 3)))
+    @pytest.mark.parametrize(
+        "timestamps",
+        [[0.0, 0.0, 0.1], [0.0, np.nan, 2.0], [np.nan, 1.0, 2.0], [0.0, 1.0, np.inf]],
+        ids=["repeated", "nan-middle", "nan-first", "inf-last"],
+    )
+    def test_rejects_non_monotone_timestamps(self, timestamps):
+        with pytest.raises(ValueError, match="timestamps"):
+            ErrorSeries(np.array(timestamps), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_errors(self, bad):
+        errors = np.zeros((100, 3))
+        errors[:10, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ErrorSeries(np.arange(100.0), errors)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -59,12 +71,10 @@ class TestConformalThresholds:
         assert np.allclose(bounds.epsilon, [0.3, 0.2, 0.05], atol=0)
 
     def test_per_axis_level_values(self):
-        bounds = conformal_thresholds(
-            make_series(np.random.default_rng(0).normal(size=(100, 3))), 0.8
-        )
-        assert abs(bounds.per_axis_gamma - 0.8 ** (1.0 / 3.0)) < 1e-12
-        assert abs(bounds.per_axis_gamma - 0.92831776) < 1e-7
-        assert abs((1.0 - bounds.per_axis_gamma) - 0.07168224) < 1e-7
+        per_axis = per_axis_level(0.8)
+        assert abs(per_axis - 0.8 ** (1.0 / 3.0)) < 1e-12
+        assert abs(per_axis - 0.92831776) < 1e-7
+        assert abs((1.0 - per_axis) - 0.07168224) < 1e-7
 
     def test_order_statistic_rank(self):
         # 99 uniform scores at per-axis level 0.9: rank ceil(100*0.9) = 90
@@ -74,7 +84,7 @@ class TestConformalThresholds:
         bounds = conformal_thresholds(make_series(scores), gamma)
         expected = np.sort(np.abs(scores), axis=0)[89]
         assert np.array_equal(bounds.epsilon, expected)
-        assert bounds.n_effective == 99
+        assert bounds.gamma == gamma
 
     def test_held_out_coverage_in_expectation(self):
         rng = np.random.default_rng(2)
@@ -116,13 +126,13 @@ class TestConformalThresholds:
 class TestEmpiricalCoverage:
     def test_infinite_radii_cover_everything(self):
         series = make_series(np.random.default_rng(6).normal(size=(50, 3)))
-        bounds = CoverageBounds(np.full(3, np.inf), 0.8, 0.8 ** (1 / 3), 50)
+        bounds = CoverageSpec(np.full(3, np.inf), 0.8)
         joint, per_axis = empirical_coverage(series, bounds)
         assert joint == 1.0 and np.all(per_axis == 1.0)
 
     def test_zero_radii_cover_nothing(self):
         series = make_series(np.random.default_rng(7).normal(size=(50, 3)))
-        bounds = CoverageBounds(np.zeros(3), 0.8, 0.8 ** (1 / 3), 50)
+        bounds = CoverageSpec(np.zeros(3), 0.8)
         joint, per_axis = empirical_coverage(series, bounds)
         assert joint == 0.0 and np.all(per_axis == 0.0)
 

@@ -8,6 +8,7 @@ from oracles import (
     conditional_swap_lift,
     mass_inside_piecewise_posterior_1d,
     piecewise_posterior_moments_1d,
+    se23_matrix,
     velocity_output_matrix,
 )
 
@@ -19,7 +20,6 @@ from coverage_inekf.coverage import (
     NEAR_FULL_MASS,
     CoverageSpec,
     DegenerateMassError,
-    FeasibleSet,
     build_feasible_set,
     coverage_update,
     kl_coverage_posterior,
@@ -35,7 +35,7 @@ from coverage_inekf.filter import (
     velocity_projection,
 )
 from coverage_inekf.se23 import Se23Element, so3_gammas
-from coverage_inekf.tmvn import box_mass_lower_bound, box_moments
+from coverage_inekf.tmvn import PROB_FLOOR, BoxRegion, box_mass_lower_bound, box_moments
 
 
 def random_state(rng):
@@ -63,8 +63,8 @@ def fd_output_jacobian(x, step=1e-6):
     return jac
 
 
-def one_d_feasible(lo, hi):
-    return FeasibleSet(np.eye(3), np.array([lo]), np.array([hi]))
+def one_d_box(lo, hi):
+    return BoxRegion(np.array([lo]), np.array([hi]))
 
 
 class TestCoverageSpec:
@@ -83,27 +83,22 @@ class TestBuildFeasibleSet:
         rng = np.random.default_rng(0)
         x = random_state(rng)
         eps = np.array([0.1, 0.1, 0.1])
-        fs = build_feasible_set(x, predicted_body_velocity(x), CoverageSpec(eps, 0.8))
-        assert np.allclose(fs.lower, -eps, atol=1e-14)
-        assert np.allclose(fs.upper, eps, atol=1e-14)
+        box = build_feasible_set(x, predicted_body_velocity(x), CoverageSpec(eps, 0.8))
+        assert np.allclose(box.lower, -eps, atol=1e-14)
+        assert np.allclose(box.upper, eps, atol=1e-14)
 
     def test_identity_rotation_velocity_block(self):
         x = AugmentedState.identity()
-        fs = build_feasible_set(x, np.zeros(3), CoverageSpec(np.ones(3), 0.8))
-        assert np.array_equal(fs.rot, np.eye(3))
-        _, sigma_ht, _ = project_prior(np.eye(15), fs)
+        _, sigma_ht, _ = project_prior(np.eye(15), x.nav.rot)
         assert np.array_equal(sigma_ht[3:6], -np.eye(3))
 
     def test_h_matches_finite_difference_jacobian(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             x = random_state(rng)
-            fs = build_feasible_set(
-                x, predicted_body_velocity(x), CoverageSpec(np.ones(3), 0.8)
-            )
             jac = fd_output_jacobian(x)
             # the corrected state is exp(-xi^) X, so the output moves as +H
-            h = velocity_output_matrix(fs.rot)
+            h = velocity_output_matrix(x.nav.rot)
             rel = np.linalg.norm(jac - h) / np.linalg.norm(h)
             assert rel <= 1e-6
 
@@ -112,23 +107,17 @@ class TestProjectPrior:
     def test_identity_cov_projects_to_identity(self):
         rng = np.random.default_rng(2)
         x = random_state(rng)
-        fs = build_feasible_set(
-            x, predicted_body_velocity(x), CoverageSpec(np.ones(3), 0.8)
-        )
-        cov_z, _, _ = project_prior(np.eye(15), fs)
+        cov_z, _, _ = project_prior(np.eye(15), x.nav.rot)
         assert np.allclose(cov_z, np.eye(3), atol=1e-12)
 
     def test_gain_identity(self):
         rng = np.random.default_rng(3)
         x = random_state(rng)
-        fs = build_feasible_set(
-            x, predicted_body_velocity(x), CoverageSpec(np.ones(3), 0.8)
-        )
         a = rng.standard_normal((15, 15))
         cov = a @ a.T + 0.5 * np.eye(15)
-        cov_z, sigma_ht, cov_z_inv = project_prior(cov, fs)
+        cov_z, sigma_ht, cov_z_inv = project_prior(cov, x.nav.rot)
         scale = np.abs(cov).max()
-        h = velocity_output_matrix(fs.rot)
+        h = velocity_output_matrix(x.nav.rot)
         assert np.allclose(sigma_ht, cov @ h.T, rtol=0, atol=1e-14 * scale)
         assert np.allclose(cov_z_inv, np.linalg.inv(cov_z), rtol=1e-12, atol=0)
         gain = sigma_ht @ cov_z_inv
@@ -137,19 +126,16 @@ class TestProjectPrior:
     def test_collapsed_prior_rejected(self):
         rng = np.random.default_rng(4)
         x = random_state(rng)
-        fs = build_feasible_set(
-            x, predicted_body_velocity(x), CoverageSpec(np.ones(3), 0.8)
-        )
         cov = np.eye(15)
         cov[3:6, 3:6] = np.diag([1.0, 1e-15, 1.0])
         with pytest.raises(np.linalg.LinAlgError, match="cond"):
-            project_prior(cov, fs)
+            project_prior(cov, x.nav.rot)
 
 
 class TestKlCoveragePosterior:
     def test_inactive_constraint_returns_prior(self):
         # N(0,1) on [-3,3] holds ~0.9973 mass, above gamma
-        zp = kl_coverage_posterior(np.eye(1), one_d_feasible(-3.0, 3.0), gamma=0.8)
+        zp = kl_coverage_posterior(np.eye(1), one_d_box(-3.0, 3.0), gamma=0.8)
         assert zp.prior_mass >= 0.8
         assert np.array_equal(zp.mean, np.zeros(1))
         assert np.array_equal(zp.cov, np.eye(1))
@@ -157,7 +143,7 @@ class TestKlCoveragePosterior:
     def test_active_1d_matches_quadrature_oracle(self):
         # frozen reference: N(0,1), C=[1,2], gamma=0.5 via piecewise Simpson
         ref_mean, ref_var = 0.5828118857337737, 1.075748758692856
-        zp = kl_coverage_posterior(np.eye(1), one_d_feasible(1.0, 2.0), gamma=0.5)
+        zp = kl_coverage_posterior(np.eye(1), one_d_box(1.0, 2.0), gamma=0.5)
         assert abs(zp.mean[0] - ref_mean) / abs(ref_mean) < 1e-3
         assert abs(zp.cov[0, 0] - ref_var) / ref_var < 1e-3
 
@@ -168,8 +154,8 @@ class TestKlCoveragePosterior:
         assert abs(inside - 0.5) < 1e-10
 
     def test_symmetric_box_keeps_mean_shrinks_variance(self):
-        fs = FeasibleSet(np.eye(3), -0.5 * np.ones(3), 0.5 * np.ones(3))
-        zp = kl_coverage_posterior(np.eye(3), fs, gamma=0.9)
+        box = BoxRegion(-0.5 * np.ones(3), 0.5 * np.ones(3))
+        zp = kl_coverage_posterior(np.eye(3), box, gamma=0.9)
         assert zp.prior_mass < 0.9
         assert np.allclose(zp.mean, 0, atol=5e-3)
         assert np.all(np.diag(zp.cov) < 1.0)
@@ -181,12 +167,12 @@ class TestKlCoveragePosterior:
         for _ in range(50):
             center = rng.uniform(0.5, 2.0, 3)
             half = rng.uniform(0.3, 1.0, 3)
-            fs = FeasibleSet(np.eye(3), center - half, center + half)
-            zp = kl_coverage_posterior(np.eye(3), fs, gamma=0.85)
+            box = BoxRegion(center - half, center + half)
+            zp = kl_coverage_posterior(np.eye(3), box, gamma=0.85)
             if zp.prior_mass >= 0.85:
                 continue
             cases += 1
-            pi_post = box_moments(zp.mean, zp.cov, fs.box()).prob
+            pi_post = box_moments(zp.mean, zp.cov, box).prob
             if pi_post > zp.prior_mass:
                 improved += 1
             assert pi_post <= 0.85 + 0.05
@@ -195,7 +181,7 @@ class TestKlCoveragePosterior:
 
     def test_extreme_outlier_raises(self):
         with pytest.raises(DegenerateMassError):
-            kl_coverage_posterior(np.eye(1), one_d_feasible(50.0, 51.0), gamma=0.8)
+            kl_coverage_posterior(np.eye(1), one_d_box(50.0, 51.0), gamma=0.8)
 
 
 class TestFloorSpd:
@@ -240,12 +226,14 @@ class TestLiftAndApply:
         self.x = random_state(rng)
         a = rng.standard_normal((15, 15))
         self.cov = 0.01 * (a @ a.T + 2 * np.eye(15))
-        self.fs = build_feasible_set(
+        self.box = build_feasible_set(
             self.x,
             predicted_body_velocity(self.x) + np.array([0.3, 0.0, -0.2]),
             CoverageSpec(0.1 * np.ones(3), 0.8),
         )
-        self.cov_z, self.sigma_ht, self.cov_z_inv = project_prior(self.cov, self.fs)
+        self.cov_z, self.sigma_ht, self.cov_z_inv = project_prior(
+            self.cov, self.x.nav.rot
+        )
 
     def lift(self, z_mean, z_cov):
         return lift_and_apply(
@@ -254,21 +242,21 @@ class TestLiftAndApply:
 
     def test_noop_when_posterior_is_prior(self):
         x2, cov2 = self.lift(np.zeros(3), self.cov_z)
-        assert np.allclose(x2.nav.as_matrix(), self.x.nav.as_matrix(), atol=1e-14)
+        assert np.allclose(se23_matrix(x2.nav), se23_matrix(self.x.nav), atol=1e-14)
         assert np.allclose(cov2, self.cov, atol=1e-14)
 
     def test_zero_z_cov_matches_kalman_noise_free(self):
         _, cov2 = self.lift(np.array([0.05, -0.02, 0.01]), np.zeros((3, 3)))
-        h = velocity_output_matrix(self.fs.rot)
+        h = velocity_output_matrix(self.x.nav.rot)
         k = self.cov @ h.T @ np.linalg.inv(h @ self.cov @ h.T)
         ikh = np.eye(15) - k @ h
         kalman_cov = ikh @ self.cov @ ikh.T
         assert np.allclose(cov2, kalman_cov, atol=1e-9)
 
     def test_pushforward_identity(self):
-        zp = kl_coverage_posterior(self.cov_z, self.fs, 0.8)
+        zp = kl_coverage_posterior(self.cov_z, self.box, 0.8)
         _, cov2 = self.lift(zp.mean, zp.cov)
-        h = velocity_output_matrix(self.fs.rot)
+        h = velocity_output_matrix(self.x.nav.rot)
         gain = self.sigma_ht @ self.cov_z_inv
         assert np.allclose(h @ gain @ zp.mean, zp.mean, atol=1e-9)
         assert np.allclose(h @ cov2 @ h.T, zp.cov, atol=1e-9)
@@ -289,9 +277,9 @@ class TestLiftAndApply:
             cov_z = velocity_projection(cov, x.nav.rot)[1]
             offset = np.linalg.cholesky(cov_z) @ (1.5 * rng.standard_normal(3))
             spec = CoverageSpec(0.5 * np.sqrt(np.diag(cov_z)), 0.8)
-            fs = build_feasible_set(x, predicted_body_velocity(x) + offset, spec)
-            cov_z, sigma_ht, cov_z_inv = project_prior(cov, fs)
-            zp = kl_coverage_posterior(cov_z, fs, spec.gamma)
+            box = build_feasible_set(x, predicted_body_velocity(x) + offset, spec)
+            cov_z, sigma_ht, cov_z_inv = project_prior(cov, x.nav.rot)
+            zp = kl_coverage_posterior(cov_z, box, spec.gamma)
             assert zp.prior_mass < spec.gamma
 
             x2, cov2 = lift_and_apply(x, cov, sigma_ht, cov_z_inv, zp.mean, zp.cov)
@@ -301,7 +289,7 @@ class TestLiftAndApply:
             tol = 1e-14 * np.linalg.norm(cov, 2)
             assert np.abs(cov2 - cov_ref).max() <= tol
             x_ref = apply_correction(x, delta)
-            assert np.array_equal(x2.nav.as_matrix(), x_ref.nav.as_matrix())
+            assert np.array_equal(se23_matrix(x2.nav), se23_matrix(x_ref.nav))
             assert np.array_equal(x2.bias_accel, x_ref.bias_accel)
             assert np.array_equal(x2.bias_gyro, x_ref.bias_gyro)
 
@@ -329,10 +317,10 @@ class TestCoverageUpdate:
         assert diag.active
         assert diag.pi_prior < 0.8
         # the moment-matched posterior moves z-space mass toward gamma
-        fs = build_feasible_set(self.x, meas, spec)
-        cov_z, _, _ = project_prior(self.cov, fs)
-        zp = kl_coverage_posterior(cov_z, fs, spec.gamma)
-        pi_post = box_moments(zp.mean, zp.cov, fs.box()).prob
+        box = build_feasible_set(self.x, meas, spec)
+        cov_z, _, _ = project_prior(self.cov, self.x.nav.rot)
+        zp = kl_coverage_posterior(cov_z, box, spec.gamma)
+        pi_post = box_moments(zp.mean, zp.cov, box).prob
         assert diag.pi_prior < pi_post <= 0.8 + 0.03
         # estimate moves toward the measurement
         before = np.linalg.norm(meas - predicted_body_velocity(self.x))
@@ -366,7 +354,7 @@ class TestCoverageUpdate:
         meas = predicted_body_velocity(self.x) + np.array([0.2, -0.1, 0.0])
         out1 = coverage_update(self.x, self.cov, meas, spec)
         out2 = coverage_update(self.x, self.cov, meas, spec)
-        assert np.array_equal(out1[0].nav.as_matrix(), out2[0].nav.as_matrix())
+        assert np.array_equal(se23_matrix(out1[0].nav), se23_matrix(out2[0].nav))
         assert np.array_equal(out1[1], out2[1])
         assert out1[2].pi_prior == out2[2].pi_prior
 
@@ -446,7 +434,8 @@ def random_correlation(rng, max_abs=0.95):
 def certificate_problem(rng, kind):
     """A prior whose projected covariance has scale 1e-3 to 1e3 and
     correlations up to 0.95, and a measurement and radii making a centred,
-    offset or partly infinite box of 0.5 to 5 marginal sigmas per side."""
+    offset or partly infinite box of 0.5 to 5 marginal sigmas per side; an
+    outlier's box lies 40 sigmas out on its first axis."""
     x = random_state(rng)
     sd = 10.0 ** rng.uniform(-3.0, 3.0) * 10.0 ** rng.uniform(-0.5, 0.5, 3)
     cov_z = random_correlation(rng) * np.outer(sd, sd)
@@ -457,6 +446,8 @@ def certificate_problem(rng, kind):
     shift = np.zeros(3) if kind == "centred" else rng.uniform(-2.0, 2.0, 3) * sd
     if kind == "infinite":
         eps[rng.permutation(3)[: rng.integers(1, 3)]] = np.inf
+    if kind == "outlier":
+        shift[0] += 40.0 * sd[0]
     gamma = float(rng.choice([0.5, 0.8, 0.95]))
     return x, cov, predicted_body_velocity(x) + shift, CoverageSpec(eps, gamma)
 
@@ -474,32 +465,36 @@ class TestCertificate:
         return calls
 
     def test_certified_updates_match_the_grid(self, monkeypatch):
-        """2000 random problems.  Wherever the bound clears gamma by the
-        margin, the grid's mass is at least gamma, the update runs no grid,
-        and the diagnostics read later (also after pickling) are the grid
-        path's bit for bit."""
+        """2000 random problems and 100 outliers.  Wherever the bound clears
+        gamma by the margin, the grid's mass is at least gamma and the
+        update runs no grid; elsewhere it runs the grid once.  On every
+        update pi read later (also after pickling) is the grid's bit for
+        bit, PROB_FLOOR on a skip, and decides the branch taken."""
         rng = np.random.default_rng(42)
         grid = self.count_grid_calls(monkeypatch)
-        certified = 0
-        for k in range(2000):
-            kind = ("centred", "offset", "infinite")[k % 3]
+        certified = skipped = 0
+        for k in range(2100):
+            kind = ("centred", "offset", "infinite")[k % 3] if k < 2000 else "outlier"
             x, cov, meas, spec = certificate_problem(rng, kind)
-            fs = build_feasible_set(x, meas, spec)
-            cov_z, _, _ = project_prior(cov, fs)
-            pi = box_moments(np.zeros(3), cov_z, fs.box()).prob
-            bound = box_mass_lower_bound(np.zeros(3), cov_z, fs.box())
+            box = build_feasible_set(x, meas, spec)
+            cov_z, _, _ = project_prior(cov, x.nav.rot)
+            pi = box_moments(np.zeros(3), cov_z, box).prob
+            bound = box_mass_lower_bound(np.zeros(3), cov_z, box)
             assert bound <= pi + 1e-14
 
             grid.clear()
             x2, cov2, diag = coverage_update(x, cov, meas, spec)
             if bound < spec.gamma + CERTIFY_MARGIN:
                 assert len(grid) == 1
-                continue
-            certified += 1
-            assert pi >= spec.gamma
-            assert grid == []
-            assert x2 is x and cov2 is cov
-            assert not diag.active and not diag.skipped
+            else:
+                certified += 1
+                assert pi >= spec.gamma
+                assert grid == []
+                assert x2 is x and cov2 is cov
+                assert not diag.active and not diag.skipped
+            skipped += diag.skipped
+            assert diag.skipped == (pi == PROB_FLOOR) == (kind == "outlier")
+            assert diag.active == (not diag.skipped and pi < spec.gamma)
             unread = pickle.loads(pickle.dumps(diag))
             assert diag.pi_prior == pi
             assert diag.near_full_mass == ((1.0 - pi) < NEAR_FULL_MASS)
@@ -508,6 +503,7 @@ class TestCertificate:
                 assert d.pi_prior == pi
                 assert d.near_full_mass == diag.near_full_mass
         assert 600 <= certified <= 1400
+        assert skipped == 100
 
     @pytest.mark.parametrize("clearance, certified", [(0.5, False), (2.0, True)])
     def test_bound_within_margin_defers_to_the_grid(
@@ -519,15 +515,11 @@ class TestCertificate:
         cov = cov_from_std(0.02, 0.1, 0.1, 0.01, 0.001)
         meas = predicted_body_velocity(x) + np.array([0.05, -0.02, 0.0])
         eps = np.array([0.3, 0.25, 0.3])
-        fs = build_feasible_set(x, meas, CoverageSpec(eps, 0.5))
-        cov_z, _, _ = project_prior(cov, fs)
-        bound = box_mass_lower_bound(np.zeros(3), cov_z, fs)
+        box = build_feasible_set(x, meas, CoverageSpec(eps, 0.5))
+        cov_z, _, _ = project_prior(cov, x.nav.rot)
+        bound = box_mass_lower_bound(np.zeros(3), cov_z, box)
         spec = CoverageSpec(eps, bound - clearance * CERTIFY_MARGIN)
         grid = self.count_grid_calls(monkeypatch)
         _, _, diag = coverage_update(x, cov, meas, spec)
         assert len(grid) == (0 if certified else 1)
         assert not diag.active and diag.pi_prior >= spec.gamma
-
-    def test_diagnostics_need_one_source_of_pi(self):
-        with pytest.raises(ValueError):
-            coverage.UpdateDiagnostics(active=False, skipped=False)

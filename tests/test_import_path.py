@@ -22,3 +22,11 @@ def test_import_loads_no_scipy_stats_or_optimize():
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert out.stdout.split() == []
+
+
+def test_every_exported_name_resolves():
+    import coverage_inekf
+
+    names = coverage_inekf.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(coverage_inekf, n)] == []

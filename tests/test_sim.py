@@ -23,7 +23,7 @@ from coverage_inekf.sim import (
     run_monte_carlo,
     synthesize_imu,
 )
-from coverage_inekf.tmvn import PROB_FLOOR
+from coverage_inekf.tmvn import BoxRegion
 
 NAN = float("nan")
 
@@ -142,8 +142,8 @@ def test_skipped_updates_are_counted(monkeypatch):
 
     def scripted(x, cov, meas, spec):
         skipped = next(calls) % 10 == 0
-        pi = PROB_FLOOR if skipped else 0.9
-        return x, cov, UpdateDiagnostics(pi, active=False, skipped=skipped)
+        return x, cov, UpdateDiagnostics(np.eye(3), BoxRegion.full_space(3),
+                                         skipped=skipped)
 
     monkeypatch.setattr(sim, "coverage_update", scripted)
     campaign = CampaignConfig(
