@@ -72,6 +72,8 @@ def subsample(series: ErrorSeries, k: int) -> ErrorSeries:
 def per_axis_level(gamma: float) -> float:
     """Per-axis confidence whose three-fold product is gamma: the joint
     confidence when the three axis errors are independent."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("gamma must lie in (0, 1)")
     return gamma ** (1.0 / 3.0)
 
 
@@ -97,12 +99,10 @@ def conformal_thresholds(series: ErrorSeries, gamma: float) -> CoverageSpec:
     series is too short for the requested confidence, naming the minimum
     usable size.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
+    per_axis = per_axis_level(gamma)
     n = len(series)
     if n < 10:
         raise ValueError(f"need at least 10 calibration samples, got {n}")
-    per_axis = per_axis_level(gamma)
     k = _conformal_rank(n, per_axis)
     if k > n:
         raise ValueError(

@@ -129,6 +129,8 @@ class ProcessNoise:
         self.q = np.asarray(self.q, dtype=float)
         if self.q.shape != (NOISE_DIM, NOISE_DIM):
             raise ValueError("Q must be 12x12")
+        if not np.isfinite(self.q).all():
+            raise ValueError("Q must be finite")
         if np.abs(self.q - self.q.T).max() > 1e-12:
             raise ValueError("Q must be symmetric")
         if np.linalg.eigvalsh(self.q).min() < -1e-12:

@@ -7,6 +7,12 @@ and then held fixed (Gaussian noise is its one-component case), runs filter
 trials with either update rule, and aggregates position RMSE / NEES
 statistics across trials.
 
+A campaign sets the trajectory, noise model, trials, seed and arms.  The
+rest of the scenario is fixed: ``PROCESS_NOISE`` (IMU noise densities, also
+the filter's Q), ``BIAS_ACCEL`` and ``BIAS_GYRO`` (true IMU biases) and
+``INIT_STD`` (initial error deviations of rotation, velocity, position and
+the two biases).
+
 A trial's step loop only filters and stores each posterior estimate; the
 trial is scored once, after the loop, in one batched pass over the stored
 estimates.
@@ -15,7 +21,6 @@ estimates.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,8 +63,8 @@ class TrajectorySpec:
     pattern: str = "serpentine"
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
         if not 50.0 <= self.rate <= 1000.0:
             raise ValueError("rate must lie in [50, 1000] Hz")
         if self.pattern not in ("serpentine", "circle"):
@@ -159,11 +164,7 @@ def generate_truth(spec: TrajectorySpec) -> TruthTrajectory:
 
 
 def synthesize_imu(
-    truth: TruthTrajectory,
-    bias_accel: np.ndarray | None = None,
-    bias_gyro: np.ndarray | None = None,
-    noise: ProcessNoise | None = None,
-    seed: int = 0,
+    truth: TruthTrajectory, noise: ProcessNoise | None = None, seed: int = 0
 ) -> list[ImuSample]:
     """Invert the strapdown dynamics into per-interval IMU samples.
 
@@ -171,12 +172,10 @@ def synthesize_imu(
     rotation and velocity increments exactly under the closed-form
     propagation: the gyro rate is the SO(3) log of the relative rotation
     over dt, and the acceleration is the body-frame velocity increment
-    mapped through the inverse left Jacobian J_l^-1 of that log.  The fixed
-    biases and (optionally) white noise with the given densities are then
-    added.
+    mapped through the inverse left Jacobian J_l^-1 of that log.  The truth's
+    fixed biases and (optionally) white noise with the given densities are
+    then added.
     """
-    ba = np.zeros(3) if bias_accel is None else np.asarray(bias_accel, float)
-    bg = np.zeros(3) if bias_gyro is None else np.asarray(bias_gyro, float)
     n = truth.n
     dts = np.diff(truth.times)
 
@@ -192,8 +191,8 @@ def synthesize_imu(
     body_dv = np.einsum("nji,nj->ni", truth.rots[:-1], dv)
     a = np.einsum("nij,nj->ni", se23.so3_left_jacobian_inv(phis), body_dv)
 
-    gyro = w + bg
-    accel = a + ba
+    gyro = w + truth.bias_gyro
+    accel = a + truth.bias_accel
     if noise is not None:
         densities = np.sqrt(np.diag(noise.q))
         rng = np.random.default_rng(seed)
@@ -314,22 +313,13 @@ def synthesize_measurements(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Arm:
-    """One update rule of a campaign and the measurement model it uses."""
-
-    method: str  # "gaussian" | "coverage"
-    gamma: float | None = None
-    epsilon: np.ndarray | None = None
-    r_meas: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.method not in ("gaussian", "coverage"):
-            raise ValueError("method must be 'gaussian' or 'coverage'")
-        if self.method == "coverage" and (self.gamma is None or self.epsilon is None):
-            raise ValueError("coverage update needs gamma and epsilon")
-        if self.method == "gaussian" and self.r_meas is None:
-            raise ValueError("gaussian update needs a measurement covariance")
+# The scenario every campaign runs; see the module docstring.
+PROCESS_NOISE = ProcessNoise.from_densities(0.02, 0.002, 1e-4, 1e-5)
+BIAS_ACCEL = np.array([0.05, -0.03, 0.02])
+BIAS_ACCEL.setflags(write=False)
+BIAS_GYRO = np.array([0.002, -0.001, 0.0015])
+BIAS_GYRO.setflags(write=False)
+INIT_STD = (0.02, 0.05, 0.05, 0.02, 0.002)
 
 
 @dataclass
@@ -347,8 +337,13 @@ class TrialResult:
     skipped: int = 0
 
 
-def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
+def run_trial(
+    campaign: CampaignConfig, arm: np.ndarray | CoverageSpec, seed: int
+) -> TrialResult:
     """Propagate and update at the IMU rate, then score the trial once.
+
+    ``arm`` is the input of the update rule: a measurement covariance R
+    runs the Gaussian update, a :class:`CoverageSpec` the coverage update.
 
     Each step stores the posterior estimate and the position block of its
     covariance.  After the last step, one batched pass over the stored
@@ -364,14 +359,11 @@ def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
     s_imu, s_meas, s_init = (int(c.generate_state(1)[0]) for c in root.spawn(3))
 
     truth = generate_truth(campaign.trajectory)
-    truth.bias_accel = np.asarray(campaign.bias_accel, float)
-    truth.bias_gyro = np.asarray(campaign.bias_gyro, float)
-    imu = synthesize_imu(
-        truth, truth.bias_accel, truth.bias_gyro, campaign.process, s_imu
-    )
+    truth.bias_accel, truth.bias_gyro = BIAS_ACCEL, BIAS_GYRO
+    imu = synthesize_imu(truth, PROCESS_NOISE, s_imu)
     meas = synthesize_measurements(truth, campaign.noise_model, s_meas)
 
-    cov = cov_from_std(*campaign.init_std)
+    cov = cov_from_std(*INIT_STD)
     rng_init = np.random.default_rng(s_init)
     delta0 = rng_init.multivariate_normal(np.zeros(15), cov)
     x = AugmentedState(
@@ -380,9 +372,7 @@ def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
         truth.bias_gyro + delta0[12:15],
     )
 
-    spec = None
-    if arm.method == "coverage":
-        spec = CoverageSpec(np.asarray(arm.epsilon, float), arm.gamma)
+    coverage = isinstance(arm, CoverageSpec)
 
     # posterior estimates and position covariances, one row per update
     steps = truth.n - 1
@@ -396,7 +386,7 @@ def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
 
     for k in range(steps):
         u = imu[k]
-        phi, q_d = error_transition(x, u, campaign.process)
+        phi, q_d = error_transition(x, u, PROCESS_NOISE)
         x = propagate_mean(x, u)
         cov = propagate_cov(cov, phi, q_d)
         # a sum is finite only if every term is
@@ -405,12 +395,12 @@ def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
             taken = k
             break
 
-        if arm.method == "gaussian":
-            x, cov = gaussian_update(x, cov, meas[k + 1], arm.r_meas)
-        else:
-            x, cov, diag = coverage_update(x, cov, meas[k + 1], spec)
+        if coverage:
+            x, cov, diag = coverage_update(x, cov, meas[k + 1], arm)
             n_active += diag.active
             n_skipped += diag.skipped
+        else:
+            x, cov = gaussian_update(x, cov, meas[k + 1], arm)
 
         est_rot[k] = x.nav.rot
         est_vel[k] = x.nav.vel
@@ -432,7 +422,7 @@ def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
             nees_mean = float(nees.mean())
         else:
             diverged = True
-    frac = n_active / taken if (arm.method == "coverage" and taken) else float("nan")
+    frac = n_active / taken if (coverage and taken) else float("nan")
     return TrialResult(
         rmse_pos=rmse,
         nees_mean=nees_mean,
@@ -449,7 +439,11 @@ def run_trial(campaign: CampaignConfig, arm: Arm, seed: int) -> TrialResult:
 
 @dataclass
 class CampaignConfig:
-    """A Monte-Carlo comparison: one baseline arm plus a gamma sweep."""
+    """A Monte-Carlo comparison: one baseline arm plus a gamma sweep.
+
+    Every trial runs the scenario of the module constants
+    ``PROCESS_NOISE``, ``BIAS_ACCEL``, ``BIAS_GYRO`` and ``INIT_STD``.
+    """
 
     trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
     noise_model: FixedComponentMixture = field(
@@ -459,17 +453,6 @@ class CampaignConfig:
     seed: int = 1234
     gammas: tuple = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95)
     include_baseline: bool = True
-    jobs: int = 1
-    process: ProcessNoise = field(
-        default_factory=lambda: ProcessNoise.from_densities(0.02, 0.002, 1e-4, 1e-5)
-    )
-    bias_accel: np.ndarray = field(
-        default_factory=lambda: np.array([0.05, -0.03, 0.02])
-    )
-    bias_gyro: np.ndarray = field(
-        default_factory=lambda: np.array([0.002, -0.001, 0.0015])
-    )
-    init_std: tuple = (0.02, 0.05, 0.05, 0.02, 0.002)
 
 
 @dataclass
@@ -492,12 +475,11 @@ class CampaignRow:
     skipped: int
 
 
-def _arms(campaign: CampaignConfig) -> list[Arm]:
-    r_fit = campaign.noise_model.fitted_covariance()
-    arms = [Arm("gaussian", r_meas=r_fit)] if campaign.include_baseline else []
-    for gamma in campaign.gammas:
-        arms.append(Arm("coverage", gamma, campaign.noise_model.epsilon_for(gamma)))
-    return arms
+def _arms(campaign: CampaignConfig) -> list[np.ndarray | CoverageSpec]:
+    """The fitted R of the Gaussian arm, then one statement per gamma."""
+    model = campaign.noise_model
+    arms = [model.fitted_covariance()] if campaign.include_baseline else []
+    return arms + [CoverageSpec(model.epsilon_for(g), g) for g in campaign.gammas]
 
 
 def _finite_stats(values) -> tuple[float, float]:
@@ -513,36 +495,25 @@ def run_monte_carlo(campaign: CampaignConfig) -> list[CampaignRow]:
     """Run every arm over the shared trial seeds and aggregate.
 
     The same trial seeds recur across arms, so all methods see identical
-    sensor streams.  Deterministic for a fixed campaign seed; trials are
-    independent, so the aggregation does not depend on execution order or
-    on ``jobs``.
+    sensor streams.  Trials run one after another, arm by arm; the rows are
+    deterministic for a fixed campaign seed.
     """
     if campaign.trials < 1:
         raise ValueError("campaign needs at least one trial")
     seeds = np.random.SeedSequence(campaign.seed).generate_state(
         campaign.trials, dtype=np.uint64
     ).tolist()
-    arms = _arms(campaign)
-    trial_arms = [arm for arm in arms for _ in seeds]
-    trial_seeds = seeds * len(arms)
-    campaigns = [campaign] * len(trial_seeds)
-    if campaign.jobs > 1:
-        with ProcessPoolExecutor(max_workers=campaign.jobs) as pool:
-            results = list(
-                pool.map(run_trial, campaigns, trial_arms, trial_seeds, chunksize=4)
-            )
-    else:
-        results = list(map(run_trial, campaigns, trial_arms, trial_seeds))
 
     rows = []
-    for i, arm in enumerate(arms):
-        chunk = results[i * campaign.trials : (i + 1) * campaign.trials]
+    for arm in _arms(campaign):
+        chunk = [run_trial(campaign, arm, seed) for seed in seeds]
+        coverage = isinstance(arm, CoverageSpec)
         rmse_mean, rmse_std = _finite_stats([r.rmse_pos for r in chunk])
         nees_mean, nees_std = _finite_stats([r.nees_mean for r in chunk])
         rows.append(
             CampaignRow(
-                method=arm.method,
-                gamma=arm.gamma,
+                method="coverage" if coverage else "gaussian",
+                gamma=arm.gamma if coverage else None,
                 rmse_mean=rmse_mean,
                 rmse_std=rmse_std,
                 nees_mean=nees_mean,

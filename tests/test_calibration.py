@@ -13,6 +13,7 @@ from coverage_inekf.calibration import (
     per_axis_level,
     subsample,
 )
+from coverage_inekf.sim import FixedComponentMixture
 
 
 def make_series(errors, dt=0.01, t0=0.0):
@@ -75,6 +76,23 @@ class TestConformalThresholds:
         assert abs(per_axis - 0.8 ** (1.0 / 3.0)) < 1e-12
         assert abs(per_axis - 0.92831776) < 1e-7
         assert abs((1.0 - per_axis) - 0.07168224) < 1e-7
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.2, math.nan])
+    @pytest.mark.parametrize(
+        "caller",
+        [
+            min_samples_for,
+            lambda g: FixedComponentMixture.default_biased().epsilon_for(g),
+            lambda g: conformal_thresholds(make_series(np.ones((100, 3))), g),
+        ],
+        ids=["min_samples_for", "epsilon_for", "conformal_thresholds"],
+    )
+    def test_gamma_outside_unit_interval_is_rejected(self, caller, gamma):
+        """Every caller of per_axis_level refuses a gamma outside (0, 1).
+        Unchecked, min_samples_for divides by zero at 1 and never returns
+        at 1.2, and epsilon_for returns its bracket top or zeros."""
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\)"):
+            caller(gamma)
 
     def test_order_statistic_rank(self):
         # 99 uniform scores at per-axis level 0.9: rank ceil(100*0.9) = 90

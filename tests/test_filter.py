@@ -513,6 +513,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             ProcessNoise(q)
 
+    @pytest.mark.parametrize(
+        "q",
+        [np.diag([np.inf] + [1.0] * 11), np.full((12, 12), np.nan)],
+        ids=["inf-entry", "all-nan"],
+    )
+    def test_process_noise_rejects_non_finite(self, q):
+        with pytest.raises(ValueError, match="finite"):
+            ProcessNoise(q)
+
     def test_velocity_output_matrix_blocks(self):
         rng = np.random.default_rng(15)
         x = random_state(rng)
