@@ -15,21 +15,36 @@ As in :mod:`coverage_inekf.filter`, every correction is folded into the
 state, so the prior error mean is zero: the prior is the 15x15 covariance
 alone, and its projection onto z is zero-mean.
 
-Most updates find the constraint inactive (prior mass pi >= gamma) and
-leave the state alone, so the update first tries to certify that from
-the marginal tails: :func:`coverage_inekf.tmvn.box_mass_lower_bound`
-(six values of Phi) is a lower bound on pi.  When it clears gamma by
-``CERTIFY_MARGIN`` (1e-9), far above the grid's mass error (1e-14
-relative), the grid would find pi >= gamma too, so the update returns its
-inputs without running ``box_moments``; the decision is the grid's, and a
-certified update is never a degenerate skip.  Every update's diagnostics
-keep the projected prior and box and compute pi with the grid's own call
-when first read, so pi nobody reads costs nothing.
+An update runs in three stages, and pays for a stage only when the one
+before it cannot decide:
+
+1. Screen.  The residual, the projection cov_z = H Sigma H^T and its
+   symmetrization, then :func:`coverage_inekf.filter.spd_factor`, the
+   definiteness and conditioning test of every matrix the filter inverts.
+   A prior that is not positive definite, or has collapsed along a
+   measured direction, is refused here, before anything is certified.
+2. Certificate.  Most updates find the constraint inactive (prior mass
+   pi >= gamma) and leave the state alone.  The Bonferroni bound
+   :func:`coverage_inekf.tmvn.bonferroni_bound` on pi takes the six
+   standardized face distances as Python floats and one ``ndtr`` call.
+   When it clears gamma by ``CERTIFY_MARGIN`` (1e-9), far above the grid's
+   mass error (1e-14 relative), the grid would find pi >= gamma too, so the
+   update returns its inputs: the decision is the grid's, and a certified
+   update is never a degenerate skip.
+3. Grid.  Only an uncertified update builds the ``BoxRegion`` and runs
+   ``box_moments`` (:func:`kl_coverage_posterior`, whose moment matching
+   runs on floats).  An active one takes cov_z^-1 from the screen's
+   factor and lifts.
+
+Every update's diagnostics keep cov_z and the box's faces.  pi, the grid's
+own call on the box those faces make, is computed when first read, so pi
+nobody reads costs nothing.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,15 +53,16 @@ import numpy as np
 from coverage_inekf.calibration import CoverageSpec
 from coverage_inekf.filter import (
     AugmentedState,
+    factor_inverse,
     lift_and_apply,
-    spd_inverse,
+    spd_factor,
     velocity_projection,
     velocity_residual,
 )
 from coverage_inekf.tmvn import (
     PROB_FLOOR,
     BoxRegion,
-    box_mass_lower_bound,
+    bonferroni_bound,
     box_moments,
     cholesky,
 )
@@ -92,35 +108,43 @@ class ZPosterior:
 
 @dataclass(eq=False)
 class UpdateDiagnostics:
-    """Per-update record: the projected prior N(0, cov_z), the box, and the
-    branch taken.
+    """Per-update record: the projected prior N(0, cov_z), the faces of the
+    box, and the branch taken.
 
-    ``pi_prior``, the prior set mass, is the grid path's ``box_moments``
-    call, made on first read: bit for bit the value the update saw, and
-    ``PROB_FLOOR`` for a skipped update, whose mass the grid clamps there.
-    ``near_full_mass`` flags pi within ``NEAR_FULL_MASS`` of 1.
+    The update fills it in its own order: cov_z once the screen has passed,
+    the faces ``lower`` and ``upper`` (lists of floats) before the
+    certificate, and ``skipped`` or ``active`` on the grid path only.
+    ``pi_prior``, the prior set mass, builds the box from the faces and
+    makes the grid path's ``box_moments`` call on first read: bit for bit
+    the value the update saw, and ``PROB_FLOOR`` for a skipped update, whose
+    mass the grid clamps there.  ``near_full_mass`` flags pi within
+    ``NEAR_FULL_MASS`` of 1.
     """
 
     cov_z: np.ndarray
-    box: BoxRegion
+    lower: list
+    upper: list
     active: bool = False
     skipped: bool = False
 
     @cached_property
     def pi_prior(self) -> float:
-        return box_moments(np.zeros(self.cov_z.shape[0]), self.cov_z, self.box).prob
+        box = BoxRegion(self.lower, self.upper)
+        return box_moments(np.zeros(self.cov_z.shape[0]), self.cov_z, box).prob
 
     @property
     def near_full_mass(self) -> bool:
         return (1.0 - self.pi_prior) < NEAR_FULL_MASS
 
 
-def _floor_spd(m: np.ndarray) -> np.ndarray:
-    """Symmetrize; floor-clip the eigenvalues if tmvn.cholesky refuses."""
-    m = 0.5 * (m + m.T)
+def _floor_spd(rows) -> np.ndarray:
+    """Symmetrize the square matrix ``rows``, a sequence of rows; floor-clip
+    the eigenvalues if tmvn.cholesky refuses."""
+    m = [[0.5 * (a + b) for a, b in zip(row, col)]
+         for row, col in zip(rows, zip(*rows))]
     try:
-        cholesky(m.tolist())
-        return m
+        cholesky(m)
+        return np.array(m)
     except np.linalg.LinAlgError:
         pass
     vals, vecs = np.linalg.eigh(m)
@@ -132,13 +156,34 @@ def _floor_spd(m: np.ndarray) -> np.ndarray:
     return (vecs * np.maximum(vals, COV_EIG_FLOOR)) @ vecs.T
 
 
+def _faces(residual: list, epsilon: list) -> tuple[list, list]:
+    """Lower and upper faces of the box residual +- epsilon, as floats."""
+    lower, upper = [], []
+    for r, e in zip(residual, epsilon):
+        lower.append(r - e)
+        upper.append(r + e)
+    return lower, upper
+
+
 def build_feasible_set(
     prior_state: AugmentedState, meas: np.ndarray, spec: CoverageSpec
 ) -> BoxRegion:
     """The box the coverage statement puts around the innovation in
     z = H dx: the innovation plus/minus the calibrated radii."""
-    innovation = velocity_residual(prior_state, meas)
-    return BoxRegion(innovation - spec.epsilon, innovation + spec.epsilon)
+    innovation = velocity_residual(prior_state, meas).tolist()
+    return BoxRegion(*_faces(innovation, spec.epsilon.tolist()))
+
+
+def _screen(
+    cov: np.ndarray, rot: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """The projection and its screen: (cov_z, sigma_ht, rows, factor), with
+    cov_z = H Sigma H^T symmetrized, ``rows`` its entries as floats and
+    ``factor`` its :func:`~coverage_inekf.filter.spd_factor`."""
+    sigma_ht, cov_z = velocity_projection(cov, rot)
+    cov_z = 0.5 * (cov_z + cov_z.T)
+    rows = cov_z.tolist()
+    return cov_z, sigma_ht, rows, spd_factor(rows, "projected prior")
 
 
 def project_prior(
@@ -155,9 +200,8 @@ def project_prior(
     (:func:`velocity_projection`).  Raises LinAlgError when the prior is
     not positive definite or has collapsed along a measured direction.
     """
-    sigma_ht, cov_z = velocity_projection(cov, rot)
-    cov_z = 0.5 * (cov_z + cov_z.T)
-    return cov_z, sigma_ht, spd_inverse(cov_z, "projected prior")
+    cov_z, sigma_ht, _, factor = _screen(cov, rot)
+    return cov_z, sigma_ht, factor_inverse(*factor)
 
 
 def kl_coverage_posterior(
@@ -190,13 +234,20 @@ def kl_coverage_posterior(
     if pi >= gamma:
         return ZPosterior(mean=np.zeros(d), cov=cov_z.copy(), prior_mass=pi)
 
-    mean_comp = -pi * tm.mean / (1.0 - pi)
-    second_comp = (cov_z - pi * tm.second_moment) / (1.0 - pi)
-
-    mean_post = gamma * tm.mean + (1.0 - gamma) * mean_comp
-    second_post = gamma * tm.second_moment + (1.0 - gamma) * second_comp
-    cov_post = _floor_spd(second_post - np.outer(mean_post, mean_post))
-    return ZPosterior(mean=mean_post, cov=cov_post, prior_mass=pi)
+    # entry by entry: the complement's moments (prior minus pi times the
+    # inside's, over 1 - pi), their gamma : 1 - gamma mixture with the
+    # inside's, and the mixture's covariance
+    q, h = 1.0 - pi, 1.0 - gamma
+    mean_post = [gamma * m + h * (-pi * m / q) for m in tm.mean.tolist()]
+    second_post = [
+        [gamma * s + h * ((c - pi * s) / q) for c, s in zip(c_row, s_row)]
+        for c_row, s_row in zip(cov_z.tolist(), tm.second_moment.tolist())
+    ]
+    cov_post = _floor_spd(
+        [[s - mi * mj for s, mj in zip(row, mean_post)]
+         for row, mi in zip(second_post, mean_post)]
+    )
+    return ZPosterior(mean=np.array(mean_post), cov=cov_post, prior_mass=pi)
 
 
 def coverage_update(
@@ -205,21 +256,23 @@ def coverage_update(
     meas: np.ndarray,
     spec: CoverageSpec,
 ) -> tuple[AugmentedState, np.ndarray, UpdateDiagnostics]:
-    """Full coverage-constrained measurement update.
+    """Full coverage-constrained measurement update, in the stages of the
+    module docstring.
 
-    Builds the feasible set, projects the prior to z-space, computes the
-    KL-minimal moment-matched posterior, and lifts it back.  When the
-    constraint is inactive the inputs are returned unchanged (the same
-    objects).  An update whose Bonferroni bound certifies the constraint
-    inactive returns before the grid runs.  When the prior set mass is at the
-    probability floor the update is skipped entirely and logged.
+    Screens the projected prior, tries to certify the constraint inactive
+    from the Bonferroni bound, and only then builds the feasible set,
+    computes the KL-minimal moment-matched posterior and lifts it back.
+    When the constraint is inactive the inputs are returned unchanged (the
+    same objects).  When the prior set mass is at the probability floor the
+    update is skipped entirely and logged.
     """
-    box = build_feasible_set(x, meas, spec)
-    cov_z, sigma_ht, cov_z_inv = project_prior(cov, x.nav.rot)
-    diag = UpdateDiagnostics(cov_z, box)
-    bound = box_mass_lower_bound(np.zeros(cov_z.shape[0]), cov_z, box)
-    if bound >= spec.gamma + CERTIFY_MARGIN:
+    residual = velocity_residual(x, meas).tolist()
+    cov_z, sigma_ht, rows, factor = _screen(cov, x.nav.rot)
+    diag = UpdateDiagnostics(cov_z, *_faces(residual, spec.epsilon.tolist()))
+    sd = [math.sqrt(rows[i][i]) for i in range(len(rows))]
+    if bonferroni_bound(diag.lower, diag.upper, sd) >= spec.gamma + CERTIFY_MARGIN:
         return x, cov, diag
+    box = BoxRegion(diag.lower, diag.upper)
     try:
         zpost = kl_coverage_posterior(cov_z, box, spec.gamma)
     except DegenerateMassError:
@@ -234,5 +287,7 @@ def coverage_update(
         return x, cov, diag
 
     diag.active = True
-    x, cov = lift_and_apply(x, cov, sigma_ht, cov_z_inv, zpost.mean, zpost.cov)
+    x, cov = lift_and_apply(
+        x, cov, sigma_ht, factor_inverse(*factor), zpost.mean, zpost.cov
+    )
     return x, cov, diag

@@ -17,11 +17,13 @@ noise N in z; with K = Sigma H^T W the posterior is the Joseph form
 (I - K H) Sigma (I - K H)^T + K N K^T.  The Gaussian rule passes
 ((H Sigma H^T + R)^-1, residual, R); the coverage rule passes (cov_z^-1,
 its moment-matched z mean and covariance P'), giving Sigma + K (P' - cov_z)
-K^T; both inverses are :func:`spd_inverse`'s, from the package's one SPD
-factorization, :func:`coverage_inekf.tmvn.cholesky`.  The Joseph form is a
-sum of PSD terms; the shorter Sigma + Sigma H^T B H Sigma cancels when
-R << H Sigma H^T and went indefinite by up to 2.2e-7 of ||Sigma|| on test
-priors with R in [1e-14, 1e-8].
+K^T.  Both inverses pass :func:`spd_factor`'s screen and are taken from
+its factor by :func:`factor_inverse`; the factor is the package's one SPD
+factorization, :func:`coverage_inekf.tmvn.cholesky`.  The coverage rule
+screens first and inverts cov_z only on an active update.  The Joseph form
+is a sum of PSD terms; the shorter Sigma + Sigma H^T B H Sigma cancels
+when R << H Sigma H^T and went indefinite by up to 2.2e-7 of ||Sigma|| on
+test priors with R in [1e-14, 1e-8].
 
 Every update folds its error-mean correction into the state estimate, so
 the error mean is reset to zero after each update (the standard invariant
@@ -174,21 +176,21 @@ def velocity_projection(cov: np.ndarray, rot: np.ndarray) -> tuple[np.ndarray, n
     return sigma_ht, np.dot(neg_rot.T, sigma_ht[3:6])
 
 
-def spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of the symmetric 3x3 matrix ``m``, from its lower triangle.
+def spd_factor(rows: list, what: str) -> tuple[list, list]:
+    """Cholesky factor and pivots of the symmetric 3x3 matrix ``rows``
+    (nested lists, lower triangle factored): the screen every matrix the
+    update rules invert passes.
 
-    Raises LinAlgError unless ``m`` is positive definite with
+    Raises LinAlgError unless ``rows`` is positive definite with
     cond <= MAX_COND.  Definiteness is that :func:`~coverage_inekf.tmvn.cholesky`
     factors it and that the upper triangle is finite.  Conditioning is
     screened with cond <= trace^3 / det, det the product of the pivots, and
     the exact condition number is computed only when the bound trips, as an
-    infinite diagonal entry makes it.  The inverse L^-T L^-1 is written out
-    as V^T D^-1 V, V the inverse of the unit lower factor L diag(L)^-1 and D
-    the pivots, so a diagonal matrix inverts exactly.
+    infinite diagonal entry makes it.
     """
-    rows = m.tolist()
     try:
-        ((l00, _, _), (l10, l11, _), (l20, l21, _)), (p0, p1, p2) = cholesky(rows)
+        factor = cholesky(rows)
+        p0, p1, p2 = factor[1]
     except np.linalg.LinAlgError:
         p0 = p1 = p2 = math.nan
     (a, b, c), (d, e, f), (g, h, i) = rows
@@ -196,20 +198,34 @@ def spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
     trace = a + e + i
     if not trace * trace * trace <= MAX_COND * det < math.inf:
         finite = all(map(math.isfinite, (a, b, c, d, e, f, g, h, i)))
-        cond = float(np.linalg.cond(m)) if finite else math.nan
+        cond = float(np.linalg.cond(rows)) if finite else math.nan
         fault = "not positive definite" if math.isnan(det) else "numerically singular"
         if math.isnan(det) or not cond <= MAX_COND:
             raise np.linalg.LinAlgError(f"{what} is {fault} (cond={cond:.3e})")
-    q1, q2 = 1.0 / p1, 1.0 / p2
+    return factor
+
+
+def factor_inverse(chol: list, pivots: list) -> np.ndarray:
+    """The inverse L^-T L^-1 of a 3x3 matrix from its :func:`spd_factor`,
+    written out as V^T D^-1 V, V the inverse of the unit lower factor
+    L diag(L)^-1 and D the pivots, so a diagonal matrix inverts exactly."""
+    (l00, _, _), (l10, l11, _), (l20, l21, _) = chol
+    q1, q2 = 1.0 / pivots[1], 1.0 / pivots[2]
     t10, t21 = l10 / l00, l21 / l11
     v20 = t10 * t21 - l20 / l00
     v20q2 = v20 * q2
     m01, m12 = -(t10 * q1 + v20q2 * t21), -t21 * q2
     return np.array([
-        1.0 / p0 + t10 * t10 * q1 + v20 * v20q2, m01, v20q2,
+        1.0 / pivots[0] + t10 * t10 * q1 + v20 * v20q2, m01, v20q2,
         m01, q1 + t21 * t21 * q2, m12,
         v20q2, m12, q2,
     ]).reshape(3, 3)
+
+
+def spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of the symmetric 3x3 matrix ``m``, from its lower triangle:
+    :func:`spd_factor`'s screen, then :func:`factor_inverse`."""
+    return factor_inverse(*spd_factor(m.tolist(), what))
 
 
 def propagate_mean(x: AugmentedState, u: ImuSample) -> AugmentedState:

@@ -67,6 +67,11 @@ class TrajectorySpec:
             raise ValueError("duration must be positive and finite")
         if not 50.0 <= self.rate <= 1000.0:
             raise ValueError("rate must lie in [50, 1000] Hz")
+        # the step count generate_truth takes; a trial needs one IMU step
+        if round(self.duration * self.rate) < 1:
+            raise ValueError(
+                f"duration {self.duration} s is under one step at {self.rate} Hz"
+            )
         if self.pattern not in ("serpentine", "circle"):
             raise ValueError(f"unknown pattern {self.pattern!r}")
 
@@ -259,14 +264,17 @@ class FixedComponentMixture:
         spread = (centered.T * self.weights) @ centered
         return np.einsum("i,ijk->jk", self.weights, self.covs) + spread
 
+    def _axis_components(self, axis: int) -> list[tuple[float, float, float]]:
+        """(weight, mean, deviation) of each component on one axis, as floats."""
+        return list(zip(
+            self.weights.tolist(),
+            self.means[:, axis].tolist(),
+            [math.sqrt(v) for v in self.covs[:, axis, axis].tolist()],
+        ))
+
     def marginal_abs_cdf(self, axis: int, radius: float) -> float:
-        total = 0.0
-        for w, m, c in zip(self.weights, self.means, self.covs):
-            s = math.sqrt(c[axis, axis])
-            total += w * (
-                ndtr((radius - m[axis]) / s) - ndtr((-radius - m[axis]) / s)
-            )
-        return total
+        """P(|e_axis| <= radius) under the mixture."""
+        return _abs_cdf(self._axis_components(axis), radius)
 
     def epsilon_for(self, gamma: float) -> np.ndarray:
         """Per-axis outer quantile radii, by bisection of the monotone
@@ -275,16 +283,32 @@ class FixedComponentMixture:
         top = float(np.abs(self.means).max() + 12.0 * np.sqrt(self.covs.max()))
         eps = np.empty(3)
         for j in range(3):
+            components = self._axis_components(j)
             lo, hi = 0.0, top
             mid = 0.5 * (lo + hi)
             while lo < mid < hi:
-                if self.marginal_abs_cdf(j, mid) < per_axis:
+                if _abs_cdf(components, mid) < per_axis:
                     lo = mid
                 else:
                     hi = mid
                 mid = 0.5 * (lo + hi)
             eps[j] = mid
         return eps
+
+
+def _abs_cdf(components: list[tuple[float, float, float]], radius: float) -> float:
+    """sum_k w_k [Phi((r - m_k) / s_k) - Phi((-r - m_k) / s_k)] over the
+    (w, m, s) of each component, all tails from one ``ndtr`` call and
+    summed in component order."""
+    t = []
+    for _, m, s in components:
+        t.append((radius - m) / s)
+        t.append((-radius - m) / s)
+    cdf = ndtr(t).tolist()
+    total = 0.0
+    for k, (w, _, _) in enumerate(components):
+        total += w * (cdf[2 * k] - cdf[2 * k + 1])
+    return total
 
 
 # Gaussian noise is the one-component mixture; the name is kept for callers.

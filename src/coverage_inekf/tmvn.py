@@ -45,16 +45,18 @@ moment over +-8: 3.4e-6 relative to the second moment, both on the full
 space and on boxes open on two axes (against a 96-node run of this rule);
 mass and mean stay within 1e-14.
 
-:func:`box_mass_lower_bound` bounds the box mass from below without the
-grid.  The box's complement is the union of the 2d half-spaces beyond its
-faces, so its mass is at most the sum of their marginal tail masses
-(Bonferroni; Genz & Bretz 2009, Computation of Multivariate Normal and t
-Probabilities, section 2).  No approximation enters: the bound holds for
-every mean and covariance, is attained in one dimension, and costs 2d
-values of Phi.  Each tail is Phi of its face's standardized distance, never
-one minus a slab mass, so a tail of 1e-12 keeps its relative accuracy and
-the computed bound is within one rounding of its final 1 - sum (one
-spacing of doubles below 1, 2^-53) of the exact bound.
+:func:`bonferroni_bound` bounds the box mass from below without the grid,
+from the faces and marginal deviations as floats;
+:func:`box_mass_lower_bound` is its form for a ``BoxRegion``.  The box's
+complement is the union of the 2d half-spaces beyond its faces, so its
+mass is at most the sum of their marginal tail masses (Bonferroni; Genz &
+Bretz 2009, Computation of Multivariate Normal and t Probabilities,
+section 2).  No approximation enters: the bound holds for every mean and
+covariance, is attained in one dimension, and costs 2d values of Phi.  Each
+tail is Phi of its face's standardized distance, never one minus a slab
+mass, so a tail of 1e-12 keeps its relative accuracy and the computed bound
+is within one rounding of its final 1 - sum (one spacing of doubles below
+1, 2^-53) of the exact bound.
 """
 
 from __future__ import annotations
@@ -167,22 +169,35 @@ def cholesky(c, order=(0, 1, 2)):
     return [[l00, 0.0, 0.0], [l10, l11, 0.0], [l20, l21, l22]], [p0, p1, p2]
 
 
-def box_mass_lower_bound(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> float:
-    """Bonferroni lower bound on the mass of N(mean, cov) in a ``BoxRegion``.
+def bonferroni_bound(lo: list, hi: list, sd: list) -> float:
+    """Bonferroni lower bound on a Gaussian's box mass, from the box's
+    faces relative to the mean (``lo``, ``hi``) and the marginal
+    deviations ``sd``, all lists of floats.
 
-    1 - sum_i [Phi((l_i - mu_i) / s_i) + Phi((mu_i - u_i) / s_i)]: one
-    minus the marginal tail masses, each taken directly rather than as one
-    minus a slab mass.  cov must have a positive diagonal.  See the module
-    docstring for why it is a bound and how closely it is computed.
+    1 - sum_i [Phi(lo_i / s_i) + Phi(-hi_i / s_i)]: one minus the marginal
+    tail masses, each taken directly rather than as one minus a slab mass,
+    all from one ``ndtr`` call.  See the module docstring for why it is a
+    bound and how closely it is computed.
     """
+    t = [x / s for x, s in zip(lo, sd)]
+    t += [-x / s for x, s in zip(hi, sd)]
+    tails = ndtr(t).tolist()
+    d = len(sd)
+    # each axis's pair of tails first, then the axes left to right
+    total = 0.0
+    for i in range(d):
+        total += tails[i] + tails[d + i]
+    return 1.0 - total
+
+
+def box_mass_lower_bound(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> float:
+    """Bonferroni lower bound on the mass of N(mean, cov) in a ``BoxRegion``:
+    :func:`bonferroni_bound` of its faces.  cov must have a positive diagonal."""
     mean = np.asarray(mean, dtype=float).tolist()
     sd = [math.sqrt(v) for v in np.diagonal(cov).tolist()]
-    t = [(x - m) / s for x, m, s in zip(box.lower.tolist(), mean, sd)]
-    t += [(m - x) / s for x, m, s in zip(box.upper.tolist(), mean, sd)]
-    tails = ndtr(t).tolist()
-    d = len(mean)
-    # each axis's pair of tails first, then the axes left to right
-    return 1.0 - sum(tails[i] + tails[d + i] for i in range(d))
+    lo = [x - m for x, m in zip(box.lower.tolist(), mean)]
+    hi = [x - m for x, m in zip(box.upper.tolist(), mean)]
+    return bonferroni_bound(lo, hi, sd)
 
 
 def box_moments(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> TruncatedMoments:

@@ -422,6 +422,25 @@ def test_indefinite_prior_rejected_by_both_rules(block, radius):
         coverage_update(x, cov, meas, CoverageSpec(np.full(3, radius), 0.8))
 
 
+@pytest.mark.parametrize("radius, certifiable", [(0.05, False), (50.0, True)],
+                         ids=["narrow", "wide"])
+def test_collapsed_prior_refused_before_the_certificate(radius, certifiable):
+    """A velocity block of diag(1, 1e-15, 1) projects to a prior of
+    cond 1e15.  The update refuses it on a narrow box and on a wide one
+    whose Bonferroni bound would certify the update inactive: the screen
+    runs ahead of the certificate."""
+    x = random_state(np.random.default_rng(4))
+    cov = np.eye(15)
+    cov[3:6, 3:6] = np.diag([1.0, 1e-15, 1.0])
+    meas = predicted_body_velocity(x) + 0.01
+    spec = CoverageSpec(np.full(3, radius), 0.8)
+    _, cov_z = velocity_projection(cov, x.nav.rot)
+    bound = box_mass_lower_bound(np.zeros(3), cov_z, build_feasible_set(x, meas, spec))
+    assert (bound >= spec.gamma + CERTIFY_MARGIN) == certifiable
+    with pytest.raises(np.linalg.LinAlgError, match="cond"):
+        coverage_update(x, cov, meas, spec)
+
+
 def random_correlation(rng, max_abs=0.95):
     while True:
         r = np.eye(3)
@@ -453,25 +472,31 @@ def certificate_problem(rng, kind):
 
 
 class TestCertificate:
-    def count_grid_calls(self, monkeypatch):
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        """Record each call of ``coverage.<name>`` and pass it through."""
         calls = []
-        real = coverage.box_moments
+        real = getattr(coverage, name)
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(coverage, "box_moments", counted)
+        monkeypatch.setattr(coverage, name, counted)
         return calls
 
     def test_certified_updates_match_the_grid(self, monkeypatch):
         """2000 random problems and 100 outliers.  Wherever the bound clears
         gamma by the margin, the grid's mass is at least gamma and the
-        update runs no grid; elsewhere it runs the grid once.  On every
+        update builds none of the grid path: no ``box_moments`` call, no
+        ``BoxRegion`` and no cov_z^-1.  Elsewhere it builds the box and
+        runs the grid once, and inverts cov_z only when active.  On every
         update pi read later (also after pickling) is the grid's bit for
         bit, PROB_FLOOR on a skip, and decides the branch taken."""
         rng = np.random.default_rng(42)
-        grid = self.count_grid_calls(monkeypatch)
+        grid = self.count_calls(monkeypatch, "box_moments")
+        boxes = self.count_calls(monkeypatch, "BoxRegion")
+        inverses = self.count_calls(monkeypatch, "factor_inverse")
         certified = skipped = 0
         for k in range(2100):
             kind = ("centred", "offset", "infinite")[k % 3] if k < 2000 else "outlier"
@@ -482,14 +507,16 @@ class TestCertificate:
             bound = box_mass_lower_bound(np.zeros(3), cov_z, box)
             assert bound <= pi + 1e-14
 
-            grid.clear()
+            for calls in (grid, boxes, inverses):
+                calls.clear()
             x2, cov2, diag = coverage_update(x, cov, meas, spec)
             if bound < spec.gamma + CERTIFY_MARGIN:
-                assert len(grid) == 1
+                assert (len(grid), len(boxes)) == (1, 1)
+                assert len(inverses) == diag.active
             else:
                 certified += 1
                 assert pi >= spec.gamma
-                assert grid == []
+                assert grid == boxes == inverses == []
                 assert x2 is x and cov2 is cov
                 assert not diag.active and not diag.skipped
             skipped += diag.skipped
@@ -519,7 +546,7 @@ class TestCertificate:
         cov_z, _, _ = project_prior(cov, x.nav.rot)
         bound = box_mass_lower_bound(np.zeros(3), cov_z, box)
         spec = CoverageSpec(eps, bound - clearance * CERTIFY_MARGIN)
-        grid = self.count_grid_calls(monkeypatch)
+        grid = self.count_calls(monkeypatch, "box_moments")
         _, _, diag = coverage_update(x, cov, meas, spec)
         assert len(grid) == (0 if certified else 1)
         assert not diag.active and diag.pi_prior >= spec.gamma

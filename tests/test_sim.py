@@ -25,7 +25,6 @@ from coverage_inekf.sim import (
     synthesize_imu,
     synthesize_measurements,
 )
-from coverage_inekf.tmvn import BoxRegion
 
 NAN = float("nan")
 
@@ -138,8 +137,8 @@ def test_skipped_updates_are_counted(monkeypatch):
 
     def scripted(x, cov, meas, spec):
         skipped = next(calls) % 10 == 0
-        return x, cov, UpdateDiagnostics(np.eye(3), BoxRegion.full_space(3),
-                                         skipped=skipped)
+        faces = [-math.inf] * 3, [math.inf] * 3
+        return x, cov, UpdateDiagnostics(np.eye(3), *faces, skipped=skipped)
 
     monkeypatch.setattr(sim, "coverage_update", scripted)
     campaign = CampaignConfig(
@@ -344,6 +343,25 @@ def test_trajectory_spec_rejects_bad_duration(duration):
         TrajectorySpec(duration=duration)
 
 
+@pytest.mark.parametrize("duration, steps", [(0.005, 0), (0.006, 1)])
+def test_trajectory_spec_needs_one_step(duration, steps):
+    """At 100 Hz, 0.005 s rounds to no step (half to even) and is refused
+    before a campaign can score an empty trial; 0.006 s is one step, whose
+    one-trial campaign gives finite rows."""
+    if steps == 0:
+        with pytest.raises(ValueError, match="duration"):
+            TrajectorySpec(duration=duration)
+        return
+    spec = TrajectorySpec(duration=duration)
+    assert generate_truth(spec).n == steps + 1
+    cfg = CampaignConfig(
+        trajectory=spec, noise_model=FixedComponentMixture.default_biased(), trials=1
+    )
+    for row in run_monte_carlo(cfg):
+        assert math.isfinite(row.rmse_mean) and math.isfinite(row.nees_mean)
+        assert row.diverged == 0
+
+
 @pytest.mark.parametrize("bias, sigma", [(0.15, 0.05), (0.3, 0.1), (0.02, 0.2)])
 def test_fitted_covariance_is_covariance_plus_spread_of_means(bias, sigma):
     """The Gaussian arm's R.  The four planar biases (+-b, +-b, 0) have
@@ -386,6 +404,33 @@ def test_mixture_radii_match_brentq(gamma):
             for j in range(3)
         ]
         assert np.abs(model.epsilon_for(gamma) - ref).max() <= 1e-11
+
+
+# epsilon_for's radii (x, y, z) in full repr precision: the bisection's
+# exact output, so a change to how its CDF is evaluated shows bit for bit.
+PINNED_RADII = {
+    "mixture": {
+        0.5: (0.19096643099248228, 0.19096643099248228, 0.06319032689249651),
+        0.7: (0.21077282940379077, 0.21077282940379077, 0.0794421155239372),
+        0.8: (0.22316881015464368, 0.22316881015464368, 0.09005655044009192),
+        0.95: (0.25606007148402554, 0.25606007148402554, 0.11938689435354077),
+        0.99: (0.2855971406500316, 0.2855971406500316, 0.14670805076319648),
+    },
+    "gaussian": {
+        0.5: (0.12638065378499302,) * 3,
+        0.7: (0.1588842310478744,) * 3,
+        0.8: (0.18011310088018384,) * 3,
+        0.95: (0.23877378870708155,) * 3,
+        0.99: (0.29341610152639297,) * 3,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RADII))
+def test_radii_are_pinned(name):
+    model = NOISE_MODELS[name]()
+    for gamma, want in PINNED_RADII[name].items():
+        assert tuple(model.epsilon_for(gamma).tolist()) == want
 
 
 @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.3])
