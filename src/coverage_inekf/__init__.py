@@ -19,7 +19,7 @@ from coverage_inekf.filter import (
     propagate_mean,
 )
 from coverage_inekf.tmvn import BoxRegion, TruncatedMoments, box_moments
-from coverage_inekf.coverage import UpdateDiagnostics, ZPosterior, coverage_update
+from coverage_inekf.coverage import UpdateDiagnostics, coverage_update, update
 from coverage_inekf.calibration import (
     CoverageSpec,
     ErrorSeries,
@@ -47,9 +47,9 @@ __all__ = [
     "TruncatedMoments",
     "box_moments",
     "CoverageSpec",
-    "ZPosterior",
     "UpdateDiagnostics",
     "coverage_update",
+    "update",
     "ErrorSeries",
     "subsample",
     "conformal_thresholds",

@@ -6,35 +6,38 @@ distribution closest to the Gaussian prior in KL divergence subject to that
 set-mass constraint, moment-matches it back to a Gaussian, and applies the
 result on-manifold.
 
-It is the Gaussian update's pipeline (:mod:`coverage_inekf.filter`) with a
-different 3x3 rule in z = H dx: the truncated-moment work runs in z-space,
-and the shared lift keeps the prior conditional p(dx | z) and swaps in the
-moment-matched marginal of z, PSD because that marginal is.
+Every measurement update is :func:`update`: the residual, its projection
+cov_z = H Sigma H^T onto z = H dx (:mod:`coverage_inekf.filter`), the
+arm's 3x3 rule ``rule(cov_z, residual, arm)`` and one lift,
+:func:`~coverage_inekf.filter.lift_and_apply`.  The rule gets cov_z
+unsymmetrized and returns ``(lift, diag)``: ``lift`` is the lift's
+(W, y, N), or None to leave the state alone.  Kalman's rule is
+:func:`~coverage_inekf.filter.gaussian_update`.  The coverage rule,
+:func:`coverage_update`, lifts so as to keep the prior conditional
+p(dx | z) and swap in the moment-matched marginal of z, PSD because that
+marginal is.  As in :mod:`coverage_inekf.filter`, every correction is
+folded into the state, so the prior error mean, and the mean of z, is zero.
 
-As in :mod:`coverage_inekf.filter`, every correction is folded into the
-state, so the prior error mean is zero: the prior is the 15x15 covariance
-alone, and its projection onto z is zero-mean.
-
-An update runs in three stages, and pays for a stage only when the one
+The coverage rule runs these stages, each paid for only when the ones
 before it cannot decide:
 
-1. Screen.  The residual, the projection cov_z = H Sigma H^T and its
-   symmetrization, then :func:`coverage_inekf.filter.spd_factor`, the
-   definiteness and conditioning test of every matrix the filter inverts.
-   A prior that is not positive definite, or has collapsed along a
-   measured direction, is refused here, before anything is certified.
-2. Certificate.  Most updates find the constraint inactive (prior mass
-   pi >= gamma) and leave the state alone.  The Bonferroni bound
-   :func:`coverage_inekf.tmvn.bonferroni_bound` on pi takes the six
-   standardized face distances as Python floats and one ``ndtr`` call.
-   When it clears gamma by ``CERTIFY_MARGIN`` (1e-9), far above the grid's
-   mass error (1e-14 relative), the grid would find pi >= gamma too, so the
-   update returns its inputs: the decision is the grid's, and a certified
-   update is never a degenerate skip.
-3. Grid.  Only an uncertified update builds the ``BoxRegion`` and runs
-   ``box_moments`` (:func:`kl_coverage_posterior`, whose moment matching
-   runs on floats).  An active one takes cov_z^-1 from the screen's
-   factor and lifts.
+1. :func:`project_prior`: cov_z symmetrized, as floats, and
+   :func:`~coverage_inekf.filter.spd_factor`'s definiteness and
+   conditioning screen.  A prior that is not positive definite, or has
+   collapsed along a measured direction, is refused before anything is
+   certified.
+2. :func:`build_feasible_set`: the faces residual +- epsilon as floats.
+3. The certificate.  Most updates find the constraint inactive (prior mass
+   pi >= gamma).  The Bonferroni bound
+   :func:`~coverage_inekf.tmvn.bonferroni_bound` on pi takes the six
+   standardized face distances and one ``ndtr`` call.  When it clears
+   gamma by ``CERTIFY_MARGIN`` (1e-9), far above the grid's mass error
+   (1e-14 relative), the grid would find pi >= gamma too: the decision is
+   the grid's, and a certified update is never a degenerate skip.
+4. :func:`kl_coverage_posterior`: the ``BoxRegion``, the grid
+   (``box_moments``) and moment matching on floats.
+5. An active update's lift: cov_z^-1 from the screen's factor, and the
+   moment-matched mean and covariance.
 
 Every update's diagnostics keep cov_z and the box's faces.  pi, the grid's
 own call on the box those faces make, is computed when first read, so pi
@@ -93,27 +96,14 @@ class DegenerateMassError(ValueError):
     """Estimated prior set mass fell below the probability floor."""
 
 
-@dataclass
-class ZPosterior:
-    """Moment-matched posterior of the projected error z = H dx.
-
-    ``prior_mass`` is the prior box probability pi.  The prior mean of z is
-    zero, so ``mean`` is also the shift the update applies.
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-    prior_mass: float
-
-
 @dataclass(eq=False)
 class UpdateDiagnostics:
     """Per-update record: the projected prior N(0, cov_z), the faces of the
     box, and the branch taken.
 
-    The update fills it in its own order: cov_z once the screen has passed,
-    the faces ``lower`` and ``upper`` (lists of floats) before the
-    certificate, and ``skipped`` or ``active`` on the grid path only.
+    The coverage rule fills it in its stages' order: cov_z once the screen
+    has passed, the faces ``lower`` and ``upper`` (lists of floats) before
+    the certificate, and ``skipped`` or ``active`` on the grid path only.
     ``pi_prior``, the prior set mass, builds the box from the faces and
     makes the grid path's ``box_moments`` call on first read: bit for bit
     the value the update saw, and ``PROB_FLOOR`` for a skipped update, whose
@@ -156,75 +146,48 @@ def _floor_spd(rows) -> np.ndarray:
     return (vecs * np.maximum(vals, COV_EIG_FLOOR)) @ vecs.T
 
 
-def _faces(residual: list, epsilon: list) -> tuple[list, list]:
-    """Lower and upper faces of the box residual +- epsilon, as floats."""
+def project_prior(cov_z: np.ndarray) -> tuple[np.ndarray, list, tuple[list, list]]:
+    """The screen of the projected prior cov_z = H Sigma H^T: (cov_z, rows,
+    factor), with cov_z symmetrized, ``rows`` its entries as floats and
+    ``factor`` its :func:`~coverage_inekf.filter.spd_factor`.
+
+    Raises LinAlgError when the prior is not positive definite or has
+    collapsed along a measured direction.
+    """
+    cov_z = 0.5 * (cov_z + cov_z.T)
+    rows = cov_z.tolist()
+    return cov_z, rows, spd_factor(rows, "projected prior")
+
+
+def build_feasible_set(residual: np.ndarray, epsilon: np.ndarray) -> tuple[list, list]:
+    """Lower and upper faces, as floats, of the box the coverage statement
+    puts around the innovation in z = H dx: the residual plus/minus the
+    calibrated radii."""
     lower, upper = [], []
-    for r, e in zip(residual, epsilon):
+    for r, e in zip(residual.tolist(), epsilon.tolist()):
         lower.append(r - e)
         upper.append(r + e)
     return lower, upper
 
 
-def build_feasible_set(
-    prior_state: AugmentedState, meas: np.ndarray, spec: CoverageSpec
-) -> BoxRegion:
-    """The box the coverage statement puts around the innovation in
-    z = H dx: the innovation plus/minus the calibrated radii."""
-    innovation = velocity_residual(prior_state, meas).tolist()
-    return BoxRegion(*_faces(innovation, spec.epsilon.tolist()))
-
-
-def _screen(
-    cov: np.ndarray, rot: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list, list]:
-    """The projection and its screen: (cov_z, sigma_ht, rows, factor), with
-    cov_z = H Sigma H^T symmetrized, ``rows`` its entries as floats and
-    ``factor`` its :func:`~coverage_inekf.filter.spd_factor`."""
-    sigma_ht, cov_z = velocity_projection(cov, rot)
-    cov_z = 0.5 * (cov_z + cov_z.T)
-    rows = cov_z.tolist()
-    return cov_z, sigma_ht, rows, spd_factor(rows, "projected prior")
-
-
-def project_prior(
-    cov: np.ndarray, rot: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Project the prior covariance onto z = H dx.
-
-    Returns (cov_z, sigma_ht, cov_z_inv): the projected covariance
-    cov_z = H Sigma H^T, the cross-covariance Sigma H^T and the inverse of
-    cov_z, the pipeline's projection step; an active update passes the last
-    two to :func:`coverage_inekf.filter.lift_and_apply` as Sigma H^T and W.
-    H = [0, -R^T, 0, 0, 0] is the body-velocity output matrix at the
-    prior's rotation ``rot``, applied by its velocity block
-    (:func:`velocity_projection`).  Raises LinAlgError when the prior is
-    not positive definite or has collapsed along a measured direction.
-    """
-    cov_z, sigma_ht, _, factor = _screen(cov, rot)
-    return cov_z, sigma_ht, factor_inverse(*factor)
-
-
 def kl_coverage_posterior(
-    cov_z: np.ndarray,
-    box: BoxRegion,
-    gamma: float,
-) -> ZPosterior:
+    cov_z: np.ndarray, box: BoxRegion, gamma: float
+) -> tuple[np.ndarray, np.ndarray] | None:
     """KL-minimal set-mass posterior in z-space, moment-matched to a Gaussian.
 
     The prior is N(0, cov_z).  If it already puts mass >= gamma in the box,
-    the constraint is inactive and the prior moments are returned unchanged.
-    Otherwise the minimizer rescales the prior to mass gamma inside the box
-    and 1 - gamma outside; its first two moments follow from the truncated
-    moments inside the box and the law of total expectation for the
-    complement.
+    the constraint is inactive and None is returned.  Otherwise the
+    minimizer rescales the prior to mass gamma inside the box and
+    1 - gamma outside, and its first two moments, returned as (mean, cov),
+    follow from the truncated moments inside the box and the law of total
+    expectation for the complement.
 
     Raises DegenerateMassError when the estimated prior mass is at the
     probability floor (extreme outlier; callers should skip the update).
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    d = cov_z.shape[0]
-    tm = box_moments(np.zeros(d), cov_z, box)
+    tm = box_moments(np.zeros(cov_z.shape[0]), cov_z, box)
     pi = tm.prob
     if tm.degenerate:
         raise DegenerateMassError(
@@ -232,7 +195,7 @@ def kl_coverage_posterior(
             "is an extreme outlier for this prior"
         )
     if pi >= gamma:
-        return ZPosterior(mean=np.zeros(d), cov=cov_z.copy(), prior_mass=pi)
+        return None
 
     # entry by entry: the complement's moments (prior minus pi times the
     # inside's, over 1 - pi), their gamma : 1 - gamma mixture with the
@@ -247,47 +210,54 @@ def kl_coverage_posterior(
         [[s - mi * mj for s, mj in zip(row, mean_post)]
          for row, mi in zip(second_post, mean_post)]
     )
-    return ZPosterior(mean=np.array(mean_post), cov=cov_post, prior_mass=pi)
+    return np.array(mean_post), cov_post
 
 
 def coverage_update(
-    x: AugmentedState,
-    cov: np.ndarray,
-    meas: np.ndarray,
-    spec: CoverageSpec,
-) -> tuple[AugmentedState, np.ndarray, UpdateDiagnostics]:
-    """Full coverage-constrained measurement update, in the stages of the
-    module docstring.
+    cov_z: np.ndarray, residual: np.ndarray, spec: CoverageSpec
+) -> tuple[tuple | None, UpdateDiagnostics]:
+    """The coverage rule, in the stages of the module docstring.
 
     Screens the projected prior, tries to certify the constraint inactive
-    from the Bonferroni bound, and only then builds the feasible set,
-    computes the KL-minimal moment-matched posterior and lifts it back.
-    When the constraint is inactive the inputs are returned unchanged (the
-    same objects).  When the prior set mass is at the probability floor the
-    update is skipped entirely and logged.
+    from the Bonferroni bound, and only then computes the KL-minimal
+    moment-matched posterior.  Returns the lift (cov_z^-1, mean, cov) of an
+    active update, or None with the diagnostics; an update whose prior set
+    mass is at the probability floor is skipped and logged.
     """
-    residual = velocity_residual(x, meas).tolist()
-    cov_z, sigma_ht, rows, factor = _screen(cov, x.nav.rot)
-    diag = UpdateDiagnostics(cov_z, *_faces(residual, spec.epsilon.tolist()))
+    cov_z, rows, factor = project_prior(cov_z)
+    diag = UpdateDiagnostics(cov_z, *build_feasible_set(residual, spec.epsilon))
     sd = [math.sqrt(rows[i][i]) for i in range(len(rows))]
     if bonferroni_bound(diag.lower, diag.upper, sd) >= spec.gamma + CERTIFY_MARGIN:
-        return x, cov, diag
+        return None, diag
     box = BoxRegion(diag.lower, diag.upper)
     try:
-        zpost = kl_coverage_posterior(cov_z, box, spec.gamma)
+        posterior = kl_coverage_posterior(cov_z, box, spec.gamma)
     except DegenerateMassError:
         log.debug(
             "coverage update skipped: prior set mass below %g (outlier)",
             PROB_FLOOR,
         )
         diag.skipped = True
-        return x, cov, diag
-
-    if zpost.prior_mass >= spec.gamma:
-        return x, cov, diag
-
+        return None, diag
+    if posterior is None:
+        return None, diag
     diag.active = True
-    x, cov = lift_and_apply(
-        x, cov, sigma_ht, factor_inverse(*factor), zpost.mean, zpost.cov
-    )
+    return (factor_inverse(*factor), *posterior), diag
+
+
+def update(
+    x: AugmentedState, cov: np.ndarray, meas: np.ndarray, rule, arm
+) -> tuple[AugmentedState, np.ndarray, object]:
+    """One measurement update with the z-rule ``rule`` and its input ``arm``
+    (module docstring): returns (x, cov, diag), the inputs themselves when
+    the rule leaves the state alone.
+
+    Raises ValueError on a non-finite measurement, and LinAlgError from the
+    rule's screen on a prior it cannot invert.
+    """
+    residual = velocity_residual(x, meas)
+    sigma_ht, cov_z = velocity_projection(cov, x.nav.rot)
+    lift, diag = rule(cov_z, residual, arm)
+    if lift is not None:
+        x, cov = lift_and_apply(x, cov, sigma_ht, *lift)
     return x, cov, diag

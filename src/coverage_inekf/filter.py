@@ -7,23 +7,26 @@ Uncertainty lives on the 15-dimensional right-invariant error state
 
 following the package-wide tangent ordering.  The module provides strapdown
 propagation of the state and the error covariance, the on-manifold
-correction operator, and the update pipeline with a baseline Gaussian
-update for body-frame velocity measurements.
+correction operator, the steps of the body-velocity measurement update
+and its baseline Gaussian rule.
 
-Both update rules run one pipeline: the residual, its projection onto
-z = H dx (:func:`velocity_projection`), a 3x3 rule in z-space, and one lift
-(:func:`lift_and_apply`).  A rule passes a weight W, a correction y and a
-noise N in z; with K = Sigma H^T W the posterior is the Joseph form
-(I - K H) Sigma (I - K H)^T + K N K^T.  The Gaussian rule passes
-((H Sigma H^T + R)^-1, residual, R); the coverage rule passes (cov_z^-1,
-its moment-matched z mean and covariance P'), giving Sigma + K (P' - cov_z)
-K^T.  Both inverses pass :func:`spd_factor`'s screen and are taken from
-its factor by :func:`factor_inverse`; the factor is the package's one SPD
-factorization, :func:`coverage_inekf.tmvn.cholesky`.  The coverage rule
-screens first and inverts cov_z only on an active update.  The Joseph form
-is a sum of PSD terms; the shorter Sigma + Sigma H^T B H Sigma cancels
-when R << H Sigma H^T and went indefinite by up to 2.2e-7 of ||Sigma|| on
-test priors with R in [1e-14, 1e-8].
+Every update runs one pipeline, :func:`coverage_inekf.coverage.update`:
+:func:`velocity_residual`, :func:`velocity_projection` onto z = H dx, a
+3x3 rule ``rule(cov_z, residual, arm)`` on the unsymmetrized cov_z, and one
+lift, :func:`lift_and_apply`.  The rule returns ``(lift, diag)``, ``lift``
+None to leave the state alone or a weight W, a correction y and a noise N
+in z; with K = Sigma H^T W the posterior is the Joseph form
+(I - K H) Sigma (I - K H)^T + K N K^T.  Kalman's rule,
+:func:`gaussian_update`, lifts ((H Sigma H^T + R)^-1, residual, R); the
+coverage rule lifts (cov_z^-1, its moment-matched z mean and covariance
+P'), giving Sigma + K (P' - cov_z) K^T.  Both inverses pass
+:func:`spd_factor`'s screen and are taken from its factor by
+:func:`factor_inverse`; the factor is the package's one SPD factorization,
+:func:`coverage_inekf.tmvn.cholesky`.  The coverage rule screens first and
+inverts cov_z only on an active update.  The Joseph form is a sum of PSD
+terms; the shorter Sigma + Sigma H^T B H Sigma cancels when R << H Sigma H^T
+and went indefinite by up to 2.2e-7 of ||Sigma|| on test priors with R in
+[1e-14, 1e-8].
 
 Every update folds its error-mean correction into the state estimate, so
 the error mean is reset to zero after each update (the standard invariant
@@ -150,7 +153,7 @@ def predicted_body_velocity(x: AugmentedState) -> np.ndarray:
 
 
 def velocity_residual(x: AugmentedState, meas: np.ndarray) -> np.ndarray:
-    """Innovation of a body-velocity measurement, shared by both update rules.
+    """Innovation of a body-velocity measurement, every update's first step.
 
     Raises ValueError on a non-finite measurement, which neither rule can
     use.
@@ -168,8 +171,8 @@ def velocity_projection(cov: np.ndarray, rot: np.ndarray) -> tuple[np.ndarray, n
     error gives H = [0, -R^T, 0, 0, 0]: only the velocity error enters,
     rotated into the body frame.  H is never formed; it is applied by its
     velocity block alone: Sigma H^T = -Sigma[:, 3:6] R
-    and H Sigma H^T is -R^T times that product's velocity rows.  Both update
-    rules project their prior through it.
+    and H Sigma H^T is -R^T times that product's velocity rows.  Every
+    update projects its prior through it.
     """
     neg_rot = -rot
     sigma_ht = np.dot(cov[:, 3:6], neg_rot)
@@ -403,18 +406,10 @@ def lift_and_apply(
 
 
 def gaussian_update(
-    x: AugmentedState,
-    cov: np.ndarray,
-    meas: np.ndarray,
-    r: np.ndarray,
-) -> tuple[AugmentedState, np.ndarray]:
-    """Baseline right-invariant Kalman update for a body-velocity measurement.
-
-    ``meas`` is the measured body-frame velocity, ``r`` its assumed Gaussian
-    noise covariance; the z-space rule is Kalman's (module docstring).
-    """
+    cov_z: np.ndarray, residual: np.ndarray, r: np.ndarray
+) -> tuple[tuple, None]:
+    """Kalman's z-rule for a body-velocity measurement whose noise has the
+    assumed Gaussian covariance ``r``: the lift ((cov_z + r)^-1, residual,
+    r) and no diagnostics (module docstring)."""
     r = np.asarray(r, dtype=float)
-    residual = velocity_residual(x, meas)
-    pht, hpht = velocity_projection(cov, x.nav.rot)
-    s_inv = spd_inverse(hpht + r, "innovation covariance")
-    return lift_and_apply(x, cov, pht, s_inv, residual, r)
+    return (spd_inverse(cov_z + r, "innovation covariance"), residual, r), None

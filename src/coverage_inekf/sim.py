@@ -4,8 +4,9 @@ Builds closed-form rigid-body trajectories, inverts the strapdown dynamics
 into ideal IMU samples, corrupts body-velocity pseudo-measurements with noise
 from one model, a Gaussian mixture whose component is drawn once per trial
 and then held fixed (Gaussian noise is its one-component case), runs filter
-trials with either update rule, and aggregates position RMSE / NEES
-statistics across trials.
+trials through the one measurement update
+(:func:`coverage_inekf.coverage.update`) with either z-rule as the arm, and
+aggregates position RMSE / NEES statistics across trials.
 
 A campaign sets the trajectory, noise model, trials, seed and arms.  The
 rest of the scenario is fixed: ``PROCESS_NOISE`` (IMU noise densities, also
@@ -28,7 +29,7 @@ from scipy.special import ndtr
 
 from coverage_inekf import se23
 from coverage_inekf.calibration import CoverageSpec, per_axis_level
-from coverage_inekf.coverage import coverage_update
+from coverage_inekf.coverage import coverage_update, update
 from coverage_inekf.filter import (
     GRAVITY,
     AugmentedState,
@@ -366,8 +367,14 @@ def run_trial(
 ) -> TrialResult:
     """Propagate and update at the IMU rate, then score the trial once.
 
-    ``arm`` is the input of the update rule: a measurement covariance R
-    runs the Gaussian update, a :class:`CoverageSpec` the coverage update.
+    ``arm`` picks the z-rule once per trial: a measurement covariance R
+    runs Kalman's rule :func:`~coverage_inekf.filter.gaussian_update`, a
+    :class:`CoverageSpec` the coverage rule
+    :func:`~coverage_inekf.coverage.coverage_update`.  The rule is looked up
+    by its name in this module on every trial, so a rebinding of that name
+    (a tracer's or a test's) is seen.  Each step makes one
+    :func:`~coverage_inekf.coverage.update` call with the rule and arm, and
+    counts the active and skipped updates its diagnostics report.
 
     Each step stores the posterior estimate and the position block of its
     covariance.  After the last step, one batched pass over the stored
@@ -397,6 +404,7 @@ def run_trial(
     )
 
     coverage = isinstance(arm, CoverageSpec)
+    rule = coverage_update if coverage else gaussian_update
 
     # posterior estimates and position covariances, one row per update
     steps = truth.n - 1
@@ -419,12 +427,10 @@ def run_trial(
             taken = k
             break
 
-        if coverage:
-            x, cov, diag = coverage_update(x, cov, meas[k + 1], arm)
+        x, cov, diag = update(x, cov, meas[k + 1], rule, arm)
+        if diag is not None:
             n_active += diag.active
             n_skipped += diag.skipped
-        else:
-            x, cov = gaussian_update(x, cov, meas[k + 1], arm)
 
         est_rot[k] = x.nav.rot
         est_vel[k] = x.nav.vel

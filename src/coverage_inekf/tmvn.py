@@ -46,17 +46,16 @@ space and on boxes open on two axes (against a 96-node run of this rule);
 mass and mean stay within 1e-14.
 
 :func:`bonferroni_bound` bounds the box mass from below without the grid,
-from the faces and marginal deviations as floats;
-:func:`box_mass_lower_bound` is its form for a ``BoxRegion``.  The box's
-complement is the union of the 2d half-spaces beyond its faces, so its
-mass is at most the sum of their marginal tail masses (Bonferroni; Genz &
-Bretz 2009, Computation of Multivariate Normal and t Probabilities,
-section 2).  No approximation enters: the bound holds for every mean and
-covariance, is attained in one dimension, and costs 2d values of Phi.  Each
-tail is Phi of its face's standardized distance, never one minus a slab
-mass, so a tail of 1e-12 keeps its relative accuracy and the computed bound
-is within one rounding of its final 1 - sum (one spacing of doubles below
-1, 2^-53) of the exact bound.
+from the faces and marginal deviations as floats.  The box's complement is
+the union of the 2d half-spaces beyond its faces, so its mass is at most
+the sum of their marginal tail masses (Bonferroni; Genz & Bretz 2009,
+Computation of Multivariate Normal and t Probabilities, section 2).  No
+approximation enters: the bound holds for every mean and covariance, is
+attained in one dimension, and costs 2d values of Phi.  Each tail is Phi of
+its face's standardized distance, never one minus a slab mass, so a tail of
+1e-12 keeps its relative accuracy and the computed bound is within one
+rounding of its final 1 - sum (one spacing of doubles below 1, 2^-53) of
+the exact bound.
 """
 
 from __future__ import annotations
@@ -188,16 +187,6 @@ def bonferroni_bound(lo: list, hi: list, sd: list) -> float:
     for i in range(d):
         total += tails[i] + tails[d + i]
     return 1.0 - total
-
-
-def box_mass_lower_bound(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> float:
-    """Bonferroni lower bound on the mass of N(mean, cov) in a ``BoxRegion``:
-    :func:`bonferroni_bound` of its faces.  cov must have a positive diagonal."""
-    mean = np.asarray(mean, dtype=float).tolist()
-    sd = [math.sqrt(v) for v in np.diagonal(cov).tolist()]
-    lo = [x - m for x, m in zip(box.lower.tolist(), mean)]
-    hi = [x - m for x, m in zip(box.upper.tolist(), mean)]
-    return bonferroni_bound(lo, hi, sd)
 
 
 def box_moments(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> TruncatedMoments:

@@ -1,4 +1,7 @@
-"""Independent reference computations shared by the test suite."""
+"""Independent reference computations shared by the test suite, and the
+adapters that call the package on their inputs."""
+
+import math
 
 import numpy as np
 from scipy.integrate import simpson
@@ -14,6 +17,7 @@ from coverage_inekf.tmvn import (
     PROB_FLOOR,
     Z_CLAMP,
     TruncatedMoments,
+    bonferroni_bound,
 )
 
 
@@ -376,3 +380,14 @@ def nested_grid_box_moments(mean, cov, box):
     return TruncatedMoments(
         prob=min(prob, 1.0), mean=mu, second_moment=0.5 * (c + c.T) + np.outer(mu, mu)
     )
+
+
+def box_mass_lower_bound(mean, cov, box):
+    """``tmvn.bonferroni_bound`` on the mass of N(mean, cov) in ``box``: the
+    box's faces relative to the mean and the marginal deviations of cov,
+    as floats."""
+    mean = np.asarray(mean, dtype=float).tolist()
+    sd = [math.sqrt(v) for v in np.diagonal(cov).tolist()]
+    lo = [x - m for x, m in zip(box.lower.tolist(), mean)]
+    hi = [x - m for x, m in zip(box.upper.tolist(), mean)]
+    return bonferroni_bound(lo, hi, sd)

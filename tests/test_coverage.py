@@ -5,6 +5,7 @@ import pytest
 from scipy.special import ndtr
 
 from oracles import (
+    box_mass_lower_bound,
     conditional_swap_lift,
     mass_inside_piecewise_posterior_1d,
     piecewise_posterior_moments_1d,
@@ -24,18 +25,21 @@ from coverage_inekf.coverage import (
     coverage_update,
     kl_coverage_posterior,
     project_prior,
+    update,
 )
 from coverage_inekf.filter import (
     AugmentedState,
     apply_correction,
     cov_from_std,
+    factor_inverse,
     gaussian_update,
     lift_and_apply,
     predicted_body_velocity,
     velocity_projection,
+    velocity_residual,
 )
 from coverage_inekf.se23 import Se23Element, so3_gammas
-from coverage_inekf.tmvn import PROB_FLOOR, BoxRegion, box_mass_lower_bound, box_moments
+from coverage_inekf.tmvn import PROB_FLOOR, BoxRegion, box_moments
 
 
 def random_state(rng):
@@ -67,6 +71,24 @@ def one_d_box(lo, hi):
     return BoxRegion(np.array([lo]), np.array([hi]))
 
 
+def feasible_box(x, meas, spec):
+    """The coverage rule's faces for ``meas`` at ``x``, as a box."""
+    return BoxRegion(*build_feasible_set(velocity_residual(x, meas), spec.epsilon))
+
+
+def projected_prior(cov, rot):
+    """The update's projection and the coverage rule's screen of it:
+    (cov_z symmetrized, Sigma H^T, cov_z^-1)."""
+    sigma_ht, cov_z = velocity_projection(cov, rot)
+    cov_z, _, factor = project_prior(cov_z)
+    return cov_z, sigma_ht, factor_inverse(*factor)
+
+
+def coverage_arm(x, cov, meas, spec):
+    """The update with the coverage rule: (x, cov, diagnostics)."""
+    return update(x, cov, meas, coverage_update, spec)
+
+
 class TestCoverageSpec:
     def test_validation(self):
         for eps in ([0.1, -0.1, 0.1], [0.1, np.nan, 0.1]):
@@ -83,13 +105,13 @@ class TestBuildFeasibleSet:
         rng = np.random.default_rng(0)
         x = random_state(rng)
         eps = np.array([0.1, 0.1, 0.1])
-        box = build_feasible_set(x, predicted_body_velocity(x), CoverageSpec(eps, 0.8))
+        box = feasible_box(x, predicted_body_velocity(x), CoverageSpec(eps, 0.8))
         assert np.allclose(box.lower, -eps, atol=1e-14)
         assert np.allclose(box.upper, eps, atol=1e-14)
 
     def test_identity_rotation_velocity_block(self):
         x = AugmentedState.identity()
-        _, sigma_ht, _ = project_prior(np.eye(15), x.nav.rot)
+        _, sigma_ht, _ = projected_prior(np.eye(15), x.nav.rot)
         assert np.array_equal(sigma_ht[3:6], -np.eye(3))
 
     def test_h_matches_finite_difference_jacobian(self):
@@ -107,7 +129,7 @@ class TestProjectPrior:
     def test_identity_cov_projects_to_identity(self):
         rng = np.random.default_rng(2)
         x = random_state(rng)
-        cov_z, _, _ = project_prior(np.eye(15), x.nav.rot)
+        cov_z, _, _ = projected_prior(np.eye(15), x.nav.rot)
         assert np.allclose(cov_z, np.eye(3), atol=1e-12)
 
     def test_gain_identity(self):
@@ -115,7 +137,7 @@ class TestProjectPrior:
         x = random_state(rng)
         a = rng.standard_normal((15, 15))
         cov = a @ a.T + 0.5 * np.eye(15)
-        cov_z, sigma_ht, cov_z_inv = project_prior(cov, x.nav.rot)
+        cov_z, sigma_ht, cov_z_inv = projected_prior(cov, x.nav.rot)
         scale = np.abs(cov).max()
         h = velocity_output_matrix(x.nav.rot)
         assert np.allclose(sigma_ht, cov @ h.T, rtol=0, atol=1e-14 * scale)
@@ -129,23 +151,20 @@ class TestProjectPrior:
         cov = np.eye(15)
         cov[3:6, 3:6] = np.diag([1.0, 1e-15, 1.0])
         with pytest.raises(np.linalg.LinAlgError, match="cond"):
-            project_prior(cov, x.nav.rot)
+            projected_prior(cov, x.nav.rot)
 
 
 class TestKlCoveragePosterior:
     def test_inactive_constraint_returns_prior(self):
         # N(0,1) on [-3,3] holds ~0.9973 mass, above gamma
-        zp = kl_coverage_posterior(np.eye(1), one_d_box(-3.0, 3.0), gamma=0.8)
-        assert zp.prior_mass >= 0.8
-        assert np.array_equal(zp.mean, np.zeros(1))
-        assert np.array_equal(zp.cov, np.eye(1))
+        assert kl_coverage_posterior(np.eye(1), one_d_box(-3.0, 3.0), gamma=0.8) is None
 
     def test_active_1d_matches_quadrature_oracle(self):
         # frozen reference: N(0,1), C=[1,2], gamma=0.5 via piecewise Simpson
         ref_mean, ref_var = 0.5828118857337737, 1.075748758692856
-        zp = kl_coverage_posterior(np.eye(1), one_d_box(1.0, 2.0), gamma=0.5)
-        assert abs(zp.mean[0] - ref_mean) / abs(ref_mean) < 1e-3
-        assert abs(zp.cov[0, 0] - ref_var) / ref_var < 1e-3
+        mean, cov = kl_coverage_posterior(np.eye(1), one_d_box(1.0, 2.0), gamma=0.5)
+        assert abs(mean[0] - ref_mean) / abs(ref_mean) < 1e-3
+        assert abs(cov[0, 0] - ref_var) / ref_var < 1e-3
 
     def test_oracle_self_consistency(self):
         pi, mass, _, _ = piecewise_posterior_moments_1d(0.0, 1.0, 1.0, 2.0, 0.5)
@@ -155,10 +174,10 @@ class TestKlCoveragePosterior:
 
     def test_symmetric_box_keeps_mean_shrinks_variance(self):
         box = BoxRegion(-0.5 * np.ones(3), 0.5 * np.ones(3))
-        zp = kl_coverage_posterior(np.eye(3), box, gamma=0.9)
-        assert zp.prior_mass < 0.9
-        assert np.allclose(zp.mean, 0, atol=5e-3)
-        assert np.all(np.diag(zp.cov) < 1.0)
+        assert box_moments(np.zeros(3), np.eye(3), box).prob < 0.9
+        mean, cov = kl_coverage_posterior(np.eye(3), box, gamma=0.9)
+        assert np.allclose(mean, 0, atol=5e-3)
+        assert np.all(np.diag(cov) < 1.0)
 
     def test_mass_improvement_diagnostic(self):
         rng = np.random.default_rng(5)
@@ -168,12 +187,13 @@ class TestKlCoveragePosterior:
             center = rng.uniform(0.5, 2.0, 3)
             half = rng.uniform(0.3, 1.0, 3)
             box = BoxRegion(center - half, center + half)
-            zp = kl_coverage_posterior(np.eye(3), box, gamma=0.85)
-            if zp.prior_mass >= 0.85:
+            pi = box_moments(np.zeros(3), np.eye(3), box).prob
+            posterior = kl_coverage_posterior(np.eye(3), box, gamma=0.85)
+            if posterior is None:
                 continue
             cases += 1
-            pi_post = box_moments(zp.mean, zp.cov, box).prob
-            if pi_post > zp.prior_mass:
+            pi_post = box_moments(*posterior, box).prob
+            if pi_post > pi:
                 improved += 1
             assert pi_post <= 0.85 + 0.05
         assert cases > 30
@@ -226,12 +246,12 @@ class TestLiftAndApply:
         self.x = random_state(rng)
         a = rng.standard_normal((15, 15))
         self.cov = 0.01 * (a @ a.T + 2 * np.eye(15))
-        self.box = build_feasible_set(
+        self.box = feasible_box(
             self.x,
             predicted_body_velocity(self.x) + np.array([0.3, 0.0, -0.2]),
             CoverageSpec(0.1 * np.ones(3), 0.8),
         )
-        self.cov_z, self.sigma_ht, self.cov_z_inv = project_prior(
+        self.cov_z, self.sigma_ht, self.cov_z_inv = projected_prior(
             self.cov, self.x.nav.rot
         )
 
@@ -254,12 +274,12 @@ class TestLiftAndApply:
         assert np.allclose(cov2, kalman_cov, atol=1e-9)
 
     def test_pushforward_identity(self):
-        zp = kl_coverage_posterior(self.cov_z, self.box, 0.8)
-        _, cov2 = self.lift(zp.mean, zp.cov)
+        z_mean, z_cov = kl_coverage_posterior(self.cov_z, self.box, 0.8)
+        _, cov2 = self.lift(z_mean, z_cov)
         h = velocity_output_matrix(self.x.nav.rot)
         gain = self.sigma_ht @ self.cov_z_inv
-        assert np.allclose(h @ gain @ zp.mean, zp.mean, atol=1e-9)
-        assert np.allclose(h @ cov2 @ h.T, zp.cov, atol=1e-9)
+        assert np.allclose(h @ gain @ z_mean, z_mean, atol=1e-9)
+        assert np.allclose(h @ cov2 @ h.T, z_cov, atol=1e-9)
 
     def test_matches_conditional_swap_reference(self):
         """On 200 seeded priors and active moment-matched posteriors, the
@@ -277,14 +297,14 @@ class TestLiftAndApply:
             cov_z = velocity_projection(cov, x.nav.rot)[1]
             offset = np.linalg.cholesky(cov_z) @ (1.5 * rng.standard_normal(3))
             spec = CoverageSpec(0.5 * np.sqrt(np.diag(cov_z)), 0.8)
-            box = build_feasible_set(x, predicted_body_velocity(x) + offset, spec)
-            cov_z, sigma_ht, cov_z_inv = project_prior(cov, x.nav.rot)
-            zp = kl_coverage_posterior(cov_z, box, spec.gamma)
-            assert zp.prior_mass < spec.gamma
+            box = feasible_box(x, predicted_body_velocity(x) + offset, spec)
+            cov_z, sigma_ht, cov_z_inv = projected_prior(cov, x.nav.rot)
+            assert box_moments(np.zeros(3), cov_z, box).prob < spec.gamma
+            z_mean, z_cov = kl_coverage_posterior(cov_z, box, spec.gamma)
 
-            x2, cov2 = lift_and_apply(x, cov, sigma_ht, cov_z_inv, zp.mean, zp.cov)
+            x2, cov2 = lift_and_apply(x, cov, sigma_ht, cov_z_inv, z_mean, z_cov)
             delta, cov_ref = conditional_swap_lift(
-                cov, sigma_ht, cov_z_inv, cov_z, zp.mean, zp.cov
+                cov, sigma_ht, cov_z_inv, cov_z, z_mean, z_cov
             )
             tol = 1e-14 * np.linalg.norm(cov, 2)
             assert np.abs(cov2 - cov_ref).max() <= tol
@@ -302,7 +322,7 @@ class TestCoverageUpdate:
 
     def test_wide_bounds_are_bit_identical_noop(self):
         spec = CoverageSpec(np.array([5.0, 5.0, 5.0]), 0.8)
-        x2, cov2, diag = coverage_update(
+        x2, cov2, diag = coverage_arm(
             self.x, self.cov, predicted_body_velocity(self.x), spec
         )
         assert x2 is self.x
@@ -313,14 +333,13 @@ class TestCoverageUpdate:
     def test_offset_measurement_activates(self):
         spec = CoverageSpec(np.array([0.05, 0.05, 0.05]), 0.8)
         meas = predicted_body_velocity(self.x) + np.array([0.25, 0.0, 0.0])
-        x2, _, diag = coverage_update(self.x, self.cov, meas, spec)
+        x2, _, diag = coverage_arm(self.x, self.cov, meas, spec)
         assert diag.active
         assert diag.pi_prior < 0.8
         # the moment-matched posterior moves z-space mass toward gamma
-        box = build_feasible_set(self.x, meas, spec)
-        cov_z, _, _ = project_prior(self.cov, self.x.nav.rot)
-        zp = kl_coverage_posterior(cov_z, box, spec.gamma)
-        pi_post = box_moments(zp.mean, zp.cov, box).prob
+        box = feasible_box(self.x, meas, spec)
+        cov_z, _, _ = projected_prior(self.cov, self.x.nav.rot)
+        pi_post = box_moments(*kl_coverage_posterior(cov_z, box, spec.gamma), box).prob
         assert diag.pi_prior < pi_post <= 0.8 + 0.03
         # estimate moves toward the measurement
         before = np.linalg.norm(meas - predicted_body_velocity(self.x))
@@ -330,7 +349,7 @@ class TestCoverageUpdate:
     def test_extreme_outlier_skipped(self):
         spec = CoverageSpec(np.array([0.05, 0.05, 0.05]), 0.8)
         meas = predicted_body_velocity(self.x) + np.array([500.0, 0.0, 0.0])
-        x2, cov2, diag = coverage_update(self.x, self.cov, meas, spec)
+        x2, cov2, diag = coverage_arm(self.x, self.cov, meas, spec)
         assert diag.skipped and not diag.active
         assert x2 is self.x and cov2 is self.cov
 
@@ -342,7 +361,7 @@ class TestCoverageUpdate:
         sd = 0.1
         cov = cov_from_std(0.02, sd, 0.1, 0.01, 0.001)
         spec = CoverageSpec(np.full(3, radius * sd), 0.8)
-        x2, cov2, diag = coverage_update(x, cov, predicted_body_velocity(x), spec)
+        x2, cov2, diag = coverage_arm(x, cov, predicted_body_velocity(x), spec)
         expected = (2.0 * ndtr(radius) - 1.0) ** 3
         assert abs(diag.pi_prior - expected) <= 1e-12
         assert (1.0 - expected < NEAR_FULL_MASS) == near_full
@@ -352,8 +371,8 @@ class TestCoverageUpdate:
     def test_determinism(self):
         spec = CoverageSpec(np.array([0.05, 0.05, 0.05]), 0.8)
         meas = predicted_body_velocity(self.x) + np.array([0.2, -0.1, 0.0])
-        out1 = coverage_update(self.x, self.cov, meas, spec)
-        out2 = coverage_update(self.x, self.cov, meas, spec)
+        out1 = coverage_arm(self.x, self.cov, meas, spec)
+        out2 = coverage_arm(self.x, self.cov, meas, spec)
         assert np.array_equal(se23_matrix(out1[0].nav), se23_matrix(out2[0].nav))
         assert np.array_equal(out1[1], out2[1])
         assert out1[2].pi_prior == out2[2].pi_prior
@@ -364,15 +383,62 @@ class TestCoverageUpdate:
         x, cov = self.x, self.cov
         for k in range(50):
             meas = predicted_body_velocity(x) + rng.normal(0.1, 0.1, 3)
-            x, cov, _ = coverage_update(x, cov, meas, spec)
+            x, cov, _ = coverage_arm(x, cov, meas, spec)
             assert np.linalg.eigvalsh(cov).min() >= -1e-10
 
+
+
+class TestUpdate:
+    """The one pipeline's contract, driven by a scripted rule."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(27)
+        self.x = random_state(rng)
+        a = rng.standard_normal((15, 15))
+        self.cov = 0.01 * (a @ a.T + 2 * np.eye(15))
+        self.meas = predicted_body_velocity(self.x) + np.array([0.1, -0.2, 0.05])
+
+    def run(self, lift):
+        """``update`` with a rule that records its arguments and returns
+        ``lift``; the update's output and the rule's arguments."""
+        seen = []
+
+        def rule(cov_z, residual, arm):
+            seen.append((cov_z, residual, arm))
+            return lift, "diag"
+
+        return update(self.x, self.cov, self.meas, rule, "arm"), seen
+
+    def test_rule_gets_the_unsymmetrized_projection_and_the_residual(self):
+        _, [(cov_z, residual, arm)] = self.run(None)
+        assert np.array_equal(cov_z, velocity_projection(self.cov, self.x.nav.rot)[1])
+        assert not np.array_equal(cov_z, cov_z.T)  # roundoff left in
+        assert np.array_equal(residual, velocity_residual(self.x, self.meas))
+        assert arm == "arm"
+
+    def test_no_lift_returns_the_inputs(self):
+        (x2, cov2, diag), _ = self.run(None)
+        assert x2 is self.x and cov2 is self.cov
+        assert diag == "diag"
+
+    def test_lift_is_lift_and_apply_bit_for_bit(self):
+        rng = np.random.default_rng(28)
+        b = rng.standard_normal((3, 3))
+        lift = (b @ b.T + np.eye(3), rng.standard_normal(3), 0.01 * np.eye(3))
+        (x2, cov2, diag), _ = self.run(lift)
+        sigma_ht, _ = velocity_projection(self.cov, self.x.nav.rot)
+        x_ref, cov_ref = lift_and_apply(self.x, self.cov, sigma_ht, *lift)
+        assert np.array_equal(cov2, cov_ref)
+        assert np.array_equal(se23_matrix(x2.nav), se23_matrix(x_ref.nav))
+        assert np.array_equal(x2.bias_accel, x_ref.bias_accel)
+        assert np.array_equal(x2.bias_gyro, x_ref.bias_gyro)
+        assert diag == "diag"
 
 both_rules = pytest.mark.parametrize(
     "update",
     [
-        lambda x, cov, meas: gaussian_update(x, cov, meas, 0.01 * np.eye(3)),
-        lambda x, cov, meas: coverage_update(
+        lambda x, cov, meas: update(x, cov, meas, gaussian_update, 0.01 * np.eye(3)),
+        lambda x, cov, meas: coverage_arm(
             x, cov, meas, CoverageSpec(0.05 * np.ones(3), 0.8)
         ),
     ],
@@ -417,9 +483,9 @@ def test_indefinite_prior_rejected_by_both_rules(block, radius):
     cov[3:6, 3:6] = block
     meas = predicted_body_velocity(x) + 0.01
     with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
-        gaussian_update(x, cov, meas, 0.001 * np.eye(3))
+        update(x, cov, meas, gaussian_update, 0.001 * np.eye(3))
     with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
-        coverage_update(x, cov, meas, CoverageSpec(np.full(3, radius), 0.8))
+        coverage_arm(x, cov, meas, CoverageSpec(np.full(3, radius), 0.8))
 
 
 @pytest.mark.parametrize("radius, certifiable", [(0.05, False), (50.0, True)],
@@ -435,10 +501,10 @@ def test_collapsed_prior_refused_before_the_certificate(radius, certifiable):
     meas = predicted_body_velocity(x) + 0.01
     spec = CoverageSpec(np.full(3, radius), 0.8)
     _, cov_z = velocity_projection(cov, x.nav.rot)
-    bound = box_mass_lower_bound(np.zeros(3), cov_z, build_feasible_set(x, meas, spec))
+    bound = box_mass_lower_bound(np.zeros(3), cov_z, feasible_box(x, meas, spec))
     assert (bound >= spec.gamma + CERTIFY_MARGIN) == certifiable
     with pytest.raises(np.linalg.LinAlgError, match="cond"):
-        coverage_update(x, cov, meas, spec)
+        coverage_arm(x, cov, meas, spec)
 
 
 def random_correlation(rng, max_abs=0.95):
@@ -501,15 +567,15 @@ class TestCertificate:
         for k in range(2100):
             kind = ("centred", "offset", "infinite")[k % 3] if k < 2000 else "outlier"
             x, cov, meas, spec = certificate_problem(rng, kind)
-            box = build_feasible_set(x, meas, spec)
-            cov_z, _, _ = project_prior(cov, x.nav.rot)
+            box = feasible_box(x, meas, spec)
+            cov_z, _, _ = projected_prior(cov, x.nav.rot)
             pi = box_moments(np.zeros(3), cov_z, box).prob
             bound = box_mass_lower_bound(np.zeros(3), cov_z, box)
             assert bound <= pi + 1e-14
 
             for calls in (grid, boxes, inverses):
                 calls.clear()
-            x2, cov2, diag = coverage_update(x, cov, meas, spec)
+            x2, cov2, diag = coverage_arm(x, cov, meas, spec)
             if bound < spec.gamma + CERTIFY_MARGIN:
                 assert (len(grid), len(boxes)) == (1, 1)
                 assert len(inverses) == diag.active
@@ -542,11 +608,11 @@ class TestCertificate:
         cov = cov_from_std(0.02, 0.1, 0.1, 0.01, 0.001)
         meas = predicted_body_velocity(x) + np.array([0.05, -0.02, 0.0])
         eps = np.array([0.3, 0.25, 0.3])
-        box = build_feasible_set(x, meas, CoverageSpec(eps, 0.5))
-        cov_z, _, _ = project_prior(cov, x.nav.rot)
+        box = feasible_box(x, meas, CoverageSpec(eps, 0.5))
+        cov_z, _, _ = projected_prior(cov, x.nav.rot)
         bound = box_mass_lower_bound(np.zeros(3), cov_z, box)
         spec = CoverageSpec(eps, bound - clearance * CERTIFY_MARGIN)
         grid = self.count_calls(monkeypatch, "box_moments")
-        _, _, diag = coverage_update(x, cov, meas, spec)
+        _, _, diag = coverage_arm(x, cov, meas, spec)
         assert len(grid) == (0 if certified else 1)
         assert not diag.active and diag.pi_prior >= spec.gamma

@@ -14,6 +14,7 @@ from oracles import (
 from scipy.linalg import expm
 
 from coverage_inekf import se23
+from coverage_inekf.coverage import update
 from coverage_inekf.filter import (
     GRAVITY,
     MAX_COND,
@@ -47,6 +48,11 @@ def random_state(rng, vel_scale=1.0, pos_scale=5.0):
         bias_accel=0.05 * rng.standard_normal(3),
         bias_gyro=0.005 * rng.standard_normal(3),
     )
+
+
+def kalman_update(x, cov, meas, r):
+    """The Gaussian arm's update: the pipeline with Kalman's rule."""
+    return update(x, cov, meas, gaussian_update, r)[:2]
 
 
 def stack_states(states):
@@ -320,13 +326,13 @@ class TestGaussianUpdate:
 
     def test_zero_innovation_keeps_state(self):
         meas = predicted_body_velocity(self.x)
-        x2, cov2 = gaussian_update(self.x, self.cov, meas, self.r)
+        x2, cov2 = kalman_update(self.x, self.cov, meas, self.r)
         assert np.allclose(se23_matrix(x2.nav), se23_matrix(self.x.nav), atol=1e-14)
         assert np.all(np.diag(cov2) <= np.diag(self.cov) + 1e-12)
 
     def test_uninformative_measurement_keeps_prior(self):
         meas = predicted_body_velocity(self.x) + np.array([0.5, -0.2, 0.1])
-        x2, cov2 = gaussian_update(self.x, self.cov, meas, 1e12 * np.eye(3))
+        x2, cov2 = kalman_update(self.x, self.cov, meas, 1e12 * np.eye(3))
         assert np.allclose(se23_matrix(x2.nav), se23_matrix(self.x.nav), atol=1e-6)
         assert np.allclose(cov2, self.cov, atol=1e-6)
 
@@ -340,7 +346,7 @@ class TestGaussianUpdate:
         cov[5, 5] = 1e-6
         innov = 0.3
         meas = np.array([innov, 0.0, 0.0])
-        x2, cov2 = gaussian_update(x, cov, meas, rvar * np.eye(3))
+        x2, cov2 = kalman_update(x, cov, meas, rvar * np.eye(3))
         gain = var0 / (var0 + rvar)
         # H velocity block is -I at identity rotation: xi_v = -gain*innov,
         # and the correction subtracts xi_v from the velocity
@@ -349,7 +355,7 @@ class TestGaussianUpdate:
 
     def test_strong_measurement_matches_observation(self):
         meas = predicted_body_velocity(self.x) + np.array([0.05, 0.02, -0.04])
-        x2, _ = gaussian_update(self.x, self.cov, meas, 1e-12 * np.eye(3))
+        x2, _ = kalman_update(self.x, self.cov, meas, 1e-12 * np.eye(3))
         assert np.allclose(predicted_body_velocity(x2), meas, atol=1e-6)
 
     def test_matches_dense_h_formula(self):
@@ -370,7 +376,7 @@ class TestGaussianUpdate:
             cov_ref = ikh @ cov @ ikh.T + k @ r @ k.T
             x_ref = apply_correction(x, k @ (meas - predicted_body_velocity(x)))
 
-            x2, cov2 = gaussian_update(x, cov, meas, r)
+            x2, cov2 = kalman_update(x, cov, meas, r)
             assert np.allclose(cov2, cov_ref, rtol=0, atol=1e-14 * np.abs(cov).max())
             nav, nav_ref = se23_matrix(x2.nav), se23_matrix(x_ref.nav)
             assert np.allclose(nav, nav_ref, rtol=0, atol=1e-12)
@@ -380,7 +386,7 @@ class TestGaussianUpdate:
     def test_singular_innovation_rejected(self):
         meas = predicted_body_velocity(self.x)
         with pytest.raises(np.linalg.LinAlgError):
-            gaussian_update(self.x, np.zeros((15, 15)), meas, np.zeros((3, 3)))
+            kalman_update(self.x, np.zeros((15, 15)), meas, np.zeros((3, 3)))
 
 
 def test_lift_stays_psd_near_noise_free_measurements():
@@ -408,7 +414,7 @@ def test_lift_stays_psd_near_noise_free_measurements():
         meas = predicted_body_velocity(x) + 0.1 * rng.standard_normal(3)
         tol = -1e-14 * np.linalg.norm(cov, 2)
 
-        _, cov_gauss = gaussian_update(x, cov, meas, r)
+        _, cov_gauss = kalman_update(x, cov, meas, r)
         assert np.linalg.eigvalsh(cov_gauss).min() >= tol
 
         sigma_ht, cov_z = velocity_projection(cov, x.nav.rot)
@@ -566,7 +572,7 @@ class TestLongRunStability:
             x = propagate_mean(x, u)
             if k % 5 == 0:
                 meas = predicted_body_velocity(x) + rng.normal(0, 0.1, 3)
-                x, cov = gaussian_update(x, cov, meas, r)
+                x, cov = kalman_update(x, cov, meas, r)
         assert np.linalg.eigvalsh(cov).min() >= -1e-10
         assert np.abs(cov - cov.T).max() <= 1e-12
         check_se23_valid(x.nav, atol=1e-9)

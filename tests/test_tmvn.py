@@ -9,6 +9,7 @@ from scipy.stats import qmc
 
 from oracles import (
     _base_points,
+    box_mass_lower_bound,
     nested_grid_box_moments,
     oracle_box_moments,
     tensor_gauss_legendre_box_moments,
@@ -16,12 +17,7 @@ from oracles import (
 )
 
 from coverage_inekf import tmvn
-from coverage_inekf.tmvn import (
-    PROB_FLOOR,
-    BoxRegion,
-    box_mass_lower_bound,
-    box_moments,
-)
+from coverage_inekf.tmvn import PROB_FLOOR, BoxRegion, box_moments
 
 
 def random_problem(rng: np.random.Generator, dim: int = 3):
