@@ -345,7 +345,7 @@ def error_transition(
 
 def propagate_cov(cov: np.ndarray, phi: np.ndarray, q_d: np.ndarray) -> np.ndarray:
     """Covariance propagation Phi Sigma Phi^T + Q_d, symmetrized."""
-    cov = phi @ cov @ phi.T + q_d
+    cov = np.dot(np.dot(phi, cov), phi.T) + q_d
     return 0.5 * (cov + cov.T)
 
 

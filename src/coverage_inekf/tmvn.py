@@ -29,13 +29,18 @@ deviations, the clamped faces and the order from one ``ndtr`` call on the
 :func:`cholesky`, the package's one SPD factorization, which the filter's
 3x3 inverse and moment matching's definiteness test use too.  l_00 is the
 first coordinate's marginal deviation, so its slab mass is the one the
-ordering computed; every later coordinate stacks its two faces in one
-(2, ...) array for one ``ndtr`` call (and the last for one ``exp``).  All
+ordering computed, and its faces, their clip and the half-width and
+midpoint stay Python floats: only its nodes and weights are arrays.  Every
+later coordinate builds its two faces in one ``np.subtract.outer`` pass as
+a (2, ...) array for one ``ndtr`` call (and the last for one ``exp``).  All
 sums come from one product of the features Y_j Y_k, Y = [z_0, .., z_{d-2},
 1], with the last coordinate's moment terms, scaled by 1/sqrt(2 pi) after
-the sum.  On 3000 seeded problems it agrees with the first evaluation of
-the rule (kept in the tests as the nested-grid reference) within 1e-15 in
-mass and 1e-12 of the covariance scale in the moments.
+the sum.  Every 1-D and 2-D product is ``np.dot``: it calls the same BLAS
+routine as ``@``, with the same bits, at less dispatch cost per call,
+which counts when a call makes a dozen products of at most (9, 576).  On
+3000 seeded problems it agrees with the first evaluation of the rule (kept
+in the tests as the nested-grid reference) within 1e-15 in mass and 1e-12
+of the covariance scale in the moments.
 
 Measured errors: on 200 correlated 3-D boxes with masses from 1e-3 to 0.7,
 the median errors against an x-space tensor Gauss-Legendre reference are
@@ -202,20 +207,30 @@ def box_moments(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> TruncatedM
 
     Raises
     ------
-    ValueError if the dimension exceeds MAX_DIM.
+    ValueError if the box has no dimension or more than MAX_DIM, if mean
+        and cov are not shaped (d,) and (d, d) for the box's d, or if the
+        mean or a variance is not finite.
     numpy.linalg.LinAlgError if cov has no Cholesky factor.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    d = mean.size
-    if box.dim != d:
-        raise ValueError("box dimension does not match the prior")
+    d = box.dim
     if d > MAX_DIM:
         raise ValueError(f"box_moments supports at most {MAX_DIM} dimensions")
-    cov_f = cov.tolist()
+    if d == 0:
+        raise ValueError("box_moments needs a box of at least one dimension")
+    if mean.shape != (d,) or cov.shape != (d, d):
+        raise ValueError(
+            f"prior shapes {mean.shape} and {cov.shape} do not match a {d}-D box"
+        )
+    mean_f, cov_f = mean.tolist(), cov.tolist()
+    if not all(map(math.isfinite, mean_f)):
+        raise ValueError("prior mean must be finite")
     sd = [_root(cov_f[i][i]) for i in range(d)]
+    if math.inf in sd:
+        raise ValueError("prior variances must be finite")
     lo, hi = [], []  # faces relative to the mean
-    for x, y, x0, s in zip(box.lower.tolist(), box.upper.tolist(), mean.tolist(), sd):
+    for x, y, x0, s in zip(box.lower.tolist(), box.upper.tolist(), mean_f, sd):
         lo.append((x if math.isfinite(x) else x0 - INFINITE_BOUND_SIGMA * s) - x0)
         hi.append((y if math.isfinite(y) else x0 + INFINITE_BOUND_SIGMA * s) - x0)
     t = [x / s for x, s in zip(lo + hi, sd + sd)]
@@ -227,32 +242,48 @@ def box_moments(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> TruncatedM
     chol, _ = cholesky(cov_f, order)
     last = d - 1
 
-    # ab holds each coordinate's standardized faces stacked (2, ...) and
-    # mass their slab mass; every coordinate but the last is one grid
-    # axis, w the product weight and each entry of z broadcasts against it
+    # l_00 is the marginal deviation: the first coordinate's standardized
+    # faces and slab mass are the ordering's floats, and its half-width
+    # (-a/2) + b/2 and midpoint a/2 + b/2 round as a product with
+    # _HALF_MID does
     w, z = 1.0, []
-    for i, k in enumerate(order):
-        if i == 0:
-            # l_00 is the marginal deviation: the marginal slab and its mass
-            ab, mass = np.array([t[k], t[d + k]]), marginal[k]
-        else:
-            shift = chol[i][0] * z[0]
-            for j in range(1, i):
-                shift = shift + chol[i][j] * z[j]
-            ab = np.array([lo[k], hi[k]]).reshape((2,) + (1,) * shift.ndim) - shift
-            ab /= chol[i][i]
-            p = ndtr(ab)
-            mass = p[1] - p[0]
+    k = order[0]
+    a, b, mass = t[k], t[d + k], marginal[k]
+    if last == 0:
+        ab = np.array([a, b])
+    else:
+        a = min(max(a, -Z_CLAMP), Z_CLAMP)
+        b = min(max(b, -Z_CLAMP), Z_CLAMP)
+        zi = (-0.5 * a + 0.5 * b) * _NODES + (0.5 * a + 0.5 * b)
+        wi = np.exp(-0.5 * zi * zi)
+        mass = mass / np.dot(wi, _WEIGHTS)
+        wi *= _WEIGHTS
+        wi *= mass
+        w, z = wi, [zi]
+
+    # every later coordinate is confined, given the ones before it, to the
+    # faces ab stacked (2, ...) with slab mass mass; every one but the last
+    # is one more grid axis, w the product weight and each entry of z
+    # broadcasts against it
+    for i in range(1, d):
+        k = order[i]
+        shift = chol[i][0] * z[0]
+        for j in range(1, i):
+            shift = shift + chol[i][j] * z[j]
+        ab = np.subtract.outer((lo[k], hi[k]), shift)
+        ab /= chol[i][i]
+        p = ndtr(ab)
+        mass = p[1] - p[0]
         if i == last:
             break
         clipped = np.minimum(np.maximum(ab, -Z_CLAMP), Z_CLAMP)
-        half, mid = (_HALF_MID @ clipped)[..., None]
+        half, mid = np.dot(_HALF_MID, clipped)[..., None]
         zi = half * _NODES + mid
         wi = np.exp(-0.5 * zi * zi)
-        mass = mass / (wi @ _WEIGHTS)
+        mass = mass / np.dot(wi, _WEIGHTS)
         wi *= _WEIGHTS
         wi *= mass[..., None]
-        w = w[..., None] * wi if i else wi
+        w = w[..., None] * wi
         z = [zj[..., None] for zj in z] + [zi]
 
     # the last coordinate in closed form over its faces [alpha, beta]: the
@@ -271,7 +302,7 @@ def box_moments(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> TruncatedM
     for j, zj in enumerate(z):
         y[j] = zj
     y = y.reshape(d, -1)
-    sums = (y[:, None] * y).reshape(d * d, -1) @ m.reshape(3, -1).T
+    sums = np.dot((y[:, None] * y).reshape(d * d, -1), m.reshape(3, -1).T)
     prob = sums.item(-3)  # the mass: Y_last Y_last m0
     if prob < PROB_FLOOR:
         return TruncatedMoments(
@@ -286,9 +317,9 @@ def box_moments(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> TruncatedM
 
     # x - mean = lx z, with the rows of the factor back in box order
     lx = np.array([chol[order.index(k)] for k in range(d)])
-    mu = lx @ ez + mean
+    mu = np.dot(lx, ez) + mean
     ezz -= ez[:, None] * ez
-    c = lx @ ezz @ lx.T
+    c = np.dot(np.dot(lx, ezz), lx.T)
     c += c.T
     c *= 0.5
     c += mu[:, None] * mu

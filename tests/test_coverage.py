@@ -13,7 +13,7 @@ from oracles import (
     velocity_output_matrix,
 )
 
-from coverage_inekf import coverage, se23
+from coverage_inekf import coverage
 from coverage_inekf.coverage import (
     CERTIFY_MARGIN,
     COV_EIG_FLOOR,

@@ -33,7 +33,7 @@ from coverage_inekf.filter import (
     spd_inverse,
     velocity_projection,
 )
-from coverage_inekf.se23 import Se23Element, exp_se23, log_se23, skew
+from coverage_inekf.se23 import Se23Element, log_se23, skew
 
 
 def random_state(rng, vel_scale=1.0, pos_scale=5.0):

@@ -267,6 +267,26 @@ class TestBoxMoments:
         with pytest.raises(ValueError):
             box_moments(np.zeros(4), np.eye(4), BoxRegion.full_space(4))
 
+    @pytest.mark.parametrize(
+        "mean, cov, box, match",
+        [
+            (np.zeros(0), np.zeros((0, 0)), BoxRegion([], []), "at least one"),
+            (np.zeros(3), np.eye(2), BoxRegion.full_space(3), "shapes"),
+            (np.zeros(2), np.ones(2), BoxRegion.full_space(2), "shapes"),
+            (np.array([0.0, np.nan]), np.eye(2), BoxRegion([-1, -1], [1, 1]), "mean"),
+            (np.array([np.inf, 0.0]), np.eye(2), BoxRegion([-1, -1], [1, 1]), "mean"),
+            (np.zeros(2), np.diag([1.0, np.inf]), BoxRegion([-1, -1], [1, 1]), "variance"),
+        ],
+        ids=["d0", "cov-too-small", "cov-1d", "nan-mean", "inf-mean", "inf-variance"],
+    )
+    def test_rejects_malformed_priors(self, mean, cov, box, match):
+        """Input the rule cannot read raises ValueError before any
+        arithmetic warns, never an IndexError or a silent NaN."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                box_moments(mean, cov, box)
+
     def test_second_moment_dominates_mean_outer(self):
         rng = np.random.default_rng(16)
         for trial in range(10):
