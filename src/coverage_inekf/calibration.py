@@ -127,11 +127,14 @@ def decorrelation_lags(
     """Per-axis lag at which |autocorrelation| first drops below threshold.
 
     Guidance for picking the subsampling interval; returns max_lag + 1 for
-    an axis that never decorrelates within the horizon.
+    an axis that never decorrelates within the horizon.  An explicit
+    ``max_lag`` must lie in [1, n - 1], the lags that have sample pairs.
     """
     n = len(series)
     if max_lag is None:
         max_lag = min(n - 2, 1000)
+    elif not 1 <= max_lag <= n - 1:
+        raise ValueError(f"max_lag must lie in [1, {n - 1}] for {n} samples")
     lags = np.empty(3, dtype=int)
     for j in range(3):
         x = series.errors[:, j] - series.errors[:, j].mean()

@@ -34,14 +34,16 @@ before it cannot decide:
    gamma by ``CERTIFY_MARGIN`` (1e-9), far above the grid's mass error
    (1e-14 relative), the grid would find pi >= gamma too: the decision is
    the grid's, and a certified update is never a degenerate skip.
-4. :func:`kl_coverage_posterior`: the ``BoxRegion``, the grid
-   (``box_moments``) and moment matching on floats.
-5. An active update's lift: cov_z^-1 from the screen's factor, and the
-   moment-matched mean and covariance.
+4. The grid, :attr:`UpdateDiagnostics.moments`: the ``BoxRegion`` and the
+   module's one ``box_moments`` call.
+5. The decision, :func:`coverage_update`'s alone: skipped at the
+   probability floor (outlier), inactive at pi >= gamma, else active.
+6. An active update's lift: cov_z^-1 from the screen's factor, and
+   :func:`kl_coverage_posterior`'s moment matching on floats.
 
-Every update's diagnostics keep cov_z and the box's faces.  pi, the grid's
-own call on the box those faces make, is computed when first read, so pi
-nobody reads costs nothing.
+Diagnostics keep cov_z, the faces and, past the certificate, the grid's
+moments, so pi is the update's own grid call; on a certified update it is
+computed when first read, so pi nobody reads costs nothing.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from coverage_inekf.filter import (
 from coverage_inekf.tmvn import (
     PROB_FLOOR,
     BoxRegion,
+    TruncatedMoments,
     bonferroni_bound,
     box_moments,
     cholesky,
@@ -92,10 +95,6 @@ NEAR_FULL_MASS = 1e-6
 CERTIFY_MARGIN = 1e-9
 
 
-class DegenerateMassError(ValueError):
-    """Estimated prior set mass fell below the probability floor."""
-
-
 @dataclass(eq=False)
 class UpdateDiagnostics:
     """Per-update record: the projected prior N(0, cov_z), the faces of the
@@ -104,9 +103,10 @@ class UpdateDiagnostics:
     The coverage rule fills it in its stages' order: cov_z once the screen
     has passed, the faces ``lower`` and ``upper`` (lists of floats) before
     the certificate, and ``skipped`` or ``active`` on the grid path only.
-    ``pi_prior``, the prior set mass, builds the box from the faces and
-    makes the grid path's ``box_moments`` call on first read: bit for bit
-    the value the update saw, and ``PROB_FLOOR`` for a skipped update, whose
+    ``moments``, the grid's truncated moments on the box the faces make, is
+    computed on first read, by the update itself on the grid path.
+    ``pi_prior``, the prior set mass, is its ``prob``: bit for bit the value
+    the update decided on, and ``PROB_FLOOR`` for a skipped update, whose
     mass the grid clamps there.  ``near_full_mass`` flags pi within
     ``NEAR_FULL_MASS`` of 1.
     """
@@ -118,9 +118,13 @@ class UpdateDiagnostics:
     skipped: bool = False
 
     @cached_property
-    def pi_prior(self) -> float:
+    def moments(self) -> TruncatedMoments:
         box = BoxRegion(self.lower, self.upper)
-        return box_moments(np.zeros(self.cov_z.shape[0]), self.cov_z, box).prob
+        return box_moments(np.zeros(self.cov_z.shape[0]), self.cov_z, box)
+
+    @property
+    def pi_prior(self) -> float:
+        return self.moments.prob
 
     @property
     def near_full_mass(self) -> bool:
@@ -171,32 +175,21 @@ def build_feasible_set(residual: np.ndarray, epsilon: np.ndarray) -> tuple[list,
 
 
 def kl_coverage_posterior(
-    cov_z: np.ndarray, box: BoxRegion, gamma: float
-) -> tuple[np.ndarray, np.ndarray] | None:
+    cov_z: np.ndarray, tm: TruncatedMoments, gamma: float
+) -> tuple[np.ndarray, np.ndarray]:
     """KL-minimal set-mass posterior in z-space, moment-matched to a Gaussian.
 
-    The prior is N(0, cov_z).  If it already puts mass >= gamma in the box,
-    the constraint is inactive and None is returned.  Otherwise the
-    minimizer rescales the prior to mass gamma inside the box and
-    1 - gamma outside, and its first two moments, returned as (mean, cov),
-    follow from the truncated moments inside the box and the law of total
-    expectation for the complement.
+    The prior N(0, cov_z) has the grid's truncated moments ``tm`` on the
+    box, of mass pi.  The minimizer rescales it to mass gamma inside the box
+    and 1 - gamma outside; its first two moments, returned as (mean, cov),
+    follow from ``tm`` and the law of total expectation for the complement.
 
-    Raises DegenerateMassError when the estimated prior mass is at the
-    probability floor (extreme outlier; callers should skip the update).
+    Precondition, decided by :func:`coverage_update`: the constraint is
+    active, so ``tm`` is not degenerate and pi < gamma.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    tm = box_moments(np.zeros(cov_z.shape[0]), cov_z, box)
     pi = tm.prob
-    if tm.degenerate:
-        raise DegenerateMassError(
-            f"prior set mass at or below floor ({PROB_FLOOR}); measurement "
-            "is an extreme outlier for this prior"
-        )
-    if pi >= gamma:
-        return None
-
     # entry by entry: the complement's moments (prior minus pi times the
     # inside's, over 1 - pi), their gamma : 1 - gamma mixture with the
     # inside's, and the mixture's covariance
@@ -219,29 +212,26 @@ def coverage_update(
     """The coverage rule, in the stages of the module docstring.
 
     Screens the projected prior, tries to certify the constraint inactive
-    from the Bonferroni bound, and only then computes the KL-minimal
-    moment-matched posterior.  Returns the lift (cov_z^-1, mean, cov) of an
-    active update, or None with the diagnostics; an update whose prior set
-    mass is at the probability floor is skipped and logged.
+    from the Bonferroni bound, and only then runs the grid and decides.
+    Returns the lift (cov_z^-1, mean, cov) of an active update, or None
+    with the diagnostics; an update whose prior set mass is at the
+    probability floor is skipped and logged.
     """
     cov_z, rows, factor = project_prior(cov_z)
     diag = UpdateDiagnostics(cov_z, *build_feasible_set(residual, spec.epsilon))
     sd = [math.sqrt(rows[i][i]) for i in range(len(rows))]
     if bonferroni_bound(diag.lower, diag.upper, sd) >= spec.gamma + CERTIFY_MARGIN:
         return None, diag
-    box = BoxRegion(diag.lower, diag.upper)
-    try:
-        posterior = kl_coverage_posterior(cov_z, box, spec.gamma)
-    except DegenerateMassError:
-        log.debug(
-            "coverage update skipped: prior set mass below %g (outlier)",
-            PROB_FLOOR,
-        )
+    tm = diag.moments
+    if tm.degenerate:
+        log.debug("coverage update skipped: prior set mass below %g (outlier)",
+                  PROB_FLOOR)
         diag.skipped = True
         return None, diag
-    if posterior is None:
+    if tm.prob >= spec.gamma:
         return None, diag
     diag.active = True
+    posterior = kl_coverage_posterior(cov_z, tm, spec.gamma)
     return (factor_inverse(*factor), *posterior), diag
 
 

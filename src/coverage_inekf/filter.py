@@ -225,12 +225,6 @@ def factor_inverse(chol: list, pivots: list) -> np.ndarray:
     ]).reshape(3, 3)
 
 
-def spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of the symmetric 3x3 matrix ``m``, from its lower triangle:
-    :func:`spd_factor`'s screen, then :func:`factor_inverse`."""
-    return factor_inverse(*spd_factor(m.tolist(), what))
-
-
 def propagate_mean(x: AugmentedState, u: ImuSample) -> AugmentedState:
     """Strapdown propagation of the state estimate over one IMU sample.
 
@@ -412,4 +406,5 @@ def gaussian_update(
     assumed Gaussian covariance ``r``: the lift ((cov_z + r)^-1, residual,
     r) and no diagnostics (module docstring)."""
     r = np.asarray(r, dtype=float)
-    return (spd_inverse(cov_z + r, "innovation covariance"), residual, r), None
+    w = factor_inverse(*spd_factor((cov_z + r).tolist(), "innovation covariance"))
+    return (w, residual, r), None

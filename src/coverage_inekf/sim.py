@@ -238,6 +238,8 @@ class FixedComponentMixture:
             )
         if not (np.isfinite(self.means).all() and np.isfinite(self.covs).all()):
             raise ValueError("mixture means and covariances must be finite")
+        if not np.array_equal(self.covs, self.covs.transpose(0, 2, 1)):
+            raise ValueError("mixture covariances must be symmetric")
         # LinAlgError, a ValueError, unless every covariance is positive definite
         np.linalg.cholesky(self.covs)
 

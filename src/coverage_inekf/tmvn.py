@@ -208,8 +208,8 @@ def box_moments(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> TruncatedM
     Raises
     ------
     ValueError if the box has no dimension or more than MAX_DIM, if mean
-        and cov are not shaped (d,) and (d, d) for the box's d, or if the
-        mean or a variance is not finite.
+        and cov are not shaped (d,) and (d, d) for the box's d, if cov is
+        not symmetric, or if the mean or a variance is not finite.
     numpy.linalg.LinAlgError if cov has no Cholesky factor.
     """
     mean = np.asarray(mean, dtype=float)
@@ -224,6 +224,13 @@ def box_moments(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> TruncatedM
             f"prior shapes {mean.shape} and {cov.shape} do not match a {d}-D box"
         )
     mean_f, cov_f = mean.tolist(), cov.tolist()
+    # the factor reads the lower triangle only; a NaN pair is left to its
+    # pivot's LinAlgError
+    for i in range(1, d):
+        for j in range(i):
+            x, y = cov_f[i][j], cov_f[j][i]
+            if x != y and (x == x or y == y):
+                raise ValueError("prior covariance must be symmetric")
     if not all(map(math.isfinite, mean_f)):
         raise ValueError("prior mean must be finite")
     sd = [_root(cov_f[i][i]) for i in range(d)]

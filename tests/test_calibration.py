@@ -177,3 +177,13 @@ class TestDecorrelationLags:
             x[k] = 0.95 * x[k - 1] + rng.normal(0, 1, 3)
         lags = decorrelation_lags(make_series(x))
         assert np.all(lags > 20)
+
+    def test_explicit_max_lag_must_have_sample_pairs(self):
+        """On a 6-sample ramp the lags with pairs are 1 to 5: the horizon
+        5 reports the never-decorrelating ramp as 6, and a horizon outside
+        [1, 5] is refused rather than read as lag -2 or lag 6."""
+        series = make_series(np.outer(np.arange(6.0), np.ones(3)))
+        assert np.array_equal(decorrelation_lags(series, max_lag=5), [6, 6, 6])
+        for max_lag in (-3, 0, 6, 100):
+            with pytest.raises(ValueError, match="max_lag"):
+                decorrelation_lags(series, max_lag=max_lag)

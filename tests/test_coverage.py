@@ -20,7 +20,6 @@ from coverage_inekf.coverage import (
     COV_EIG_HARD_MIN,
     NEAR_FULL_MASS,
     CoverageSpec,
-    DegenerateMassError,
     build_feasible_set,
     coverage_update,
     kl_coverage_posterior,
@@ -69,6 +68,13 @@ def fd_output_jacobian(x, step=1e-6):
 
 def one_d_box(lo, hi):
     return BoxRegion(np.array([lo]), np.array([hi]))
+
+
+def grid_posterior(cov_z, box, gamma):
+    """The moment-matched posterior from the grid's moments of N(0, cov_z)
+    on ``box``, as an active coverage update computes it."""
+    tm = box_moments(np.zeros(cov_z.shape[0]), cov_z, box)
+    return kl_coverage_posterior(cov_z, tm, gamma)
 
 
 def feasible_box(x, meas, spec):
@@ -155,14 +161,10 @@ class TestProjectPrior:
 
 
 class TestKlCoveragePosterior:
-    def test_inactive_constraint_returns_prior(self):
-        # N(0,1) on [-3,3] holds ~0.9973 mass, above gamma
-        assert kl_coverage_posterior(np.eye(1), one_d_box(-3.0, 3.0), gamma=0.8) is None
-
     def test_active_1d_matches_quadrature_oracle(self):
         # frozen reference: N(0,1), C=[1,2], gamma=0.5 via piecewise Simpson
         ref_mean, ref_var = 0.5828118857337737, 1.075748758692856
-        mean, cov = kl_coverage_posterior(np.eye(1), one_d_box(1.0, 2.0), gamma=0.5)
+        mean, cov = grid_posterior(np.eye(1), one_d_box(1.0, 2.0), gamma=0.5)
         assert abs(mean[0] - ref_mean) / abs(ref_mean) < 1e-3
         assert abs(cov[0, 0] - ref_var) / ref_var < 1e-3
 
@@ -175,7 +177,7 @@ class TestKlCoveragePosterior:
     def test_symmetric_box_keeps_mean_shrinks_variance(self):
         box = BoxRegion(-0.5 * np.ones(3), 0.5 * np.ones(3))
         assert box_moments(np.zeros(3), np.eye(3), box).prob < 0.9
-        mean, cov = kl_coverage_posterior(np.eye(3), box, gamma=0.9)
+        mean, cov = grid_posterior(np.eye(3), box, gamma=0.9)
         assert np.allclose(mean, 0, atol=5e-3)
         assert np.all(np.diag(cov) < 1.0)
 
@@ -187,21 +189,18 @@ class TestKlCoveragePosterior:
             center = rng.uniform(0.5, 2.0, 3)
             half = rng.uniform(0.3, 1.0, 3)
             box = BoxRegion(center - half, center + half)
-            pi = box_moments(np.zeros(3), np.eye(3), box).prob
-            posterior = kl_coverage_posterior(np.eye(3), box, gamma=0.85)
-            if posterior is None:
+            tm = box_moments(np.zeros(3), np.eye(3), box)
+            pi = tm.prob
+            if pi >= 0.85:
                 continue
             cases += 1
+            posterior = kl_coverage_posterior(np.eye(3), tm, gamma=0.85)
             pi_post = box_moments(*posterior, box).prob
             if pi_post > pi:
                 improved += 1
             assert pi_post <= 0.85 + 0.05
         assert cases > 30
         assert improved / cases >= 0.95
-
-    def test_extreme_outlier_raises(self):
-        with pytest.raises(DegenerateMassError):
-            kl_coverage_posterior(np.eye(1), one_d_box(50.0, 51.0), gamma=0.8)
 
 
 class TestFloorSpd:
@@ -274,7 +273,7 @@ class TestLiftAndApply:
         assert np.allclose(cov2, kalman_cov, atol=1e-9)
 
     def test_pushforward_identity(self):
-        z_mean, z_cov = kl_coverage_posterior(self.cov_z, self.box, 0.8)
+        z_mean, z_cov = grid_posterior(self.cov_z, self.box, 0.8)
         _, cov2 = self.lift(z_mean, z_cov)
         h = velocity_output_matrix(self.x.nav.rot)
         gain = self.sigma_ht @ self.cov_z_inv
@@ -300,7 +299,7 @@ class TestLiftAndApply:
             box = feasible_box(x, predicted_body_velocity(x) + offset, spec)
             cov_z, sigma_ht, cov_z_inv = projected_prior(cov, x.nav.rot)
             assert box_moments(np.zeros(3), cov_z, box).prob < spec.gamma
-            z_mean, z_cov = kl_coverage_posterior(cov_z, box, spec.gamma)
+            z_mean, z_cov = grid_posterior(cov_z, box, spec.gamma)
 
             x2, cov2 = lift_and_apply(x, cov, sigma_ht, cov_z_inv, z_mean, z_cov)
             delta, cov_ref = conditional_swap_lift(
@@ -339,7 +338,7 @@ class TestCoverageUpdate:
         # the moment-matched posterior moves z-space mass toward gamma
         box = feasible_box(self.x, meas, spec)
         cov_z, _, _ = projected_prior(self.cov, self.x.nav.rot)
-        pi_post = box_moments(*kl_coverage_posterior(cov_z, box, spec.gamma), box).prob
+        pi_post = box_moments(*grid_posterior(cov_z, box, spec.gamma), box).prob
         assert diag.pi_prior < pi_post <= 0.8 + 0.03
         # estimate moves toward the measurement
         before = np.linalg.norm(meas - predicted_body_velocity(self.x))
@@ -558,7 +557,9 @@ class TestCertificate:
         ``BoxRegion`` and no cov_z^-1.  Elsewhere it builds the box and
         runs the grid once, and inverts cov_z only when active.  On every
         update pi read later (also after pickling) is the grid's bit for
-        bit, PROB_FLOOR on a skip, and decides the branch taken."""
+        bit, PROB_FLOOR on a skip, and decides the branch taken; reading it
+        runs the grid on a certified update only, so every update has made
+        one grid call once pi is read."""
         rng = np.random.default_rng(42)
         grid = self.count_calls(monkeypatch, "box_moments")
         boxes = self.count_calls(monkeypatch, "BoxRegion")
@@ -591,6 +592,7 @@ class TestCertificate:
             unread = pickle.loads(pickle.dumps(diag))
             assert diag.pi_prior == pi
             assert diag.near_full_mass == ((1.0 - pi) < NEAR_FULL_MASS)
+            assert len(grid) == 1
             read = pickle.loads(pickle.dumps(diag))
             for d in (unread, read):
                 assert d.pi_prior == pi

@@ -24,16 +24,22 @@ from coverage_inekf.filter import (
     apply_correction,
     cov_from_std,
     error_transition,
+    factor_inverse,
     gaussian_update,
     lift_and_apply,
     predicted_body_velocity,
     propagate_cov,
     propagate_mean,
     realized_error,
-    spd_inverse,
+    spd_factor,
     velocity_projection,
 )
 from coverage_inekf.se23 import Se23Element, log_se23, skew
+
+
+def screened_inverse(m, what):
+    """The update rules' screen and inverse of the symmetric 3x3 ``m``."""
+    return factor_inverse(*spd_factor(m.tolist(), what))
 
 
 def random_state(rng, vel_scale=1.0, pos_scale=5.0):
@@ -418,17 +424,18 @@ def test_lift_stays_psd_near_noise_free_measurements():
         assert np.linalg.eigvalsh(cov_gauss).min() >= tol
 
         sigma_ht, cov_z = velocity_projection(cov, x.nav.rot)
-        w = spd_inverse(0.5 * (cov_z + cov_z.T), "projected prior")
+        w = screened_inverse(0.5 * (cov_z + cov_z.T), "projected prior")
         _, cov_n0 = lift_and_apply(x, cov, sigma_ht, w, np.zeros(3), np.zeros((3, 3)))
         assert np.linalg.eigvalsh(cov_n0).min() >= tol
 
 
 class TestCheckConditioning:
-    """spd_inverse: the check-and-inverse both update rules share."""
+    """spd_factor and factor_inverse: the check-and-inverse both update
+    rules share."""
 
     def test_screen_trips_but_exact_check_passes(self):
         # trace^3 / det = 4e12 trips the screen; the exact cond is 5e11
-        inv = spd_inverse(np.diag([1.0, 1.0, 2e-12]), "test matrix")
+        inv = screened_inverse(np.diag([1.0, 1.0, 2e-12]), "test matrix")
         assert np.array_equal(inv, np.diag([1.0, 1.0, 5e11]))
 
     @pytest.mark.parametrize(
@@ -445,7 +452,7 @@ class TestCheckConditioning:
         condition number; a leading minor is what gives them away."""
         assert np.linalg.det(m) > 0.0 and np.linalg.cond(m) < 20.0
         with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
-            spd_inverse(m, "test matrix")
+            screened_inverse(m, "test matrix")
 
     @pytest.mark.parametrize(
         "m",
@@ -459,7 +466,7 @@ class TestCheckConditioning:
         """m00 > 0 and a positive last pivot, but m00 m11 - m01 m10 < 0:
         only the 2x2 leading minor gives these away."""
         with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
-            spd_inverse(m, "test matrix")
+            screened_inverse(m, "test matrix")
 
     @pytest.mark.parametrize(
         "entry, value, message",
@@ -477,7 +484,7 @@ class TestCheckConditioning:
         m = np.eye(3)
         m[entry] = value
         with pytest.raises(np.linalg.LinAlgError, match=message):
-            spd_inverse(m, "test matrix")
+            screened_inverse(m, "test matrix")
 
     @pytest.mark.parametrize("cond", [2e12, 1e13, 1e14])
     def test_ill_conditioned_rejected(self, cond):
@@ -485,7 +492,7 @@ class TestCheckConditioning:
         u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         m = (u * [1.0, 1.0 / math.sqrt(cond), 1.0 / cond]) @ u.T
         with pytest.raises(np.linalg.LinAlgError, match="numerically singular"):
-            spd_inverse(0.5 * (m + m.T), "test matrix")
+            screened_inverse(0.5 * (m + m.T), "test matrix")
 
     def test_matches_numpy_inverse(self):
         """Random SPD matrices with cond from 1 to 1e11: the closed-form
@@ -501,7 +508,7 @@ class TestCheckConditioning:
             m = 0.5 * (m + m.T)
             cond = np.linalg.cond(m)
             ref = np.linalg.inv(m)
-            inv = spd_inverse(m, "test matrix")
+            inv = screened_inverse(m, "test matrix")
             assert np.abs(inv - ref).max() <= 4.0 * cond * eps * np.abs(ref).max()
         assert cond <= MAX_COND
 

@@ -459,10 +459,11 @@ EYES = np.broadcast_to(np.eye(3), (2, 3, 3))
         ([0.5, 0.5], np.zeros((2, 3)), [np.eye(3), np.diag([1.0, 0.0, 1.0])]),
         ([0.5, 0.5], [[0.0, np.nan, 0.0], [0.0, 0.0, 0.0]], EYES),
         ([0.5, 0.5], np.zeros((2, 3)), [np.eye(3), np.full((3, 3), np.nan)]),
+        ([1.0], np.zeros((1, 3)), [[[0.01, 0.5, 0], [0, 0.01, 0], [0, 0, 0.01]]]),
     ],
     ids=["negative-weight", "weights-sum", "weights-2d", "nan-weight",
          "means-rows", "means-cols", "covs-shape", "covs-singular",
-         "nan-mean", "nan-cov"],
+         "nan-mean", "nan-cov", "covs-asymmetric"],
 )
 def test_malformed_mixture_is_rejected(weights, means, covs):
     with pytest.raises(ValueError):

@@ -276,8 +276,13 @@ class TestBoxMoments:
             (np.array([0.0, np.nan]), np.eye(2), BoxRegion([-1, -1], [1, 1]), "mean"),
             (np.array([np.inf, 0.0]), np.eye(2), BoxRegion([-1, -1], [1, 1]), "mean"),
             (np.zeros(2), np.diag([1.0, np.inf]), BoxRegion([-1, -1], [1, 1]), "variance"),
+            (np.zeros(2), [[1.0, 5.0], [0.0, 1.0]], BoxRegion([-1, -1], [1, 1]), "symmetric"),
+            (np.zeros(2), [[1.0, 5.0], [0.0, 1.0]], BoxRegion([30, 30], [31, 31]), "symmetric"),
+            (np.zeros(3), [[1, 0, np.nan], [0, 1, 0], [0, 0, 1]], BoxRegion.full_space(3),
+             "symmetric"),
         ],
-        ids=["d0", "cov-too-small", "cov-1d", "nan-mean", "inf-mean", "inf-variance"],
+        ids=["d0", "cov-too-small", "cov-1d", "nan-mean", "inf-mean", "inf-variance",
+             "asymmetric-cov", "asymmetric-cov-degenerate", "upper-nan-cov"],
     )
     def test_rejects_malformed_priors(self, mean, cov, box, match):
         """Input the rule cannot read raises ValueError before any
