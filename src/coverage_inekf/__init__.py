@@ -22,10 +22,8 @@ from coverage_inekf.tmvn import BoxRegion, TruncatedMoments, box_moments
 from coverage_inekf.coverage import UpdateDiagnostics, coverage_update, update
 from coverage_inekf.calibration import (
     CoverageSpec,
-    ErrorSeries,
     conformal_thresholds,
     empirical_coverage,
-    subsample,
 )
 
 __version__ = "0.1.0"
@@ -50,8 +48,6 @@ __all__ = [
     "UpdateDiagnostics",
     "coverage_update",
     "update",
-    "ErrorSeries",
-    "subsample",
     "conformal_thresholds",
     "empirical_coverage",
 ]

@@ -1,13 +1,18 @@
 """Distribution-free calibration of coverage radii from prediction errors.
 
-Per-axis split-conformal quantiles of absolute errors at the per-axis level
-gamma^(1/3), with mixing-aware subsampling of temporally correlated series.
-The three per-axis statements compose into a joint confidence of gamma only
-when the axis errors are independent; on dependent axes the joint coverage
-can fall well below gamma (0.434 at gamma = 0.5 on an adversarial law).
-The result is a :class:`CoverageSpec`, the statement the coverage update
-takes.  The subsampling interval is a user choice; an autocorrelation
-report helps pick it.
+The input is an (n, 3) array of prediction errors, one row per sample.
+Per-axis split-conformal quantiles of the absolute errors at the per-axis
+level gamma^(1/3) give a :class:`CoverageSpec`, the statement the coverage
+update takes.  The three per-axis statements compose into a joint
+confidence of gamma only when the axis errors are independent; on
+dependent axes the joint coverage can fall well below gamma.  Errors that
+perturb one uniformly chosen axis with N(0, 1) and leave the other two at
+0 have joint coverage 3 gamma^(1/3) - 2: 0.381 at gamma = 0.5
+(``tests/test_calibration.py`` measures it held out).
+
+Conformal coverage holds for exchangeable samples, which a temporally
+correlated error stream is not; :func:`decorrelation_lags` picks the block
+length for calibrating on its block means instead.
 """
 
 from __future__ import annotations
@@ -38,37 +43,6 @@ class CoverageSpec:
             raise ValueError("gamma must lie in (0, 1)")
 
 
-@dataclass
-class ErrorSeries:
-    """Timestamped 3-axis prediction errors."""
-
-    timestamps: np.ndarray
-    errors: np.ndarray
-
-    def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps, dtype=float)
-        self.errors = np.asarray(self.errors, dtype=float)
-        if self.timestamps.ndim != 1 or self.timestamps.size < 1:
-            raise ValueError("need at least one timestamped sample")
-        ts = self.timestamps
-        if not np.isfinite(ts).all() or np.any(np.diff(ts) <= 0.0):
-            raise ValueError("timestamps must be finite and strictly increasing")
-        if self.errors.shape != (self.timestamps.size, 3):
-            raise ValueError("errors must have shape (len(timestamps), 3)")
-        if not np.isfinite(self.errors).all():
-            raise ValueError("errors must be finite")
-
-    def __len__(self) -> int:
-        return self.timestamps.size
-
-
-def subsample(series: ErrorSeries, k: int) -> ErrorSeries:
-    """Keep every k-th sample starting at index 0."""
-    if k < 1:
-        raise ValueError("subsampling interval must be >= 1")
-    return ErrorSeries(series.timestamps[::k].copy(), series.errors[::k].copy())
-
-
 def per_axis_level(gamma: float) -> float:
     """Per-axis confidence whose three-fold product is gamma: the joint
     confidence when the three axis errors are independent."""
@@ -91,53 +65,66 @@ def min_samples_for(gamma: float) -> int:
     return n
 
 
-def conformal_thresholds(series: ErrorSeries, gamma: float) -> CoverageSpec:
+def _errors(errors) -> np.ndarray:
+    errors = np.asarray(errors, dtype=float)
+    if errors.ndim != 2 or errors.shape[1] != 3 or errors.shape[0] < 1:
+        raise ValueError("errors must be an (n, 3) array with n >= 1")
+    if not np.isfinite(errors).all():
+        raise ValueError("errors must be finite")
+    return errors
+
+
+def conformal_thresholds(errors: np.ndarray, gamma: float) -> CoverageSpec:
     """Split-conformal per-axis radii at per-axis level gamma^(1/3).
 
-    Scores are the absolute errors per axis; each radius is the k-th
-    smallest score with k = ceil((N+1) * gamma^(1/3)).  Raises when the
-    series is too short for the requested confidence, naming the minimum
-    usable size.
+    Scores are the absolute (n, 3) errors per axis; each radius is the
+    k-th smallest score with k = ceil((n+1) * gamma^(1/3)).  Raises when
+    there are too few samples for the requested confidence, naming the
+    minimum usable size.
     """
-    per_axis = per_axis_level(gamma)
-    n = len(series)
-    if n < 10:
-        raise ValueError(f"need at least 10 calibration samples, got {n}")
-    k = _conformal_rank(n, per_axis)
-    if k > n:
+    need = min_samples_for(gamma)
+    errors = _errors(errors)
+    n = errors.shape[0]
+    if n < need:
         raise ValueError(
             f"insufficient calibration data: gamma={gamma} needs at least "
-            f"{min_samples_for(gamma)} samples, got {n}"
+            f"{need} samples, got {n}"
         )
-    scores = np.sort(np.abs(series.errors), axis=0, kind="stable")
+    k = _conformal_rank(n, per_axis_level(gamma))
+    scores = np.sort(np.abs(errors), axis=0, kind="stable")
     return CoverageSpec(scores[k - 1].copy(), gamma)
 
 
 def empirical_coverage(
-    series: ErrorSeries, spec: CoverageSpec
+    errors: np.ndarray, spec: CoverageSpec
 ) -> tuple[float, np.ndarray]:
-    """Fraction of samples inside the radii, jointly and per axis."""
-    inside = np.abs(series.errors) <= spec.epsilon
+    """Fraction of the (n, 3) errors inside the radii, jointly and per axis."""
+    inside = np.abs(_errors(errors)) <= spec.epsilon
     return float(inside.all(axis=1).mean()), inside.mean(axis=0)
 
 
 def decorrelation_lags(
-    series: ErrorSeries, threshold: float = 0.05, max_lag: int | None = None
+    errors: np.ndarray, threshold: float = 0.05, max_lag: int | None = None
 ) -> np.ndarray:
     """Per-axis lag at which |autocorrelation| first drops below threshold.
 
-    Guidance for picking the subsampling interval; returns max_lag + 1 for
-    an axis that never decorrelates within the horizon.  An explicit
+    Picks the block length for calibrating on block means of a correlated
+    (n, 3) error stream; returns max_lag + 1 for an axis that never
+    decorrelates within the horizon.  The default horizon is
+    min(n - 2, 1000), which needs at least 3 samples; an explicit
     ``max_lag`` must lie in [1, n - 1], the lags that have sample pairs.
     """
-    n = len(series)
+    errors = _errors(errors)
+    n = errors.shape[0]
     if max_lag is None:
+        if n < 3:
+            raise ValueError(f"the default horizon needs at least 3 samples, got {n}")
         max_lag = min(n - 2, 1000)
     elif not 1 <= max_lag <= n - 1:
         raise ValueError(f"max_lag must lie in [1, {n - 1}] for {n} samples")
     lags = np.empty(3, dtype=int)
     for j in range(3):
-        x = series.errors[:, j] - series.errors[:, j].mean()
+        x = errors[:, j] - errors[:, j].mean()
         denom = float(x @ x)
         if denom == 0.0:
             lags[j] = 1

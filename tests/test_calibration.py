@@ -5,70 +5,46 @@ import pytest
 
 from coverage_inekf.calibration import (
     CoverageSpec,
-    ErrorSeries,
     conformal_thresholds,
     decorrelation_lags,
     empirical_coverage,
     min_samples_for,
     per_axis_level,
-    subsample,
 )
 from coverage_inekf.sim import FixedComponentMixture
 
 
-def make_series(errors, dt=0.01, t0=0.0):
-    errors = np.asarray(errors, dtype=float)
-    return ErrorSeries(t0 + dt * np.arange(len(errors)), errors)
+class TestErrorArray:
+    """Every entry point validates the (n, 3) error array the same way."""
 
+    ENTRY_POINTS = [
+        lambda e: conformal_thresholds(e, 0.5),
+        lambda e: empirical_coverage(e, CoverageSpec(np.ones(3), 0.5)),
+        decorrelation_lags,
+    ]
+    IDS = ["conformal_thresholds", "empirical_coverage", "decorrelation_lags"]
 
-class TestErrorSeries:
-    @pytest.mark.parametrize(
-        "timestamps",
-        [[0.0, 0.0, 0.1], [0.0, np.nan, 2.0], [np.nan, 1.0, 2.0], [0.0, 1.0, np.inf]],
-        ids=["repeated", "nan-middle", "nan-first", "inf-last"],
-    )
-    def test_rejects_non_monotone_timestamps(self, timestamps):
-        with pytest.raises(ValueError, match="timestamps"):
-            ErrorSeries(np.array(timestamps), np.zeros((3, 3)))
-
+    @pytest.mark.parametrize("call", ENTRY_POINTS, ids=IDS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_errors(self, bad):
+    def test_rejects_non_finite_errors(self, call, bad):
         errors = np.zeros((100, 3))
         errors[:10, 0] = bad
         with pytest.raises(ValueError, match="finite"):
-            ErrorSeries(np.arange(100.0), errors)
+            call(errors)
 
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            ErrorSeries(np.array([0.0, 0.1]), np.zeros((2, 2)))
-
-
-class TestSubsample:
-    def test_k1_is_identity(self):
-        series = make_series(np.arange(30).reshape(10, 3))
-        out = subsample(series, 1)
-        assert np.array_equal(out.errors, series.errors)
-        assert np.array_equal(out.timestamps, series.timestamps)
-
-    def test_interval_arithmetic(self):
-        series = make_series(np.zeros((2160, 3)))
-        assert len(subsample(series, 20)) == math.ceil(2160 / 20) == 108
-
-    def test_oversized_interval_keeps_first(self):
-        series = make_series(np.arange(15).reshape(5, 3))
-        out = subsample(series, 100)
-        assert len(out) == 1
-        assert np.array_equal(out.errors[0], series.errors[0])
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            subsample(make_series(np.zeros((5, 3))), 0)
+    @pytest.mark.parametrize("call", ENTRY_POINTS, ids=IDS)
+    @pytest.mark.parametrize(
+        "shape", [(100, 2), (300,), (0, 3), (100, 3, 1)], ids=str
+    )
+    def test_rejects_shape(self, call, shape):
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            call(np.zeros(shape))
 
 
 class TestConformalThresholds:
     def test_constant_scores(self):
         errors = np.tile([0.3, -0.2, 0.05], (50, 1))
-        bounds = conformal_thresholds(make_series(errors), 0.8)
+        bounds = conformal_thresholds(errors, 0.8)
         assert np.allclose(bounds.epsilon, [0.3, 0.2, 0.05], atol=0)
 
     def test_per_axis_level_values(self):
@@ -83,7 +59,7 @@ class TestConformalThresholds:
         [
             min_samples_for,
             lambda g: FixedComponentMixture.default_biased().epsilon_for(g),
-            lambda g: conformal_thresholds(make_series(np.ones((100, 3))), g),
+            lambda g: conformal_thresholds(np.ones((100, 3)), g),
         ],
         ids=["min_samples_for", "epsilon_for", "conformal_thresholds"],
     )
@@ -99,7 +75,7 @@ class TestConformalThresholds:
         rng = np.random.default_rng(1)
         scores = rng.uniform(0.0, 1.0, (99, 3))
         gamma = 0.9**3
-        bounds = conformal_thresholds(make_series(scores), gamma)
+        bounds = conformal_thresholds(scores, gamma)
         expected = np.sort(np.abs(scores), axis=0)[89]
         assert np.array_equal(bounds.epsilon, expected)
         assert bounds.gamma == gamma
@@ -108,17 +84,23 @@ class TestConformalThresholds:
         rng = np.random.default_rng(2)
         gamma = 0.9**3
         cover = []
-        for _ in range(300)            :
+        for _ in range(300):
             cal = rng.uniform(0.0, 1.0, (99, 3))
             test = rng.uniform(0.0, 1.0, (200, 3))
-            bounds = conformal_thresholds(make_series(cal), gamma)
+            bounds = conformal_thresholds(cal, gamma)
             cover.append(np.mean(np.abs(test[:, 0]) <= bounds.epsilon[0]))
         assert np.mean(cover) >= 0.9 - 0.02
 
-    def test_insufficient_samples_error_names_minimum(self):
-        series = make_series(np.random.default_rng(3).normal(size=(12, 3)))
-        with pytest.raises(ValueError, match=str(min_samples_for(0.99))):
-            conformal_thresholds(series, 0.99)
+    @pytest.mark.parametrize("n, gamma", [(12, 0.99), (9, 0.5)])
+    def test_insufficient_samples_error_names_minimum(self, n, gamma):
+        """One size check covers both short series: 9 samples are under
+        the floor of 10, 12 under the rank minimum of gamma 0.99; at the
+        minimum itself the radii exist."""
+        need = min_samples_for(gamma)
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match=f"at least {need} samples, got {n}"):
+            conformal_thresholds(rng.normal(size=(n, 3)), gamma)
+        conformal_thresholds(rng.normal(size=(need, 3)), gamma)
 
     def test_minimum_sample_helper(self):
         for gamma in (0.7, 0.8, 0.95, 0.99):
@@ -128,46 +110,95 @@ class TestConformalThresholds:
 
     def test_monotone_in_gamma(self):
         rng = np.random.default_rng(4)
-        series = make_series(rng.normal(size=(200, 3)))
-        eps = [conformal_thresholds(series, g).epsilon for g in (0.7, 0.8, 0.9)]
+        errors = rng.normal(size=(200, 3))
+        eps = [conformal_thresholds(errors, g).epsilon for g in (0.7, 0.8, 0.9)]
         assert np.all(eps[0] <= eps[1]) and np.all(eps[1] <= eps[2])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         errors = rng.normal(size=(80, 3))
         perm = rng.permutation(80)
-        a = conformal_thresholds(make_series(errors), 0.8)
-        b = conformal_thresholds(make_series(errors[perm]), 0.8)
+        a = conformal_thresholds(errors, 0.8)
+        b = conformal_thresholds(errors[perm], 0.8)
         assert np.array_equal(a.epsilon, b.epsilon)
 
 
 class TestEmpiricalCoverage:
     def test_infinite_radii_cover_everything(self):
-        series = make_series(np.random.default_rng(6).normal(size=(50, 3)))
+        errors = np.random.default_rng(6).normal(size=(50, 3))
         bounds = CoverageSpec(np.full(3, np.inf), 0.8)
-        joint, per_axis = empirical_coverage(series, bounds)
+        joint, per_axis = empirical_coverage(errors, bounds)
         assert joint == 1.0 and np.all(per_axis == 1.0)
 
     def test_zero_radii_cover_nothing(self):
-        series = make_series(np.random.default_rng(7).normal(size=(50, 3)))
+        errors = np.random.default_rng(7).normal(size=(50, 3))
         bounds = CoverageSpec(np.zeros(3), 0.8)
-        joint, per_axis = empirical_coverage(series, bounds)
+        joint, per_axis = empirical_coverage(errors, bounds)
         assert joint == 0.0 and np.all(per_axis == 0.0)
 
     def test_self_coverage_at_least_rank_fraction(self):
         rng = np.random.default_rng(8)
-        series = make_series(rng.normal(size=(99, 3)))
+        errors = rng.normal(size=(99, 3))
         gamma = 0.9**3
-        bounds = conformal_thresholds(series, gamma)
-        _, per_axis = empirical_coverage(series, bounds)
+        bounds = conformal_thresholds(errors, gamma)
+        _, per_axis = empirical_coverage(errors, bounds)
         assert np.all(per_axis >= 90 / 100.0)
+
+
+class TestJointCoverage:
+    """Held-out joint coverage of the per-axis radii: 200 repetitions of
+    999 calibration and 2000 test samples.  Each axis holds with
+    probability q = ceil(1000 * gamma^(1/3)) / 1000 in expectation, the
+    conformal rank over n + 1."""
+
+    N_CAL, N_TEST, REPS = 999, 2000, 200
+
+    def rank_level(self, gamma):
+        n = self.N_CAL
+        return math.ceil((n + 1) * per_axis_level(gamma)) / (n + 1)
+
+    def mean_joint_coverage(self, draw, gamma, seed):
+        rng = np.random.default_rng(seed)
+        joint = [
+            empirical_coverage(
+                draw(rng, self.N_TEST),
+                conformal_thresholds(draw(rng, self.N_CAL), gamma),
+            )[0]
+            for _ in range(self.REPS)
+        ]
+        return np.mean(joint)
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.8, 0.95])
+    def test_independent_axes_hold_gamma(self, gamma):
+        """iid N(0, I) errors: the three axis statements multiply to q^3,
+        gamma up to the rank's rounding."""
+        cover = self.mean_joint_coverage(
+            lambda rng, n: rng.normal(size=(n, 3)), gamma, seed=11
+        )
+        assert abs(cover - self.rank_level(gamma) ** 3) <= 0.01
+        assert abs(cover - gamma) <= 0.01
+
+    def test_one_axis_law_falls_below_gamma(self):
+        """Errors that perturb one uniformly chosen axis with N(0, 1) and
+        leave the others at 0 cover each axis at q only because two thirds
+        of its samples are 0: the joint coverage is 3q - 2, near
+        3 gamma^(1/3) - 2 = 0.381 at gamma = 0.5."""
+
+        def one_axis(rng, n):
+            errors = np.zeros((n, 3))
+            errors[np.arange(n), rng.integers(0, 3, n)] = rng.normal(size=n)
+            return errors
+
+        cover = self.mean_joint_coverage(one_axis, 0.5, seed=12)
+        assert abs(cover - (3.0 * self.rank_level(0.5) - 2.0)) <= 0.01
+        assert abs(cover - (3.0 * 0.5 ** (1.0 / 3.0) - 2.0)) <= 0.01
 
 
 class TestDecorrelationLags:
     def test_white_noise_decorrelates_immediately(self):
         rng = np.random.default_rng(9)
-        series = make_series(rng.normal(size=(5000, 3)))
-        assert np.all(decorrelation_lags(series) <= 3)
+        errors = rng.normal(size=(5000, 3))
+        assert np.all(decorrelation_lags(errors) <= 3)
 
     def test_ar1_needs_longer_interval(self):
         rng = np.random.default_rng(10)
@@ -175,15 +206,26 @@ class TestDecorrelationLags:
         x = np.zeros((n, 3))
         for k in range(1, n):
             x[k] = 0.95 * x[k - 1] + rng.normal(0, 1, 3)
-        lags = decorrelation_lags(make_series(x))
+        lags = decorrelation_lags(x)
         assert np.all(lags > 20)
 
     def test_explicit_max_lag_must_have_sample_pairs(self):
         """On a 6-sample ramp the lags with pairs are 1 to 5: the horizon
         5 reports the never-decorrelating ramp as 6, and a horizon outside
         [1, 5] is refused rather than read as lag -2 or lag 6."""
-        series = make_series(np.outer(np.arange(6.0), np.ones(3)))
-        assert np.array_equal(decorrelation_lags(series, max_lag=5), [6, 6, 6])
+        errors = np.outer(np.arange(6.0), np.ones(3))
+        assert np.array_equal(decorrelation_lags(errors, max_lag=5), [6, 6, 6])
         for max_lag in (-3, 0, 6, 100):
             with pytest.raises(ValueError, match="max_lag"):
-                decorrelation_lags(series, max_lag=max_lag)
+                decorrelation_lags(errors, max_lag=max_lag)
+
+    def test_default_horizon_needs_three_samples(self):
+        """On 2 samples the default horizon min(n - 2, 1000) is 0: no lag
+        would run, and a perfectly correlated ramp would read as lag 1 on
+        every axis.  It is refused, naming the minimum; 3 samples run at
+        horizon 1."""
+        ramp = np.outer(np.arange(3.0), np.ones(3))
+        for n in (1, 2):
+            with pytest.raises(ValueError, match="at least 3 samples"):
+                decorrelation_lags(ramp[:n])
+        assert np.all(np.isin(decorrelation_lags(ramp), [1, 2]))
