@@ -111,15 +111,17 @@ def decorrelation_lags(
     Picks the block length for calibrating on block means of a correlated
     (n, 3) error stream; returns max_lag + 1 for an axis that never
     decorrelates within the horizon.  The default horizon is
-    min(n - 2, 1000), which needs at least 3 samples; an explicit
-    ``max_lag`` must lie in [1, n - 1], the lags that have sample pairs.
+    min(n // 4, 1000), which needs at least 4 samples: beyond it too few
+    pairs are left to estimate a lag's correlation (a ramp's centred lag
+    products sum to 0 near lag 0.37 n).  An explicit ``max_lag`` must lie
+    in [1, n - 1], the lags that have sample pairs.
     """
     errors = _errors(errors)
     n = errors.shape[0]
     if max_lag is None:
-        if n < 3:
-            raise ValueError(f"the default horizon needs at least 3 samples, got {n}")
-        max_lag = min(n - 2, 1000)
+        if n < 4:
+            raise ValueError(f"the default horizon needs at least 4 samples, got {n}")
+        max_lag = min(n // 4, 1000)
     elif not 1 <= max_lag <= n - 1:
         raise ValueError(f"max_lag must lie in [1, {n - 1}] for {n} samples")
     lags = np.empty(3, dtype=int)

@@ -34,16 +34,20 @@ before it cannot decide:
    gamma by ``CERTIFY_MARGIN`` (1e-9), far above the grid's mass error
    (1e-14 relative), the grid would find pi >= gamma too: the decision is
    the grid's, and a certified update is never a degenerate skip.
-4. The grid, :attr:`UpdateDiagnostics.moments`: the ``BoxRegion`` and the
-   module's one ``box_moments`` call.
+4. The grid: the ``BoxRegion`` and the module's one ``box_moments`` call,
+   kept as :attr:`UpdateDiagnostics.moments`.
 5. The decision, :func:`coverage_update`'s alone: skipped at the
    probability floor (outlier), inactive at pi >= gamma, else active.
 6. An active update's lift: cov_z^-1 from the screen's factor, and
-   :func:`kl_coverage_posterior`'s moment matching on floats.
+   :func:`kl_coverage_posterior`'s moment matching on floats.  The matched
+   covariance is the gamma : 1 - gamma mixture of the prior truncated
+   inside and outside the box, positive definite because the outside has
+   an interior and 1 - gamma > 0; :func:`~coverage_inekf.tmvn.cholesky`
+   checks it, and a refusal raises LinAlgError.
 
 Diagnostics keep cov_z, the faces and, past the certificate, the grid's
-moments, so pi is the update's own grid call; on a certified update it is
-computed when first read, so pi nobody reads costs nothing.
+moments, so pi is the update's own grid call; a certified update runs the
+grid when pi is first read, so pi nobody reads costs nothing.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -75,18 +78,6 @@ from coverage_inekf.tmvn import (
 
 log = logging.getLogger(__name__)
 
-# Eigenvalue floor of the moment-matched z-space posterior P' when
-# tmvn.cholesky refuses it; it keeps P' definite, the lifted posterior PSD.
-COV_EIG_FLOOR = 1e-12
-
-# A moment-matched covariance with an eigenvalue below this is treated as a
-# bug in the inputs rather than roundoff.
-COV_EIG_HARD_MIN = -1e-8
-
-# Complement reweighting becomes ill-conditioned when nearly all prior mass
-# is already inside the set; such updates are flagged in the diagnostics.
-NEAR_FULL_MASS = 1e-6
-
 # An update is certified inactive when the Bonferroni bound on its prior set
 # mass clears gamma by this much.  The grid's mass is within 1e-14 relative
 # of the x-space reference, and the bound's own rounding is a few 1e-16, so
@@ -102,13 +93,12 @@ class UpdateDiagnostics:
 
     The coverage rule fills it in its stages' order: cov_z once the screen
     has passed, the faces ``lower`` and ``upper`` (lists of floats) before
-    the certificate, and ``skipped`` or ``active`` on the grid path only.
-    ``moments``, the grid's truncated moments on the box the faces make, is
-    computed on first read, by the update itself on the grid path.
-    ``pi_prior``, the prior set mass, is its ``prob``: bit for bit the value
-    the update decided on, and ``PROB_FLOOR`` for a skipped update, whose
-    mass the grid clamps there.  ``near_full_mass`` flags pi within
-    ``NEAR_FULL_MASS`` of 1.
+    the certificate, and on the grid path only ``moments`` (the grid's
+    truncated moments on the box the faces make), ``skipped`` and ``active``.
+    ``pi_prior``, the prior set mass, is the moments' ``prob``: bit for bit
+    the value the update decided on, and ``PROB_FLOOR`` for a skipped
+    update, whose mass the grid clamps there.  On a certified update, first
+    reading it runs the grid and keeps its moments.
     """
 
     cov_z: np.ndarray
@@ -116,38 +106,14 @@ class UpdateDiagnostics:
     upper: list
     active: bool = False
     skipped: bool = False
-
-    @cached_property
-    def moments(self) -> TruncatedMoments:
-        box = BoxRegion(self.lower, self.upper)
-        return box_moments(np.zeros(self.cov_z.shape[0]), self.cov_z, box)
+    moments: TruncatedMoments | None = None
 
     @property
     def pi_prior(self) -> float:
+        if self.moments is None:
+            box = BoxRegion(self.lower, self.upper)
+            self.moments = box_moments(np.zeros(self.cov_z.shape[0]), self.cov_z, box)
         return self.moments.prob
-
-    @property
-    def near_full_mass(self) -> bool:
-        return (1.0 - self.pi_prior) < NEAR_FULL_MASS
-
-
-def _floor_spd(rows) -> np.ndarray:
-    """Symmetrize the square matrix ``rows``, a sequence of rows; floor-clip
-    the eigenvalues if tmvn.cholesky refuses."""
-    m = [[0.5 * (a + b) for a, b in zip(row, col)]
-         for row, col in zip(rows, zip(*rows))]
-    try:
-        cholesky(m)
-        return np.array(m)
-    except np.linalg.LinAlgError:
-        pass
-    vals, vecs = np.linalg.eigh(m)
-    if vals.min() < COV_EIG_HARD_MIN:
-        raise np.linalg.LinAlgError(
-            "moment matching: covariance lost positive semidefiniteness "
-            f"(min eigenvalue {vals.min():.3e})"
-        )
-    return (vecs * np.maximum(vals, COV_EIG_FLOOR)) @ vecs.T
 
 
 def project_prior(cov_z: np.ndarray) -> tuple[np.ndarray, list, tuple[list, list]]:
@@ -185,10 +151,11 @@ def kl_coverage_posterior(
     follow from ``tm`` and the law of total expectation for the complement.
 
     Precondition, decided by :func:`coverage_update`: the constraint is
-    active, so ``tm`` is not degenerate and pi < gamma.
+    active, so ``tm`` is not degenerate and pi < gamma.  The covariance is
+    then positive definite (module docstring), and exactly symmetric when
+    cov_z and ``tm`` are; one that :func:`~coverage_inekf.tmvn.cholesky`
+    refuses raises LinAlgError.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
     pi = tm.prob
     # entry by entry: the complement's moments (prior minus pi times the
     # inside's, over 1 - pi), their gamma : 1 - gamma mixture with the
@@ -199,11 +166,15 @@ def kl_coverage_posterior(
         [gamma * s + h * ((c - pi * s) / q) for c, s in zip(c_row, s_row)]
         for c_row, s_row in zip(cov_z.tolist(), tm.second_moment.tolist())
     ]
-    cov_post = _floor_spd(
-        [[s - mi * mj for s, mj in zip(row, mean_post)]
-         for row, mi in zip(second_post, mean_post)]
-    )
-    return np.array(mean_post), cov_post
+    cov_post = [[s - mi * mj for s, mj in zip(row, mean_post)]
+                for row, mi in zip(second_post, mean_post)]
+    try:
+        cholesky(cov_post)
+    except np.linalg.LinAlgError as err:
+        raise np.linalg.LinAlgError(
+            f"moment matching: posterior covariance is not positive definite ({err})"
+        ) from err
+    return np.array(mean_post), np.array(cov_post)
 
 
 def coverage_update(
@@ -222,16 +193,16 @@ def coverage_update(
     sd = [math.sqrt(rows[i][i]) for i in range(len(rows))]
     if bonferroni_bound(diag.lower, diag.upper, sd) >= spec.gamma + CERTIFY_MARGIN:
         return None, diag
-    tm = diag.moments
-    if tm.degenerate:
+    pi = diag.pi_prior
+    if diag.moments.degenerate:
         log.debug("coverage update skipped: prior set mass below %g (outlier)",
                   PROB_FLOOR)
         diag.skipped = True
         return None, diag
-    if tm.prob >= spec.gamma:
+    if pi >= spec.gamma:
         return None, diag
     diag.active = True
-    posterior = kl_coverage_posterior(cov_z, tm, spec.gamma)
+    posterior = kl_coverage_posterior(cov_z, diag.moments, spec.gamma)
     return (factor_inverse(*factor), *posterior), diag
 
 

@@ -219,13 +219,21 @@ class TestDecorrelationLags:
             with pytest.raises(ValueError, match="max_lag"):
                 decorrelation_lags(errors, max_lag=max_lag)
 
-    def test_default_horizon_needs_three_samples(self):
-        """On 2 samples the default horizon min(n - 2, 1000) is 0: no lag
-        would run, and a perfectly correlated ramp would read as lag 1 on
-        every axis.  It is refused, naming the minimum; 3 samples run at
-        horizon 1."""
-        ramp = np.outer(np.arange(3.0), np.ones(3))
-        for n in (1, 2):
-            with pytest.raises(ValueError, match="at least 3 samples"):
+    def test_default_horizon_needs_four_samples(self):
+        """Below 4 samples the default horizon min(n // 4, 1000) is 0: no
+        lag would run, and a perfectly correlated ramp would read as lag 1
+        on every axis.  It is refused, naming the minimum; 4 samples run
+        at horizon 1."""
+        ramp = np.outer(np.arange(4.0), np.ones(3))
+        for n in (1, 2, 3):
+            with pytest.raises(ValueError, match="at least 4 samples"):
                 decorrelation_lags(ramp[:n])
         assert np.all(np.isin(decorrelation_lags(ramp), [1, 2]))
+
+    @pytest.mark.parametrize("n", [4, 11, 13, 100, 2907, 4004])
+    def test_ramp_never_decorrelates_at_the_default_horizon(self, n):
+        """A ramp is perfectly correlated, yet its centred lag products sum
+        to 0 near lag 0.37 n; the default horizon stops short of that,
+        so every axis reads max_lag + 1."""
+        ramp = np.outer(np.arange(float(n)), np.ones(3))
+        assert np.array_equal(decorrelation_lags(ramp), [min(n // 4, 1000) + 1] * 3)

@@ -2,7 +2,6 @@ import pickle
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from oracles import (
     box_mass_lower_bound,
@@ -16,9 +15,6 @@ from oracles import (
 from coverage_inekf import coverage
 from coverage_inekf.coverage import (
     CERTIFY_MARGIN,
-    COV_EIG_FLOOR,
-    COV_EIG_HARD_MIN,
-    NEAR_FULL_MASS,
     CoverageSpec,
     build_feasible_set,
     coverage_update,
@@ -38,7 +34,13 @@ from coverage_inekf.filter import (
     velocity_residual,
 )
 from coverage_inekf.se23 import Se23Element, so3_gammas
-from coverage_inekf.tmvn import PROB_FLOOR, BoxRegion, box_moments
+from coverage_inekf.tmvn import (
+    PROB_FLOOR,
+    BoxRegion,
+    TruncatedMoments,
+    box_moments,
+    cholesky,
+)
 
 
 def random_state(rng):
@@ -203,37 +205,54 @@ class TestKlCoveragePosterior:
         assert improved / cases >= 0.95
 
 
-class TestFloorSpd:
-    """The eigenvalue floor on the moment-matched z posterior P'."""
+class TestMomentMatchedCovariance:
+    """The moment-matched z posterior is the gamma : 1 - gamma mixture of
+    the prior truncated inside and outside the box, so on an active update
+    its covariance is positive definite, and exactly symmetric because
+    every entry pair is computed from equal operands."""
 
     @staticmethod
-    def with_eigenvalues(vals, seed=12):
-        u = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))[0]
-        return u, (u * vals) @ u.T
+    def stress_problem(rng):
+        """An active problem over the stress ranges: a random 3x3 cov_z with
+        axis scales 1e-3..1e3, box half-widths 1e-4..10 marginal sigmas
+        with 20 % of faces open, and gamma from just above pi to 0.9999;
+        None when the box's mass leaves no such gamma."""
+        u = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        cov_z = (u * 10.0 ** rng.uniform(-6.0, 6.0, 3)) @ u.T
+        cov_z = 0.5 * (cov_z + cov_z.T)
+        sd = np.sqrt(np.diag(cov_z))
+        center = sd * rng.standard_normal(3)
+        half = sd * 10.0 ** rng.uniform(-4.0, 1.0, 3)
+        lower = np.where(rng.random(3) < 0.2, -np.inf, center - half)
+        upper = np.where(rng.random(3) < 0.2, np.inf, center + half)
+        tm = box_moments(np.zeros(3), cov_z, BoxRegion(lower, upper))
+        if tm.degenerate or tm.prob >= 0.9999:
+            return None
+        gamma = tm.prob + (0.9999 - tm.prob) * 10.0 ** rng.uniform(-6.0, 0.0)
+        return cov_z, tm, gamma
 
-    def test_positive_definite_input_is_only_symmetrized(self):
-        rng = np.random.default_rng(13)
-        for d in (1, 2, 3):
-            for _ in range(20):
-                a = rng.standard_normal((d, d))
-                m = a @ a.T + 1e-6 * np.eye(d)
-                m[-1, 0] += 1e-9 * m[-1, -1] * (d > 1)  # asymmetric input
-                out = coverage._floor_spd(m)
-                assert np.array_equal(out, 0.5 * (m + m.T))
+    def test_active_posteriors_are_symmetric_and_definite(self):
+        rng = np.random.default_rng(21)
+        active = 0
+        while active < 2000:
+            problem = self.stress_problem(rng)
+            if problem is None:
+                continue
+            active += 1
+            _, cov = kl_coverage_posterior(*problem)
+            assert np.array_equal(cov, cov.T)
+            cholesky(cov.tolist())
 
-    @pytest.mark.parametrize("low", [-1e-9, 0.999 * COV_EIG_HARD_MIN])
-    def test_small_negative_eigenvalue_is_raised_to_the_floor(self, low):
-        u, m = self.with_eigenvalues([low, 0.5, 2.0])
-        out = coverage._floor_spd(m)
-        want = (u * [COV_EIG_FLOOR, 0.5, 2.0]) @ u.T
-        assert np.abs(out - want).max() <= 1e-15
-        assert np.linalg.eigvalsh(out)[0] == pytest.approx(COV_EIG_FLOOR, rel=1e-3)
-
-    @pytest.mark.parametrize("low", [-1.01e-8, -1e-4])
-    def test_clearly_indefinite_input_is_rejected(self, low):
-        _, m = self.with_eigenvalues([low, 0.5, 2.0])
-        with pytest.raises(np.linalg.LinAlgError, match="lost positive semidefiniteness"):
-            coverage._floor_spd(m)
+    @pytest.mark.parametrize("low", [-1e-9, -1e-4, np.nan])
+    def test_indefinite_rows_are_refused(self, low):
+        """Moments whose mixture has the eigenvalues (low, 0.5, 2) raise
+        LinAlgError: at pi = 0.5 and gamma = 0.8 the posterior's second
+        moment is 0.6 S + 0.4 cov_z for the inside's S."""
+        u = np.linalg.qr(np.random.default_rng(12).standard_normal((3, 3)))[0]
+        target = (u * [low, 0.5, 2.0]) @ u.T
+        tm = TruncatedMoments(0.5, np.zeros(3), (target - 0.4 * np.eye(3)) / 0.6)
+        with pytest.raises(np.linalg.LinAlgError, match="moment matching"):
+            kl_coverage_posterior(np.eye(3), tm, 0.8)
 
 
 class TestLiftAndApply:
@@ -351,21 +370,6 @@ class TestCoverageUpdate:
         x2, cov2, diag = coverage_arm(self.x, self.cov, meas, spec)
         assert diag.skipped and not diag.active
         assert x2 is self.x and cov2 is self.cov
-
-    @pytest.mark.parametrize("radius, near_full", [(5.5, True), (4.5, False)])
-    def test_near_full_mass_flag(self, radius, near_full):
-        """Radii of ``radius`` prior sigmas on every axis: 1 - pi is 1.1e-7
-        at 5.5 (flagged) and 2.0e-5 at 4.5 (not flagged)."""
-        x = AugmentedState.identity()
-        sd = 0.1
-        cov = cov_from_std(0.02, sd, 0.1, 0.01, 0.001)
-        spec = CoverageSpec(np.full(3, radius * sd), 0.8)
-        x2, cov2, diag = coverage_arm(x, cov, predicted_body_velocity(x), spec)
-        expected = (2.0 * ndtr(radius) - 1.0) ** 3
-        assert abs(diag.pi_prior - expected) <= 1e-12
-        assert (1.0 - expected < NEAR_FULL_MASS) == near_full
-        assert diag.near_full_mass == near_full
-        assert not diag.active and x2 is x and cov2 is cov
 
     def test_determinism(self):
         spec = CoverageSpec(np.array([0.05, 0.05, 0.05]), 0.8)
@@ -591,12 +595,10 @@ class TestCertificate:
             assert diag.active == (not diag.skipped and pi < spec.gamma)
             unread = pickle.loads(pickle.dumps(diag))
             assert diag.pi_prior == pi
-            assert diag.near_full_mass == ((1.0 - pi) < NEAR_FULL_MASS)
             assert len(grid) == 1
             read = pickle.loads(pickle.dumps(diag))
             for d in (unread, read):
                 assert d.pi_prior == pi
-                assert d.near_full_mass == diag.near_full_mass
         assert 600 <= certified <= 1400
         assert skipped == 100
 
