@@ -6,9 +6,12 @@ two source trees can be compared byte for byte:
 Seeds 1-20, each with both noise models (the biased mixture and white
 noise of sigma 0.1), a 2 s trajectory, two trials, and the Gaussian arm
 plus gamma 0.5, 0.8 and 0.95, so that certified, active and skipped
-coverage updates all run: 160 rows.  The script uses only the API the
-benchmark also relies on, so it runs on older trees too, and it refuses
-to run on a package imported from outside the tree it is given.
+coverage updates all run: 160 rows.  Before each campaign's rows it
+prints the ``float.hex`` radii of each coverage arm, so that a change in
+calibration shows apart from a change in the filter.  The script uses only
+the API the benchmark also relies on and ``sim._arms``, so it runs on older
+trees too, and it refuses to run on a package imported from outside the
+tree it is given.
 """
 
 import sys
@@ -34,6 +37,10 @@ def main(tree: str) -> None:
                 seed=seed,
                 gammas=(0.5, 0.8, 0.95),
             )
+            for arm in sim._arms(cfg):
+                if isinstance(arm, sim.CoverageSpec):
+                    radii = " ".join(float.hex(r) for r in arm.epsilon.tolist())
+                    print(name, seed, arm.gamma, "radii", radii)
             for row in sim.run_monte_carlo(cfg):
                 print(name, seed, repr(row))
 

@@ -10,9 +10,11 @@ perturb one uniformly chosen axis with N(0, 1) and leave the other two at
 0 have joint coverage 3 gamma^(1/3) - 2: 0.381 at gamma = 0.5
 (``tests/test_calibration.py`` measures it held out).
 
-Conformal coverage holds for exchangeable samples, which a temporally
-correlated error stream is not; :func:`decorrelation_lags` picks the block
-length for calibrating on its block means instead.
+Conformal coverage holds for exchangeable samples.  The campaigns of
+:mod:`coverage_inekf.sim` calibrate their coverage arms on iid draws from
+the noise model, which are.  A temporally correlated error stream is not;
+:func:`decorrelation_lags` picks the block length for calibrating on its
+block means instead.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def conformal_thresholds(errors: np.ndarray, gamma: float) -> CoverageSpec:
             f"{need} samples, got {n}"
         )
     k = _conformal_rank(n, per_axis_level(gamma))
-    scores = np.sort(np.abs(errors), axis=0, kind="stable")
+    scores = np.partition(np.abs(errors), k - 1, axis=0)
     return CoverageSpec(scores[k - 1].copy(), gamma)
 
 

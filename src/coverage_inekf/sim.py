@@ -8,6 +8,12 @@ trials through the one measurement update
 (:func:`coverage_inekf.coverage.update`) with either z-rule as the arm, and
 aggregates position RMSE / NEES statistics across trials.
 
+The coverage arms assume no noise law: their radii are calibrated by split
+conformal prediction (:func:`coverage_inekf.calibration.conformal_thresholds`)
+on a held-out set of iid errors the campaign draws from its noise model.
+Its rows are exchangeable, as split conformal assumes; a time-ordered,
+correlated error stream would need calibrating on block means instead.
+
 A campaign sets the trajectory, noise model, trials, seed and arms.  The
 rest of the scenario is fixed: ``PROCESS_NOISE`` (IMU noise densities, also
 the filter's Q), ``BIAS_ACCEL`` and ``BIAS_GYRO`` (true IMU biases) and
@@ -26,10 +32,9 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import ndtr
 
 from coverage_inekf import se23
-from coverage_inekf.calibration import CoverageSpec, per_axis_level
+from coverage_inekf.calibration import CoverageSpec, conformal_thresholds
 from coverage_inekf.coverage import coverage_update, update
 from coverage_inekf.filter import (
     GRAVITY,
@@ -267,52 +272,6 @@ class FixedComponentMixture:
         spread = (centered.T * self.weights) @ centered
         return np.einsum("i,ijk->jk", self.weights, self.covs) + spread
 
-    def _axis_components(self, axis: int) -> list[tuple[float, float, float]]:
-        """(weight, mean, deviation) of each component on one axis, as floats."""
-        return list(zip(
-            self.weights.tolist(),
-            self.means[:, axis].tolist(),
-            [math.sqrt(v) for v in self.covs[:, axis, axis].tolist()],
-        ))
-
-    def marginal_abs_cdf(self, axis: int, radius: float) -> float:
-        """P(|e_axis| <= radius) under the mixture."""
-        return _abs_cdf(self._axis_components(axis), radius)
-
-    def epsilon_for(self, gamma: float) -> np.ndarray:
-        """Per-axis outer quantile radii, by bisection of the monotone
-        ``marginal_abs_cdf`` until the bracket cannot be split further."""
-        per_axis = per_axis_level(gamma)
-        top = float(np.abs(self.means).max() + 12.0 * np.sqrt(self.covs.max()))
-        eps = np.empty(3)
-        for j in range(3):
-            components = self._axis_components(j)
-            lo, hi = 0.0, top
-            mid = 0.5 * (lo + hi)
-            while lo < mid < hi:
-                if _abs_cdf(components, mid) < per_axis:
-                    lo = mid
-                else:
-                    hi = mid
-                mid = 0.5 * (lo + hi)
-            eps[j] = mid
-        return eps
-
-
-def _abs_cdf(components: list[tuple[float, float, float]], radius: float) -> float:
-    """sum_k w_k [Phi((r - m_k) / s_k) - Phi((-r - m_k) / s_k)] over the
-    (w, m, s) of each component, all tails from one ``ndtr`` call and
-    summed in component order."""
-    t = []
-    for _, m, s in components:
-        t.append((radius - m) / s)
-        t.append((-radius - m) / s)
-    cdf = ndtr(t).tolist()
-    total = 0.0
-    for k, (w, _, _) in enumerate(components):
-        total += w * (cdf[2 * k] - cdf[2 * k + 1])
-    return total
-
 
 # Gaussian noise is the one-component mixture; the name is kept for callers.
 GaussianNoise = FixedComponentMixture
@@ -507,11 +466,40 @@ class CampaignRow:
     skipped: int
 
 
+# Size of the held-out calibration set a campaign draws for its coverage
+# arms.  The conformal rank exists for gamma up to (8192/8193)^3 ~ 0.99963.
+CALIBRATION_SAMPLES = 8192
+
+
 def _arms(campaign: CampaignConfig) -> list[np.ndarray | CoverageSpec]:
-    """The fitted R of the Gaussian arm, then one statement per gamma."""
+    """The fitted R of the Gaussian arm, then one statement per gamma.
+
+    Every gamma's radii are split-conformal quantiles
+    (:func:`~coverage_inekf.calibration.conformal_thresholds`) of one
+    held-out calibration set: ``CALIBRATION_SAMPLES`` iid errors of the
+    noise model, seeded by a child of the campaign seed, so that the trial
+    seeds stay as they are.  Each row draws its own component, so the rows
+    are exchangeable, as split conformal assumes; a trial's time-ordered
+    stream, which holds one component, is not.  A campaign without gammas
+    draws nothing.  A gamma the set is too small for raises
+    ``conformal_thresholds``' ValueError before any trial runs.
+    """
     model = campaign.noise_model
     arms = [model.fitted_covariance()] if campaign.include_baseline else []
-    return arms + [CoverageSpec(model.epsilon_for(g), g) for g in campaign.gammas]
+    if not campaign.gammas:
+        return arms
+    rng = np.random.default_rng(np.random.SeedSequence(campaign.seed).spawn(1)[0])
+    # per-component counts, then each component's rows: the scores do not
+    # depend on row order.  The weights are renormalized because they sum to
+    # 1 only within 1e-12, and multinomial refuses a weight above 1.
+    weights = model.weights / model.weights.sum()
+    counts = rng.multinomial(CALIBRATION_SAMPLES, weights).tolist()
+    chols = np.linalg.cholesky(model.covs)
+    errors = np.concatenate([
+        mean + rng.standard_normal((n, 3)) @ chol.T
+        for n, mean, chol in zip(counts, model.means, chols)
+    ])
+    return arms + [conformal_thresholds(errors, g) for g in campaign.gammas]
 
 
 def _finite_stats(values) -> tuple[float, float]:

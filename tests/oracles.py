@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 from scipy.integrate import simpson
+from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal, norm, truncnorm
 
@@ -275,6 +276,24 @@ def gaussian_radius(sigma, gamma):
     three independent axes jointly cover gamma: sigma times the
     (1 + gamma^(1/3)) / 2 standard-normal quantile."""
     return sigma * ndtri(0.5 * (1.0 + gamma ** (1.0 / 3.0)))
+
+
+def mixture_radii(model, gamma):
+    """Per-axis radii r_j of a Gaussian mixture's law with
+    P(|e_j| <= r_j) = gamma^(1/3): ``brentq`` roots of the marginal |e|
+    CDF sum_k w_k [Phi((r - m_kj) / s_kj) - Phi((-r - m_kj) / s_kj)].
+    The radii that calibrated ones approach as the calibration set grows."""
+    per_axis = gamma ** (1.0 / 3.0)
+    sd = np.sqrt(np.diagonal(model.covs, axis1=1, axis2=2))
+    top = np.abs(model.means).max() + 12.0 * sd.max()
+
+    def excess(r, j):
+        m, s = model.means[:, j], sd[:, j]
+        return model.weights @ (ndtr((r - m) / s) - ndtr((-r - m) / s)) - per_axis
+
+    return np.array(
+        [brentq(excess, 0.0, top, args=(j,), xtol=1e-15) for j in range(3)]
+    )
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(NODES)

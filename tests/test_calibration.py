@@ -11,7 +11,6 @@ from coverage_inekf.calibration import (
     min_samples_for,
     per_axis_level,
 )
-from coverage_inekf.sim import FixedComponentMixture
 
 
 class TestErrorArray:
@@ -58,15 +57,14 @@ class TestConformalThresholds:
         "caller",
         [
             min_samples_for,
-            lambda g: FixedComponentMixture.default_biased().epsilon_for(g),
             lambda g: conformal_thresholds(np.ones((100, 3)), g),
         ],
-        ids=["min_samples_for", "epsilon_for", "conformal_thresholds"],
+        ids=["min_samples_for", "conformal_thresholds"],
     )
     def test_gamma_outside_unit_interval_is_rejected(self, caller, gamma):
         """Every caller of per_axis_level refuses a gamma outside (0, 1).
         Unchecked, min_samples_for divides by zero at 1 and never returns
-        at 1.2, and epsilon_for returns its bracket top or zeros."""
+        at 1.2."""
         with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\)"):
             caller(gamma)
 
@@ -79,6 +77,24 @@ class TestConformalThresholds:
         expected = np.sort(np.abs(scores), axis=0)[89]
         assert np.array_equal(bounds.epsilon, expected)
         assert bounds.gamma == gamma
+
+    @pytest.mark.parametrize("n", [10, 99, 1000, 8192])
+    def test_radius_is_the_sorted_kth_score_with_ties(self, n):
+        """The radius is the k-th row of the stably sorted scores, bit for
+        bit, also when scores tie: half of the rows are multiples of 0.1
+        in [-2.5, 2.5], so that most k-th scores are tied (on up to 172
+        rows at n = 8192)."""
+        rng = np.random.default_rng(n)
+        errors = rng.normal(size=(n, 3))
+        tied = rng.random(n) < 0.5
+        errors[tied] = 0.1 * rng.integers(-25, 26, size=(tied.sum(), 3))
+        scores = np.sort(np.abs(errors), axis=0, kind="stable")
+        for gamma in (0.5, 0.8, 0.95):
+            if n < min_samples_for(gamma):
+                continue
+            k = math.ceil((n + 1) * per_axis_level(gamma))
+            got = conformal_thresholds(errors, gamma).epsilon
+            assert np.array_equal(got, scores[k - 1])
 
     def test_held_out_coverage_in_expectation(self):
         rng = np.random.default_rng(2)
