@@ -112,12 +112,21 @@ def decorrelation_lags(
 
     Picks the block length for calibrating on block means of a correlated
     (n, 3) error stream; returns max_lag + 1 for an axis that never
-    decorrelates within the horizon.  The default horizon is
+    decorrelates within the horizon, and 1 for a constant axis.  The
+    threshold must lie in (0, 1).  The default horizon is
     min(n // 4, 1000), which needs at least 4 samples: beyond it too few
     pairs are left to estimate a lag's correlation (a ramp's centred lag
     products sum to 0 near lag 0.37 n).  An explicit ``max_lag`` must lie
     in [1, n - 1], the lags that have sample pairs.
+
+    Known limitation: only the first lag below the threshold counts, so
+    an oscillating error reads as decorrelated at its autocorrelation's
+    first zero.  A period-40 sinusoid gives 10, yet the means of its
+    10-sample blocks have lag-2 autocorrelation -0.996
+    (``tests/test_calibration.py`` pins both).
     """
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     errors = _errors(errors)
     n = errors.shape[0]
     if max_lag is None:
@@ -130,12 +139,9 @@ def decorrelation_lags(
     for j in range(3):
         x = errors[:, j] - errors[:, j].mean()
         denom = float(x @ x)
-        if denom == 0.0:
-            lags[j] = 1
-            continue
         lags[j] = max_lag + 1
         for lag in range(1, max_lag + 1):
-            r = float(x[:-lag] @ x[lag:]) / denom
+            r = float(x[:-lag] @ x[lag:]) / denom if denom else 0.0
             if abs(r) < threshold:
                 lags[j] = lag
                 break

@@ -107,7 +107,8 @@ def cov_from_std(rot, vel, pos, bias_accel, bias_gyro) -> np.ndarray:
 
 @dataclass
 class ImuSample:
-    """One accelerometer/gyroscope reading over a time step."""
+    """One accelerometer/gyroscope reading over a time step: two 3-vectors,
+    never broadcast from a scalar."""
 
     accel: np.ndarray
     gyro: np.ndarray
@@ -116,6 +117,8 @@ class ImuSample:
     def __post_init__(self):
         self.accel = np.asarray(self.accel, dtype=float)
         self.gyro = np.asarray(self.gyro, dtype=float)
+        if self.accel.shape != (3,) or self.gyro.shape != (3,):
+            raise ValueError("accel and gyro must be 3-vectors")
         if not 0.0 < self.dt <= 0.1:
             raise ValueError(f"dt must lie in (0, 0.1] s, got {self.dt}")
 
@@ -240,11 +243,10 @@ def propagate_mean(x: AugmentedState, u: ImuSample) -> AugmentedState:
     gammas = se23.so3_gammas(w)
     # rows R Gamma_k a for k = 0, 1, 2
     ra = np.dot(np.dot(gammas.reshape(9, 3), a).reshape(3, 3), rot.T)
-    nav = se23.renormalized(
+    nav = Se23Element(
         np.dot(rot, gammas[0]),
         vel + (ra[1] + GRAVITY) * dt,
         x.nav.pos + vel * dt + (ra[2] + _HALF_GRAVITY) * (dt * dt),
-        x.nav.chain + 1,
     )
     return AugmentedState(nav, x.bias_accel.copy(), x.bias_gyro.copy())
 

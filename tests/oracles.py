@@ -173,7 +173,7 @@ def se23_hat(v):
 def se23_inverse(x):
     """Group inverse (R^T, -R^T v, -R^T p) of an extended pose."""
     rt = x.rot.T
-    return Se23Element(rt.copy(), -(rt @ x.vel), -(rt @ x.pos), x.chain)
+    return Se23Element(rt.copy(), -(rt @ x.vel), -(rt @ x.pos))
 
 
 def se23_matrix(x):

@@ -253,3 +253,36 @@ class TestDecorrelationLags:
         so every axis reads max_lag + 1."""
         ramp = np.outer(np.arange(float(n)), np.ones(3))
         assert np.array_equal(decorrelation_lags(ramp), [min(n // 4, 1000) + 1] * 3)
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0, 1.0, 2.0])
+    def test_threshold_outside_unit_interval_is_refused(self, threshold):
+        """No |r| lies below a NaN or negative threshold, so 500 white
+        samples read as never decorrelating (126 on every axis); at 1 or
+        above, every lag of a non-ramp reads as decorrelated."""
+        errors = np.random.default_rng(13).normal(size=(500, 3))
+        with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\)"):
+            decorrelation_lags(errors, threshold)
+
+    def test_constant_axis_reads_lag_one(self):
+        """A constant axis has no correlation to lose: it reads 1, beside
+        a ramp that never decorrelates."""
+        errors = np.zeros((40, 3))
+        errors[:, 1] = np.arange(40.0)
+        errors[:, 2] = 5.0
+        assert np.array_equal(decorrelation_lags(errors), [1, 11, 1])
+
+    def test_oscillation_reads_as_decorrelated_at_its_first_zero(self):
+        """Known limitation, pinned: only the first lag below the threshold
+        counts.  A period-40 sinusoid reads as decorrelated at lag 10, its
+        autocorrelation's first zero, yet the means of its 10-sample
+        blocks repeat with period 4: their lag-1 autocorrelation is 0.002
+        and their lag-2 one -0.996.  Calibrating on those block means
+        would treat anti-correlated blocks as exchangeable."""
+        t = np.arange(5000.0)
+        errors = np.outer(np.sin(2.0 * np.pi * t / 40.0), np.ones(3))
+        assert np.array_equal(decorrelation_lags(errors), [10, 10, 10])
+        means = errors[:, 0].reshape(-1, 10).mean(axis=1)
+        means -= means.mean()
+        r = [means[:-lag] @ means[lag:] / (means @ means) for lag in (1, 2)]
+        assert abs(r[0] - 0.002) <= 1e-3
+        assert abs(r[1] + 0.996) <= 1e-3

@@ -213,10 +213,13 @@ class TestGroupOps:
         )
 
     def test_long_chain_stays_orthonormal(self):
+        """compose does not re-orthonormalize: 1000 compositions of one
+        0.3 rad step drift 7.0e-14 off SO(3), growing linearly (7.4e-13
+        after 1e4, 7.3e-12 after 1e5)."""
         rng = np.random.default_rng(8)
         x = Se23Element.identity()
         step = random_element(rng, angle_scale=0.3)
         for _ in range(1000):
             x = compose(x, step)
-        check_se23_valid(x, atol=1e-9)
+        check_se23_valid(x, atol=1e-12)
 

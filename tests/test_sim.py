@@ -31,23 +31,23 @@ NAN = float("nan")
 # Any change to them is a change in the filter's output, not a refactor.
 GOLDEN = {
     "mixture": [
-        CampaignRow(method="gaussian", gamma=None, rmse_mean=0.24123384393958403,
-                    rmse_std=0.014152129925417976, nees_mean=20.22719142359475,
-                    nees_std=2.176123059797551, frac_active=NAN, diverged=0,
+        CampaignRow(method="gaussian", gamma=None, rmse_mean=0.24123384393958391,
+                    rmse_std=0.014152129925418061, nees_mean=20.227191423594736,
+                    nees_std=2.176123059797617, frac_active=NAN, diverged=0,
                     skipped=0),
-        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.2198526531965043,
-                    rmse_std=0.013427051215523787, nees_mean=9.261315126318046,
-                    nees_std=1.1875876890838724, frac_active=0.2733333333333334,
+        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.21985265319650418,
+                    rmse_std=0.013427051215523785, nees_mean=9.261315126318022,
+                    nees_std=1.1875876890838566, frac_active=0.2733333333333334,
                     diverged=0, skipped=0),
     ],
     "gaussian": [
-        CampaignRow(method="gaussian", gamma=None, rmse_mean=0.07631534107757797,
-                    rmse_std=0.037924234005867336, nees_mean=2.839262815262775,
-                    nees_std=2.5558181027509375, frac_active=NAN, diverged=0,
+        CampaignRow(method="gaussian", gamma=None, rmse_mean=0.07631534107757795,
+                    rmse_std=0.037924234005867266, nees_mean=2.8392628152627726,
+                    nees_std=2.5558181027509312, frac_active=NAN, diverged=0,
                     skipped=0),
-        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.08644083490423415,
-                    rmse_std=0.036300098443371946, nees_mean=3.027675412229094,
-                    nees_std=2.4299145483156144, frac_active=0.4483333333333333,
+        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.08644083490423377,
+                    rmse_std=0.036300098443372675, nees_mean=3.0276754122290916,
+                    nees_std=2.4299145483156526, frac_active=0.4483333333333333,
                     diverged=0, skipped=2),
     ],
 }
