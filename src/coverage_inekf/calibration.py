@@ -116,8 +116,8 @@ def decorrelation_lags(
     threshold must lie in (0, 1).  The default horizon is
     min(n // 4, 1000), which needs at least 4 samples: beyond it too few
     pairs are left to estimate a lag's correlation (a ramp's centred lag
-    products sum to 0 near lag 0.37 n).  An explicit ``max_lag`` must lie
-    in [1, n - 1], the lags that have sample pairs.
+    products sum to 0 near lag 0.37 n).  An explicit ``max_lag`` must be an
+    integer in [1, n - 1], the lags that have sample pairs.
 
     Known limitation: only the first lag below the threshold counts, so
     an oscillating error reads as decorrelated at its autocorrelation's
@@ -133,6 +133,8 @@ def decorrelation_lags(
         if n < 4:
             raise ValueError(f"the default horizon needs at least 4 samples, got {n}")
         max_lag = min(n // 4, 1000)
+    elif not isinstance(max_lag, (int, np.integer)):
+        raise ValueError(f"max_lag must be an integer, got {max_lag!r}")
     elif not 1 <= max_lag <= n - 1:
         raise ValueError(f"max_lag must lie in [1, {n - 1}] for {n} samples")
     lags = np.empty(3, dtype=int)

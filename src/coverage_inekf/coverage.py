@@ -213,8 +213,8 @@ def update(
     (module docstring): returns (x, cov, diag), the inputs themselves when
     the rule leaves the state alone.
 
-    Raises ValueError on a non-finite measurement, and LinAlgError from the
-    rule's screen on a prior it cannot invert.
+    Raises ValueError unless the measurement is a finite 3-vector, and
+    LinAlgError from the rule's screen on a prior it cannot invert.
     """
     residual = velocity_residual(x, meas)
     sigma_ht, cov_z = velocity_projection(cov, x.nav.rot)

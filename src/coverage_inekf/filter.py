@@ -90,14 +90,13 @@ class AugmentedState:
         return cls(Se23Element.identity())
 
 
-def _diag_of_squares(*blocks) -> np.ndarray:
-    """Diagonal matrix of squared per-block values, each a scalar or a
-    3-vector broadcast to three axes."""
-    x = np.concatenate(
-        [np.broadcast_to(np.atleast_1d(np.asarray(s, dtype=float)), (3,))
-         for s in blocks]
-    )
-    return np.diag(x**2)
+def _diag_of_squares(*stds) -> np.ndarray:
+    """Diagonal matrix of the squared deviations, each a scalar shared by
+    three axes.  Raises ValueError unless every deviation is a finite
+    scalar >= 0."""
+    if not all(np.ndim(s) == 0 and 0.0 <= s < math.inf for s in stds):
+        raise ValueError(f"deviations must be finite scalars >= 0, got {stds}")
+    return np.diag(np.repeat(np.array(stds, dtype=float), 3) ** 2)
 
 
 def cov_from_std(rot, vel, pos, bias_accel, bias_gyro) -> np.ndarray:
@@ -107,8 +106,8 @@ def cov_from_std(rot, vel, pos, bias_accel, bias_gyro) -> np.ndarray:
 
 @dataclass
 class ImuSample:
-    """One accelerometer/gyroscope reading over a time step: two 3-vectors,
-    never broadcast from a scalar."""
+    """One accelerometer/gyroscope reading over a time step: two finite
+    3-vectors, never broadcast from a scalar."""
 
     accel: np.ndarray
     gyro: np.ndarray
@@ -119,35 +118,32 @@ class ImuSample:
         self.gyro = np.asarray(self.gyro, dtype=float)
         if self.accel.shape != (3,) or self.gyro.shape != (3,):
             raise ValueError("accel and gyro must be 3-vectors")
+        if not all(map(math.isfinite, self.accel.tolist() + self.gyro.tolist())):
+            raise ValueError("accel and gyro must be finite")
         if not 0.0 < self.dt <= 0.1:
             raise ValueError(f"dt must lie in (0, 0.1] s, got {self.dt}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProcessNoise:
-    """Continuous-time noise power densities as a 12x12 PSD matrix.
+    """Continuous-time white-noise densities of the IMU, one scalar per
+    block, shared by its three axes: accelerometer, gyroscope, accelerometer
+    bias walk and gyroscope bias walk.
 
-    Block order matches the process noise vector
-    (accel, gyro, accel bias walk, gyro bias walk).
+    ``q`` is their 12x12 diagonal power spectral density, in the order of
+    the process noise vector, computed once.  A negative or non-finite
+    density raises ValueError.
     """
 
-    q: np.ndarray
+    accel: float
+    gyro: float
+    accel_bias: float
+    gyro_bias: float
+    q: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
-        if self.q.shape != (NOISE_DIM, NOISE_DIM):
-            raise ValueError("Q must be 12x12")
-        if not np.isfinite(self.q).all():
-            raise ValueError("Q must be finite")
-        if np.abs(self.q - self.q.T).max() > 1e-12:
-            raise ValueError("Q must be symmetric")
-        if np.linalg.eigvalsh(self.q).min() < -1e-12:
-            raise ValueError("Q must be PSD")
-
-    @classmethod
-    def from_densities(cls, accel, gyro, accel_bias, gyro_bias) -> "ProcessNoise":
-        """Diagonal Q from white-noise densities (per-axis or scalar)."""
-        return cls(_diag_of_squares(accel, gyro, accel_bias, gyro_bias))
+        q = _diag_of_squares(self.accel, self.gyro, self.accel_bias, self.gyro_bias)
+        object.__setattr__(self, "q", q)
 
 
 def predicted_body_velocity(x: AugmentedState) -> np.ndarray:
@@ -158,10 +154,12 @@ def predicted_body_velocity(x: AugmentedState) -> np.ndarray:
 def velocity_residual(x: AugmentedState, meas: np.ndarray) -> np.ndarray:
     """Innovation of a body-velocity measurement, every update's first step.
 
-    Raises ValueError on a non-finite measurement, which neither rule can
-    use.
+    Raises ValueError unless the measurement is a finite 3-vector, the only
+    input either rule can use.
     """
     meas = np.asarray(meas, dtype=float)
+    if meas.shape != (3,):
+        raise ValueError(f"measurement must be a 3-vector, got shape {meas.shape}")
     if not all(map(math.isfinite, meas.tolist())):
         raise ValueError(f"measurement must be finite, got {meas}")
     return meas - predicted_body_velocity(x)
@@ -406,7 +404,19 @@ def gaussian_update(
 ) -> tuple[tuple, None]:
     """Kalman's z-rule for a body-velocity measurement whose noise has the
     assumed Gaussian covariance ``r``: the lift ((cov_z + r)^-1, residual,
-    r) and no diagnostics (module docstring)."""
+    r) and no diagnostics (module docstring).
+
+    Raises ValueError unless ``r`` is a symmetric 3x3 matrix, and
+    LinAlgError, a ValueError, unless :func:`~coverage_inekf.tmvn.cholesky`
+    finds it positive definite.
+    """
     r = np.asarray(r, dtype=float)
+    if r.shape != (3, 3):
+        raise ValueError(f"r must be a 3x3 matrix, got shape {r.shape}")
+    rows = r.tolist()
+    (_, b, c), (d, _, f), (g, h, _) = rows
+    if not (b == d and c == g and f == h):
+        raise ValueError(f"r must be symmetric, got {rows}")
+    cholesky(rows)
     w = factor_inverse(*spd_factor((cov_z + r).tolist(), "innovation covariance"))
     return (w, residual, r), None

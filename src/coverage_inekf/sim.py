@@ -20,6 +20,15 @@ the filter's Q), ``BIAS_ACCEL`` and ``BIAS_GYRO`` (true IMU biases) and
 ``INIT_STD`` (initial error deviations of rotation, velocity, position and
 the two biases).
 
+The simulator draws from each model as the model defines it: the IMU's
+white noise from the ``ProcessNoise`` accelerometer and gyroscope
+densities, every pseudo-measurement and calibration error from
+:meth:`FixedComponentMixture.sample`, and the first estimate from the
+true first state by the filter's own correction,
+:func:`~coverage_inekf.filter.apply_correction`, with an initial error
+drawn at ``INIT_STD``.  The true biases stay fixed: the bias-walk
+densities enter only the filter's Q.
+
 A trial's step loop only filters and stores each posterior estimate; the
 trial is scored once, after the loop, in one batched pass over the stored
 estimates.
@@ -41,6 +50,7 @@ from coverage_inekf.filter import (
     AugmentedState,
     ImuSample,
     ProcessNoise,
+    apply_correction,
     cov_from_std,
     error_transition,
     gaussian_update,
@@ -48,7 +58,8 @@ from coverage_inekf.filter import (
     propagate_mean,
     realized_error,
 )
-from coverage_inekf.se23 import Se23Element, exp_se23
+# exp_se23 is not called here; perfbench's tracer test reads sim.exp_se23
+from coverage_inekf.se23 import Se23Element, exp_se23  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +195,8 @@ def synthesize_imu(
     propagation: the gyro rate is the SO(3) log of the relative rotation
     over dt, and the acceleration is the body-frame velocity increment
     mapped through the inverse left Jacobian J_l^-1 of that log.  The truth's
-    fixed biases and (optionally) white noise with the given densities are
-    then added.
+    fixed biases and (optionally) white noise are then added: per axis,
+    deviation ``noise.accel / sqrt(dt)`` and ``noise.gyro / sqrt(dt)``.
     """
     n = truth.n
     dts = np.diff(truth.times)
@@ -205,14 +216,10 @@ def synthesize_imu(
     gyro = w + truth.bias_gyro
     accel = a + truth.bias_accel
     if noise is not None:
-        densities = np.sqrt(np.diag(noise.q))
         rng = np.random.default_rng(seed)
-        accel = accel + rng.standard_normal((n - 1, 3)) * (
-            densities[0:3] / np.sqrt(dts)[:, None]
-        )
-        gyro = gyro + rng.standard_normal((n - 1, 3)) * (
-            densities[3:6] / np.sqrt(dts)[:, None]
-        )
+        root_dt = np.sqrt(dts)[:, None]
+        accel = accel + rng.standard_normal((n - 1, 3)) * (noise.accel / root_dt)
+        gyro = gyro + rng.standard_normal((n - 1, 3)) * (noise.gyro / root_dt)
     return [ImuSample(accel[k], gyro[k], dts[k]) for k in range(n - 1)]
 
 
@@ -222,12 +229,14 @@ class FixedComponentMixture:
 
     Models a persistently biased pseudo-measurement: each trial commits to
     one component mean for the whole trajectory.  Zero-mean Gaussian noise
-    is the one-component mixture (:meth:`isotropic`).
+    is the one-component mixture (:meth:`isotropic`).  ``chols`` holds the
+    covariances' lower Cholesky factors, which :meth:`sample` draws with.
     """
 
     weights: np.ndarray
     means: np.ndarray
     covs: np.ndarray
+    chols: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = w = np.asarray(self.weights, dtype=float)
@@ -246,7 +255,7 @@ class FixedComponentMixture:
         if not np.array_equal(self.covs, self.covs.transpose(0, 2, 1)):
             raise ValueError("mixture covariances must be symmetric")
         # LinAlgError, a ValueError, unless every covariance is positive definite
-        np.linalg.cholesky(self.covs)
+        self.chols = np.linalg.cholesky(self.covs)
 
     @classmethod
     def isotropic(cls, sigma: float) -> "FixedComponentMixture":
@@ -265,12 +274,19 @@ class FixedComponentMixture:
         covs = np.broadcast_to(sigma**2 * np.eye(3), (4, 3, 3)).copy()
         return cls(np.full(4, 0.25), means, covs)
 
+    def sample(self, rng: np.random.Generator, component: int, n: int) -> np.ndarray:
+        """n iid errors, shape (n, 3), of one component."""
+        return self.means[component] + rng.standard_normal((n, 3)) @ self.chols[component].T
+
     def fitted_covariance(self) -> np.ndarray:
-        """Single-Gaussian fit: mean of covariances plus covariance of means."""
+        """Single-Gaussian fit: mean of covariances plus covariance of means,
+        symmetrized, since the Gaussian rule refuses an R that is not
+        exactly symmetric and (C^T w) C need not be."""
         mbar = self.weights @ self.means
         centered = self.means - mbar
         spread = (centered.T * self.weights) @ centered
-        return np.einsum("i,ijk->jk", self.weights, self.covs) + spread
+        fit = np.einsum("i,ijk->jk", self.weights, self.covs) + spread
+        return 0.5 * (fit + fit.T)
 
 
 # Gaussian noise is the one-component mixture; the name is kept for callers.
@@ -289,9 +305,7 @@ def synthesize_measurements(
     rng = np.random.default_rng(seed)
     k = model.weights.size
     comp = int(rng.choice(k, p=model.weights)) if k > 1 else 0
-    chol = np.linalg.cholesky(model.covs[comp])
-    err = model.means[comp] + rng.standard_normal((truth.n, 3)) @ chol.T
-    return truth.body_velocities() + err
+    return truth.body_velocities() + model.sample(rng, comp, truth.n)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +314,7 @@ def synthesize_measurements(
 
 
 # The scenario every campaign runs; see the module docstring.
-PROCESS_NOISE = ProcessNoise.from_densities(0.02, 0.002, 1e-4, 1e-5)
+PROCESS_NOISE = ProcessNoise(0.02, 0.002, 1e-4, 1e-5)
 BIAS_ACCEL = np.array([0.05, -0.03, 0.02])
 BIAS_ACCEL.setflags(write=False)
 BIAS_GYRO = np.array([0.002, -0.001, 0.0015])
@@ -358,11 +372,8 @@ def run_trial(
     cov = cov_from_std(*INIT_STD)
     rng_init = np.random.default_rng(s_init)
     delta0 = rng_init.multivariate_normal(np.zeros(15), cov)
-    x = AugmentedState(
-        se23.compose(exp_se23(delta0[:9]), truth.state_at(0).nav),
-        truth.bias_accel + delta0[9:12],
-        truth.bias_gyro + delta0[12:15],
-    )
+    # the first estimate: the true first state corrected by -delta0
+    x = apply_correction(truth.state_at(0), -delta0)
 
     coverage = isinstance(arm, CoverageSpec)
     rule = coverage_update if coverage else gaussian_update
@@ -493,12 +504,8 @@ def _arms(campaign: CampaignConfig) -> list[np.ndarray | CoverageSpec]:
     # depend on row order.  The weights are renormalized because they sum to
     # 1 only within 1e-12, and multinomial refuses a weight above 1.
     weights = model.weights / model.weights.sum()
-    counts = rng.multinomial(CALIBRATION_SAMPLES, weights).tolist()
-    chols = np.linalg.cholesky(model.covs)
-    errors = np.concatenate([
-        mean + rng.standard_normal((n, 3)) @ chol.T
-        for n, mean, chol in zip(counts, model.means, chols)
-    ])
+    counts = rng.multinomial(CALIBRATION_SAMPLES, weights)
+    errors = np.concatenate([model.sample(rng, j, n) for j, n in enumerate(counts)])
     return arms + [conformal_thresholds(errors, g) for g in campaign.gammas]
 
 
@@ -518,6 +525,8 @@ def run_monte_carlo(campaign: CampaignConfig) -> list[CampaignRow]:
     sensor streams.  Trials run one after another, arm by arm; the rows are
     deterministic for a fixed campaign seed.
     """
+    if not isinstance(campaign.trials, (int, np.integer)):
+        raise ValueError(f"trials must be an integer, got {campaign.trials!r}")
     if campaign.trials < 1:
         raise ValueError("campaign needs at least one trial")
     seeds = np.random.SeedSequence(campaign.seed).generate_state(

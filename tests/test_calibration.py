@@ -235,6 +235,15 @@ class TestDecorrelationLags:
             with pytest.raises(ValueError, match="max_lag"):
                 decorrelation_lags(errors, max_lag=max_lag)
 
+    @pytest.mark.parametrize("max_lag", [2.5, 2.0, "2"])
+    def test_max_lag_must_be_an_integer(self, max_lag):
+        """2.5 used to fail inside ``range`` with TypeError; numpy integers
+        are integers."""
+        errors = np.outer(np.arange(6.0), np.ones(3))
+        with pytest.raises(ValueError, match="max_lag must be an integer"):
+            decorrelation_lags(errors, max_lag=max_lag)
+        assert np.array_equal(decorrelation_lags(errors, max_lag=np.int64(5)), [6, 6, 6])
+
     def test_default_horizon_needs_four_samples(self):
         """Below 4 samples the default horizon min(n // 4, 1000) is 0: no
         lag would run, and a perfectly correlated ramp would read as lag 1

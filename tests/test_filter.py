@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +34,7 @@ from coverage_inekf.filter import (
     realized_error,
     spd_factor,
     velocity_projection,
+    velocity_residual,
 )
 from coverage_inekf.se23 import Se23Element, log_se23, skew
 from coverage_inekf.sim import TrajectorySpec, generate_truth, synthesize_imu
@@ -181,12 +183,22 @@ class TestImuSample:
         with pytest.raises(ValueError, match="3-vectors"):
             ImuSample(accel, gyro, 0.01)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["accel", "gyro"])
+    def test_rejects_non_finite_readings(self, field, bad):
+        """A NaN reading would surface only one step later, as a diverged
+        trial."""
+        reading = {"accel": np.zeros(3), "gyro": np.zeros(3)}
+        reading[field][0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ImuSample(dt=0.01, **reading)
+
 
 class TestErrorTransition:
     def test_tiny_dt_limits(self):
         rng = np.random.default_rng(3)
         x = random_state(rng)
-        q = ProcessNoise.from_densities(0.1, 0.01, 1e-3, 1e-4)
+        q = ProcessNoise(0.1, 0.01, 1e-3, 1e-4)
         phi, q_d = error_transition(x, ImuSample(np.zeros(3), np.zeros(3), 1e-8), q)
         assert np.allclose(phi, np.eye(15), atol=1e-6)
         assert np.abs(q_d).max() < 1e-9
@@ -219,12 +231,11 @@ class TestErrorTransition:
     def test_closed_form_matches_dense_references(self, dt):
         """Phi within 1e-12 absolute of the dense finite sum and of
         scipy's expm(A dt); Q_d within 1e-14 of the dense Phi N Q N^T Phi^T
-        dt, relative to its largest entry, for a full random PSD Q."""
+        dt, relative to its largest entry, for random densities."""
         rng = np.random.default_rng(25)
         for _ in range(20):
             x = random_state(rng)
-            b = rng.standard_normal((12, 12)) * rng.uniform(1e-4, 0.1, 12)
-            q = ProcessNoise(b @ b.T)
+            q = ProcessNoise(*rng.uniform(1e-4, 0.1, 4))
             u = ImuSample(np.zeros(3), np.zeros(3), dt)
             phi, q_d = error_transition(x, u, q)
             phi_ref, q_d_ref = error_transition_reference(x, dt, q.q)
@@ -238,13 +249,13 @@ class TestErrorTransition:
         rng = np.random.default_rng(7)
         x = random_state(rng)
         _, q_d = error_transition(
-            x, ImuSample(np.zeros(3), np.zeros(3), 0.01), ProcessNoise(np.zeros((12, 12)))
+            x, ImuSample(np.zeros(3), np.zeros(3), 0.01), ProcessNoise(0.0, 0.0, 0.0, 0.0)
         )
         assert np.array_equal(q_d, np.zeros((15, 15)))
 
     def test_qd_is_psd(self):
         rng = np.random.default_rng(8)
-        q = ProcessNoise.from_densities(0.1, 0.01, 1e-3, 1e-4)
+        q = ProcessNoise(0.1, 0.01, 1e-3, 1e-4)
         for _ in range(5):
             _, q_d = error_transition(
                 random_state(rng), ImuSample(np.zeros(3), np.zeros(3), 0.01), q
@@ -265,7 +276,7 @@ class TestPropagateCov:
 
     def test_eigenvalues_stay_nonnegative(self):
         rng = np.random.default_rng(9)
-        q = ProcessNoise.from_densities(0.1, 0.01, 1e-3, 1e-4)
+        q = ProcessNoise(0.1, 0.01, 1e-3, 1e-4)
         cov = cov_from_std(0.01, 0.1, 0.1, 0.01, 0.001)
         x = random_state(rng)
         for _ in range(200):
@@ -393,6 +404,37 @@ class TestGaussianUpdate:
         with pytest.raises(np.linalg.LinAlgError):
             kalman_update(self.x, np.zeros((15, 15)), meas, np.zeros((3, 3)))
 
+    @pytest.mark.parametrize(
+        "r", [0.01, 0.01 * np.ones(3), 0.01 * np.eye(2), 0.01 * np.eye(3)[None]],
+        ids=["scalar", "3-vector", "2x2", "batch"],
+    )
+    def test_refuses_r_that_is_not_3x3(self, r):
+        """A scalar 0.01 used to broadcast onto the off-diagonals: the
+        posterior velocity block read 0.00875 on its diagonal and -0.00125
+        off it, where 0.01 I gives 0.005 and 0."""
+        meas = predicted_body_velocity(self.x) + 0.1
+        with pytest.raises(ValueError, match="3x3"):
+            kalman_update(self.x, self.cov, meas, r)
+
+    def test_refuses_asymmetric_r(self):
+        r = 0.01 * np.eye(3)
+        r[0, 2] += 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            kalman_update(self.x, self.cov, predicted_body_velocity(self.x), r)
+
+    @pytest.mark.parametrize(
+        "r", [-0.001 * np.eye(3), np.diag([0.01, -1e-6, 0.01]), np.zeros((3, 3)),
+              np.diag([0.01, np.nan, 0.01])],
+        ids=["negative", "indefinite", "zero", "nan"],
+    )
+    def test_refuses_r_that_is_not_positive_definite(self, r):
+        """-0.001 I passes the innovation screen, since the prior's
+        0.01 outweighs it, and gave a posterior velocity variance of
+        -0.0011."""
+        meas = predicted_body_velocity(self.x) + 0.1
+        with pytest.raises(np.linalg.LinAlgError):
+            kalman_update(self.x, self.cov, meas, r)
+
 
 def test_lift_stays_psd_near_noise_free_measurements():
     """The Joseph-form lift keeps the posterior PSD when the z-space noise
@@ -519,20 +561,59 @@ class TestTypes:
         with pytest.raises(ValueError):
             ImuSample(np.zeros(3), np.zeros(3), 0.2)
 
-    def test_process_noise_rejects_asymmetric(self):
-        q = np.eye(12)
-        q[0, 1] = 1e-3
-        with pytest.raises(ValueError):
-            ProcessNoise(q)
+    def test_process_noise_is_four_densities(self):
+        """Q is the 12x12 diagonal of the squared densities, three axes
+        each, computed once: not a field to set, compare or print."""
+        noise = ProcessNoise(0.1, 0.01, 1e-3, 1e-4)
+        assert [f.name for f in dataclasses.fields(noise) if f.init] == [
+            "accel", "gyro", "accel_bias", "gyro_bias"
+        ]
+        want = np.diag(np.repeat([0.1, 0.01, 1e-3, 1e-4], 3) ** 2)
+        assert np.array_equal(noise.q, want)
+        assert noise == ProcessNoise(0.1, 0.01, 1e-3, 1e-4)
+        assert "q=" not in repr(noise)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            noise.accel = 0.2
+
+    @pytest.mark.parametrize("bad", [-1e-3, [0.1, 0.1, 0.1]], ids=["negative", "per-axis"])
+    def test_process_noise_refuses_bad_density(self, bad):
+        """A negative density used to be squared without a word; each
+        density is one scalar for its three axes."""
+        for block in range(4):
+            densities = [0.1, 0.01, 1e-3, 1e-4]
+            densities[block] = bad
+            with pytest.raises(ValueError, match="deviations"):
+                ProcessNoise(*densities)
 
     @pytest.mark.parametrize(
-        "q",
-        [np.diag([np.inf] + [1.0] * 11), np.full((12, 12), np.nan)],
+        "densities",
+        [(np.inf, 1.0, 1.0, 1.0), (np.nan,) * 4],
         ids=["inf-entry", "all-nan"],
     )
-    def test_process_noise_rejects_non_finite(self, q):
+    def test_process_noise_rejects_non_finite(self, densities):
         with pytest.raises(ValueError, match="finite"):
-            ProcessNoise(q)
+            ProcessNoise(*densities)
+
+    @pytest.mark.parametrize(
+        "bad", [-0.01, np.nan, -np.inf, np.ones(3)],
+        ids=["negative", "nan", "inf", "per-axis"],
+    )
+    def test_cov_from_std_refuses_bad_deviation(self, bad):
+        stds = [0.01, 0.1, 0.1, 0.01, 0.001]
+        for block in range(5):
+            with pytest.raises(ValueError, match="deviations"):
+                cov_from_std(*stds[:block], bad, *stds[block + 1:])
+
+    @pytest.mark.parametrize(
+        "meas", [[0.5], 0.5, np.zeros(4), np.zeros((1, 3))],
+        ids=["1-vector", "scalar", "4-vector", "row matrix"],
+    )
+    def test_velocity_residual_refuses_anything_but_a_3_vector(self, meas):
+        """[0.5] used to broadcast to [0.5, 0.5, 0.5]; a scalar failed
+        with TypeError."""
+        x = random_state(np.random.default_rng(31))
+        with pytest.raises(ValueError, match="3-vector"):
+            velocity_residual(x, meas)
 
     def test_velocity_output_matrix_blocks(self):
         rng = np.random.default_rng(15)
@@ -567,7 +648,7 @@ class TestTypes:
 class TestLongRunStability:
     def test_many_cycles_keep_cov_psd(self):
         rng = np.random.default_rng(16)
-        q = ProcessNoise.from_densities(0.1, 0.01, 1e-3, 1e-4)
+        q = ProcessNoise(0.1, 0.01, 1e-3, 1e-4)
         x = random_state(rng)
         cov = cov_from_std(0.02, 0.1, 0.1, 0.01, 0.001)
         r = 0.01 * np.eye(3)

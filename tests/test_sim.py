@@ -10,7 +10,7 @@ from oracles import gaussian_radius, mixture_radii
 from coverage_inekf import coverage, sim
 from coverage_inekf.calibration import CoverageSpec, min_samples_for
 from coverage_inekf.coverage import UpdateDiagnostics
-from coverage_inekf.filter import propagate_mean, realized_error
+from coverage_inekf.filter import gaussian_update, propagate_mean, realized_error
 from coverage_inekf.sim import (
     CampaignConfig,
     CampaignRow,
@@ -372,6 +372,69 @@ def test_fitted_covariance_is_covariance_plus_spread_of_means(bias, sigma):
     assert np.abs(got - want).max() <= 4 * ulp * want.max()
     got = FixedComponentMixture.isotropic(sigma).fitted_covariance()
     assert np.abs(got - sigma**2 * np.eye(3)).max() <= 4 * ulp * sigma**2
+
+
+def test_fitted_covariance_is_exactly_symmetric():
+    """The Gaussian arm refuses an R that is not bit-symmetric.  Without
+    symmetrizing, the spread of the means, (C^T w) C, was asymmetric in
+    its last bits on about one random mixture in seven."""
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        k = int(rng.integers(2, 6))
+        a = rng.standard_normal((k, 3, 3))
+        covs = a @ a.transpose(0, 2, 1) + 0.01 * np.eye(3)
+        covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+        model = FixedComponentMixture(
+            rng.dirichlet(np.ones(k)), rng.standard_normal((k, 3)), covs
+        )
+        r = model.fitted_covariance()
+        assert np.array_equal(r, r.T)
+        gaussian_update(np.eye(3), np.zeros(3), r)
+
+
+def test_mixture_sample_draws_one_component():
+    """``sample`` draws component j as means[j] + N(0, I) chols[j]^T, with
+    the factor ``__post_init__`` kept: the one-matrix factor bit for bit.
+    Over 20000 draws the mean lies within 5 sigma / sqrt(n) of the
+    component's and the covariance within 5 % of its largest entry."""
+    covs = np.array([0.01 * np.eye(3), [[0.04, 0.01, 0.0], [0.01, 0.02, -0.005],
+                                        [0.0, -0.005, 0.03]]])
+    model = FixedComponentMixture([0.5, 0.5], [[0.0, 0.0, 0.0], [0.3, -0.2, 0.1]], covs)
+    for j in range(2):
+        assert np.array_equal(model.chols[j], np.linalg.cholesky(covs[j]))
+    n = 20_000
+    draws = model.sample(np.random.default_rng(5), 1, n)
+    z = np.random.default_rng(5).standard_normal((n, 3))
+    assert np.array_equal(draws, model.means[1] + z @ model.chols[1].T)
+    sd = np.sqrt(np.diag(covs[1]))
+    assert np.all(np.abs(draws.mean(axis=0) - model.means[1]) <= 5.0 * sd / math.sqrt(n))
+    assert np.abs(np.cov(draws.T) - covs[1]).max() <= 0.05 * covs[1].max()
+
+
+def test_imu_noise_deviation_is_density_over_root_dt():
+    """The noise synthesize_imu adds has per-axis deviation density /
+    sqrt(dt), within 5 % on a 60 s stream (6000 samples an axis, so the
+    estimate's own spread is about 0.9 %)."""
+    truth = generate_truth(TrajectorySpec(duration=60.0))
+    noise = sim.PROCESS_NOISE
+    clean, noisy = synthesize_imu(truth), synthesize_imu(truth, noise, seed=9)
+    dt = 1.0 / TrajectorySpec.rate
+    for sensor, density in (("accel", noise.accel), ("gyro", noise.gyro)):
+        added = np.array([getattr(u, sensor) - getattr(c, sensor)
+                          for u, c in zip(noisy, clean)])
+        assert added.shape == (6000, 3)
+        assert np.abs(added.std(axis=0) / (density / math.sqrt(dt)) - 1.0).max() <= 0.05
+
+
+@pytest.mark.parametrize("trials", [2.5, 1.0, "2"])
+def test_trial_count_must_be_an_integer(monkeypatch, trials):
+    """2.5 used to fail in numpy with "expected a sequence of integers";
+    the campaign refuses it by name before any trial runs."""
+    calls = spy(monkeypatch, "run_trial")
+    campaign = dataclasses.replace(golden_campaign("gaussian"), trials=trials)
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        run_monte_carlo(campaign)
+    assert calls == []
 
 
 def test_measurement_stream_holds_one_component():
