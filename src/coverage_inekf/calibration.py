@@ -117,7 +117,8 @@ def decorrelation_lags(
     min(n // 4, 1000), which needs at least 4 samples: beyond it too few
     pairs are left to estimate a lag's correlation (a ramp's centred lag
     products sum to 0 near lag 0.37 n).  An explicit ``max_lag`` must be an
-    integer in [1, n - 1], the lags that have sample pairs.
+    integer in [1, n - 1], the lags that have sample pairs; a bool is not
+    read as one.
 
     Known limitation: only the first lag below the threshold counts, so
     an oscillating error reads as decorrelated at its autocorrelation's
@@ -133,7 +134,7 @@ def decorrelation_lags(
         if n < 4:
             raise ValueError(f"the default horizon needs at least 4 samples, got {n}")
         max_lag = min(n // 4, 1000)
-    elif not isinstance(max_lag, (int, np.integer)):
+    elif type(max_lag) is bool or not isinstance(max_lag, (int, np.integer)):
         raise ValueError(f"max_lag must be an integer, got {max_lag!r}")
     elif not 1 <= max_lag <= n - 1:
         raise ValueError(f"max_lag must lie in [1, {n - 1}] for {n} samples")

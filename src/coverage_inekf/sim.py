@@ -1,12 +1,26 @@
 """Synthetic truth, sensor generation, and the Monte-Carlo filter harness.
 
-Builds closed-form rigid-body trajectories, inverts the strapdown dynamics
-into ideal IMU samples, corrupts body-velocity pseudo-measurements with noise
-from one model, a Gaussian mixture whose component is drawn once per trial
-and then held fixed (Gaussian noise is its one-component case), runs filter
-trials through the one measurement update
-(:func:`coverage_inekf.coverage.update`) with either z-rule as the arm, and
-aggregates position RMSE / NEES statistics across trials.
+A trial is three stages, one function each:
+
+* :func:`simulate` draws the streams from the trial's seed: a closed-form
+  rigid-body trajectory (the truth), IMU samples inverted from its
+  strapdown dynamics, body-velocity pseudo-measurements, and the first
+  estimate.
+* :func:`filter_stream` runs the filter over those streams with one arm,
+  through the one measurement update
+  (:func:`coverage_inekf.coverage.update`) with the arm's z-rule, and
+  returns the :class:`Track` of what its step loop stores.
+* :func:`score` scores a track against the truth in one batched pass
+  after the loop: per-step squared position errors and position NEES.
+
+:func:`run_trial` composes them and reduces the scores to a
+:class:`TrialResult`; :func:`run_monte_carlo` runs every arm over shared
+trial seeds and aggregates position RMSE / NEES statistics across trials.
+The streams depend on the seed alone, so every arm filters the same ones.
+
+The measurement noise has one model, a Gaussian mixture whose component
+is drawn once per trial and then held fixed; Gaussian noise is its
+one-component case.
 
 The coverage arms assume no noise law: their radii are calibrated by split
 conformal prediction (:func:`coverage_inekf.calibration.conformal_thresholds`)
@@ -18,7 +32,8 @@ A campaign sets the trajectory, noise model, trials, seed and arms.  The
 rest of the scenario is fixed: ``PROCESS_NOISE`` (IMU noise densities, also
 the filter's Q), ``BIAS_ACCEL`` and ``BIAS_GYRO`` (true IMU biases) and
 ``INIT_STD`` (initial error deviations of rotation, velocity, position and
-the two biases).
+the two biases), whose covariance ``INIT_COV`` both draws the initial
+error and starts the filter.
 
 The simulator draws from each model as the model defines it: the IMU's
 white noise from the ``ProcessNoise`` accelerometer and gyroscope
@@ -28,10 +43,6 @@ true first state by the filter's own correction,
 :func:`~coverage_inekf.filter.apply_correction`, with an initial error
 drawn at ``INIT_STD``.  The true biases stay fixed: the bias-walk
 densities enter only the filter's Q.
-
-A trial's step loop only filters and stores each posterior estimate; the
-trial is scored once, after the loop, in one batched pass over the stored
-estimates.
 """
 
 from __future__ import annotations
@@ -320,6 +331,8 @@ BIAS_ACCEL.setflags(write=False)
 BIAS_GYRO = np.array([0.002, -0.001, 0.0015])
 BIAS_GYRO.setflags(write=False)
 INIT_STD = (0.02, 0.05, 0.05, 0.02, 0.002)
+INIT_COV = cov_from_std(*INIT_STD)
+INIT_COV.setflags(write=False)
 
 
 @dataclass
@@ -337,29 +350,16 @@ class TrialResult:
     skipped: int = 0
 
 
-def run_trial(
-    campaign: CampaignConfig, arm: np.ndarray | CoverageSpec, seed: int
-) -> TrialResult:
-    """Propagate and update at the IMU rate, then score the trial once.
+def simulate(campaign: CampaignConfig, seed: int):
+    """The streams of one trial: ``(truth, imu, meas, x0)``.
 
-    ``arm`` picks the z-rule once per trial: a measurement covariance R
-    runs Kalman's rule :func:`~coverage_inekf.filter.gaussian_update`, a
-    :class:`CoverageSpec` the coverage rule
-    :func:`~coverage_inekf.coverage.coverage_update`.  The rule is looked up
-    by its name in this module on every trial, so a rebinding of that name
-    (a tracer's or a test's) is seen.  Each step makes one
-    :func:`~coverage_inekf.coverage.update` call with the rule and arm, and
-    counts the active and skipped updates its diagnostics report.
-
-    Each step stores the posterior estimate and the position block of its
-    covariance.  After the last step, one batched pass over the stored
-    estimates scores them: NEES uses the position block of the realized
-    invariant error against the filter's position covariance; RMSE is the
-    plain position error.  A non-finite entry in the prior position,
-    velocity or covariance (or a covariance entry beyond 1e154, whose
-    square overflows) flags the trial as diverged and ends it before the
-    update, which would refuse it or fail; a diverged trial is not scored.
-    A non-finite score flags it as diverged too.
+    The truth carries the scenario's IMU biases; ``imu`` holds the noisy
+    IMU samples, one per step, and ``meas`` the (N, 3) pseudo-measurements,
+    aligned with the truth samples.  ``x0``, the first estimate, is the
+    true first state corrected by an initial error drawn from
+    ``INIT_COV``.  The IMU noise, the measurement errors and the initial
+    error each draw from their own child of ``SeedSequence(seed)``, so the
+    streams depend on the seed alone, never on the arm that filters them.
     """
     root = np.random.SeedSequence(seed)
     s_imu, s_meas, s_init = (int(c.generate_state(1)[0]) for c in root.spawn(3))
@@ -368,70 +368,104 @@ def run_trial(
     truth.bias_accel, truth.bias_gyro = BIAS_ACCEL, BIAS_GYRO
     imu = synthesize_imu(truth, PROCESS_NOISE, s_imu)
     meas = synthesize_measurements(truth, campaign.noise_model, s_meas)
+    delta0 = np.random.default_rng(s_init).multivariate_normal(np.zeros(15), INIT_COV)
+    return truth, imu, meas, apply_correction(truth.state_at(0), -delta0)
 
-    cov = cov_from_std(*INIT_STD)
-    rng_init = np.random.default_rng(s_init)
-    delta0 = rng_init.multivariate_normal(np.zeros(15), cov)
-    # the first estimate: the true first state corrected by -delta0
-    x = apply_correction(truth.state_at(0), -delta0)
 
-    coverage = isinstance(arm, CoverageSpec)
-    rule = coverage_update if coverage else gaussian_update
+@dataclass
+class Track:
+    """What a filter run stores: each step's posterior estimate and the
+    3x3 position block of its covariance, and the active and skipped
+    coverage updates.  A run that diverged is shorter than its stream."""
 
-    # posterior estimates and position covariances, one row per update
-    steps = truth.n - 1
-    est_rot = np.empty((steps, 3, 3))
-    est_vel, est_pos = np.empty((steps, 3)), np.empty((steps, 3))
-    est_ba, est_bg = np.empty((steps, 3)), np.empty((steps, 3))
-    cov_pos = np.empty((steps, 3, 3))
-    n_active = 0
-    n_skipped = 0
-    taken = steps
+    states: list[AugmentedState]
+    cov_pos: list[np.ndarray]
+    active: int = 0
+    skipped: int = 0
 
-    for k in range(steps):
-        u = imu[k]
+
+def filter_stream(x0: AugmentedState, imu, meas: np.ndarray, arm) -> Track:
+    """Propagate from ``x0`` with covariance ``INIT_COV`` over each IMU
+    sample, and update with the measurement at its end.
+
+    ``arm`` picks the z-rule: a measurement covariance R runs Kalman's
+    rule :func:`~coverage_inekf.filter.gaussian_update`, a
+    :class:`CoverageSpec` the coverage rule
+    :func:`~coverage_inekf.coverage.coverage_update`.  The rule and every
+    step function are looked up by their names in this module on every
+    run, so a rebinding of a name (a tracer's or a test's) is seen.  Each
+    step makes one :func:`~coverage_inekf.coverage.update` call with the
+    rule and arm.
+
+    A non-finite entry in the prior position, velocity or covariance (or
+    a covariance entry beyond 1e154, whose square overflows) ends the run
+    before the update, which would refuse it or fail.
+    """
+    rule = coverage_update if isinstance(arm, CoverageSpec) else gaussian_update
+    x, cov, track = x0, INIT_COV, Track([], [])
+    for u, z in zip(imu, meas[1:]):
         phi, q_d = error_transition(x, u, PROCESS_NOISE)
         x = propagate_mean(x, u)
         cov = propagate_cov(cov, phi, q_d)
         # a sum is finite only if every term is
         terms = sum(x.nav.pos.tolist()) + sum(x.nav.vel.tolist())
         if not (math.isfinite(terms) and math.isfinite(np.vdot(cov, cov))):
-            taken = k
             break
-
-        x, cov, diag = update(x, cov, meas[k + 1], rule, arm)
+        x, cov, diag = update(x, cov, z, rule, arm)
         if diag is not None:
-            n_active += diag.active
-            n_skipped += diag.skipped
+            track.active += diag.active
+            track.skipped += diag.skipped
+        track.states.append(x)
+        # a copy: a view would keep the whole 15x15 covariance alive
+        track.cov_pos.append(cov[6:9, 6:9].copy())
+    return track
 
-        est_rot[k] = x.nav.rot
-        est_vel[k] = x.nav.vel
-        est_pos[k] = x.nav.pos
-        est_ba[k] = x.bias_accel
-        est_bg[k] = x.bias_gyro
-        cov_pos[k] = cov[6:9, 6:9]
 
-    diverged = taken < steps
-    rmse = nees_mean = float("nan")
-    if not diverged:
-        est = AugmentedState(Se23Element(est_rot, est_vel, est_pos), est_ba, est_bg)
-        e_p = realized_error(est, truth.state_at(slice(1, None)))[:, 6:9]
-        solved = np.linalg.solve(cov_pos, e_p[:, :, None])[:, :, 0]
-        nees = np.einsum("ni,ni->n", e_p, solved)
+def score(track: Track, truth: TruthTrajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step squared position errors and position NEES of a track, in
+    one batched pass against the truth samples after the first.
+
+    NEES uses the position block of the realized invariant error against
+    the filter's position covariance; the squared error is the plain
+    position error's.  The track must hold at least one step.
+    """
+    xs, n = track.states, len(track.states)
+    nav = Se23Element(
+        np.array([x.nav.rot for x in xs]),
+        np.array([x.nav.vel for x in xs]),
+        np.array([x.nav.pos for x in xs]),
+    )
+    est = AugmentedState(
+        nav, np.array([x.bias_accel for x in xs]), np.array([x.bias_gyro for x in xs])
+    )
+    e_p = realized_error(est, truth.state_at(slice(1, n + 1)))[:, 6:9]
+    solved = np.linalg.solve(np.array(track.cov_pos), e_p[:, :, None])[:, :, 0]
+    sq_pos_err = np.sum((nav.pos - truth.poss[1 : n + 1]) ** 2, axis=1)
+    return sq_pos_err, np.einsum("ni,ni->n", e_p, solved)
+
+
+def run_trial(
+    campaign: CampaignConfig, arm: np.ndarray | CoverageSpec, seed: int
+) -> TrialResult:
+    """One trial: :func:`simulate`, :func:`filter_stream` with ``arm``,
+    then :func:`score`, reduced to a :class:`TrialResult`.
+
+    RMSE and NEES are the means of the per-step scores.  A track shorter
+    than its stream flags the trial as diverged, and it is not scored; a
+    non-finite NEES flags it as diverged too.  The active fraction counts
+    the updates made, and is NaN for the Gaussian arm.
+    """
+    truth, imu, meas, x0 = simulate(campaign, seed)
+    track = filter_stream(x0, imu, meas, arm)
+    taken = len(track.states)
+    rmse = nees_mean = math.nan
+    if taken == len(imu):
+        sq_pos_err, nees = score(track, truth)
         if np.isfinite(nees).all():
-            sq_pos_err = np.sum((est_pos - truth.poss[1:]) ** 2, axis=1)
             rmse = math.sqrt(float(sq_pos_err.mean()))
             nees_mean = float(nees.mean())
-        else:
-            diverged = True
-    frac = n_active / taken if (coverage and taken) else float("nan")
-    return TrialResult(
-        rmse_pos=rmse,
-        nees_mean=nees_mean,
-        fraction_active=frac,
-        diverged=diverged,
-        skipped=n_skipped,
-    )
+    frac = track.active / taken if (isinstance(arm, CoverageSpec) and taken) else math.nan
+    return TrialResult(rmse, nees_mean, frac, math.isnan(nees_mean), track.skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +526,15 @@ def _arms(campaign: CampaignConfig) -> list[np.ndarray | CoverageSpec]:
     seeds stay as they are.  Each row draws its own component, so the rows
     are exchangeable, as split conformal assumes; a trial's time-ordered
     stream, which holds one component, is not.  A campaign without gammas
-    draws nothing.  A gamma the set is too small for raises
-    ``conformal_thresholds``' ValueError before any trial runs.
+    draws nothing, and without the baseline as well it raises ValueError.
+    A gamma the set is too small for raises ``conformal_thresholds``'
+    ValueError before any trial runs.
     """
     model = campaign.noise_model
     arms = [model.fitted_covariance()] if campaign.include_baseline else []
     if not campaign.gammas:
+        if not arms:
+            raise ValueError("campaign has no arm: include_baseline is False, gammas empty")
         return arms
     rng = np.random.default_rng(np.random.SeedSequence(campaign.seed).spawn(1)[0])
     # per-component counts, then each component's rows: the scores do not
@@ -525,7 +562,7 @@ def run_monte_carlo(campaign: CampaignConfig) -> list[CampaignRow]:
     sensor streams.  Trials run one after another, arm by arm; the rows are
     deterministic for a fixed campaign seed.
     """
-    if not isinstance(campaign.trials, (int, np.integer)):
+    if type(campaign.trials) is bool or not isinstance(campaign.trials, (int, np.integer)):
         raise ValueError(f"trials must be an integer, got {campaign.trials!r}")
     if campaign.trials < 1:
         raise ValueError("campaign needs at least one trial")

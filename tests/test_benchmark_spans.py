@@ -16,8 +16,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def test_every_traced_name_binds_and_the_update_spans_are_called(monkeypatch):
     """A 0.5 s biased-mixture campaign, Gaussian arm and gamma 0.8, under
     the benchmark's tracer: every name in ``workloads.TRACED`` resolves to
-    a function, and the Gaussian rule and every ``coverage.*`` span record
-    calls, so no span of the update reads 0."""
+    a function, and every ``sim.*`` span, the Gaussian rule and every
+    ``coverage.*`` span record calls, so no span of a trial's stages or of
+    the update reads 0."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     spans = importlib.import_module("spans")
@@ -37,3 +38,6 @@ def test_every_traced_name_binds_and_the_update_spans_are_called(monkeypatch):
         name for name in workloads.TRACED if name.startswith("coverage.")
     ]
     assert [name for name in update_spans if calls[name] == 0] == []
+    sim_spans = [name for name in workloads.TRACED if name.startswith("sim.")]
+    assert len(sim_spans) == 4
+    assert [name for name in sim_spans if calls[name] == 0] == []

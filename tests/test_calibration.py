@@ -235,10 +235,10 @@ class TestDecorrelationLags:
             with pytest.raises(ValueError, match="max_lag"):
                 decorrelation_lags(errors, max_lag=max_lag)
 
-    @pytest.mark.parametrize("max_lag", [2.5, 2.0, "2"])
+    @pytest.mark.parametrize("max_lag", [2.5, 2.0, "2", True, False])
     def test_max_lag_must_be_an_integer(self, max_lag):
-        """2.5 used to fail inside ``range`` with TypeError; numpy integers
-        are integers."""
+        """2.5 used to fail inside ``range`` with TypeError, and True read
+        as lag 1; numpy integers are integers."""
         errors = np.outer(np.arange(6.0), np.ones(3))
         with pytest.raises(ValueError, match="max_lag must be an integer"):
             decorrelation_lags(errors, max_lag=max_lag)

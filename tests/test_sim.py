@@ -247,6 +247,7 @@ def test_nan_prior_diverges_the_trial(monkeypatch, name, method, fault):
     monkeypatch.setattr(sim, target, fault_at_step_50)
     updates = spy(monkeypatch, "update")
     scores = spy(monkeypatch, "realized_error")
+    tracks = spy(monkeypatch, "filter_stream")
     campaign, arm = one_trial(name, method)
     result = sim.run_trial(campaign, arm, seed=11)
 
@@ -254,9 +255,13 @@ def test_nan_prior_diverges_the_trial(monkeypatch, name, method, fault):
     assert math.isnan(result.rmse_pos) and math.isnan(result.nees_mean)
     assert len(updates) == 50
     assert scores == []
+    ((_, track),) = tracks
+    assert len(track.states) == len(track.cov_pos) == 50
+    assert all(x is out[0] for x, (_, out) in zip(track.states, updates))
     if method == "coverage":
         active = sum(out[2].active for _, out in updates)
         assert 0 < active < 50
+        assert track.active == active
         assert result.fraction_active == active / 50
     else:
         assert math.isnan(result.fraction_active)
@@ -264,19 +269,21 @@ def test_nan_prior_diverges_the_trial(monkeypatch, name, method, fault):
 
 @pytest.mark.parametrize("name, method", ARMS)
 def test_trial_is_scored_once_like_step_by_step(monkeypatch, name, method):
-    """One batched scoring pass over all 100 stored posteriors gives the
-    RMSE and NEES that scoring each posterior as it is made gives."""
+    """One batched scoring pass over all 100 stored posteriors gives, step
+    for step, the squared position error and NEES that scoring each
+    posterior as it is made gives, and so the trial's RMSE and NEES."""
     updates = spy(monkeypatch, "update")
     scores = spy(monkeypatch, "realized_error")
+    passes = spy(monkeypatch, "score")
     campaign, arm = one_trial(name, method)
     result = sim.run_trial(campaign, arm, seed=11)
 
     assert not result.diverged
     ((_, batch),) = scores
     assert batch.shape == (100, 15)
+    ((_, (sq_batch, nees_batch)),) = passes
 
-    truth = generate_truth(campaign.trajectory)
-    truth.bias_accel, truth.bias_gyro = sim.BIAS_ACCEL, sim.BIAS_GYRO
+    truth = sim.simulate(campaign, 11)[0]
     nees, sq = [], []
     for k, (_, out) in enumerate(updates):
         x, cov = out[0], out[1]
@@ -284,8 +291,37 @@ def test_trial_is_scored_once_like_step_by_step(monkeypatch, name, method):
         nees.append(e_p @ np.linalg.solve(cov[6:9, 6:9], e_p))
         sq.append(np.sum((x.nav.pos - truth.poss[k + 1]) ** 2))
     assert len(nees) == 100
+    assert nees_batch == pytest.approx(np.array(nees), rel=1e-12, abs=0.0)
+    assert sq_batch == pytest.approx(np.array(sq), rel=1e-12, abs=0.0)
     assert result.nees_mean == pytest.approx(np.mean(nees), rel=1e-12)
     assert result.rmse_pos == pytest.approx(math.sqrt(np.mean(sq)), rel=1e-12)
+
+
+def test_every_arm_sees_the_same_streams():
+    """``simulate`` draws a trial's streams from its seed alone.  One set
+    of streams, with the measurements read-only, filtered by the Gaussian
+    arm and by the gamma 0.8 coverage arm and scored, gives each arm the
+    result ``run_trial`` gives for that seed, bit for bit."""
+    campaign = golden_campaign("mixture")
+    truth, imu, meas, x0 = sim.simulate(campaign, 11)
+    meas.setflags(write=False)
+    results = []
+    for arm in sim._arms(campaign):
+        track = sim.filter_stream(x0, imu, meas, arm)
+        sq, nees = sim.score(track, truth)
+        coverage = isinstance(arm, CoverageSpec)
+        frac = track.active / len(track.states) if coverage else NAN
+        got = TrialResult(
+            math.sqrt(float(sq.mean())), float(nees.mean()), frac, False, track.skipped
+        )
+        want = sim.run_trial(campaign, arm, 11)
+        assert np.array_equal(
+            dataclasses.astuple(got), dataclasses.astuple(want), equal_nan=True
+        )
+        results.append(got)
+    gauss, cover = results
+    assert len(imu) == 200 and 0.0 < cover.fraction_active < 1.0
+    assert gauss.nees_mean != cover.nees_mean
 
 
 def test_small_turn_gives_exact_gyro():
@@ -426,15 +462,28 @@ def test_imu_noise_deviation_is_density_over_root_dt():
         assert np.abs(added.std(axis=0) / (density / math.sqrt(dt)) - 1.0).max() <= 0.05
 
 
-@pytest.mark.parametrize("trials", [2.5, 1.0, "2"])
+@pytest.mark.parametrize("trials", [2.5, 1.0, "2", True, False])
 def test_trial_count_must_be_an_integer(monkeypatch, trials):
-    """2.5 used to fail in numpy with "expected a sequence of integers";
-    the campaign refuses it by name before any trial runs."""
+    """2.5 used to fail in numpy with "expected a sequence of integers",
+    and True ran one trial; the campaign refuses them by name before any
+    trial runs."""
     calls = spy(monkeypatch, "run_trial")
     campaign = dataclasses.replace(golden_campaign("gaussian"), trials=trials)
     with pytest.raises(ValueError, match="trials must be an integer"):
         run_monte_carlo(campaign)
     assert calls == []
+
+
+def test_campaign_without_arms_is_refused(monkeypatch):
+    """No baseline and no gammas used to return no rows, silently; the
+    campaign refuses it by name before any trial runs."""
+    trials = spy(monkeypatch, "run_trial")
+    campaign = dataclasses.replace(
+        golden_campaign("gaussian"), include_baseline=False, gammas=()
+    )
+    with pytest.raises(ValueError, match="include_baseline"):
+        run_monte_carlo(campaign)
+    assert trials == []
 
 
 def test_measurement_stream_holds_one_component():
