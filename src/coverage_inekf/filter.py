@@ -49,7 +49,15 @@ its nonzero blocks, with g^ the skew of gravity, are
     Phi[p, bg] = -p^R dt - v^R dt^2/2 - g^R dt^3/6
 
 and Phi N is a combination of the same matrices, so both are built from
-one stack of features [R, v^R, p^R, g^R, g^, I] without forming A.
+the features [R, v^R, p^R, g^R, g^, I] without forming A.  Every block
+uses either the four that depend on the state or the constant two, so the
+constant blocks, like every coefficient, depend on dt alone; a step builds
+only the others, from one product (12x3) R of [I; v^; p^; g^].
+
+States are values: every function here returns new arrays for what it
+changes and shares the arrays it leaves unchanged with its input (the
+biases through propagation, the whole state through an update that leaves
+it alone), and none writes into a state's arrays.
 """
 
 from __future__ import annotations
@@ -79,7 +87,12 @@ MAX_COND = 1e12
 
 @dataclass
 class AugmentedState:
-    """Navigation state plus IMU biases."""
+    """Navigation state plus IMU biases.
+
+    A value: states may share arrays (module docstring), so code that
+    holds one never writes into its arrays.  Batched over leading axes of
+    the arrays where a function says so.
+    """
 
     nav: Se23Element
     bias_accel: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -131,8 +144,10 @@ class ProcessNoise:
     bias walk and gyroscope bias walk.
 
     ``q`` is their 12x12 diagonal power spectral density, in the order of
-    the process noise vector, computed once.  A negative or non-finite
-    density raises ValueError.
+    the process noise vector, computed once and read-only.  A negative or
+    non-finite density raises ValueError.  ``_tables`` holds
+    :func:`error_transition`'s tables for this noise, keyed by dt, at most
+    ``TABLES_PER_NOISE`` of them.
     """
 
     accel: float
@@ -140,9 +155,11 @@ class ProcessNoise:
     accel_bias: float
     gyro_bias: float
     q: np.ndarray = field(init=False, repr=False, compare=False)
+    _tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         q = _diag_of_squares(self.accel, self.gyro, self.accel_bias, self.gyro_bias)
+        q.setflags(write=False)
         object.__setattr__(self, "q", q)
 
 
@@ -232,7 +249,8 @@ def propagate_mean(x: AugmentedState, u: ImuSample) -> AugmentedState:
     Bias-corrected rates are held constant over the interval, for which the
     closed form below is exact: the rotation advances by the SO(3)
     exponential while velocity and position use its first and second
-    integrals.  Biases are constant under the nominal dynamics.
+    integrals.  Biases are constant under the nominal dynamics, so the
+    result shares the input's bias arrays.
     """
     dt = u.dt
     w = (u.gyro - x.bias_gyro) * dt
@@ -246,14 +264,22 @@ def propagate_mean(x: AugmentedState, u: ImuSample) -> AugmentedState:
         vel + (ra[1] + GRAVITY) * dt,
         x.nav.pos + vel * dt + (ra[2] + _HALF_GRAVITY) * (dt * dt),
     )
-    return AugmentedState(nav, x.bias_accel.copy(), x.bias_gyro.copy())
+    return AugmentedState(nav, x.bias_accel, x.bias_gyro)
 
 
-# The closed-form transition's feature stack, in the order error_transition
-# builds it; the last two do not depend on the state.
-_FEATURES = ("R", "v^R", "p^R", "g^R", "g^", "I")
-_CONST_FEATURES = np.stack((skew(GRAVITY), _EYE3))
-_CONST_FEATURES.setflags(write=False)
+# The closed-form transition's features: the four that depend on the state,
+# the rows of [I; v^; p^; g^] R in order, and the two constants.
+_FEATURES = ("R", "v^R", "p^R", "g^R")
+_STATE_FEATURES = len(_FEATURES)
+_CONSTANTS = {"g^": skew(GRAVITY).ravel(), "I": _EYE3.ravel()}
+
+# [I; v^; p^; g^] flattened, as one product of (v, p, 1) with this map
+_STACK_MAP = np.zeros((7, 36))
+_STACK_MAP[0:3, 9:18] = _STACK_MAP[3:6, 18:27] = se23._HAT
+_STACK_MAP[6, 0:9], _STACK_MAP[6, 27:36] = _CONSTANTS["I"], _CONSTANTS["g^"]
+_STACK_MAP.setflags(write=False)
+_ONE = np.ones(1)
+_ONE.setflags(write=False)
 
 # Nonzero 3x3 blocks of Phi (15x15, error blocks rot, vel, pos, accel bias,
 # gyro bias) and of Phi N (15x12, noise blocks accel, gyro, accel-bias walk,
@@ -286,29 +312,69 @@ _TRANSITION_BLOCKS = {
     ("phi_n", 3, 2): (("I", -1, 0),),
     ("phi_n", 4, 3): (("I", -1, 0),),
 }
+_BUFFER = ERROR_DIM * (ERROR_DIM + NOISE_DIM)
 
 
-def _transition_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The blocks' coefficients as polynomials in (1, dt, dt^2/2, dt^3/6),
-    shape (4, blocks * features), and the flat positions of their entries
-    in the buffer holding Phi then Phi N."""
-    poly = np.zeros((4, len(_TRANSITION_BLOCKS), len(_FEATURES)))
-    index = []
+def _transition_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of :func:`_tables_at` as polynomials in
+    (1, dt, dt^2/2, dt^3/6), shape (4, columns): first the buffer holding
+    Phi then Phi N with the constant blocks in place, then the state
+    blocks' coefficients of [R, v^R, p^R, g^R], four per block.  Also each
+    column's scale, 0 for Phi and 1 + j for noise block j, and the flat
+    positions of the state blocks' entries in the buffer."""
+    base, coef = np.zeros((4, _BUFFER)), []
+    scale, coef_scale, index = np.zeros(_BUFFER, dtype=int), [], []
     entry = np.arange(3)
-    for b, ((matrix, i, j), terms) in enumerate(_TRANSITION_BLOCKS.items()):
-        for feature, sign, k in terms:
-            poly[k, b, _FEATURES.index(feature)] = sign
+    for (matrix, i, j), terms in _TRANSITION_BLOCKS.items():
         cols, offset = (
             (ERROR_DIM, 0) if matrix == "phi" else (NOISE_DIM, ERROR_DIM * ERROR_DIM)
         )
-        rows = (3 * i + entry)[:, None] * cols + 3 * j + entry
-        index.append(offset + rows.ravel())
-    return poly.reshape(4, -1), np.concatenate(index)
+        at = offset + ((3 * i + entry)[:, None] * cols + 3 * j + entry).ravel()
+        scale[at] = 0 if matrix == "phi" else 1 + j
+        if terms[0][0] in _CONSTANTS:
+            for feature, sign, k in terms:
+                base[k, at] += sign * _CONSTANTS[feature]
+            continue
+        block = np.zeros((4, _STATE_FEATURES))
+        for feature, sign, k in terms:
+            block[k, _FEATURES.index(feature)] = sign
+        coef.append(block)
+        coef_scale += [scale[at[0]]] * _STATE_FEATURES
+        index.append(at)
+    poly = np.concatenate((base, np.stack(coef, axis=1).reshape(4, -1)), axis=1)
+    tables = poly, np.concatenate((scale, coef_scale)), np.concatenate(index)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
-_BLOCK_POLY, _BLOCK_INDEX = _transition_tables()
-_BLOCK_POLY.setflags(write=False)
-_BLOCK_INDEX.setflags(write=False)
+_POLY, _POLY_SCALE, _STATE_INDEX = _transition_tables()
+
+# error_transition's tables kept per ProcessNoise: the 10-14 distinct float
+# steps of a uniform 100 Hz grid fit; a full cache is emptied.
+TABLES_PER_NOISE = 64
+
+
+def _tables_at(dt: float, noise: ProcessNoise) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of :func:`error_transition` at ``dt``, made by one
+    product on the first call with this (dt, noise) and kept in
+    ``noise._tables``: a buffer holding the constant blocks, and the state
+    blocks' coefficients (blocks, 4).  The noise blocks are scaled by
+    sqrt(q dt), so that they hold G = Phi N diag(sqrt(q dt)) rather than
+    Phi N."""
+    cache = noise._tables
+    tables = cache.get(dt)
+    if tables is not None:
+        return tables
+    root = math.sqrt(dt)
+    scale = np.array((1.0, noise.accel * root, noise.gyro * root,
+                      noise.accel_bias * root, noise.gyro_bias * root))
+    powers = np.array((1.0, dt, dt * dt / 2.0, dt * dt * dt / 6.0))
+    table = np.dot(powers, _POLY) * scale[_POLY_SCALE]
+    if len(cache) >= TABLES_PER_NOISE:
+        cache.clear()
+    tables = cache[dt] = table[:_BUFFER], table[_BUFFER:].reshape(-1, _STATE_FEATURES)
+    return tables
 
 
 def error_transition(
@@ -318,33 +384,35 @@ def error_transition(
 
     Phi is the exact exponential of the continuous dynamics over dt, in the
     closed form of the module docstring; Q_d uses the first-order
-    discretization Phi N Q N^T Phi^T dt.  The feature stack
-    [R, v^R, p^R, g^R, g^, I] comes from one batched skew and one product,
-    and every block of Phi and of Phi N from one product of it with the
-    coefficients at this dt.
+    discretization Phi N Q N^T Phi^T dt, computed as G G^T with
+    G = Phi N diag(sqrt(q dt)), which numpy's A A^T product makes exactly
+    symmetric.  The coefficients at dt and the constant blocks come from
+    :func:`_tables_at`; the state's features [R, v^R, p^R, g^R] from one
+    product (12x3) R, and their blocks from one product with the
+    coefficients.
     """
-    rot = x.nav.rot
-    hats = skew(np.array((x.nav.vel, x.nav.pos, GRAVITY)))
-    feats = np.concatenate((rot[None], np.dot(hats, rot), _CONST_FEATURES))
-    dt = u.dt
-    coef = np.dot(np.array((1.0, dt, dt * dt / 2.0, dt * dt * dt / 6.0)), _BLOCK_POLY)
-    blocks = np.dot(coef.reshape(-1, len(feats)), feats.reshape(len(feats), 9))
-    out = np.zeros(ERROR_DIM * (ERROR_DIM + NOISE_DIM))
-    out[_BLOCK_INDEX] = blocks.ravel()
+    base, coef = _tables_at(u.dt, noise)
+    nav = x.nav
+    stack = np.dot(np.concatenate((nav.vel, nav.pos, _ONE)), _STACK_MAP)
+    feats = np.dot(stack.reshape(-1, 3), nav.rot).reshape(_STATE_FEATURES, 9)
+    out = base.copy()
+    out[_STATE_INDEX] = np.dot(coef, feats).ravel()
     phi = out[: ERROR_DIM * ERROR_DIM].reshape(ERROR_DIM, ERROR_DIM)
-    phi_n = out[ERROR_DIM * ERROR_DIM :].reshape(ERROR_DIM, NOISE_DIM)
-    q_d = np.dot(np.dot(phi_n, noise.q), phi_n.T)
-    return phi, (q_d + q_d.T) * (0.5 * dt)
+    g = out[ERROR_DIM * ERROR_DIM :].reshape(ERROR_DIM, NOISE_DIM)
+    return phi, np.dot(g, g.T)
 
 
 def propagate_cov(cov: np.ndarray, phi: np.ndarray, q_d: np.ndarray) -> np.ndarray:
-    """Covariance propagation Phi Sigma Phi^T + Q_d, symmetrized."""
-    cov = np.dot(np.dot(phi, cov), phi.T) + q_d
-    return 0.5 * (cov + cov.T)
+    """Covariance propagation Phi Sigma Phi^T + Q_d: Phi Sigma Phi^T is
+    symmetrized, and Q_d, which :func:`error_transition` makes exactly
+    symmetric, added to it."""
+    cov = np.dot(np.dot(phi, cov), phi.T)
+    return 0.5 * (cov + cov.T) + q_d
 
 
 def apply_correction(x: AugmentedState, delta: np.ndarray) -> AugmentedState:
-    """On-manifold correction: nav <- exp(-xi^) nav, biases <- b - d_bias."""
+    """On-manifold correction: nav <- exp(-xi^) nav, biases <- b - d_bias,
+    all new arrays."""
     delta = np.asarray(delta, dtype=float)
     nav = se23.compose(se23.exp_se23(-delta[0:9]), x.nav)
     return AugmentedState(

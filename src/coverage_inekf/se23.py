@@ -11,11 +11,13 @@ with tangent vectors ordered (rotation, velocity, position).  That ordering
 is a global convention of this package; the 15-dimensional filter error
 state appends (accel bias, gyro bias) to it.
 
-Elements are plain values, and nothing re-orthonormalizes a rotation.
-Products of rotations leave SO(3) only at roundoff, linearly in their
-number (figures in :class:`Se23Element`): the filter's estimate stayed
-within 2.7e-14 of SO(3), max |R R^T - I|, over 60 s, 100 Hz campaigns of
-both noise models and both arms.
+Elements are plain values: every operation returns new arrays and none
+writes into an element's arrays, so elements may share them (the filter's
+states share the ones a step leaves unchanged).  Nothing
+re-orthonormalizes a rotation.  Products of rotations leave SO(3) only at
+roundoff, linearly in their number (figures in :class:`Se23Element`): the
+filter's estimate stayed within 2.7e-14 of SO(3), max |R R^T - I|, over
+60 s, 100 Hz campaigns of both noise models and both arms.
 """
 
 from __future__ import annotations

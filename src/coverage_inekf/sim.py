@@ -374,12 +374,14 @@ def simulate(campaign: CampaignConfig, seed: int):
 
 @dataclass
 class Track:
-    """What a filter run stores: each step's posterior estimate and the
-    3x3 position block of its covariance, and the active and skipped
-    coverage updates.  A run that diverged is shorter than its stream."""
+    """What a filter run stores: each step's posterior estimate, as one
+    batched state whose arrays hold a row per step, the (n, 3, 3) position
+    blocks of its covariances, and the active and skipped coverage updates.
+    A run that diverged is shorter than its stream: its arrays hold the
+    steps taken."""
 
-    states: list[AugmentedState]
-    cov_pos: list[np.ndarray]
+    states: AugmentedState
+    cov_pos: np.ndarray
     active: int = 0
     skipped: int = 0
 
@@ -395,52 +397,53 @@ def filter_stream(x0: AugmentedState, imu, meas: np.ndarray, arm) -> Track:
     step function are looked up by their names in this module on every
     run, so a rebinding of a name (a tracer's or a test's) is seen.  Each
     step makes one :func:`~coverage_inekf.coverage.update` call with the
-    rule and arm.
+    rule and arm, and writes the posterior into the track's preallocated
+    rows, so no step's objects outlive it.
 
-    A non-finite entry in the prior position, velocity or covariance (or
-    a covariance entry beyond 1e154, whose square overflows) ends the run
-    before the update, which would refuse it or fail.
+    A non-finite entry in the prior position, velocity or covariance ends
+    the run before the update, which would refuse it or fail; so does an
+    entry beyond 1e154, whose square overflows.
     """
     rule = coverage_update if isinstance(arm, CoverageSpec) else gaussian_update
-    x, cov, track = x0, INIT_COV, Track([], [])
+    n = len(imu)
+    rot, cov_pos = np.empty((n, 3, 3)), np.empty((n, 3, 3))
+    vel, pos, bias_accel, bias_gyro = np.empty((4, n, 3))
+    x, cov, active, skipped, taken = x0, INIT_COV, 0, 0, 0
     for u, z in zip(imu, meas[1:]):
         phi, q_d = error_transition(x, u, PROCESS_NOISE)
         x = propagate_mean(x, u)
         cov = propagate_cov(cov, phi, q_d)
-        # a sum is finite only if every term is
-        terms = sum(x.nav.pos.tolist()) + sum(x.nav.vel.tolist())
-        if not (math.isfinite(terms) and math.isfinite(np.vdot(cov, cov))):
+        # a sum of squares is finite only if every term is; np.vdot, unlike
+        # np.dot, does not warn when a square overflows
+        p, v = x.nav.pos, x.nav.vel
+        if not math.isfinite(np.vdot(p, p) + np.vdot(v, v) + np.vdot(cov, cov)):
             break
         x, cov, diag = update(x, cov, z, rule, arm)
         if diag is not None:
-            track.active += diag.active
-            track.skipped += diag.skipped
-        track.states.append(x)
-        # a copy: a view would keep the whole 15x15 covariance alive
-        track.cov_pos.append(cov[6:9, 6:9].copy())
-    return track
+            active += diag.active
+            skipped += diag.skipped
+        rot[taken], vel[taken], pos[taken] = x.nav.rot, x.nav.vel, x.nav.pos
+        bias_accel[taken], bias_gyro[taken] = x.bias_accel, x.bias_gyro
+        cov_pos[taken] = cov[6:9, 6:9]
+        taken += 1
+    nav = Se23Element(rot[:taken], vel[:taken], pos[:taken])
+    states = AugmentedState(nav, bias_accel[:taken], bias_gyro[:taken])
+    return Track(states, cov_pos[:taken], active, skipped)
 
 
 def score(track: Track, truth: TruthTrajectory) -> tuple[np.ndarray, np.ndarray]:
     """Per-step squared position errors and position NEES of a track, in
-    one batched pass against the truth samples after the first.
+    one batched pass against the truth samples after the first; two empty
+    arrays for a track without steps.
 
     NEES uses the position block of the realized invariant error against
     the filter's position covariance; the squared error is the plain
-    position error's.  The track must hold at least one step.
+    position error's.
     """
-    xs, n = track.states, len(track.states)
-    nav = Se23Element(
-        np.array([x.nav.rot for x in xs]),
-        np.array([x.nav.vel for x in xs]),
-        np.array([x.nav.pos for x in xs]),
-    )
-    est = AugmentedState(
-        nav, np.array([x.bias_accel for x in xs]), np.array([x.bias_gyro for x in xs])
-    )
-    e_p = realized_error(est, truth.state_at(slice(1, n + 1)))[:, 6:9]
-    solved = np.linalg.solve(np.array(track.cov_pos), e_p[:, :, None])[:, :, 0]
-    sq_pos_err = np.sum((nav.pos - truth.poss[1 : n + 1]) ** 2, axis=1)
+    n = len(track.cov_pos)
+    e_p = realized_error(track.states, truth.state_at(slice(1, n + 1)))[:, 6:9]
+    solved = np.linalg.solve(track.cov_pos, e_p[:, :, None])[:, :, 0]
+    sq_pos_err = np.sum((track.states.nav.pos - truth.poss[1 : n + 1]) ** 2, axis=1)
     return sq_pos_err, np.einsum("ni,ni->n", e_p, solved)
 
 
@@ -457,7 +460,7 @@ def run_trial(
     """
     truth, imu, meas, x0 = simulate(campaign, seed)
     track = filter_stream(x0, imu, meas, arm)
-    taken = len(track.states)
+    taken = len(track.cov_pos)
     rmse = nees_mean = math.nan
     if taken == len(imu):
         sq_pos_err, nees = score(track, truth)

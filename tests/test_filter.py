@@ -19,6 +19,7 @@ from coverage_inekf.coverage import update
 from coverage_inekf.filter import (
     GRAVITY,
     MAX_COND,
+    TABLES_PER_NOISE,
     AugmentedState,
     ImuSample,
     ProcessNoise,
@@ -245,6 +246,27 @@ class TestErrorTransition:
             assert np.abs(q_d - q_d_ref).max() <= 1e-14 * np.abs(q_d_ref).max()
             assert np.array_equal(q_d, q_d.T)
 
+    def test_cached_tables_never_go_stale(self):
+        """The tables are kept per (dt, noise).  Over a stream whose dt
+        alternates between two values, under two noises taken in turn,
+        every call matches the dense reference within the bounds above and
+        gives an exactly symmetric Q_d; after 1000 distinct dt values the
+        noise holds at most TABLES_PER_NOISE tables."""
+        rng = np.random.default_rng(26)
+        noises = (ProcessNoise(0.02, 0.002, 1e-4, 1e-5),
+                  ProcessNoise(*rng.uniform(1e-4, 0.1, 4)))
+        steps = [(dt, noise) for noise in noises for dt in (0.01, 0.02)] * 5
+        steps += [(dt, noises[0]) for dt in np.linspace(0.001, 0.1, 1000)]
+        for dt, noise in steps:
+            x = random_state(rng)
+            phi, q_d = error_transition(x, ImuSample(np.zeros(3), np.zeros(3), dt), noise)
+            phi_ref, q_d_ref = error_transition_reference(x, dt, noise.q)
+            assert np.abs(phi - phi_ref).max() <= 1e-12
+            assert np.abs(q_d - q_d_ref).max() <= 1e-14 * np.abs(q_d_ref).max()
+            assert np.array_equal(q_d, q_d.T)
+        assert 0 < len(noises[0]._tables) <= TABLES_PER_NOISE
+        assert len(noises[1]._tables) == 2
+
     def test_zero_q_gives_zero_qd(self):
         rng = np.random.default_rng(7)
         x = random_state(rng)
@@ -436,6 +458,33 @@ class TestGaussianUpdate:
             kalman_update(self.x, self.cov, meas, r)
 
 
+def test_steps_leave_their_input_state_unchanged():
+    """States share the arrays a step leaves unchanged (propagation keeps
+    the biases), so no step writes into its input: propagating, updating
+    by Kalman's rule and correcting leave every array of each input
+    bit-identical."""
+    rng = np.random.default_rng(27)
+
+    def arrays(x):
+        return [x.nav.rot, x.nav.vel, x.nav.pos, x.bias_accel, x.bias_gyro]
+
+    def kept(x):
+        return x, [a.copy() for a in arrays(x)]
+
+    x = random_state(rng)
+    cov = cov_from_std(0.02, 0.05, 0.05, 0.02, 0.002)
+    u = ImuSample(rng.standard_normal(3), rng.standard_normal(3), 0.01)
+    inputs = [kept(x)]
+    prior = propagate_mean(x, u)
+    assert prior.bias_accel is x.bias_accel and prior.bias_gyro is x.bias_gyro
+    inputs.append(kept(prior))
+    post, _ = kalman_update(prior, cov, rng.standard_normal(3), 0.01 * np.eye(3))
+    inputs.append(kept(post))
+    apply_correction(post, 0.01 * rng.standard_normal(15))
+    for state, copies in inputs:
+        assert all(np.array_equal(a, c) for a, c in zip(arrays(state), copies))
+
+
 def test_lift_stays_psd_near_noise_free_measurements():
     """The Joseph-form lift keeps the posterior PSD when the z-space noise
     vanishes against the prior.
@@ -569,7 +618,7 @@ class TestTypes:
             "accel", "gyro", "accel_bias", "gyro_bias"
         ]
         want = np.diag(np.repeat([0.1, 0.01, 1e-3, 1e-4], 3) ** 2)
-        assert np.array_equal(noise.q, want)
+        assert np.array_equal(noise.q, want) and not noise.q.flags.writeable
         assert noise == ProcessNoise(0.1, 0.01, 1e-3, 1e-4)
         assert "q=" not in repr(noise)
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -31,23 +31,23 @@ NAN = float("nan")
 # Any change to them is a change in the filter's output, not a refactor.
 GOLDEN = {
     "mixture": [
-        CampaignRow(method="gaussian", gamma=None, rmse_mean=0.24123384393958391,
-                    rmse_std=0.014152129925418061, nees_mean=20.227191423594736,
-                    nees_std=2.176123059797617, frac_active=NAN, diverged=0,
+        CampaignRow(method="gaussian", gamma=None, rmse_mean=0.2412338439395839,
+                    rmse_std=0.01415212992541807, nees_mean=20.227191423594732,
+                    nees_std=2.17612305979762, frac_active=NAN, diverged=0,
                     skipped=0),
-        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.21985265319650418,
-                    rmse_std=0.013427051215523785, nees_mean=9.261315126318022,
-                    nees_std=1.1875876890838566, frac_active=0.2733333333333334,
+        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.21985265319650416,
+                    rmse_std=0.013427051215523818, nees_mean=9.261315126318026,
+                    nees_std=1.1875876890838615, frac_active=0.2733333333333334,
                     diverged=0, skipped=0),
     ],
     "gaussian": [
-        CampaignRow(method="gaussian", gamma=None, rmse_mean=0.07631534107757795,
-                    rmse_std=0.037924234005867266, nees_mean=2.8392628152627726,
-                    nees_std=2.5558181027509312, frac_active=NAN, diverged=0,
+        CampaignRow(method="gaussian", gamma=None, rmse_mean=0.07631534107757797,
+                    rmse_std=0.03792423400586729, nees_mean=2.839262815262774,
+                    nees_std=2.5558181027509317, frac_active=NAN, diverged=0,
                     skipped=0),
-        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.08644083490423377,
-                    rmse_std=0.036300098443372675, nees_mean=3.0276754122290916,
-                    nees_std=2.4299145483156526, frac_active=0.4483333333333333,
+        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.08644083490423381,
+                    rmse_std=0.0363000984433725, nees_mean=3.027675412229088,
+                    nees_std=2.4299145483156397, frac_active=0.4483333333333333,
                     diverged=0, skipped=2),
     ],
 }
@@ -218,11 +218,17 @@ def infinite_velocity(x):
     return x
 
 
+def huge_position(x):
+    x.nav.pos = x.nav.pos + [1e155, 0.0, 0.0]
+    return x
+
+
 # a fault in the prior: the propagation step it corrupts, and how
 PRIOR_FAULTS = {
     "nan_cov": ("propagate_cov", lambda cov: np.full_like(cov, np.nan)),
     "nan_velocity_cov": ("propagate_cov", nan_velocity_block),
     "inf_velocity": ("propagate_mean", infinite_velocity),
+    "huge_position": ("propagate_mean", huge_position),
 }
 
 
@@ -231,11 +237,11 @@ PRIOR_FAULTS = {
 def test_nan_prior_diverges_the_trial(monkeypatch, name, method, fault):
     """A non-finite prior out of propagation at step 50 of a real 1 s
     trial ends it before the update: a NaN covariance, a NaN velocity
-    block (which the update would refuse) or an infinite velocity (which
+    block (which the update would refuse), an infinite velocity (which
     would make an empty box for the coverage rule and overflow in the
-    Gaussian one).  The active fraction counts the 50 updates made; the
-    trial is not scored, so no unfilled row of its stored estimates is
-    read."""
+    Gaussian one) or a position of 1e155, whose square overflows.  The active fraction counts the 50 updates made; the
+    track holds 50 rows, each that update's output bit for bit; the trial
+    is not scored."""
     steps = itertools.count()
     target, corrupt = PRIOR_FAULTS[fault]
     real = getattr(sim, target)
@@ -256,8 +262,13 @@ def test_nan_prior_diverges_the_trial(monkeypatch, name, method, fault):
     assert len(updates) == 50
     assert scores == []
     ((_, track),) = tracks
-    assert len(track.states) == len(track.cov_pos) == 50
-    assert all(x is out[0] for x, (_, out) in zip(track.states, updates))
+    est = track.states
+    rows = (est.nav.rot, est.nav.vel, est.nav.pos, est.bias_accel, est.bias_gyro,
+            track.cov_pos)
+    assert [len(r) for r in rows] == [50] * 6
+    for k, (_, (x, cov, _)) in enumerate(updates):
+        want = (x.nav.rot, x.nav.vel, x.nav.pos, x.bias_accel, x.bias_gyro, cov[6:9, 6:9])
+        assert all(np.array_equal(r[k], w) for r, w in zip(rows, want))
     if method == "coverage":
         active = sum(out[2].active for _, out in updates)
         assert 0 < active < 50
@@ -265,6 +276,24 @@ def test_nan_prior_diverges_the_trial(monkeypatch, name, method, fault):
         assert result.fraction_active == active / 50
     else:
         assert math.isnan(result.fraction_active)
+
+
+@pytest.mark.parametrize("name, method", ARMS)
+def test_track_of_a_trial_diverged_at_its_first_step_scores_empty(
+    monkeypatch, name, method
+):
+    """A NaN covariance out of the first propagation ends the run before
+    any update: the track holds no step, and scoring it gives two empty
+    arrays (it raised numpy's matmul ValueError when the track was a list
+    of states)."""
+    monkeypatch.setattr(sim, "propagate_cov", lambda cov, phi, q_d: np.full_like(cov, np.nan))
+    campaign, arm = one_trial(name, method)
+    truth, imu, meas, x0 = sim.simulate(campaign, 11)
+    track = sim.filter_stream(x0, imu, meas, arm)
+    assert track.cov_pos.shape == (0, 3, 3) and track.states.nav.rot.shape == (0, 3, 3)
+    sq, nees = sim.score(track, truth)
+    assert sq.shape == nees.shape == (0,)
+    assert sim.run_trial(campaign, arm, 11).diverged
 
 
 @pytest.mark.parametrize("name, method", ARMS)
@@ -310,7 +339,7 @@ def test_every_arm_sees_the_same_streams():
         track = sim.filter_stream(x0, imu, meas, arm)
         sq, nees = sim.score(track, truth)
         coverage = isinstance(arm, CoverageSpec)
-        frac = track.active / len(track.states) if coverage else NAN
+        frac = track.active / len(track.cov_pos) if coverage else NAN
         got = TrialResult(
             math.sqrt(float(sq.mean())), float(nees.mean()), frac, False, track.skipped
         )
