@@ -7,11 +7,12 @@ Seeds 1-20, each with both noise models (the biased mixture and white
 noise of sigma 0.1), a 2 s trajectory, two trials, and the Gaussian arm
 plus gamma 0.5, 0.8 and 0.95, so that certified, active and skipped
 coverage updates all run: 160 rows.  Before each campaign's rows it
-prints the ``float.hex`` radii of each coverage arm, so that a change in
-calibration shows apart from a change in the filter.  The script uses only
-the API the benchmark also relies on and ``sim._arms``, so it runs on older
-trees too, and it refuses to run on a package imported from outside the
-tree it is given.
+prints, as ``float.hex`` values, the Gaussian arm's R (nine entries, row
+by row, with gamma ``None``) and the radii of each coverage arm, so that a
+change in calibration shows apart from a change in the filter.  The script
+uses only the API the benchmark also relies on and ``sim._arms``, so it
+runs on older trees too, and it refuses to run on a package imported from
+outside the tree it is given.
 """
 
 import sys
@@ -41,6 +42,9 @@ def main(tree: str) -> None:
                 if isinstance(arm, sim.CoverageSpec):
                     radii = " ".join(float.hex(r) for r in arm.epsilon.tolist())
                     print(name, seed, arm.gamma, "radii", radii)
+                else:
+                    entries = " ".join(float.hex(r) for r in arm.ravel().tolist())
+                    print(name, seed, None, "R", entries)
             for row in sim.run_monte_carlo(cfg):
                 print(name, seed, repr(row))
 

@@ -8,10 +8,11 @@ float field a roundoff change may move (``rmse_mean``, ``rmse_std``,
 ``nees_mean``, ``nees_std``) this prints the largest relative change
 |head - base| / |base| over all rows and the row where it occurs.  It
 prints a MISMATCH line for each difference in what must not move: the set
-of rows, a row's method or gamma, a coverage arm's radii (compared as
-their ``float.hex`` text), ``frac_active``, ``diverged`` or ``skipped``;
-and for a float field that is NaN on one side only.  Exits 1 on any
-mismatch.
+of rows, a row's method or gamma, a coverage arm's radii or the Gaussian
+arm's R (both compared as their ``float.hex`` text), ``frac_active``,
+``diverged`` or ``skipped``; and for a float field that is NaN on one side
+only.  It counts what both outputs hold, as "160 rows, 120 radii lines and
+40 R lines".  Exits 1 on any mismatch.
 """
 
 import ast
@@ -34,8 +35,9 @@ def parse_row(text: str) -> dict:
 
 
 def read(path: str) -> dict:
-    """Lines keyed by (model, seed, method, gamma); a radii line is keyed
-    with the method "radii" and keeps its hex text."""
+    """Lines keyed by (model, seed, method, gamma); a radii or R line is
+    keyed with its tag, "radii" or "R", as the method and keeps its hex
+    text."""
     entries = {}
     with open(path) as f:
         for line in f:
@@ -45,10 +47,10 @@ def read(path: str) -> dict:
                 key = (model, seed, row["method"], repr(row["gamma"]))
                 entries[key] = row
             else:
-                gamma, tag, radii = rest.split(" ", 2)
-                if tag != "radii":
+                gamma, tag, values = rest.split(" ", 2)
+                if tag not in ("radii", "R"):
                     sys.exit(f"{path}: unrecognised line {line!r}")
-                entries[(model, seed, "radii", gamma)] = radii
+                entries[(model, seed, tag, gamma)] = values
     return entries
 
 
@@ -70,16 +72,16 @@ def main(base_path: str, head_path: str) -> int:
     mismatches = [f"MISMATCH only in base: {' '.join(k)}" for k in base if k not in head]
     mismatches += [f"MISMATCH only in head: {' '.join(k)}" for k in head if k not in base]
     worst = {name: (0.0, None) for name in FLOAT_FIELDS}
-    rows = radii = 0
+    counts = {"rows": 0, "radii": 0, "R": 0}
     for key in base.keys() & head.keys():
         a, b = base[key], head[key]
         label = " ".join(key)
         if isinstance(a, str):
-            radii += 1
+            counts[key[2]] += 1
             if a != b:
                 mismatches.append(f"MISMATCH {label}: {a} != {b}")
             continue
-        rows += 1
+        counts["rows"] += 1
         for name in EXACT_FIELDS:
             if not same(a[name], b[name]):
                 mismatches.append(f"MISMATCH {label} {name}: {a[name]!r} != {b[name]!r}")
@@ -90,7 +92,8 @@ def main(base_path: str, head_path: str) -> int:
             change = relative_change(a[name], b[name])
             if change > worst[name][0]:
                 worst[name] = (change, label)
-    print(f"{rows} rows and {radii} radii lines in both")
+    rows, radii, r_lines = counts.values()
+    print(f"{rows} rows, {radii} radii lines and {r_lines} R lines in both")
     for name, (change, label) in worst.items():
         print(f"{name:<9} max relative change {change:.2e}" + (f"  ({label})" if label else ""))
     for line in sorted(mismatches):

@@ -22,11 +22,13 @@ The measurement noise has one model, a Gaussian mixture whose component
 is drawn once per trial and then held fixed; Gaussian noise is its
 one-component case.
 
-The coverage arms assume no noise law: their radii are calibrated by split
-conformal prediction (:func:`coverage_inekf.calibration.conformal_thresholds`)
-on a held-out set of iid errors the campaign draws from its noise model.
-Its rows are exchangeable, as split conformal assumes; a time-ordered,
-correlated error stream would need calibrating on block means instead.
+No arm reads the noise law: both calibrate on one held-out set of iid
+errors the campaign draws from its noise model.  The Gaussian arm's R is
+the set's sample covariance, a Gaussian fitted to the errors; the coverage
+arms' radii are its split conformal quantiles
+(:func:`coverage_inekf.calibration.conformal_thresholds`).  The set's rows
+are exchangeable, as split conformal assumes; a time-ordered, correlated
+error stream would need calibrating on block means instead.
 
 A campaign sets the trajectory, noise model, trials, seed and arms.  The
 rest of the scenario is fixed: ``PROCESS_NOISE`` (IMU noise densities, also
@@ -289,16 +291,6 @@ class FixedComponentMixture:
         """n iid errors, shape (n, 3), of one component."""
         return self.means[component] + rng.standard_normal((n, 3)) @ self.chols[component].T
 
-    def fitted_covariance(self) -> np.ndarray:
-        """Single-Gaussian fit: mean of covariances plus covariance of means,
-        symmetrized, since the Gaussian rule refuses an R that is not
-        exactly symmetric and (C^T w) C need not be."""
-        mbar = self.weights @ self.means
-        centered = self.means - mbar
-        spread = (centered.T * self.weights) @ centered
-        fit = np.einsum("i,ijk->jk", self.weights, self.covs) + spread
-        return 0.5 * (fit + fit.T)
-
 
 # Gaussian noise is the one-component mixture; the name is kept for callers.
 GaussianNoise = FixedComponentMixture
@@ -400,12 +392,16 @@ def filter_stream(x0: AugmentedState, imu, meas: np.ndarray, arm) -> Track:
     rule and arm, and writes the posterior into the track's preallocated
     rows, so no step's objects outlive it.
 
-    A non-finite entry in the prior position, velocity or covariance ends
-    the run before the update, which would refuse it or fail; so does an
-    entry beyond 1e154, whose square overflows.
+    ``meas`` holds a row per truth sample, so its shape must be
+    ``(len(imu) + 1, 3)``; any other raises ValueError before the first
+    step.  A non-finite entry in the prior position, velocity or covariance
+    ends the run before the update, which would refuse it or fail; so does
+    an entry beyond 1e154, whose square overflows.
     """
-    rule = coverage_update if isinstance(arm, CoverageSpec) else gaussian_update
     n = len(imu)
+    if (shape := np.shape(meas)) != (n + 1, 3):
+        raise ValueError(f"{n} IMU samples need meas of shape {(n + 1, 3)}, got {shape}")
+    rule = coverage_update if isinstance(arm, CoverageSpec) else gaussian_update
     rot, cov_pos = np.empty((n, 3, 3)), np.empty((n, 3, 3))
     vel, pos, bias_accel, bias_gyro = np.empty((4, n, 3))
     x, cov, active, skipped, taken = x0, INIT_COV, 0, 0, 0
@@ -480,8 +476,10 @@ def run_trial(
 class CampaignConfig:
     """A Monte-Carlo comparison: one baseline arm plus a gamma sweep.
 
-    Every trial runs the scenario of the module constants
-    ``PROCESS_NOISE``, ``BIAS_ACCEL``, ``BIAS_GYRO`` and ``INIT_STD``.
+    Both arms calibrate on the one held-out set of errors that
+    ``noise_model`` and ``seed`` give (see :func:`_arms`).  Every trial
+    runs the scenario of the module constants ``PROCESS_NOISE``,
+    ``BIAS_ACCEL``, ``BIAS_GYRO`` and ``INIT_STD``.
     """
 
     trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
@@ -514,38 +512,40 @@ class CampaignRow:
     skipped: int
 
 
-# Size of the held-out calibration set a campaign draws for its coverage
-# arms.  The conformal rank exists for gamma up to (8192/8193)^3 ~ 0.99963.
+# Size of the held-out calibration set every arm of a campaign is fitted
+# on.  The conformal rank exists for gamma up to (8192/8193)^3 ~ 0.99963.
 CALIBRATION_SAMPLES = 8192
 
 
 def _arms(campaign: CampaignConfig) -> list[np.ndarray | CoverageSpec]:
-    """The fitted R of the Gaussian arm, then one statement per gamma.
+    """The Gaussian arm's R, then one statement per gamma, all fitted on
+    one held-out calibration set.
 
-    Every gamma's radii are split-conformal quantiles
-    (:func:`~coverage_inekf.calibration.conformal_thresholds`) of one
-    held-out calibration set: ``CALIBRATION_SAMPLES`` iid errors of the
-    noise model, seeded by a child of the campaign seed, so that the trial
-    seeds stay as they are.  Each row draws its own component, so the rows
-    are exchangeable, as split conformal assumes; a trial's time-ordered
-    stream, which holds one component, is not.  A campaign without gammas
-    draws nothing, and without the baseline as well it raises ValueError.
-    A gamma the set is too small for raises ``conformal_thresholds``'
-    ValueError before any trial runs.
+    The set is ``CALIBRATION_SAMPLES`` iid errors of the noise model,
+    seeded by a child of the campaign seed, so that the trial seeds stay
+    as they are.  R is its sample covariance, symmetrized because the
+    Gaussian rule refuses an R that is not bit-symmetric; every gamma's
+    radii are its split-conformal quantiles
+    (:func:`~coverage_inekf.calibration.conformal_thresholds`).  Each row
+    draws its own component, so the rows are exchangeable, as split
+    conformal assumes; a trial's time-ordered stream, which holds one
+    component, is not.  A campaign without the baseline and without gammas
+    raises ValueError, and so does a gamma the set is too small for
+    (``conformal_thresholds``' error), both before any trial runs.
     """
+    if not (campaign.include_baseline or campaign.gammas):
+        raise ValueError("campaign has no arm: include_baseline is False, gammas empty")
     model = campaign.noise_model
-    arms = [model.fitted_covariance()] if campaign.include_baseline else []
-    if not campaign.gammas:
-        if not arms:
-            raise ValueError("campaign has no arm: include_baseline is False, gammas empty")
-        return arms
     rng = np.random.default_rng(np.random.SeedSequence(campaign.seed).spawn(1)[0])
-    # per-component counts, then each component's rows: the scores do not
-    # depend on row order.  The weights are renormalized because they sum to
-    # 1 only within 1e-12, and multinomial refuses a weight above 1.
-    weights = model.weights / model.weights.sum()
-    counts = rng.multinomial(CALIBRATION_SAMPLES, weights)
+    # per-component counts, then each component's rows: neither statistic
+    # depends on row order.  The weights are renormalized because they sum
+    # to 1 only within 1e-12, and multinomial refuses a weight above 1.
+    counts = rng.multinomial(CALIBRATION_SAMPLES, model.weights / model.weights.sum())
     errors = np.concatenate([model.sample(rng, j, n) for j, n in enumerate(counts)])
+    arms = []
+    if campaign.include_baseline:
+        r = np.cov(errors, rowvar=False)
+        arms.append(0.5 * (r + r.T))
     return arms + [conformal_thresholds(errors, g) for g in campaign.gammas]
 
 

@@ -296,6 +296,16 @@ def mixture_radii(model, gamma):
     )
 
 
+def mixture_covariance(model):
+    """Covariance of a Gaussian mixture's law: the weighted mean of the
+    component covariances plus the weighted spread of the component means.
+    The Gaussian arm's R, a sample covariance, approaches it as the
+    calibration set grows."""
+    centered = model.means - model.weights @ model.means
+    spread = (centered.T * model.weights) @ centered
+    return np.einsum("k,kij->ij", model.weights, model.covs) + spread
+
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(NODES)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
