@@ -5,8 +5,12 @@
 A change that moves the filter's arithmetic only at roundoff changes
 every row of the text diff without changing what the rows say.  For each
 float field a roundoff change may move (``rmse_mean``, ``rmse_std``,
-``nees_mean``, ``nees_std``) this prints the largest relative change
-|head - base| / |base| over all rows and the row where it occurs.  It
+``nees_mean``, ``nees_std``) this prints the largest change over all rows,
+relative to the base row's matching mean, and the row where it occurs:
+|head - base| / |base mean|.  A deviation is sized by its mean, not by
+itself, because a 2-trial row's deviation is half the difference of its
+two trials and can nearly cancel: a move of 0.005 % in the mean can halve
+it.  It
 prints a MISMATCH line for each difference in what must not move: the set
 of rows, a row's method or gamma, a coverage arm's radii or the Gaussian
 arm's R (both compared as their ``float.hex`` text), ``frac_active``,
@@ -20,6 +24,8 @@ import math
 import sys
 
 FLOAT_FIELDS = ("rmse_mean", "rmse_std", "nees_mean", "nees_std")
+# the field each float field's change is sized by
+MEAN_OF = {name: name.replace("_std", "_mean") for name in FLOAT_FIELDS}
 EXACT_FIELDS = ("frac_active", "diverged", "skipped")
 
 
@@ -61,10 +67,11 @@ def same(a, b) -> bool:
     )
 
 
-def relative_change(a: float, b: float) -> float:
+def relative_change(a: float, b: float, scale: float) -> float:
+    """|b - a| / |scale|: 0 when a and b are the same, inf on a 0 scale."""
     if same(a, b):
         return 0.0
-    return abs(b - a) / abs(a) if a != 0.0 else math.inf
+    return abs(b - a) / abs(scale) if scale != 0.0 else math.inf
 
 
 def main(base_path: str, head_path: str) -> int:
@@ -89,13 +96,16 @@ def main(base_path: str, head_path: str) -> int:
             if math.isnan(a[name]) != math.isnan(b[name]):
                 mismatches.append(f"MISMATCH {label} {name}: {a[name]!r} != {b[name]!r}")
                 continue
-            change = relative_change(a[name], b[name])
+            change = relative_change(a[name], b[name], a[MEAN_OF[name]])
             if change > worst[name][0]:
                 worst[name] = (change, label)
     rows, radii, r_lines = counts.values()
     print(f"{rows} rows, {radii} radii lines and {r_lines} R lines in both")
     for name, (change, label) in worst.items():
-        print(f"{name:<9} max relative change {change:.2e}" + (f"  ({label})" if label else ""))
+        print(
+            f"{name:<9} max change relative to {MEAN_OF[name]:<9} {change:.2e}"
+            + (f"  ({label})" if label else "")
+        )
     for line in sorted(mismatches):
         print(line)
     print(f"{len(mismatches)} mismatches")

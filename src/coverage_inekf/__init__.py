@@ -9,7 +9,6 @@ at least gamma) instead of a Gaussian likelihood.
 from coverage_inekf.se23 import Se23Element, exp_se23, log_se23
 from coverage_inekf.filter import (
     AugmentedState,
-    ImuSample,
     ProcessNoise,
     apply_correction,
     cov_from_std,
@@ -34,7 +33,6 @@ __all__ = [
     "log_se23",
     "AugmentedState",
     "cov_from_std",
-    "ImuSample",
     "ProcessNoise",
     "propagate_mean",
     "error_transition",

@@ -63,9 +63,9 @@ from coverage_inekf.filter import (
     AugmentedState,
     factor_inverse,
     lift_and_apply,
+    predicted_body_velocity,
     spd_factor,
     velocity_projection,
-    velocity_residual,
 )
 from coverage_inekf.tmvn import (
     PROB_FLOOR,
@@ -211,12 +211,12 @@ def update(
 ) -> tuple[AugmentedState, np.ndarray, object]:
     """One measurement update with the z-rule ``rule`` and its input ``arm``
     (module docstring): returns (x, cov, diag), the inputs themselves when
-    the rule leaves the state alone.
+    the rule leaves the state alone.  ``meas`` is a finite 3-vector, which
+    :func:`~coverage_inekf.sim.filter_stream` checks.
 
-    Raises ValueError unless the measurement is a finite 3-vector, and
-    LinAlgError from the rule's screen on a prior it cannot invert.
+    Raises LinAlgError from the rule's screen on a prior it cannot invert.
     """
-    residual = velocity_residual(x, meas)
+    residual = meas - predicted_body_velocity(x)
     sigma_ht, cov_z = velocity_projection(cov, x.nav.rot)
     lift, diag = rule(cov_z, residual, arm)
     if lift is not None:

@@ -11,9 +11,10 @@ correction operator, the steps of the body-velocity measurement update
 and its baseline Gaussian rule.
 
 Every update runs one pipeline, :func:`coverage_inekf.coverage.update`:
-:func:`velocity_residual`, :func:`velocity_projection` onto z = H dx, a
-3x3 rule ``rule(cov_z, residual, arm)`` on the unsymmetrized cov_z, and one
-lift, :func:`lift_and_apply`.  The rule returns ``(lift, diag)``, ``lift``
+the residual of the measurement against :func:`predicted_body_velocity`,
+:func:`velocity_projection` onto z = H dx, a 3x3 rule
+``rule(cov_z, residual, arm)`` on the unsymmetrized cov_z, and one lift,
+:func:`lift_and_apply`.  The rule returns ``(lift, diag)``, ``lift``
 None to leave the state alone or a weight W, a correction y and a noise N
 in z; with K = Sigma H^T W the posterior is the Joseph form
 (I - K H) Sigma (I - K H)^T + K N K^T.  Kalman's rule,
@@ -53,6 +54,12 @@ the features [R, v^R, p^R, g^R, g^, I] without forming A.  Every block
 uses either the four that depend on the state or the constant two, so the
 constant blocks, like every coefficient, depend on dt alone; a step builds
 only the others, from one product (12x3) R of [I; v^; p^; g^].
+
+The step functions trust their inputs: IMU readings that are finite
+3-vectors, a step dt in (0, 0.1] s, a finite measurement 3-vector and an R
+that is a symmetric positive-definite 3x3.
+:func:`coverage_inekf.sim.filter_stream`, where streams enter the step
+loop, checks all of these once, before the first step.
 
 States are values: every function here returns new arrays for what it
 changes and shares the arrays it leaves unchanged with its input (the
@@ -117,26 +124,6 @@ def cov_from_std(rot, vel, pos, bias_accel, bias_gyro) -> np.ndarray:
     return _diag_of_squares(rot, vel, pos, bias_accel, bias_gyro)
 
 
-@dataclass
-class ImuSample:
-    """One accelerometer/gyroscope reading over a time step: two finite
-    3-vectors, never broadcast from a scalar."""
-
-    accel: np.ndarray
-    gyro: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        self.accel = np.asarray(self.accel, dtype=float)
-        self.gyro = np.asarray(self.gyro, dtype=float)
-        if self.accel.shape != (3,) or self.gyro.shape != (3,):
-            raise ValueError("accel and gyro must be 3-vectors")
-        if not all(map(math.isfinite, self.accel.tolist() + self.gyro.tolist())):
-            raise ValueError("accel and gyro must be finite")
-        if not 0.0 < self.dt <= 0.1:
-            raise ValueError(f"dt must lie in (0, 0.1] s, got {self.dt}")
-
-
 @dataclass(frozen=True)
 class ProcessNoise:
     """Continuous-time white-noise densities of the IMU, one scalar per
@@ -166,20 +153,6 @@ class ProcessNoise:
 def predicted_body_velocity(x: AugmentedState) -> np.ndarray:
     """First three components of the invariant output X^-1 d."""
     return np.dot(x.nav.rot.T, x.nav.vel)
-
-
-def velocity_residual(x: AugmentedState, meas: np.ndarray) -> np.ndarray:
-    """Innovation of a body-velocity measurement, every update's first step.
-
-    Raises ValueError unless the measurement is a finite 3-vector, the only
-    input either rule can use.
-    """
-    meas = np.asarray(meas, dtype=float)
-    if meas.shape != (3,):
-        raise ValueError(f"measurement must be a 3-vector, got shape {meas.shape}")
-    if not all(map(math.isfinite, meas.tolist())):
-        raise ValueError(f"measurement must be finite, got {meas}")
-    return meas - predicted_body_velocity(x)
 
 
 def velocity_projection(cov: np.ndarray, rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,8 +216,11 @@ def factor_inverse(chol: list, pivots: list) -> np.ndarray:
     ]).reshape(3, 3)
 
 
-def propagate_mean(x: AugmentedState, u: ImuSample) -> AugmentedState:
-    """Strapdown propagation of the state estimate over one IMU sample.
+def propagate_mean(
+    x: AugmentedState, accel: np.ndarray, gyro: np.ndarray, dt: float
+) -> AugmentedState:
+    """Strapdown propagation of the state estimate over one IMU sample,
+    the accelerometer and gyroscope 3-vectors held over dt.
 
     Bias-corrected rates are held constant over the interval, for which the
     closed form below is exact: the rotation advances by the SO(3)
@@ -252,9 +228,8 @@ def propagate_mean(x: AugmentedState, u: ImuSample) -> AugmentedState:
     integrals.  Biases are constant under the nominal dynamics, so the
     result shares the input's bias arrays.
     """
-    dt = u.dt
-    w = (u.gyro - x.bias_gyro) * dt
-    a = u.accel - x.bias_accel
+    w = (gyro - x.bias_gyro) * dt
+    a = accel - x.bias_accel
     rot, vel = x.nav.rot, x.nav.vel
     gammas = se23.so3_gammas(w)
     # rows R Gamma_k a for k = 0, 1, 2
@@ -378,9 +353,9 @@ def _tables_at(dt: float, noise: ProcessNoise) -> tuple[np.ndarray, np.ndarray]:
 
 
 def error_transition(
-    x: AugmentedState, u: ImuSample, noise: ProcessNoise
+    x: AugmentedState, dt: float, noise: ProcessNoise
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete error-state transition Phi and process noise Q_d.
+    """Discrete error-state transition Phi and process noise Q_d over dt.
 
     Phi is the exact exponential of the continuous dynamics over dt, in the
     closed form of the module docstring; Q_d uses the first-order
@@ -391,7 +366,7 @@ def error_transition(
     product (12x3) R, and their blocks from one product with the
     coefficients.
     """
-    base, coef = _tables_at(u.dt, noise)
+    base, coef = _tables_at(dt, noise)
     nav = x.nav
     stack = np.dot(np.concatenate((nav.vel, nav.pos, _ONE)), _STACK_MAP)
     feats = np.dot(stack.reshape(-1, 3), nav.rot).reshape(_STATE_FEATURES, 9)
@@ -472,19 +447,9 @@ def gaussian_update(
 ) -> tuple[tuple, None]:
     """Kalman's z-rule for a body-velocity measurement whose noise has the
     assumed Gaussian covariance ``r``: the lift ((cov_z + r)^-1, residual,
-    r) and no diagnostics (module docstring).
-
-    Raises ValueError unless ``r`` is a symmetric 3x3 matrix, and
-    LinAlgError, a ValueError, unless :func:`~coverage_inekf.tmvn.cholesky`
-    finds it positive definite.
+    r) and no diagnostics (module docstring).  ``r`` is a symmetric
+    positive-definite 3x3 array, which
+    :func:`~coverage_inekf.sim.filter_stream` checks.
     """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        raise ValueError(f"r must be a 3x3 matrix, got shape {r.shape}")
-    rows = r.tolist()
-    (_, b, c), (d, _, f), (g, h, _) = rows
-    if not (b == d and c == g and f == h):
-        raise ValueError(f"r must be symmetric, got {rows}")
-    cholesky(rows)
     w = factor_inverse(*spd_factor((cov_z + r).tolist(), "innovation covariance"))
     return (w, residual, r), None

@@ -3,11 +3,13 @@
 A trial is three stages, one function each:
 
 * :func:`simulate` draws the streams from the trial's seed: a closed-form
-  rigid-body trajectory (the truth), IMU samples inverted from its
+  rigid-body trajectory (the truth), the IMU stream inverted from its
   strapdown dynamics, body-velocity pseudo-measurements, and the first
-  estimate.
-* :func:`filter_stream` runs the filter over those streams with one arm,
-  through the one measurement update
+  estimate.  The IMU stream is three arrays, ``(accel, gyro, dt)`` of
+  shapes (n, 3), (n, 3) and (n,), one row per step; the measurements are
+  an (n + 1, 3) array, one row per truth sample.
+* :func:`filter_stream` checks the streams and the arm once, then runs
+  the filter over them with that arm, through the one measurement update
   (:func:`coverage_inekf.coverage.update`) with the arm's z-rule, and
   returns the :class:`Track` of what its step loop stores.
 * :func:`score` scores a track against the truth in one batched pass
@@ -61,7 +63,6 @@ from coverage_inekf.coverage import coverage_update, update
 from coverage_inekf.filter import (
     GRAVITY,
     AugmentedState,
-    ImuSample,
     ProcessNoise,
     apply_correction,
     cov_from_std,
@@ -73,6 +74,7 @@ from coverage_inekf.filter import (
 )
 # exp_se23 is not called here; perfbench's tracer test reads sim.exp_se23
 from coverage_inekf.se23 import Se23Element, exp_se23  # noqa: F401
+from coverage_inekf.tmvn import cholesky
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +202,12 @@ def generate_truth(spec: TrajectorySpec) -> TruthTrajectory:
 
 def synthesize_imu(
     truth: TruthTrajectory, noise: ProcessNoise | None = None, seed: int = 0
-) -> list[ImuSample]:
-    """Invert the strapdown dynamics into per-interval IMU samples.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Invert the strapdown dynamics into the IMU stream ``(accel, gyro,
+    dt)``, arrays of shapes (n - 1, 3), (n - 1, 3) and (n - 1,) for the
+    truth's n samples: one row per interval.
 
-    Each sample holds the constant body rates that reproduce the truth's
+    Each row holds the constant body rates that reproduce the truth's
     rotation and velocity increments exactly under the closed-form
     propagation: the gyro rate is the SO(3) log of the relative rotation
     over dt, and the acceleration is the body-frame velocity increment
@@ -233,7 +237,7 @@ def synthesize_imu(
         root_dt = np.sqrt(dts)[:, None]
         accel = accel + rng.standard_normal((n - 1, 3)) * (noise.accel / root_dt)
         gyro = gyro + rng.standard_normal((n - 1, 3)) * (noise.gyro / root_dt)
-    return [ImuSample(accel[k], gyro[k], dts[k]) for k in range(n - 1)]
+    return accel, gyro, dts
 
 
 @dataclass
@@ -345,13 +349,14 @@ class TrialResult:
 def simulate(campaign: CampaignConfig, seed: int):
     """The streams of one trial: ``(truth, imu, meas, x0)``.
 
-    The truth carries the scenario's IMU biases; ``imu`` holds the noisy
-    IMU samples, one per step, and ``meas`` the (N, 3) pseudo-measurements,
-    aligned with the truth samples.  ``x0``, the first estimate, is the
-    true first state corrected by an initial error drawn from
-    ``INIT_COV``.  The IMU noise, the measurement errors and the initial
-    error each draw from their own child of ``SeedSequence(seed)``, so the
-    streams depend on the seed alone, never on the arm that filters them.
+    The truth carries the scenario's IMU biases; ``imu`` is the noisy IMU
+    stream of :func:`synthesize_imu`, one row per step, and ``meas`` the
+    (N, 3) pseudo-measurements, aligned with the truth samples.  ``x0``,
+    the first estimate, is the true first state corrected by an initial
+    error drawn from ``INIT_COV``.  The IMU noise, the measurement errors
+    and the initial error each draw from their own child of
+    ``SeedSequence(seed)``, so the streams depend on the seed alone, never
+    on the arm that filters them.
     """
     root = np.random.SeedSequence(seed)
     s_imu, s_meas, s_init = (int(c.generate_state(1)[0]) for c in root.spawn(3))
@@ -379,8 +384,9 @@ class Track:
 
 
 def filter_stream(x0: AugmentedState, imu, meas: np.ndarray, arm) -> Track:
-    """Propagate from ``x0`` with covariance ``INIT_COV`` over each IMU
-    sample, and update with the measurement at its end.
+    """Propagate from ``x0`` with covariance ``INIT_COV`` over each step of
+    the IMU stream ``imu = (accel, gyro, dt)``, and update with the
+    measurement at its end.
 
     ``arm`` picks the z-rule: a measurement covariance R runs Kalman's
     rule :func:`~coverage_inekf.filter.gaussian_update`, a
@@ -392,22 +398,54 @@ def filter_stream(x0: AugmentedState, imu, meas: np.ndarray, arm) -> Track:
     rule and arm, and writes the posterior into the track's preallocated
     rows, so no step's objects outlive it.
 
-    ``meas`` holds a row per truth sample, so its shape must be
-    ``(len(imu) + 1, 3)``; any other raises ValueError before the first
-    step.  A non-finite entry in the prior position, velocity or covariance
-    ends the run before the update, which would refuse it or fail; so does
-    an entry beyond 1e154, whose square overflows.
+    The step functions trust their inputs, so every input from outside is
+    checked here, once, before the first step; a fault raises ValueError.
+    For n steps, ``accel`` and ``gyro`` must be finite (n, 3) arrays and
+    ``dt`` an (n,) array in (0, 0.1] s.  ``meas`` holds a row per truth
+    sample, so its shape must be (n + 1, 3), and the n rows the steps read,
+    all but the first, must be finite.  R must be a symmetric 3x3 matrix
+    that :func:`~coverage_inekf.tmvn.cholesky` finds positive definite; it
+    raises LinAlgError, a ValueError, if not.
+
+    A non-finite entry in the prior position, velocity or covariance ends
+    the run before the update, which would refuse it or fail; so does an
+    entry beyond 1e154, whose square overflows.
     """
-    n = len(imu)
-    if (shape := np.shape(meas)) != (n + 1, 3):
-        raise ValueError(f"{n} IMU samples need meas of shape {(n + 1, 3)}, got {shape}")
-    rule = coverage_update if isinstance(arm, CoverageSpec) else gaussian_update
+    accel, gyro, dts = (np.asarray(a, dtype=float) for a in imu)
+    n = dts.size
+    if not accel.shape == gyro.shape == (n, 3) or dts.shape != (n,):
+        raise ValueError(
+            f"accel and gyro must be 3-vectors, one per dt: got shapes "
+            f"{accel.shape} and {gyro.shape} for dt of shape {dts.shape}"
+        )
+    if not np.isfinite((accel, gyro)).all():
+        raise ValueError("accel and gyro must be finite")
+    if (bad := dts[~((0.0 < dts) & (dts <= 0.1))]).size:
+        raise ValueError(f"dt must lie in (0, 0.1] s, got {bad[0]}")
+    meas = np.asarray(meas, dtype=float)
+    if meas.shape != (n + 1, 3):
+        raise ValueError(
+            f"{n} IMU samples need meas of shape {(n + 1, 3)}, got {meas.shape}"
+        )
+    zs = meas[1:]
+    if (bad := zs[~np.isfinite(zs).all(axis=1)]).size:
+        raise ValueError(f"measurement must be finite, got {bad[0]}")
+    if isinstance(arm, CoverageSpec):
+        rule = coverage_update
+    else:
+        rule, arm = gaussian_update, np.asarray(arm, dtype=float)
+        if arm.shape != (3, 3):
+            raise ValueError(f"r must be a 3x3 matrix, got shape {arm.shape}")
+        (_, b, c), (d, _, f), (g, h, _) = rows = arm.tolist()
+        if not (b == d and c == g and f == h):
+            raise ValueError(f"r must be symmetric, got {rows}")
+        cholesky(rows)
     rot, cov_pos = np.empty((n, 3, 3)), np.empty((n, 3, 3))
     vel, pos, bias_accel, bias_gyro = np.empty((4, n, 3))
     x, cov, active, skipped, taken = x0, INIT_COV, 0, 0, 0
-    for u, z in zip(imu, meas[1:]):
-        phi, q_d = error_transition(x, u, PROCESS_NOISE)
-        x = propagate_mean(x, u)
+    for a, w, dt, z in zip(accel, gyro, dts.tolist(), zs):
+        phi, q_d = error_transition(x, dt, PROCESS_NOISE)
+        x = propagate_mean(x, a, w, dt)
         cov = propagate_cov(cov, phi, q_d)
         # a sum of squares is finite only if every term is; np.vdot, unlike
         # np.dot, does not warn when a square overflows
@@ -458,7 +496,7 @@ def run_trial(
     track = filter_stream(x0, imu, meas, arm)
     taken = len(track.cov_pos)
     rmse = nees_mean = math.nan
-    if taken == len(imu):
+    if taken == truth.n - 1:
         sq_pos_err, nees = score(track, truth)
         if np.isfinite(nees).all():
             rmse = math.sqrt(float(sq_pos_err.mean()))

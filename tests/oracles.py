@@ -258,6 +258,15 @@ def velocity_output_matrix(rot):
     return h
 
 
+def resting_stream(steps):
+    """``(imu, meas)`` for ``sim.filter_stream`` from the identity state of
+    a level body at rest: ``steps`` IMU samples of 0.01 s, each reading the
+    reaction to gravity and no turn, and ``steps + 1`` zero body
+    velocities.  Every call returns new arrays."""
+    imu = np.tile(-GRAVITY, (steps, 1)), np.zeros((steps, 3)), np.full(steps, 0.01)
+    return imu, np.zeros((steps + 1, 3))
+
+
 def conditional_swap_lift(cov, sigma_ht, cov_z_inv, cov_z, z_mean, z_cov):
     """The coverage update's lift in its conditional form: keep the prior
     p(dx | z) and swap in the z-space posterior N(z_mean, z_cov).

@@ -8,11 +8,12 @@ from oracles import (
     conditional_swap_lift,
     mass_inside_piecewise_posterior_1d,
     piecewise_posterior_moments_1d,
+    resting_stream,
     se23_matrix,
     velocity_output_matrix,
 )
 
-from coverage_inekf import coverage
+from coverage_inekf import coverage, sim
 from coverage_inekf.coverage import (
     CERTIFY_MARGIN,
     CoverageSpec,
@@ -31,7 +32,6 @@ from coverage_inekf.filter import (
     lift_and_apply,
     predicted_body_velocity,
     velocity_projection,
-    velocity_residual,
 )
 from coverage_inekf.se23 import Se23Element, so3_gammas
 from coverage_inekf.tmvn import (
@@ -81,7 +81,8 @@ def grid_posterior(cov_z, box, gamma):
 
 def feasible_box(x, meas, spec):
     """The coverage rule's faces for ``meas`` at ``x``, as a box."""
-    return BoxRegion(*build_feasible_set(velocity_residual(x, meas), spec.epsilon))
+    residual = meas - predicted_body_velocity(x)
+    return BoxRegion(*build_feasible_set(residual, spec.epsilon))
 
 
 def projected_prior(cov, rot):
@@ -416,7 +417,7 @@ class TestUpdate:
         _, [(cov_z, residual, arm)] = self.run(None)
         assert np.array_equal(cov_z, velocity_projection(self.cov, self.x.nav.rot)[1])
         assert not np.array_equal(cov_z, cov_z.T)  # roundoff left in
-        assert np.array_equal(residual, velocity_residual(self.x, self.meas))
+        assert np.array_equal(residual, self.meas - predicted_body_velocity(self.x))
         assert arm == "arm"
 
     def test_no_lift_returns_the_inputs(self):
@@ -457,13 +458,17 @@ def test_nan_prior_rejected_by_both_rules(update):
         update(x, cov, predicted_body_velocity(x) + 0.1)
 
 
-@both_rules
-def test_nan_measurement_rejected_by_both_rules(update):
-    x = random_state(np.random.default_rng(11))
-    cov = np.eye(15)
-    meas = predicted_body_velocity(x) + np.array([np.nan, 0.0, 0.0])
+@pytest.mark.parametrize(
+    "arm", [0.01 * np.eye(3), CoverageSpec(0.05 * np.ones(3), 0.8)],
+    ids=["gaussian", "coverage"],
+)
+def test_nan_measurement_rejected_by_both_rules(arm):
+    """A NaN in the last measurement of a stream is refused where the
+    stream enters the step loop, whichever rule the arm picks."""
+    imu, meas = resting_stream(2)
+    meas[-1] += [np.nan, 0.0, 0.0]
     with pytest.raises(ValueError, match="finite"):
-        update(x, cov, meas)
+        sim.filter_stream(AugmentedState.identity(), imu, meas, arm)
 
 
 # A velocity block with two negative eigenvalues and a positive determinant,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from oracles import (
     check_se23_valid,
     error_dynamics_matrices,
     error_transition_reference,
+    resting_stream,
     se23_inverse,
     se23_matrix,
     transition_from_dynamics,
@@ -14,14 +16,13 @@ from oracles import (
 )
 from scipy.linalg import expm
 
-from coverage_inekf import se23
+from coverage_inekf import se23, sim
 from coverage_inekf.coverage import update
 from coverage_inekf.filter import (
     GRAVITY,
     MAX_COND,
     TABLES_PER_NOISE,
     AugmentedState,
-    ImuSample,
     ProcessNoise,
     apply_correction,
     cov_from_std,
@@ -35,7 +36,6 @@ from coverage_inekf.filter import (
     realized_error,
     spd_factor,
     velocity_projection,
-    velocity_residual,
 )
 from coverage_inekf.se23 import Se23Element, log_se23, skew
 from coverage_inekf.sim import TrajectorySpec, generate_truth, synthesize_imu
@@ -63,6 +63,18 @@ def random_state(rng, vel_scale=1.0, pos_scale=5.0):
 def kalman_update(x, cov, meas, r):
     """The Gaussian arm's update: the pipeline with Kalman's rule."""
     return update(x, cov, meas, gaussian_update, r)[:2]
+
+
+def filter_resting(imu=None, meas=None, arm=0.01 * np.eye(3)):
+    """``sim.filter_stream`` from the identity over a two-step
+    :func:`resting_stream`, with the parts given replacing its own."""
+    rest_imu, rest_meas = resting_stream(2)
+    return sim.filter_stream(
+        AugmentedState.identity(),
+        rest_imu if imu is None else imu,
+        rest_meas if meas is None else meas,
+        arm,
+    )
 
 
 def stack_states(states):
@@ -101,12 +113,7 @@ class TestPropagateMean:
         rng = np.random.default_rng(0)
         x = random_state(rng)
         x.nav.vel = np.zeros(3)
-        u = ImuSample(
-            accel=-x.nav.rot.T @ GRAVITY + x.bias_accel,
-            gyro=x.bias_gyro.copy(),
-            dt=0.01,
-        )
-        y = propagate_mean(x, u)
+        y = propagate_mean(x, -x.nav.rot.T @ GRAVITY + x.bias_accel, x.bias_gyro, 0.01)
         assert np.allclose(y.nav.rot, x.nav.rot, atol=1e-14)
         assert np.allclose(y.nav.vel, 0, atol=1e-14)
         assert np.allclose(y.nav.pos, x.nav.pos, atol=1e-14)
@@ -114,13 +121,8 @@ class TestPropagateMean:
     def test_pure_yaw_closed_form(self):
         omega = 0.7
         x = AugmentedState.identity()
-        u = ImuSample(
-            accel=-np.eye(3).T @ GRAVITY, gyro=np.array([0.0, 0.0, omega]), dt=0.01
-        )
         for k in range(200):
-            u = ImuSample(accel=-x.nav.rot.T @ GRAVITY,
-                          gyro=np.array([0.0, 0.0, omega]), dt=0.01)
-            x = propagate_mean(x, u)
+            x = propagate_mean(x, -x.nav.rot.T @ GRAVITY, np.array([0.0, 0.0, omega]), 0.01)
         angle = omega * 200 * 0.01
         expected = np.array(
             [
@@ -140,8 +142,7 @@ class TestPropagateMean:
         for _ in range(1000):
             gyro = rng.uniform(-1.0, 1.0, 3)
             accel = rng.uniform(-2.0, 2.0, 3)
-            u = ImuSample(accel + x.bias_accel, gyro + x.bias_gyro, dt)
-            x = propagate_mean(x, u)
+            x = propagate_mean(x, accel + x.bias_accel, gyro + x.bias_gyro, dt)
             rot, vel, pos = rk4_strapdown(rot, vel, pos, gyro, accel, dt)
         assert np.linalg.norm(x.nav.pos - pos) <= 1e-6
         assert np.linalg.norm(x.nav.vel - vel) <= 1e-6
@@ -149,7 +150,7 @@ class TestPropagateMean:
     def test_biases_unchanged(self):
         rng = np.random.default_rng(2)
         x = random_state(rng)
-        y = propagate_mean(x, ImuSample(rng.normal(size=3), rng.normal(size=3), 0.01))
+        y = propagate_mean(x, rng.normal(size=3), rng.normal(size=3), 0.01)
         assert np.array_equal(y.bias_accel, x.bias_accel)
         assert np.array_equal(y.bias_gyro, x.bias_gyro)
 
@@ -164,13 +165,16 @@ class TestRotationDrift:
         most on the way."""
         truth = generate_truth(TrajectorySpec(duration=60.0))
         x = truth.state_at(0)
-        for u in synthesize_imu(truth):
-            x = propagate_mean(x, u)
+        for accel, gyro, dt in zip(*synthesize_imu(truth)):
+            x = propagate_mean(x, accel, gyro, dt)
         assert len(truth.times) == 6001
         check_se23_valid(x.nav, atol=1e-12)
 
 
 class TestImuSample:
+    """The IMU samples of a stream, checked where ``sim.filter_stream``
+    takes them, before the first step."""
+
     @pytest.mark.parametrize(
         "accel, gyro",
         [(1.0, np.zeros(3)), (np.zeros(3), 0.0), (np.zeros(2), np.zeros(3)),
@@ -178,21 +182,22 @@ class TestImuSample:
         ids=["scalar accel", "scalar gyro", "2-vector", "row matrix", "batch"],
     )
     def test_rejects_anything_but_3_vectors(self, accel, gyro):
-        """A scalar would broadcast to all three axes: propagated from
-        the identity over 0.01 s, ImuSample(1.0, 0.0, 0.01) read velocity
-        [0.01, 0.01, -0.0881]."""
+        """A stream of two samples of each reading.  A scalar would
+        broadcast to all three axes: propagated from the identity over
+        0.01 s, accel 1.0 and gyro 0.0 read velocity [0.01, 0.01, -0.0881]."""
+        imu = np.array([accel] * 2), np.array([gyro] * 2), np.full(2, 0.01)
         with pytest.raises(ValueError, match="3-vectors"):
-            ImuSample(accel, gyro, 0.01)
+            filter_resting(imu)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["accel", "gyro"])
     def test_rejects_non_finite_readings(self, field, bad):
-        """A NaN reading would surface only one step later, as a diverged
-        trial."""
-        reading = {"accel": np.zeros(3), "gyro": np.zeros(3)}
-        reading[field][0] = bad
+        """A NaN reading in the last sample would surface only one step
+        later, as a diverged trial."""
+        imu, _ = resting_stream(2)
+        imu[("accel", "gyro").index(field)][-1, 0] = bad
         with pytest.raises(ValueError, match="finite"):
-            ImuSample(dt=0.01, **reading)
+            filter_resting(imu)
 
 
 class TestErrorTransition:
@@ -200,7 +205,7 @@ class TestErrorTransition:
         rng = np.random.default_rng(3)
         x = random_state(rng)
         q = ProcessNoise(0.1, 0.01, 1e-3, 1e-4)
-        phi, q_d = error_transition(x, ImuSample(np.zeros(3), np.zeros(3), 1e-8), q)
+        phi, q_d = error_transition(x, 1e-8, q)
         assert np.allclose(phi, np.eye(15), atol=1e-6)
         assert np.abs(q_d).max() < 1e-9
 
@@ -237,8 +242,7 @@ class TestErrorTransition:
         for _ in range(20):
             x = random_state(rng)
             q = ProcessNoise(*rng.uniform(1e-4, 0.1, 4))
-            u = ImuSample(np.zeros(3), np.zeros(3), dt)
-            phi, q_d = error_transition(x, u, q)
+            phi, q_d = error_transition(x, dt, q)
             phi_ref, q_d_ref = error_transition_reference(x, dt, q.q)
             a_mat, _ = error_dynamics_matrices(x)
             assert np.abs(phi - phi_ref).max() <= 1e-12
@@ -259,7 +263,7 @@ class TestErrorTransition:
         steps += [(dt, noises[0]) for dt in np.linspace(0.001, 0.1, 1000)]
         for dt, noise in steps:
             x = random_state(rng)
-            phi, q_d = error_transition(x, ImuSample(np.zeros(3), np.zeros(3), dt), noise)
+            phi, q_d = error_transition(x, dt, noise)
             phi_ref, q_d_ref = error_transition_reference(x, dt, noise.q)
             assert np.abs(phi - phi_ref).max() <= 1e-12
             assert np.abs(q_d - q_d_ref).max() <= 1e-14 * np.abs(q_d_ref).max()
@@ -270,18 +274,14 @@ class TestErrorTransition:
     def test_zero_q_gives_zero_qd(self):
         rng = np.random.default_rng(7)
         x = random_state(rng)
-        _, q_d = error_transition(
-            x, ImuSample(np.zeros(3), np.zeros(3), 0.01), ProcessNoise(0.0, 0.0, 0.0, 0.0)
-        )
+        _, q_d = error_transition(x, 0.01, ProcessNoise(0.0, 0.0, 0.0, 0.0))
         assert np.array_equal(q_d, np.zeros((15, 15)))
 
     def test_qd_is_psd(self):
         rng = np.random.default_rng(8)
         q = ProcessNoise(0.1, 0.01, 1e-3, 1e-4)
         for _ in range(5):
-            _, q_d = error_transition(
-                random_state(rng), ImuSample(np.zeros(3), np.zeros(3), 0.01), q
-            )
+            _, q_d = error_transition(random_state(rng), 0.01, q)
             assert np.linalg.eigvalsh(q_d).min() >= -1e-15
 
 
@@ -302,10 +302,9 @@ class TestPropagateCov:
         cov = cov_from_std(0.01, 0.1, 0.1, 0.01, 0.001)
         x = random_state(rng)
         for _ in range(200):
-            u = ImuSample(rng.normal(size=3), rng.normal(size=3), 0.01)
-            phi, q_d = error_transition(x, u, q)
+            phi, q_d = error_transition(x, 0.01, q)
             cov = propagate_cov(cov, phi, q_d)
-            x = propagate_mean(x, u)
+            x = propagate_mean(x, rng.normal(size=3), rng.normal(size=3), 0.01)
         assert np.linalg.eigvalsh(cov).min() >= -1e-10
         assert np.array_equal(cov, cov.T)
 
@@ -431,18 +430,18 @@ class TestGaussianUpdate:
         ids=["scalar", "3-vector", "2x2", "batch"],
     )
     def test_refuses_r_that_is_not_3x3(self, r):
-        """A scalar 0.01 used to broadcast onto the off-diagonals: the
-        posterior velocity block read 0.00875 on its diagonal and -0.00125
-        off it, where 0.01 I gives 0.005 and 0."""
-        meas = predicted_body_velocity(self.x) + 0.1
+        """Refused where the stream enters the step loop.  A scalar 0.01
+        used to broadcast onto the off-diagonals: the posterior velocity
+        block read 0.00875 on its diagonal and -0.00125 off it, where
+        0.01 I gives 0.005 and 0."""
         with pytest.raises(ValueError, match="3x3"):
-            kalman_update(self.x, self.cov, meas, r)
+            filter_resting(arm=r)
 
     def test_refuses_asymmetric_r(self):
         r = 0.01 * np.eye(3)
         r[0, 2] += 1e-3
         with pytest.raises(ValueError, match="symmetric"):
-            kalman_update(self.x, self.cov, predicted_body_velocity(self.x), r)
+            filter_resting(arm=r)
 
     @pytest.mark.parametrize(
         "r", [-0.001 * np.eye(3), np.diag([0.01, -1e-6, 0.01]), np.zeros((3, 3)),
@@ -452,10 +451,9 @@ class TestGaussianUpdate:
     def test_refuses_r_that_is_not_positive_definite(self, r):
         """-0.001 I passes the innovation screen, since the prior's
         0.01 outweighs it, and gave a posterior velocity variance of
-        -0.0011."""
-        meas = predicted_body_velocity(self.x) + 0.1
+        -0.0011; the stream's entry refuses it."""
         with pytest.raises(np.linalg.LinAlgError):
-            kalman_update(self.x, self.cov, meas, r)
+            filter_resting(arm=r)
 
 
 def test_steps_leave_their_input_state_unchanged():
@@ -473,9 +471,8 @@ def test_steps_leave_their_input_state_unchanged():
 
     x = random_state(rng)
     cov = cov_from_std(0.02, 0.05, 0.05, 0.02, 0.002)
-    u = ImuSample(rng.standard_normal(3), rng.standard_normal(3), 0.01)
     inputs = [kept(x)]
-    prior = propagate_mean(x, u)
+    prior = propagate_mean(x, rng.standard_normal(3), rng.standard_normal(3), 0.01)
     assert prior.bias_accel is x.bias_accel and prior.bias_gyro is x.bias_gyro
     inputs.append(kept(prior))
     post, _ = kalman_update(prior, cov, rng.standard_normal(3), 0.01 * np.eye(3))
@@ -605,10 +602,13 @@ class TestCheckConditioning:
 
 class TestTypes:
     def test_imu_sample_rejects_bad_dt(self):
-        with pytest.raises(ValueError):
-            ImuSample(np.zeros(3), np.zeros(3), 0.0)
-        with pytest.raises(ValueError):
-            ImuSample(np.zeros(3), np.zeros(3), 0.2)
+        """A last sample of 0 s or of 0.2 s is refused by the stream's
+        entry."""
+        for dt in (0.0, 0.2):
+            imu, _ = resting_stream(2)
+            imu[2][-1] = dt
+            with pytest.raises(ValueError, match="dt must lie"):
+                filter_resting(imu)
 
     def test_process_noise_is_four_densities(self):
         """Q is the 12x12 diagonal of the squared densities, three axes
@@ -658,11 +658,11 @@ class TestTypes:
         ids=["1-vector", "scalar", "4-vector", "row matrix"],
     )
     def test_velocity_residual_refuses_anything_but_a_3_vector(self, meas):
-        """[0.5] used to broadcast to [0.5, 0.5, 0.5]; a scalar failed
-        with TypeError."""
-        x = random_state(np.random.default_rng(31))
-        with pytest.raises(ValueError, match="3-vector"):
-            velocity_residual(x, meas)
+        """A stream of three such measurements is refused by its entry.
+        [0.5] used to broadcast to [0.5, 0.5, 0.5]; a scalar failed with
+        TypeError."""
+        with pytest.raises(ValueError, match=re.escape("need meas of shape (3, 3)")):
+            filter_resting(meas=np.array([meas] * 3))
 
     def test_velocity_output_matrix_blocks(self):
         rng = np.random.default_rng(15)
@@ -702,10 +702,9 @@ class TestLongRunStability:
         cov = cov_from_std(0.02, 0.1, 0.1, 0.01, 0.001)
         r = 0.01 * np.eye(3)
         for k in range(2000):
-            u = ImuSample(rng.normal(0, 1, 3), rng.normal(0, 0.5, 3), 0.01)
-            phi, q_d = error_transition(x, u, q)
+            phi, q_d = error_transition(x, 0.01, q)
             cov = propagate_cov(cov, phi, q_d)
-            x = propagate_mean(x, u)
+            x = propagate_mean(x, rng.normal(0, 1, 3), rng.normal(0, 0.5, 3), 0.01)
             if k % 5 == 0:
                 meas = predicted_body_velocity(x) + rng.normal(0, 0.1, 3)
                 x, cov = kalman_update(x, cov, meas, r)

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import gaussian_radius, mixture_covariance, mixture_radii
+from oracles import gaussian_radius, mixture_covariance, mixture_radii, resting_stream
 
 from coverage_inekf import coverage, sim
 from coverage_inekf.calibration import (
@@ -15,7 +15,7 @@ from coverage_inekf.calibration import (
     min_samples_for,
 )
 from coverage_inekf.coverage import UpdateDiagnostics
-from coverage_inekf.filter import gaussian_update, propagate_mean, realized_error
+from coverage_inekf.filter import AugmentedState, propagate_mean, realized_error
 from coverage_inekf.sim import (
     CampaignConfig,
     CampaignRow,
@@ -318,11 +318,39 @@ def test_measurement_stream_of_the_wrong_shape_is_refused(monkeypatch, stream):
     steps = spy(monkeypatch, "error_transition")
     campaign, arm = one_trial("gaussian", "gaussian", duration=0.5)
     truth, imu, meas, x0 = sim.simulate(campaign, 11)
-    assert len(imu) == 50 and meas.shape == (51, 3)
+    assert imu[2].shape == (50,) and meas.shape == (51, 3)
     bad = WRONG_STREAMS[stream](meas)
     want = re.escape(f"50 IMU samples need meas of shape (51, 3), got {bad.shape}")
     with pytest.raises(ValueError, match=want):
         sim.filter_stream(x0, imu, bad, arm)
+    assert steps == []
+
+
+# a fault in an input only the last step reads: (accel, gyro, dt, meas,
+# R) index, entry, value, and the refusal's message
+LAST_STEP_FAULTS = {
+    "nan_imu": (0, (-1, 1), NAN, "accel and gyro must be finite"),
+    "long_dt": (2, -1, 0.2, re.escape("dt must lie in (0, 0.1] s, got 0.2")),
+    "nan_meas": (3, (-1, 2), NAN, "measurement must be finite"),
+    "asymmetric_r": (4, (0, 2), 1e-3, "r must be symmetric"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LAST_STEP_FAULTS))
+def test_malformed_input_is_refused_before_any_step(monkeypatch, fault):
+    """Every outside input is checked where it enters the step loop,
+    once: a NaN reading or a dt of 0.2 s in the last IMU sample, a NaN in
+    the last measurement row and an R that is not symmetric each raise
+    ValueError before the first step of a 50-step stream."""
+    steps = spy(monkeypatch, "error_transition")
+    campaign, arm = one_trial("gaussian", "gaussian", duration=0.5)
+    _, imu, meas, x0 = sim.simulate(campaign, 11)
+    inputs = [a.copy() for a in (*imu, meas, arm)]
+    which, entry, value, message = LAST_STEP_FAULTS[fault]
+    inputs[which][entry] = value
+    accel, gyro, dt, meas, r = inputs
+    with pytest.raises(ValueError, match=message):
+        sim.filter_stream(x0, (accel, gyro, dt), meas, r)
     assert steps == []
 
 
@@ -379,7 +407,7 @@ def test_every_arm_sees_the_same_streams():
         )
         results.append(got)
     gauss, cover = results
-    assert len(imu) == 200 and 0.0 < cover.fraction_active < 1.0
+    assert imu[2].shape == (200,) and 0.0 < cover.fraction_active < 1.0
     assert gauss.nees_mean != cover.nees_mean
 
 
@@ -396,10 +424,10 @@ def test_small_turn_gives_exact_gyro():
         c, s = math.cos(theta), math.sin(theta)
         rots = np.array([np.eye(3), [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]])
         truth = TruthTrajectory(np.array([0.0, dt]), rots, vels, np.zeros((2, 3)))
-        (u,) = synthesize_imu(truth)
+        ((accel,), (gyro,), (step,)) = synthesize_imu(truth)
         rate = theta / dt
-        assert np.abs(u.gyro - [0.0, 0.0, rate]).max() <= 1e-14 * rate
-        vel = propagate_mean(truth.state_at(0), u).nav.vel
+        assert np.abs(gyro - [0.0, 0.0, rate]).max() <= 1e-14 * rate
+        vel = propagate_mean(truth.state_at(0), accel, gyro, step).nav.vel
         assert np.abs(vel - vels[1]).max() <= 1e-14 * np.abs(vels[1]).max()
 
 
@@ -415,17 +443,18 @@ def test_noise_free_imu_inversion_round_trip(pattern):
     """
     truth = generate_truth(TrajectorySpec(duration=10.0, pattern=pattern))
     imu = synthesize_imu(truth)
+    steps = truth.n - 1
     x = truth.state_at(0)
-    err = np.empty((len(imu), 3))
-    for k, u in enumerate(imu):
-        x = propagate_mean(x, u)
+    err = np.empty((steps, 3))
+    for k, u in enumerate(zip(*imu)):
+        x = propagate_mean(x, *u)
         err[k] = [
             np.abs(x.nav.rot - truth.rots[k + 1]).max(),
             np.abs(x.nav.vel - truth.vels[k + 1]).max(),
             np.abs(x.nav.pos - truth.poss[k + 1]).max(),
         ]
     assert err[:, :2].max() <= 1e-10
-    half = len(imu) // 2
+    half = steps // 2
     first, second = err[:half, 2].max(), err[half:, 2].max()
     assert first <= 5e-5
     assert second <= 1.1 * first + 1e-12
@@ -490,12 +519,12 @@ def test_fitted_covariance_is_covariance_plus_spread_of_means(bias, sigma):
 def test_fitted_covariance_is_exactly_symmetric():
     """The Gaussian arm refuses an R that is not bit-symmetric, and
     ``np.cov`` does not promise one; on both noise models the fitted R of
-    20 campaign seeds is symmetric bit for bit, and the Gaussian rule
-    takes it."""
+    20 campaign seeds is symmetric bit for bit, and ``filter_stream``
+    takes it as an arm."""
     for model, seed in itertools.product(NOISE_MODELS.values(), range(20)):
         r = fitted_r(model(), seed)
         assert np.array_equal(r, r.T)
-        gaussian_update(np.eye(3), np.zeros(3), r)
+        sim.filter_stream(AugmentedState.identity(), *resting_stream(1), r)
 
 
 @pytest.mark.parametrize("name", sorted(NOISE_MODELS))
@@ -545,9 +574,8 @@ def test_imu_noise_deviation_is_density_over_root_dt():
     noise = sim.PROCESS_NOISE
     clean, noisy = synthesize_imu(truth), synthesize_imu(truth, noise, seed=9)
     dt = 1.0 / TrajectorySpec.rate
-    for sensor, density in (("accel", noise.accel), ("gyro", noise.gyro)):
-        added = np.array([getattr(u, sensor) - getattr(c, sensor)
-                          for u, c in zip(noisy, clean)])
+    for sensor, density in enumerate((noise.accel, noise.gyro)):
+        added = noisy[sensor] - clean[sensor]
         assert added.shape == (6000, 3)
         assert np.abs(added.std(axis=0) / (density / math.sqrt(dt)) - 1.0).max() <= 0.05
 
