@@ -4,9 +4,12 @@ source trees can be compared bit for bit:
 
     PYTHONPATH=<tree>/src python scripts/box_moments_rows.py <tree>/src
 
-3000 problems, 1000 each in d = 1, 2 and 3: correlated covariances at
-scales 1e-3 to 1e3, finite, half-open and open faces, and boxes far in a
-tail so that the degenerate branch runs too.  The script uses only
+3000 problems on 3-D boxes, the only dimension ``box_moments`` accepts:
+correlated covariances at scales 1e-3 to 1e3, finite, half-open and open
+faces, and boxes far in a tail so that the degenerate branch runs too.
+Line k is ``3 k`` and the row of the problem drawn from
+``default_rng([3, k])``, so the first 1000 lines are the 3-D lines of the
+script's earlier form, which also ran d = 1 and 2.  The script uses only
 ``box_moments`` and ``BoxRegion``, so it runs on older trees too, and it
 refuses to run on a package imported from outside the tree it is given.
 """
@@ -19,11 +22,12 @@ import numpy as np
 from coverage_inekf import tmvn
 from coverage_inekf.tmvn import BoxRegion, box_moments
 
-PER_DIM = 1000
+PROBLEMS = 3000
 
 
-def problem(rng, d):
-    """A seeded (mean, cov, box) with d dimensions."""
+def problem(rng):
+    """A seeded 3-D (mean, cov, box)."""
+    d = 3
     scale = 10.0 ** rng.uniform(-3.0, 3.0)
     a = rng.standard_normal((d, d))
     cov = scale * (a @ a.T + 0.1 * np.eye(d))
@@ -51,10 +55,9 @@ def row(result):
 def main(tree: str) -> None:
     if not Path(tmvn.__file__).resolve().is_relative_to(Path(tree).resolve()):
         sys.exit(f"{tmvn.__file__} is not under {tree}")
-    for d in (1, 2, 3):
-        for seed in range(PER_DIM):
-            rng = np.random.default_rng([d, seed])
-            print(d, seed, row(box_moments(*problem(rng, d))))
+    for seed in range(PROBLEMS):
+        rng = np.random.default_rng([3, seed])
+        print(3, seed, row(box_moments(*problem(rng))))
 
 
 if __name__ == "__main__":

@@ -17,33 +17,42 @@ normal mass Phi(b_i) - Phi(a_i) is known in closed form.
 Coordinates are walked in order of increasing marginal box mass, so the
 narrowest slabs get the nodes and the widest is the closed-form one; in
 the opposite order a slab that follows an open axis becomes a ridge the
-nodes cannot resolve.  The outer nodes of a d-dimensional box form a
-broadcast grid of NODES^(d-1) points, so one code path serves d = 1, 2
-and 3, and the result is deterministic.
+nodes cannot resolve.  The box is 3-D, the coverage update's output
+space, and any other dimension is refused: the two grid coordinates span
+a NODES x NODES grid, and the result is deterministic.
 
 Evaluation.  The rule is fixed; only its evaluation is tuned, because a
-3-D call spends its time on small array operations, not on its ~2.3k
+call spends its time on small array operations, not on its ~2.3k
 special-function values.  A prelude in Python floats takes the marginal
 deviations, the clamped faces and the order from one ``ndtr`` call on the
-2d standardized faces, and factors the permuted covariance with
+six standardized faces, and factors the permuted covariance with
 :func:`cholesky`, the package's one SPD factorization, which the filter's
-3x3 inverse and moment matching's definiteness test use too.  l_00 is the
-first coordinate's marginal deviation, so its slab mass is the one the
-ordering computed, and its faces, their clip and the half-width and
-midpoint stay Python floats: only its nodes and weights are arrays.  Every
-later coordinate builds its two faces in one ``np.subtract.outer`` pass as
-a (2, ...) array for one ``ndtr`` call (and the last for one ``exp``).  The
-sums come from two products, Y m0 Y^T and Y [m1 m2]^T, with Y = [z_0, ..,
-z_{d-2}, 1] and m the last coordinate's mass and moment terms, the latter
-scaled by 1/sqrt(2 pi) after the sum.  They make prob E[u u^T] for
-u = [z_0, .., z_{d-2}, 1, z_{d-1}], and the moments of x come from it by
-one affine map: [x; 1] = A u, so prob E[[x; 1][x; 1]^T] = A (prob
-E[u u^T]) A^T.  Every 1-D and 2-D product is ``np.dot``: it calls the same
-BLAS routine as ``@``, with the same bits, at less dispatch cost per call,
-which counts when a call makes a dozen products of at most (3, 576).  On
-3000 seeded problems it agrees with the first evaluation of the rule (kept
-in the tests as the nested-grid reference) within 1e-15 in mass and 1e-12
-of the covariance scale in the moments.
+3x3 inverse and moment matching's definiteness test use too.  Three
+written-out stages follow, each working in place (``out=``, ``*=``) on
+the arrays it made:
+
+1. The first grid axis.  l_00 is the first coordinate's marginal
+   deviation, so its slab mass is the one the ordering computed, and its
+   faces, their clip and the half-width and midpoint stay Python floats:
+   only its nodes and weights are arrays.
+2. The second grid axis.  Its faces given z_0 come from one
+   ``np.subtract.outer`` pass as a (2, NODES) array for one ``ndtr``
+   call; its nodes are written straight into the feature array, and its
+   weights times the first axis's are the grid's product weight w.
+3. The last coordinate in closed form.  Its faces given z_0 and z_1 are
+   one (2, NODES, NODES) array for one ``ndtr`` and one ``exp`` call, and
+   w times its mass and moment terms fill one (3, NODES, NODES) array m.
+
+The sums come from two products, Y m0 Y^T and Y [m1 m2]^T, with
+Y = [z_0, z_1, 1], the moment terms scaled by 1/sqrt(2 pi) after the sum.
+They make prob E[u u^T] for u = [z_0, z_1, 1, z_2], and the moments of x
+come from it by one affine map: [x; 1] = A u, so prob E[[x; 1][x; 1]^T]
+= A (prob E[u u^T]) A^T.  Every 1-D and 2-D product is ``np.dot``: it
+calls the same BLAS routine as ``@``, with the same bits, at less
+dispatch cost per call, which counts when a call makes a dozen products
+of at most (3, 576).  On 3000 seeded problems it agrees with the first
+evaluation of the rule (kept in the tests as the nested-grid reference)
+within 1e-15 in mass and 1e-12 of the covariance scale in the moments.
 
 Measured errors: on 200 correlated 3-D boxes with masses from 1e-3 to 0.7,
 the median errors against an x-space tensor Gauss-Legendre reference are
@@ -59,7 +68,8 @@ the union of the 2d half-spaces beyond its faces, so its mass is at most
 the sum of their marginal tail masses (Bonferroni; Genz & Bretz 2009,
 Computation of Multivariate Normal and t Probabilities, section 2).  No
 approximation enters: the bound holds for every mean and covariance, is
-attained in one dimension, and costs 2d values of Phi.  Each tail is Phi of
+attained on a box with one finite axis, whose complement is two disjoint
+half-spaces, and costs 2d values of Phi.  Each tail is Phi of
 its face's standardized distance, never one minus a slab mass, so a tail of
 1e-12 keeps its relative accuracy and the computed bound is within one
 rounding of its final 1 - sum (one spacing of doubles below 1, 2^-53) of
@@ -90,10 +100,6 @@ INFINITE_BOUND_SIGMA = 38.0
 NODES = 24
 Z_CLAMP = 8.0
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(NODES)
-
-# The z-space box of the coverage update is 3-D; a larger grid would grow
-# as NODES^(d-1).
-MAX_DIM = 3
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -153,22 +159,16 @@ def _root(pivot):
 
 
 def cholesky(c, order=(0, 1, 2)):
-    """Lower Cholesky factor of the SPD matrix c (nested lists, at most
-    3x3, lower triangle read) with rows and columns taken in ``order``, and
-    its pivots l_ii^2 before their roots.  A pivot that is not positive,
-    NaN included, raises LinAlgError: it is also the definiteness test."""
-    o0 = order[0]
+    """Lower Cholesky factor of the 3x3 SPD matrix c (nested lists, lower
+    triangle read) with rows and columns taken in ``order``, and its pivots
+    l_ii^2 before their roots.  A pivot that is not positive, NaN included,
+    raises LinAlgError: it is also the definiteness test."""
+    o0, o1, o2 = order
     p0 = c[o0][o0]
     l00 = math.sqrt(p0) if p0 > 0.0 else _root(p0)
-    if len(c) == 1:
-        return [[l00]], [p0]
-    o1 = order[1]
     l10 = c[o1][o0] / l00
     p1 = c[o1][o1] - l10 * l10
     l11 = math.sqrt(p1) if p1 > 0.0 else _root(p1)
-    if len(c) == 2:
-        return [[l00, 0.0], [l10, l11]], [p0, p1]
-    o2 = order[2]
     l20 = c[o2][o0] / l00
     l21 = (c[o2][o1] - l20 * l10) / l11
     p2 = c[o2][o2] - l20 * l20 - l21 * l21
@@ -198,45 +198,41 @@ def bonferroni_bound(lo: list, hi: list, sd: list) -> float:
 
 
 def box_moments(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> TruncatedMoments:
-    """Box probability and truncated moments of N(mean, cov).
+    """Box probability and truncated moments of N(mean, cov) on a 3-D box.
 
     Deterministic; see the module docstring for the rule.
 
     Parameters
     ----------
-    mean, cov : prior moments of dimension at most MAX_DIM (3); cov must be
-        positive definite.
-    box : integration region, infinite bounds allowed.
+    mean, cov : prior moments shaped (3,) and (3, 3); cov must be positive
+        definite.
+    box : 3-D integration region, infinite bounds allowed.
 
     Raises
     ------
-    ValueError if the box has no dimension or more than MAX_DIM, if mean
-        and cov are not shaped (d,) and (d, d) for the box's d, if cov is
-        not symmetric, or if the mean or a variance is not finite.
+    ValueError if the box is not 3-D, if mean and cov are not shaped (3,)
+        and (3, 3), if cov is not symmetric, or if the mean or a variance
+        is not finite.
     numpy.linalg.LinAlgError if cov has no Cholesky factor.
     """
+    if box.dim != 3:
+        raise ValueError(f"box_moments needs a 3-D box, not a {box.dim}-D one")
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    d = box.dim
-    if d > MAX_DIM:
-        raise ValueError(f"box_moments supports at most {MAX_DIM} dimensions")
-    if d == 0:
-        raise ValueError("box_moments needs a box of at least one dimension")
-    if mean.shape != (d,) or cov.shape != (d, d):
+    if mean.shape != (3,) or cov.shape != (3, 3):
         raise ValueError(
-            f"prior shapes {mean.shape} and {cov.shape} do not match a {d}-D box"
+            f"prior shapes {mean.shape} and {cov.shape} do not match a 3-D box"
         )
     mean_f, cov_f = mean.tolist(), cov.tolist()
     # the factor reads the lower triangle only; a NaN pair is left to its
     # pivot's LinAlgError
-    for i in range(1, d):
-        for j in range(i):
-            x, y = cov_f[i][j], cov_f[j][i]
-            if x != y and (x == x or y == y):
-                raise ValueError("prior covariance must be symmetric")
+    for i, j in ((1, 0), (2, 0), (2, 1)):
+        x, y = cov_f[i][j], cov_f[j][i]
+        if x != y and (x == x or y == y):
+            raise ValueError("prior covariance must be symmetric")
     if not all(map(math.isfinite, mean_f)):
         raise ValueError("prior mean must be finite")
-    sd = [_root(cov_f[i][i]) for i in range(d)]
+    sd = [_root(cov_f[i][i]) for i in range(3)]
     if math.inf in sd:
         raise ValueError("prior variances must be finite")
     lo, hi = [], []  # faces relative to the mean
@@ -245,92 +241,88 @@ def box_moments(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> TruncatedM
         hi.append((y if math.isfinite(y) else x0 + INFINITE_BOUND_SIGMA * s) - x0)
     t = [x / s for x, s in zip(lo + hi, sd + sd)]
     cdf = ndtr(t).tolist()
-    marginal = [cdf[d + i] - cdf[i] for i in range(d)]
+    marginal = [cdf[3 + i] - cdf[i] for i in range(3)]
     # narrowest marginal slab first, so that the closed-form last
     # coordinate is the widest and the grid resolves the narrow ones
-    order = sorted(range(d), key=marginal.__getitem__)
+    order = sorted(range(3), key=marginal.__getitem__)
     chol, _ = cholesky(cov_f, order)
-    last = d - 1
+    _, (l10, l11, _), (l20, l21, l22) = chol
+    k0, k1, k2 = order
+    n = _NODES.size
+    # the features [z_0, z_1, 1] of the n x n grid, as rows of y
+    y = np.empty((3, n, n))
 
-    # l_00 is the marginal deviation: the first coordinate's standardized
+    # first grid axis.  l_00 is the marginal deviation: its standardized
     # faces and slab mass are the ordering's floats, and its half-width
     # (-a/2) + b/2 and midpoint a/2 + b/2 round as a product with
     # _HALF_MID does
-    w, z = 1.0, []
-    k = order[0]
-    a, b, mass = t[k], t[d + k], marginal[k]
-    if last == 0:
-        ab = np.array([a, b])
-    else:
-        a = min(max(a, -Z_CLAMP), Z_CLAMP)
-        b = min(max(b, -Z_CLAMP), Z_CLAMP)
-        zi = (-0.5 * a + 0.5 * b) * _NODES + (0.5 * a + 0.5 * b)
-        wi = np.exp(-0.5 * zi * zi)
-        mass = mass / np.dot(wi, _WEIGHTS)
-        wi *= _WEIGHTS
-        wi *= mass
-        w, z = wi, [zi]
+    a = min(max(t[k0], -Z_CLAMP), Z_CLAMP)
+    b = min(max(t[3 + k0], -Z_CLAMP), Z_CLAMP)
+    z0 = (-0.5 * a + 0.5 * b) * _NODES + (0.5 * a + 0.5 * b)
+    w0 = np.exp(-0.5 * z0 * z0)
+    mass = marginal[k0] / np.dot(w0, _WEIGHTS)
+    w0 *= _WEIGHTS
+    w0 *= mass
 
-    # every later coordinate is confined, given the ones before it, to the
-    # faces ab stacked (2, ...) with slab mass mass; every one but the last
-    # is one more grid axis, w the product weight and each entry of z
-    # broadcasts against it
-    for i in range(1, d):
-        k = order[i]
-        shift = chol[i][0] * z[0]
-        for j in range(1, i):
-            shift = shift + chol[i][j] * z[j]
-        ab = np.subtract.outer((lo[k], hi[k]), shift)
-        ab /= chol[i][i]
-        p = ndtr(ab)
-        mass = p[1] - p[0]
-        if i == last:
-            break
-        clipped = np.minimum(np.maximum(ab, -Z_CLAMP), Z_CLAMP)
-        half, mid = np.dot(_HALF_MID, clipped)[..., None]
-        zi = half * _NODES + mid
-        wi = np.exp(-0.5 * zi * zi)
-        mass = mass / np.dot(wi, _WEIGHTS)
-        wi *= _WEIGHTS
-        wi *= mass[..., None]
-        w = w[..., None] * wi
-        z = [zj[..., None] for zj in z] + [zi]
+    # second grid axis: given z_0, z_1 lies on the slab between the faces
+    # ab; w becomes the product weight of the grid
+    ab = np.subtract.outer((lo[k1], hi[k1]), l10 * z0)
+    ab /= l11
+    p = ndtr(ab)
+    mass = p[1] - p[0]
+    np.maximum(ab, -Z_CLAMP, out=ab)
+    np.minimum(ab, Z_CLAMP, out=ab)
+    half_mid = np.dot(_HALF_MID, ab)[..., None]
+    z1 = np.multiply(half_mid[0], _NODES, out=y[1])
+    z1 += half_mid[1]
+    w = np.multiply(z1, -0.5)
+    w *= z1
+    np.exp(w, out=w)
+    mass /= np.dot(w, _WEIGHTS)
+    w *= _WEIGHTS
+    w *= mass[:, None]
+    w *= w0[:, None]
 
     # the last coordinate in closed form over its faces [alpha, beta]: the
     # rows of m hold w times its mass, its first moment and the part of its
     # second moment beyond the mass, the last two without 1/sqrt(2 pi)
-    m = np.empty((3,) + np.shape(w))
-    m[0] = mass
-    pdf = np.exp(-0.5 * ab * ab)
-    np.subtract(pdf[0], pdf[1], out=m[1, ...])
-    pdf *= ab
-    np.subtract(pdf[0], pdf[1], out=m[2, ...])
+    shift = np.multiply(z1, l21)
+    shift += (l20 * z0)[:, None]
+    ab = np.subtract.outer((lo[k2], hi[k2]), shift)
+    ab /= l22
+    p = ndtr(ab)
+    m = np.empty((3, n, n))
+    np.subtract(p[1], p[0], out=m[0])
+    np.multiply(ab, -0.5, out=p)
+    p *= ab
+    np.exp(p, out=p)
+    np.subtract(p[0], p[1], out=m[1])
+    p *= ab
+    np.subtract(p[0], p[1], out=m[2])
     m *= w
 
-    # the sums from two products, Y m0 Y^T and Y [m1 m2]^T, for
-    # Y = [z_0, .., z_last-1, 1]
-    y = np.ones((d,) + np.shape(w))
-    for j, zj in enumerate(z):
-        y[j] = zj
-    y = y.reshape(d, -1)
+    # the sums from two products, Y m0 Y^T and Y [m1 m2]^T
+    y[0] = z0[:, None]
+    y[2] = 1.0
+    y = y.reshape(3, -1)
     m = m.reshape(3, -1)
-    s = np.empty((d + 1, d + 1))
-    s[:d, :d] = np.dot(y * m[0], y.T)
-    prob = s.item(last, last)  # the mass: Y_last m0 Y_last
+    s = np.empty((4, 4))
+    s[:3, :3] = np.dot(y * m[0], y.T)
+    prob = s.item(2, 2)  # the mass: Y_2 m0 Y_2
     if prob < PROB_FLOOR:
         return TruncatedMoments(
             PROB_FLOOR, mean.copy(), cov + np.outer(mean, mean), degenerate=True
         )
-    # s = prob E[u u^T] for u = [z_0, .., z_last-1, 1, z_last]
+    # s = prob E[u u^T] for u = [z_0, z_1, 1, z_2]
     ym = np.dot(y, m[1:].T)
-    s[d, :d] = s[:d, d] = _INV_SQRT_2PI * ym[:, 0]
-    s[d, d] = prob + _INV_SQRT_2PI * ym[last, 1]
+    s[3, :3] = s[:3, 3] = _INV_SQRT_2PI * ym[:, 0]
+    s[3, 3] = prob + _INV_SQRT_2PI * ym[2, 1]
 
     # [x; 1] = a u, with x - mean = L z and the rows of L back in box order,
     # so prob E[[x; 1][x; 1]^T] = a s a^T
-    rows = [chol[order.index(k)] for k in range(d)]
-    a = [row[:last] + [mk] + row[last:] for row, mk in zip(rows, mean_f)]
-    a = np.array(a + [[0.0] * last + [1.0, 0.0]])
+    rows = [chol[order.index(k)] for k in range(3)]
+    a = [row[:2] + [mk] + row[2:] for row, mk in zip(rows, mean_f)]
+    a = np.array(a + [[0.0, 0.0, 1.0, 0.0]])
     t = np.dot(np.dot(a, s), a.T)
     t = (t + t.T) * (0.5 / prob)
-    return TruncatedMoments(prob=min(prob, 1.0), mean=t[:d, d], second_moment=t[:d, :d])
+    return TruncatedMoments(prob=min(prob, 1.0), mean=t[:3, 3], second_moment=t[:3, :3])

@@ -13,7 +13,6 @@ from coverage_inekf.filter import ERROR_DIM, GRAVITY, NOISE_DIM
 from coverage_inekf.se23 import Se23Element
 from coverage_inekf.tmvn import (
     INFINITE_BOUND_SIGMA,
-    MAX_DIM,
     NODES,
     PROB_FLOOR,
     Z_CLAMP,
@@ -346,8 +345,6 @@ def nested_grid_box_moments(mean, cov, box):
     cov = np.asarray(cov, dtype=float)
     if box.dim != mean.size:
         raise ValueError("box dimension does not match the prior")
-    if mean.size > MAX_DIM:
-        raise ValueError(f"box_moments supports at most {MAX_DIM} dimensions")
     variances = np.diag(cov)
     if not np.all(variances > 0.0):
         raise np.linalg.LinAlgError(

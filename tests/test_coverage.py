@@ -1,3 +1,4 @@
+import itertools
 import pickle
 
 import numpy as np
@@ -10,6 +11,7 @@ from oracles import (
     piecewise_posterior_moments_1d,
     resting_stream,
     se23_matrix,
+    tensor_gauss_legendre_box_moments,
     velocity_output_matrix,
 )
 
@@ -66,10 +68,6 @@ def fd_output_jacobian(x, step=1e-6):
         e[j] = step
         jac[:, j] = (output(e) - output(-e)) / (2.0 * step)
     return jac
-
-
-def one_d_box(lo, hi):
-    return BoxRegion(np.array([lo]), np.array([hi]))
 
 
 def grid_posterior(cov_z, box, gamma):
@@ -164,12 +162,28 @@ class TestProjectPrior:
 
 
 class TestKlCoveragePosterior:
-    def test_active_1d_matches_quadrature_oracle(self):
-        # frozen reference: N(0,1), C=[1,2], gamma=0.5 via piecewise Simpson
-        ref_mean, ref_var = 0.5828118857337737, 1.075748758692856
-        mean, cov = grid_posterior(np.eye(1), one_d_box(1.0, 2.0), gamma=0.5)
-        assert abs(mean[0] - ref_mean) / abs(ref_mean) < 1e-3
-        assert abs(cov[0, 0] - ref_var) / ref_var < 1e-3
+    def test_active_3d_matches_quadrature_oracle(self):
+        """A correlated prior and a box of mass pi < gamma: the grid's
+        posterior against the set-mass posterior's own moments, from
+        tensor Gauss-Legendre quadrature of the prior over the 27 cells
+        that the box's faces cut from +-10 sigma, the box's cell weighted
+        gamma / pi and every other (1 - gamma) / (1 - pi)."""
+        cov_z = np.array([[1.0, 0.3, -0.2], [0.3, 0.8, 0.1], [-0.2, 0.1, 1.2]])
+        lower, upper, gamma = np.array([1.0, -0.5, -1.0]), np.array([2.0, 0.5, 0.8]), 0.5
+        sd = np.sqrt(np.diag(cov_z))
+        edges = np.stack([-10.0 * sd, lower, upper, 10.0 * sd])
+        pi = tensor_gauss_legendre_box_moments(np.zeros(3), cov_z, lower, upper, 32)[0]
+        mass, first, second = 0.0, np.zeros(3), np.zeros((3, 3))
+        for cell in itertools.product(range(3), repeat=3):
+            lo, hi = edges[list(cell), range(3)], edges[np.add(cell, 1), range(3)]
+            m, mu, m2 = tensor_gauss_legendre_box_moments(np.zeros(3), cov_z, lo, hi, 32)
+            m *= gamma / pi if cell == (1, 1, 1) else (1.0 - gamma) / (1.0 - pi)
+            mass, first, second = mass + m, first + m * mu, second + m * m2
+        assert pi < gamma and abs(mass - 1.0) < 1e-9
+        ref_mean, ref_cov = first, second - np.outer(first, first)
+        mean, cov = grid_posterior(cov_z, BoxRegion(lower, upper), gamma)
+        assert np.abs(mean - ref_mean).max() < 1e-3 * np.abs(ref_mean).max()
+        assert np.abs(cov - ref_cov).max() < 1e-3 * np.abs(ref_cov).max()
 
     def test_oracle_self_consistency(self):
         pi, mass, _, _ = piecewise_posterior_moments_1d(0.0, 1.0, 1.0, 2.0, 0.5)

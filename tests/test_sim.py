@@ -411,6 +411,23 @@ def test_every_arm_sees_the_same_streams():
     assert gauss.nees_mean != cover.nees_mean
 
 
+def test_initial_error_is_the_multivariate_normal_draw(monkeypatch):
+    """``simulate`` draws the initial error as 15 standard normals times a
+    factor of ``INIT_COV`` taken once at import, and on 200 seeds that is
+    ``Generator.multivariate_normal``'s draw, which factors INIT_COV by SVD
+    on every call, bit for bit: the random stream, and so ``GOLDEN``, is
+    the one that method gives."""
+    drawn = []
+    monkeypatch.setattr(sim, "apply_correction", lambda x, delta: drawn.append(-delta))
+    campaign = CampaignConfig(trajectory=TrajectorySpec(duration=0.05), trials=1)
+    for seed in range(200):
+        sim.simulate(campaign, seed)
+        s_init = int(np.random.SeedSequence(seed).spawn(3)[2].generate_state(1)[0])
+        want = np.random.default_rng(s_init).multivariate_normal(np.zeros(15), sim.INIT_COV)
+        assert np.array_equal(drawn[-1], want)
+    assert len(drawn) == 200
+
+
 def test_small_turn_gives_exact_gyro():
     """A turn of theta within one 10 ms sample, on either side of
     SMALL_ANGLE_EPS, while the velocity changes.  theta / sin(theta) has

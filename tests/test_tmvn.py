@@ -31,6 +31,34 @@ def random_problem(rng: np.random.Generator, dim: int = 3):
     return mean, cov, BoxRegion(center - half, center + half)
 
 
+def product_of_1d(m, s, lo, hi):
+    """``box_moments`` of N(m, diag(s^2)) on the 3-D box [lo, hi], and the
+    box's mass, mean and second moment as the product of its axes'
+    truncated normals."""
+    axes = [truncated_normal_1d(*args) for args in zip(m, s, lo, hi)]
+    mass = math.prod(a[0] for a in axes)
+    mean = np.array([a[1] for a in axes])
+    m2 = np.diag([a[2] for a in axes]) + np.outer(mean, mean)
+    tm = box_moments(np.array(m, float), np.diag(np.square(s)), BoxRegion(lo, hi))
+    return tm, mass, mean, m2
+
+
+# Two narrow finite slabs (m, s, lo, hi) of N(m, s^2), of masses 2.8e-3 and
+# 2.0e-3, for the grid axes of a diagonal box.
+NARROW_SLABS = [(0.2, 0.7, 0.1, 0.105), (-1.0, 1.5, -1.3, -1.292)]
+
+
+def last_axis_case(m, s, lo, hi):
+    """``product_of_1d`` with N(m, s^2) on [lo, hi] as the last axis of a
+    diagonal box whose grid axes are ``NARROW_SLABS``, and the slabs'
+    mass.  The axis under test is the box's widest, so the rule integrates
+    it in closed form, as it does the one axis of a 1-D box."""
+    slabs = [truncated_normal_1d(*slab)[0] for slab in NARROW_SLABS]
+    assert max(slabs) < truncated_normal_1d(m, s, lo, hi)[0]
+    m, s, lo, hi = zip(*NARROW_SLABS, (m, s, lo, hi))
+    return *product_of_1d(m, s, lo, hi), math.prod(slabs)
+
+
 class TestBoxRegion:
     def test_rejects_crossed_bounds(self):
         with pytest.raises(ValueError):
@@ -97,23 +125,19 @@ class TestBoxMoments:
         )
 
     def test_1d_standard_normal_symmetric_box(self):
-        # closed form: P(|Z| <= 1) = erf(1/sqrt(2))
+        # closed form: P(|Z| <= 1) = erf(1/sqrt(2)), times the slabs' mass
         expected = math.erf(1.0 / math.sqrt(2.0))
-        tm = box_moments(np.zeros(1), np.eye(1), BoxRegion([-1.0], [1.0]))
-        assert abs(tm.prob - 0.6826894921) < 1e-8
-        assert abs(tm.prob - expected) < 1e-8
-        assert abs(tm.mean[0]) < 1e-8
+        tm, _, _, _, slabs = last_axis_case(0.0, 1.0, -1.0, 1.0)
+        assert abs(tm.prob - 0.6826894921 * slabs) < 1e-8 * slabs
+        assert abs(tm.prob - expected * slabs) < 1e-8 * slabs
+        assert abs(tm.mean[2]) < 1e-8
 
     def test_1d_halfline_against_closed_form(self):
         # half-normal: mass 1/2, conditional mean sigma*sqrt(2/pi)
         sigma = 1.7
-        tm = box_moments(
-            np.zeros(1),
-            np.array([[sigma**2]]),
-            BoxRegion([0.0], [np.inf]),
-        )
-        assert abs(tm.prob - 0.5) < 1e-8
-        assert abs(tm.mean[0] - sigma * math.sqrt(2.0 / math.pi)) < 1e-8
+        tm, _, _, _, slabs = last_axis_case(0.0, sigma, 0.0, np.inf)
+        assert abs(tm.prob - 0.5 * slabs) < 1e-8 * slabs
+        assert abs(tm.mean[2] - sigma * math.sqrt(2.0 / math.pi)) < 1e-8
 
     @pytest.mark.parametrize(
         "m, s, lo, hi",
@@ -126,20 +150,18 @@ class TestBoxMoments:
         ],
     )
     def test_1d_against_truncated_normal(self, m, s, lo, hi):
-        mass, mean, var = truncated_normal_1d(m, s, lo, hi)
-        tm = box_moments(np.array([m]), np.array([[s * s]]), BoxRegion([lo], [hi]))
-        assert abs(tm.prob - mass) <= 1e-8
-        assert abs(tm.mean[0] - mean) <= 1e-8
-        assert abs(tm.second_moment[0, 0] - (var + mean * mean)) <= 1e-8
+        """The closed-form axis against the 1-D truncated normal: the mass
+        within 1e-8 of the axis's mass, times the slabs' mass, and every
+        moment within 1e-8."""
+        tm, mass, mean, m2, slabs = last_axis_case(m, s, lo, hi)
+        assert abs(tm.prob - mass) <= 1e-8 * slabs
+        assert np.abs(tm.mean - mean).max() <= 1e-8
+        assert np.abs(tm.second_moment - m2).max() <= 1e-8
 
     def test_diagonal_3d_is_product_of_1d(self):
-        m, s = np.array([0.2, -1.0, 0.5]), np.array([0.7, 1.5, 0.3])
-        lo, hi = np.array([-0.5, -np.inf, 0.6]), np.array([1.0, -0.8, np.inf])
-        axes = [truncated_normal_1d(*args) for args in zip(m, s, lo, hi)]
-        mass = np.prod([a[0] for a in axes])
-        mean = np.array([a[1] for a in axes])
-        m2 = np.diag([a[2] for a in axes]) + np.outer(mean, mean)
-        tm = box_moments(m, np.diag(s * s), BoxRegion(lo, hi))
+        tm, mass, mean, m2 = product_of_1d(
+            [0.2, -1.0, 0.5], [0.7, 1.5, 0.3], [-0.5, -np.inf, 0.6], [1.0, -0.8, np.inf]
+        )
         assert abs(tm.prob - mass) <= 1e-8
         assert np.abs(tm.mean - mean).max() <= 1e-8
         assert np.abs(tm.second_moment - m2).max() <= 1e-8
@@ -263,25 +285,39 @@ class TestBoxMoments:
             with pytest.raises(np.linalg.LinAlgError):
                 box_moments(np.zeros(3), cov, BoxRegion.full_space(3))
 
+    @pytest.mark.parametrize("dim", [0, 1, 2])
+    def test_rejects_a_box_that_is_not_3d(self, dim):
+        """The rule is written for the 3-D box of the coverage update: a box
+        of lower dimension, with a prior that matches it, raises ValueError
+        before any arithmetic warns."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="3-D box"):
+                box_moments(np.zeros(dim), np.eye(dim), BoxRegion.full_space(dim))
+
     def test_rejects_more_than_three_dimensions(self):
-        with pytest.raises(ValueError):
-            box_moments(np.zeros(4), np.eye(4), BoxRegion.full_space(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="3-D box"):
+                box_moments(np.zeros(4), np.eye(4), BoxRegion.full_space(4))
 
     @pytest.mark.parametrize(
         "mean, cov, box, match",
         [
-            (np.zeros(0), np.zeros((0, 0)), BoxRegion([], []), "at least one"),
             (np.zeros(3), np.eye(2), BoxRegion.full_space(3), "shapes"),
-            (np.zeros(2), np.ones(2), BoxRegion.full_space(2), "shapes"),
-            (np.array([0.0, np.nan]), np.eye(2), BoxRegion([-1, -1], [1, 1]), "mean"),
-            (np.array([np.inf, 0.0]), np.eye(2), BoxRegion([-1, -1], [1, 1]), "mean"),
-            (np.zeros(2), np.diag([1.0, np.inf]), BoxRegion([-1, -1], [1, 1]), "variance"),
-            (np.zeros(2), [[1.0, 5.0], [0.0, 1.0]], BoxRegion([-1, -1], [1, 1]), "symmetric"),
-            (np.zeros(2), [[1.0, 5.0], [0.0, 1.0]], BoxRegion([30, 30], [31, 31]), "symmetric"),
+            (np.zeros(3), np.ones(3), BoxRegion.full_space(3), "shapes"),
+            (np.array([0.0, np.nan, 0.0]), np.eye(3), BoxRegion([-1] * 3, [1] * 3), "mean"),
+            (np.array([np.inf, 0.0, 0.0]), np.eye(3), BoxRegion([-1] * 3, [1] * 3), "mean"),
+            (np.zeros(3), np.diag([1.0, np.inf, 1.0]), BoxRegion([-1] * 3, [1] * 3),
+             "variance"),
+            (np.zeros(3), [[1, 5, 0], [0, 1, 0], [0, 0, 1]], BoxRegion([-1] * 3, [1] * 3),
+             "symmetric"),
+            (np.zeros(3), [[1, 5, 0], [0, 1, 0], [0, 0, 1]], BoxRegion([30] * 3, [31] * 3),
+             "symmetric"),
             (np.zeros(3), [[1, 0, np.nan], [0, 1, 0], [0, 0, 1]], BoxRegion.full_space(3),
              "symmetric"),
         ],
-        ids=["d0", "cov-too-small", "cov-1d", "nan-mean", "inf-mean", "inf-variance",
+        ids=["cov-too-small", "cov-1d", "nan-mean", "inf-mean", "inf-variance",
              "asymmetric-cov", "asymmetric-cov-degenerate", "upper-nan-cov"],
     )
     def test_rejects_malformed_priors(self, mean, cov, box, match):
@@ -305,7 +341,7 @@ class TestBoxMoments:
 class TestCholesky:
     """tmvn.cholesky, the one factorization of 3x3 SPD matrices."""
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [3])
     def test_matches_numpy_in_every_order(self, dim):
         """Seeded SPD matrices with cond up to 1e6 and scale 1e-4 to 1e4:
         in every order, each row of the factor is numpy's factor of the
@@ -330,7 +366,7 @@ class TestCholesky:
             assert tmvn.cholesky(lower.tolist()) == tmvn.cholesky(c.tolist())
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
-    @pytest.mark.parametrize("dim, k", [(1, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("dim, k", [(3, 0), (3, 1), (3, 2)])
     def test_rejects_a_pivot_that_is_not_positive(self, dim, k, value):
         """A zero, negative or NaN pivot, first, middle or last, stops the
         factorization before any arithmetic warns.  The dense matrix has
@@ -384,8 +420,8 @@ def test_lean_kernel_matches_the_nested_grid():
     only with fewer array operations, so the two agree at roundoff."""
     rng = np.random.default_rng(2603)
     degenerate = 0
-    for k in range(3000):
-        scale, mean, cov, box = random_equivalence_problem(rng, 1 + k % 3)
+    for _ in range(3000):
+        scale, mean, cov, box = random_equivalence_problem(rng, 3)
         got = box_moments(mean, cov, box)
         ref = nested_grid_box_moments(mean, cov, box)
         assert got.degenerate == ref.degenerate
@@ -401,9 +437,12 @@ class TestBoxMassLowerBound:
         "lo, hi", [(-1.0, 2.0), (0.5, 3.0), (-np.inf, 1.0), (-3.0, np.inf), (4.0, 9.0)]
     )
     def test_exact_in_one_dimension(self, lo, hi):
-        """In 1-D the two tails are the whole complement, so the bound is
-        the box mass."""
-        mean, cov, box = np.array([0.3]), np.array([[2.0]]), BoxRegion([lo], [hi])
+        """A box finite on one axis and open on the other two: its
+        complement is the two disjoint half-spaces beyond its faces, so
+        the bound is the box mass."""
+        mean = np.array([0.3, -0.2, 0.1])
+        cov = np.array([[2.0, 0.6, -0.4], [0.6, 1.0, 0.3], [-0.4, 0.3, 0.5]])
+        box = BoxRegion([lo, -np.inf, -np.inf], [hi, np.inf, np.inf])
         assert abs(box_mass_lower_bound(mean, cov, box) - box_moments(mean, cov, box).prob) <= 4e-16
 
     def test_below_the_box_mass(self):
