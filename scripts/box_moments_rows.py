@@ -4,7 +4,7 @@ source trees can be compared bit for bit:
 
     PYTHONPATH=<tree>/src python scripts/box_moments_rows.py <tree>/src
 
-3000 problems on 3-D boxes, the only dimension ``box_moments`` accepts:
+3000 problems on 3-D boxes, the only dimension ``BoxRegion`` accepts:
 correlated covariances at scales 1e-3 to 1e3, finite, half-open and open
 faces, and boxes far in a tail so that the degenerate branch runs too.
 Line k is ``3 k`` and the row of the problem drawn from

@@ -19,11 +19,7 @@ from coverage_inekf.filter import (
 )
 from coverage_inekf.tmvn import BoxRegion, TruncatedMoments, box_moments
 from coverage_inekf.coverage import UpdateDiagnostics, coverage_update, update
-from coverage_inekf.calibration import (
-    CoverageSpec,
-    conformal_thresholds,
-    empirical_coverage,
-)
+from coverage_inekf.calibration import CoverageSpec, conformal_thresholds
 
 __version__ = "0.1.0"
 
@@ -47,5 +43,4 @@ __all__ = [
     "coverage_update",
     "update",
     "conformal_thresholds",
-    "empirical_coverage",
 ]

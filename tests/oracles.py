@@ -4,7 +4,6 @@ adapters that call the package on their inputs."""
 import math
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal, norm, truncnorm
@@ -16,41 +15,22 @@ from coverage_inekf.tmvn import (
     NODES,
     PROB_FLOOR,
     Z_CLAMP,
+    BoxRegion,
     TruncatedMoments,
     bonferroni_bound,
 )
 
 
-def piecewise_posterior_moments_1d(m, s, lo, hi, gamma, span=14.0, pts=400_001):
-    """Dense-quadrature moments of the 1-D set-mass posterior.
-
-    The density rescales a N(m, s^2) prior by gamma/pi inside [lo, hi] and
-    (1-gamma)/(1-pi) outside.  Integration runs piecewise over the smooth
-    segments so the jumps cost no accuracy.
-
-    Returns (pi, mass, mean, variance).
-    """
-    pi = norm.cdf(hi, m, s) - norm.cdf(lo, m, s)
-    w_in, w_out = gamma / pi, (1.0 - gamma) / (1.0 - pi)
-    left, right = m - span * s, m + span * s
-    segments = [(left, lo, w_out), (lo, hi, w_in), (hi, right, w_out)]
-    mass = mean = second = 0.0
-    for a, b, w in segments:
-        if b <= a:
-            continue
-        xs = np.linspace(a, b, pts)
-        f = w * norm.pdf(xs, m, s)
-        mass += simpson(f, x=xs)
-        mean += simpson(xs * f, x=xs)
-        second += simpson(xs * xs * f, x=xs)
-    return pi, mass, mean, second - mean**2
+def full_space(dim=3):
+    """The box open on every side of ``dim`` axes; ``BoxRegion`` refuses
+    every ``dim`` but 3."""
+    return BoxRegion(np.full(dim, -np.inf), np.full(dim, np.inf))
 
 
-def mass_inside_piecewise_posterior_1d(m, s, lo, hi, gamma, pts=200_001):
-    """Quadrature of the piecewise posterior over the box itself."""
-    pi = norm.cdf(hi, m, s) - norm.cdf(lo, m, s)
-    xs = np.linspace(lo, hi, pts)
-    return simpson((gamma / pi) * norm.pdf(xs, m, s), x=xs)
+def empirical_coverage(errors, spec):
+    """Fraction of the (n, 3) errors inside the radii, jointly and per axis."""
+    inside = np.abs(errors) <= spec.epsilon
+    return float(inside.all(axis=1).mean()), inside.mean(axis=0)
 
 
 def truncated_normal_1d(m, s, lo, hi):
@@ -343,7 +323,7 @@ def nested_grid_box_moments(mean, cov, box):
     kernel to the same rule at roundoff."""
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
-    if box.dim != mean.size:
+    if box.lower.size != mean.size:
         raise ValueError("box dimension does not match the prior")
     variances = np.diag(cov)
     if not np.all(variances > 0.0):

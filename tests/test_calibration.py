@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from oracles import empirical_coverage
 
 from coverage_inekf.calibration import (
     CoverageSpec,
     conformal_thresholds,
     decorrelation_lags,
-    empirical_coverage,
     min_samples_for,
     per_axis_level,
 )
@@ -16,12 +16,8 @@ from coverage_inekf.calibration import (
 class TestErrorArray:
     """Every entry point validates the (n, 3) error array the same way."""
 
-    ENTRY_POINTS = [
-        lambda e: conformal_thresholds(e, 0.5),
-        lambda e: empirical_coverage(e, CoverageSpec(np.ones(3), 0.5)),
-        decorrelation_lags,
-    ]
-    IDS = ["conformal_thresholds", "empirical_coverage", "decorrelation_lags"]
+    ENTRY_POINTS = [lambda e: conformal_thresholds(e, 0.5), decorrelation_lags]
+    IDS = ["conformal_thresholds", "decorrelation_lags"]
 
     @pytest.mark.parametrize("call", ENTRY_POINTS, ids=IDS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -7,8 +7,6 @@ import pytest
 from oracles import (
     box_mass_lower_bound,
     conditional_swap_lift,
-    mass_inside_piecewise_posterior_1d,
-    piecewise_posterior_moments_1d,
     resting_stream,
     se23_matrix,
     tensor_gauss_legendre_box_moments,
@@ -184,12 +182,6 @@ class TestKlCoveragePosterior:
         mean, cov = grid_posterior(cov_z, BoxRegion(lower, upper), gamma)
         assert np.abs(mean - ref_mean).max() < 1e-3 * np.abs(ref_mean).max()
         assert np.abs(cov - ref_cov).max() < 1e-3 * np.abs(ref_cov).max()
-
-    def test_oracle_self_consistency(self):
-        pi, mass, _, _ = piecewise_posterior_moments_1d(0.0, 1.0, 1.0, 2.0, 0.5)
-        assert abs(mass - 1.0) < 1e-9
-        inside = mass_inside_piecewise_posterior_1d(0.0, 1.0, 1.0, 2.0, 0.5)
-        assert abs(inside - 0.5) < 1e-10
 
     def test_symmetric_box_keeps_mean_shrinks_variance(self):
         box = BoxRegion(-0.5 * np.ones(3), 0.5 * np.ones(3))

@@ -3,7 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_import_loads_no_scipy_stats_or_optimize():
@@ -33,6 +34,28 @@ def test_every_exported_name_resolves():
     names = coverage_inekf.__all__
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(coverage_inekf, n)] == []
+
+
+def test_every_exported_name_has_a_user_outside_the_tests():
+    """Each ``__all__`` name is read outside the tests: in a module of
+    ``src/`` other than ``__init__.py``, or in ``perfbench/`` or
+    ``scripts/`` outside their ``test_*.py`` files.  A read is an ``ast``
+    ``Name`` or ``Attribute`` load, so docstrings and strings do not count.
+    A name that only tests read belongs in ``tests/oracles.py``."""
+    import coverage_inekf
+
+    paths = [p for p in (SRC / "coverage_inekf").glob("*.py") if p.name != "__init__.py"]
+    for folder in ("perfbench", "scripts"):
+        paths += [p for p in (ROOT / folder).glob("*.py") if not p.name.startswith("test_")]
+    loaded = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                if isinstance(node, ast.Name):
+                    loaded.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    loaded.add(node.attr)
+    assert [n for n in coverage_inekf.__all__ if n not in loaded] == []
 
 
 def test_only_tmvn_imports_scipy():

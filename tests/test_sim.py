@@ -609,6 +609,27 @@ def test_trial_count_must_be_an_integer(monkeypatch, trials):
     assert calls == []
 
 
+@pytest.mark.parametrize("seed", [None, True, False, 1.5, "7", -1])
+def test_campaign_seed_must_be_a_non_negative_integer(monkeypatch, seed):
+    """None used to run on fresh OS entropy, so the rows changed on every
+    call; True ran seed 1, and 1.5 and "7" raised TypeError inside
+    SeedSequence.  The campaign refuses them by name before any trial
+    runs."""
+    calls = spy(monkeypatch, "run_trial")
+    campaign = dataclasses.replace(golden_campaign("gaussian"), seed=seed)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        run_monte_carlo(campaign)
+    assert calls == []
+
+
+def test_numpy_integer_seed_runs_as_its_int():
+    """The seed check admits numpy integers, and they seed as their int."""
+    campaign = dataclasses.replace(golden_campaign("gaussian"), trials=1)
+    want = run_monte_carlo(campaign)
+    got = run_monte_carlo(dataclasses.replace(campaign, seed=np.int64(campaign.seed)))
+    assert_rows_identical(got, want)
+
+
 def test_campaign_without_arms_is_refused(monkeypatch):
     """No baseline and no gammas used to return no rows, silently; the
     campaign refuses it by name before any trial runs."""

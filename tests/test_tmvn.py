@@ -10,6 +10,7 @@ from scipy.stats import qmc
 from oracles import (
     _base_points,
     box_mass_lower_bound,
+    full_space,
     nested_grid_box_moments,
     oracle_box_moments,
     tensor_gauss_legendre_box_moments,
@@ -62,10 +63,10 @@ def last_axis_case(m, s, lo, hi):
 class TestBoxRegion:
     def test_rejects_crossed_bounds(self):
         with pytest.raises(ValueError):
-            BoxRegion([0.0, 0.0], [1.0, -1.0])
+            BoxRegion([0.0, 0.0, 0.0], [1.0, -1.0, 1.0])
 
     def test_full_space(self):
-        box = BoxRegion.full_space(3)
+        box = full_space()
         assert np.all(np.isinf(box.lower)) and np.all(np.isinf(box.upper))
 
     def test_rejects_nan_bounds(self):
@@ -76,26 +77,29 @@ class TestBoxRegion:
 
     def test_accepts_infinite_faces(self):
         box = BoxRegion([-np.inf, 0.0, -np.inf], [1.0, np.inf, np.inf])
-        assert box.dim == 3
+        assert box.lower.shape == box.upper.shape == (3,)
         assert box.lower.dtype == float and box.upper.dtype == float
 
     @pytest.mark.parametrize(
         "lower, upper",
-        [([np.inf], [np.inf]), ([0.0, -np.inf], [1.0, -np.inf])],
+        [
+            ([np.inf, 0.0, 0.0], [np.inf, 1.0, 1.0]),
+            ([0.0, -np.inf, 0.0], [1.0, -np.inf, 1.0]),
+        ],
         ids=["lower_plus_inf", "upper_minus_inf"],
     )
     def test_rejects_empty_infinite_faces(self, lower, upper):
         """A lower face of +inf or an upper face of -inf bounds an empty
-        box; the moment rules would read the face as open (mass 1.0 and
-        0.341 under a standard normal)."""
+        box; the moment rules would read the face as open (mass 0.117 for
+        both under a standard normal)."""
         with pytest.raises(ValueError, match="empty"):
             BoxRegion(lower, upper)
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="equal length"):
+        with pytest.raises(ValueError, match="3-D box"):
             BoxRegion([0.0, 0.0], [1.0, 1.0, 1.0])
-        with pytest.raises(ValueError, match="1-D"):
-            BoxRegion(np.zeros((2, 2)), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="3-D box"):
+            BoxRegion(np.zeros((3, 3)), np.ones((3, 3)))
 
 
 # SciPy warns that a non-power-of-two draw loses the balance properties.
@@ -117,7 +121,7 @@ class TestBoxMoments:
         a = rng.standard_normal((3, 3))
         cov = a @ a.T + 0.5 * np.eye(3)
         mean = rng.normal(size=3)
-        tm = box_moments(mean, cov, BoxRegion.full_space(3))
+        tm = box_moments(mean, cov, full_space())
         assert tm.prob == 1.0
         assert np.allclose(tm.mean, mean, rtol=0.0, atol=1e-5)
         assert np.allclose(
@@ -275,7 +279,7 @@ class TestBoxMoments:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(np.linalg.LinAlgError):
-                    box_moments(np.zeros(3), cov, BoxRegion.full_space(3))
+                    box_moments(np.zeros(3), cov, full_space())
 
     def test_rejects_indefinite_cov(self):
         """A positive diagonal with an indefinite, singular or NaN
@@ -283,29 +287,29 @@ class TestBoxMoments:
         for bad in (2.0, 1.0, np.nan):
             cov = np.array([[1.0, bad, 0.0], [bad, 1.0, 0.0], [0.0, 0.0, 1.0]])
             with pytest.raises(np.linalg.LinAlgError):
-                box_moments(np.zeros(3), cov, BoxRegion.full_space(3))
+                box_moments(np.zeros(3), cov, full_space())
 
     @pytest.mark.parametrize("dim", [0, 1, 2])
     def test_rejects_a_box_that_is_not_3d(self, dim):
-        """The rule is written for the 3-D box of the coverage update: a box
-        of lower dimension, with a prior that matches it, raises ValueError
-        before any arithmetic warns."""
+        """The rule is written for the 3-D box of the coverage update:
+        ``BoxRegion`` itself refuses a box of lower dimension before any
+        arithmetic warns."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="3-D box"):
-                box_moments(np.zeros(dim), np.eye(dim), BoxRegion.full_space(dim))
+                full_space(dim)
 
     def test_rejects_more_than_three_dimensions(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="3-D box"):
-                box_moments(np.zeros(4), np.eye(4), BoxRegion.full_space(4))
+                full_space(4)
 
     @pytest.mark.parametrize(
         "mean, cov, box, match",
         [
-            (np.zeros(3), np.eye(2), BoxRegion.full_space(3), "shapes"),
-            (np.zeros(3), np.ones(3), BoxRegion.full_space(3), "shapes"),
+            (np.zeros(3), np.eye(2), full_space(), "shapes"),
+            (np.zeros(3), np.ones(3), full_space(), "shapes"),
             (np.array([0.0, np.nan, 0.0]), np.eye(3), BoxRegion([-1] * 3, [1] * 3), "mean"),
             (np.array([np.inf, 0.0, 0.0]), np.eye(3), BoxRegion([-1] * 3, [1] * 3), "mean"),
             (np.zeros(3), np.diag([1.0, np.inf, 1.0]), BoxRegion([-1] * 3, [1] * 3),
@@ -314,7 +318,7 @@ class TestBoxMoments:
              "symmetric"),
             (np.zeros(3), [[1, 5, 0], [0, 1, 0], [0, 0, 1]], BoxRegion([30] * 3, [31] * 3),
              "symmetric"),
-            (np.zeros(3), [[1, 0, np.nan], [0, 1, 0], [0, 0, 1]], BoxRegion.full_space(3),
+            (np.zeros(3), [[1, 0, np.nan], [0, 1, 0], [0, 0, 1]], full_space(),
              "symmetric"),
         ],
         ids=["cov-too-small", "cov-1d", "nan-mean", "inf-mean", "inf-variance",
@@ -458,8 +462,8 @@ class TestBoxMassLowerBound:
         """Bit for bit the vectorized formula: each axis's two tails added,
         then the axes summed left to right."""
         rng = np.random.default_rng(42)
-        for k in range(3000):
-            scale, mean, cov, box = random_equivalence_problem(rng, 1 + k % 3)
+        for _ in range(3000):
+            scale, mean, cov, box = random_equivalence_problem(rng, 3)
             sd = np.sqrt(np.diag(cov))
             tails = ndtr((box.lower - mean) / sd) + ndtr((mean - box.upper) / sd)
             assert box_mass_lower_bound(mean, cov, box) == 1.0 - float(tails.sum())
@@ -487,16 +491,16 @@ class TestBoxMassLowerBound:
 class TestOracle:
     def test_full_space_prob_exactly_one(self):
         tm = oracle_box_moments(
-            np.zeros(2), np.eye(2), BoxRegion.full_space(2), n_samples=100_000, seed=0
+            np.zeros(3), np.eye(3), full_space(), n_samples=100_000, seed=0
         )
         assert tm.prob == 1.0
 
     def test_halfline_half_normal(self):
         sigma = 2.0
         tm = oracle_box_moments(
-            np.zeros(1),
-            np.array([[sigma**2]]),
-            BoxRegion([0.0], [np.inf]),
+            np.zeros(3),
+            np.diag([sigma**2, 1.0, 1.0]),
+            BoxRegion([0.0, -np.inf, -np.inf], [np.inf, np.inf, np.inf]),
             n_samples=2_000_000,
             seed=1,
         )
@@ -504,9 +508,9 @@ class TestOracle:
         assert abs(tm.mean[0] - sigma * math.sqrt(2.0 / math.pi)) < 5e-3
 
     def test_zero_acceptance_raises(self):
-        far = BoxRegion(np.full(2, 100.0), np.full(2, 101.0))
+        far = BoxRegion(np.full(3, 100.0), np.full(3, 101.0))
         with pytest.raises(ValueError):
-            oracle_box_moments(np.zeros(2), np.eye(2), far, n_samples=10_000, seed=2)
+            oracle_box_moments(np.zeros(3), np.eye(3), far, n_samples=10_000, seed=2)
 
     def test_cross_estimator_consistency(self):
         # large-sample agreement within a few binomial standard errors
