@@ -7,12 +7,15 @@ Seeds 1-20, each with both noise models (the biased mixture and white
 noise of sigma 0.1), a 2 s trajectory, two trials, and the Gaussian arm
 plus gamma 0.5, 0.8 and 0.95, so that certified, active and skipped
 coverage updates all run: 160 rows.  Before each campaign's rows it
-prints, as ``float.hex`` values, the Gaussian arm's R (nine entries, row
-by row, with gamma ``None``) and the radii of each coverage arm, so that a
-change in calibration shows apart from a change in the filter.  The script
-uses only the API the benchmark also relies on and ``sim._arms``, so it
-runs on older trees too, and it refuses to run on a package imported from
-outside the tree it is given.
+prints, as ``float.hex`` values and with gamma ``None``, the column sums
+of the deployed errors of ``synthesize_measurements`` on the campaign's
+truth at its seed (three entries), the Gaussian arm's R (nine entries,
+row by row) and, with their gamma, the radii of each coverage arm: 40
+stream lines, 40 R lines and 120 radii lines.  So a change in the
+deployed errors, in calibration or in the filter shows apart.  The
+script uses only the API the benchmark also relies on and ``sim._arms``,
+so it runs on older trees too, and it refuses to run on a package
+imported from outside the tree it is given.
 """
 
 import sys
@@ -38,6 +41,10 @@ def main(tree: str) -> None:
                 seed=seed,
                 gammas=(0.5, 0.8, 0.95),
             )
+            truth = sim.generate_truth(cfg.trajectory)
+            meas = sim.synthesize_measurements(truth, cfg.noise_model, seed)
+            sums = (meas - truth.body_velocities()).sum(axis=0).tolist()
+            print(name, seed, None, "stream", " ".join(float.hex(v) for v in sums))
             for arm in sim._arms(cfg):
                 if isinstance(arm, sim.CoverageSpec):
                     radii = " ".join(float.hex(r) for r in arm.epsilon.tolist())

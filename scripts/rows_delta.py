@@ -12,11 +12,12 @@ itself, because a 2-trial row's deviation is half the difference of its
 two trials and can nearly cancel: a move of 0.005 % in the mean can halve
 it.  It
 prints a MISMATCH line for each difference in what must not move: the set
-of rows, a row's method or gamma, a coverage arm's radii or the Gaussian
-arm's R (both compared as their ``float.hex`` text), ``frac_active``,
-``diverged`` or ``skipped``; and for a float field that is NaN on one side
-only.  It counts what both outputs hold, as "160 rows, 120 radii lines and
-40 R lines".  Exits 1 on any mismatch.
+of rows, a row's method or gamma, a coverage arm's radii, the Gaussian
+arm's R or the deployed errors' sums (each compared as its ``float.hex``
+text), ``frac_active``, ``diverged`` or ``skipped``; and for a float field
+that is NaN on one side only.  It counts what both outputs hold, as "160
+rows, 120 radii lines, 40 R lines and 40 stream lines".  Exits 1 on any
+mismatch.
 """
 
 import ast
@@ -41,9 +42,9 @@ def parse_row(text: str) -> dict:
 
 
 def read(path: str) -> dict:
-    """Lines keyed by (model, seed, method, gamma); a radii or R line is
-    keyed with its tag, "radii" or "R", as the method and keeps its hex
-    text."""
+    """Lines keyed by (model, seed, method, gamma); a radii, R or stream
+    line is keyed with its tag, "radii", "R" or "stream", as the method and
+    keeps its hex text."""
     entries = {}
     with open(path) as f:
         for line in f:
@@ -54,7 +55,7 @@ def read(path: str) -> dict:
                 entries[key] = row
             else:
                 gamma, tag, values = rest.split(" ", 2)
-                if tag not in ("radii", "R"):
+                if tag not in ("radii", "R", "stream"):
                     sys.exit(f"{path}: unrecognised line {line!r}")
                 entries[(model, seed, tag, gamma)] = values
     return entries
@@ -79,7 +80,7 @@ def main(base_path: str, head_path: str) -> int:
     mismatches = [f"MISMATCH only in base: {' '.join(k)}" for k in base if k not in head]
     mismatches += [f"MISMATCH only in head: {' '.join(k)}" for k in head if k not in base]
     worst = {name: (0.0, None) for name in FLOAT_FIELDS}
-    counts = {"rows": 0, "radii": 0, "R": 0}
+    counts = {"rows": 0, "radii": 0, "R": 0, "stream": 0}
     for key in base.keys() & head.keys():
         a, b = base[key], head[key]
         label = " ".join(key)
@@ -99,8 +100,11 @@ def main(base_path: str, head_path: str) -> int:
             change = relative_change(a[name], b[name], a[MEAN_OF[name]])
             if change > worst[name][0]:
                 worst[name] = (change, label)
-    rows, radii, r_lines = counts.values()
-    print(f"{rows} rows, {radii} radii lines and {r_lines} R lines in both")
+    rows, radii, r_lines, streams = counts.values()
+    print(
+        f"{rows} rows, {radii} radii lines, {r_lines} R lines and {streams} "
+        "stream lines in both"
+    )
     for name, (change, label) in worst.items():
         print(
             f"{name:<9} max change relative to {MEAN_OF[name]:<9} {change:.2e}"

@@ -11,10 +11,10 @@ perturb one uniformly chosen axis with N(0, 1) and leave the other two at
 (``tests/test_calibration.py`` measures it held out).
 
 Conformal coverage holds for exchangeable samples.  The campaigns of
-:mod:`coverage_inekf.sim` calibrate their coverage arms on iid draws from
-the noise model, which are.  A temporally correlated error stream is not;
-:func:`decorrelation_lags` picks the block length for calibrating on its
-block means instead.
+:mod:`coverage_inekf.sim` calibrate their coverage arms on their noise
+source's ``calibration`` draw, whose rows the mixture draws iid, so they
+are.  A temporally correlated error stream is not; :func:`decorrelation_lags`
+picks the block length for calibrating on its block means instead.
 """
 
 from __future__ import annotations

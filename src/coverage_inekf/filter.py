@@ -110,18 +110,18 @@ class AugmentedState:
         return cls(Se23Element.identity())
 
 
-def _diag_of_squares(*stds) -> np.ndarray:
-    """Diagonal matrix of the squared deviations, each a scalar shared by
-    three axes.  Raises ValueError unless every deviation is a finite
-    scalar >= 0."""
+def _check_deviations(*stds) -> None:
+    """Raise ValueError unless every deviation is a finite scalar >= 0."""
     if not all(np.ndim(s) == 0 and 0.0 <= s < math.inf for s in stds):
         raise ValueError(f"deviations must be finite scalars >= 0, got {stds}")
-    return np.diag(np.repeat(np.array(stds, dtype=float), 3) ** 2)
 
 
 def cov_from_std(rot, vel, pos, bias_accel, bias_gyro) -> np.ndarray:
-    """Diagonal 15x15 error covariance from per-block standard deviations."""
-    return _diag_of_squares(rot, vel, pos, bias_accel, bias_gyro)
+    """Diagonal 15x15 error covariance from per-block standard deviations,
+    each a scalar shared by three axes."""
+    stds = (rot, vel, pos, bias_accel, bias_gyro)
+    _check_deviations(*stds)
+    return np.diag(np.repeat(np.array(stds, dtype=float), 3) ** 2)
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,7 @@ class ProcessNoise:
     block, shared by its three axes: accelerometer, gyroscope, accelerometer
     bias walk and gyroscope bias walk.
 
-    ``q`` is their 12x12 diagonal power spectral density, in the order of
-    the process noise vector, computed once and read-only.  A negative or
-    non-finite density raises ValueError.  ``_tables`` holds
+    A negative or non-finite density raises ValueError.  ``_tables`` holds
     :func:`error_transition`'s tables for this noise, keyed by dt, at most
     ``TABLES_PER_NOISE`` of them.
     """
@@ -141,13 +139,10 @@ class ProcessNoise:
     gyro: float
     accel_bias: float
     gyro_bias: float
-    q: np.ndarray = field(init=False, repr=False, compare=False)
     _tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        q = _diag_of_squares(self.accel, self.gyro, self.accel_bias, self.gyro_bias)
-        q.setflags(write=False)
-        object.__setattr__(self, "q", q)
+        _check_deviations(self.accel, self.gyro, self.accel_bias, self.gyro_bias)
 
 
 def predicted_body_velocity(x: AugmentedState) -> np.ndarray:
@@ -359,12 +354,13 @@ def error_transition(
 
     Phi is the exact exponential of the continuous dynamics over dt, in the
     closed form of the module docstring; Q_d uses the first-order
-    discretization Phi N Q N^T Phi^T dt, computed as G G^T with
-    G = Phi N diag(sqrt(q dt)), which numpy's A A^T product makes exactly
-    symmetric.  The coefficients at dt and the constant blocks come from
-    :func:`_tables_at`; the state's features [R, v^R, p^R, g^R] from one
-    product (12x3) R, and their blocks from one product with the
-    coefficients.
+    discretization Phi N Q N^T Phi^T dt, with Q = diag(q) the 12x12 power
+    spectral density, q the squared densities of ``noise``, three axes
+    each; it is computed as G G^T with G = Phi N diag(sqrt(q dt)), which
+    numpy's A A^T product makes exactly symmetric.  The coefficients at dt
+    and the constant blocks come from :func:`_tables_at`; the state's
+    features [R, v^R, p^R, g^R] from one product (12x3) R, and their blocks
+    from one product with the coefficients.
     """
     base, coef = _tables_at(dt, noise)
     nav = x.nav

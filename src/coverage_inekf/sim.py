@@ -20,9 +20,12 @@ A trial is three stages, one function each:
 trial seeds and aggregates position RMSE / NEES statistics across trials.
 The streams depend on the seed alone, so every arm filters the same ones.
 
-The measurement noise has one model, a Gaussian mixture whose component
-is drawn once per trial and then held fixed; Gaussian noise is its
-one-component case.
+The measurement noise comes from a noise source: any object with two
+draws, ``calibration(rng, n)``, the (n, 3) held-out errors a campaign
+calibrates on, and ``stream(rng, n)``, the (n, 3) errors of one trial's
+pseudo-measurements.  The one source here is a Gaussian mixture whose
+component is drawn once per trial and then held fixed; Gaussian noise is
+its one-component case.
 
 No arm reads the noise law: both calibrate on one held-out set of iid
 errors the campaign draws from its noise model.  The Gaussian arm's R is
@@ -41,9 +44,9 @@ error and starts the filter.
 
 The simulator draws from each model as the model defines it: the IMU's
 white noise from the ``ProcessNoise`` accelerometer and gyroscope
-densities, every pseudo-measurement and calibration error from
-:meth:`FixedComponentMixture.sample`, and the first estimate from the
-true first state by the filter's own correction,
+densities, the calibration set from the noise source's ``calibration``
+and each trial's pseudo-measurement errors from its ``stream``, and the
+first estimate from the true first state by the filter's own correction,
 :func:`~coverage_inekf.filter.apply_correction`, with an initial error
 drawn at ``INIT_STD``.  The true biases stay fixed: the bias-walk
 densities enter only the filter's Q.
@@ -247,7 +250,8 @@ class FixedComponentMixture:
     Models a persistently biased pseudo-measurement: each trial commits to
     one component mean for the whole trajectory.  Zero-mean Gaussian noise
     is the one-component mixture (:meth:`isotropic`).  ``chols`` holds the
-    covariances' lower Cholesky factors, which :meth:`sample` draws with.
+    covariances' lower Cholesky factors, which both draws,
+    :meth:`calibration` and :meth:`stream`, sample with.
     """
 
     weights: np.ndarray
@@ -291,9 +295,32 @@ class FixedComponentMixture:
         covs = np.broadcast_to(sigma**2 * np.eye(3), (4, 3, 3)).copy()
         return cls(np.full(4, 0.25), means, covs)
 
-    def sample(self, rng: np.random.Generator, component: int, n: int) -> np.ndarray:
+    def _sample(self, rng: np.random.Generator, component: int, n: int) -> np.ndarray:
         """n iid errors, shape (n, 3), of one component."""
         return self.means[component] + rng.standard_normal((n, 3)) @ self.chols[component].T
+
+    def calibration(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n held-out iid errors, shape (n, 3), each row of a component of
+        its own.
+
+        Per-component counts, then each component's rows: neither statistic
+        a campaign takes depends on row order.  The weights are renormalized
+        because they sum to 1 only within 1e-12, and multinomial refuses a
+        weight above 1.
+        """
+        counts = rng.multinomial(n, self.weights / self.weights.sum())
+        return np.concatenate([self._sample(rng, j, m) for j, m in enumerate(counts)])
+
+    def stream(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """One trial's n errors, shape (n, 3), all of one component.
+
+        The component index is drawn once at the start of the stream; a
+        one-component model draws none, so its stream holds the Gaussian
+        draws alone.
+        """
+        k = self.weights.size
+        component = int(rng.choice(k, p=self.weights)) if k > 1 else 0
+        return self._sample(rng, component, n)
 
 
 # Gaussian noise is the one-component mixture; the name is kept for callers.
@@ -303,16 +330,12 @@ GaussianNoise = FixedComponentMixture
 def synthesize_measurements(
     truth: TruthTrajectory, model: FixedComponentMixture, seed: int = 0
 ):
-    """Body-frame velocity pseudo-measurements corrupted by the error model.
+    """Body-frame velocity pseudo-measurements corrupted by the noise
+    source's ``stream``, seeded by ``seed``.
 
-    Returns an (N, 3) array aligned with the truth samples.  The component
-    index is drawn once at the start of the stream; a one-component model
-    draws none, so its stream holds the Gaussian draws alone.
+    Returns an (N, 3) array aligned with the truth samples.
     """
-    rng = np.random.default_rng(seed)
-    k = model.weights.size
-    comp = int(rng.choice(k, p=model.weights)) if k > 1 else 0
-    return truth.body_velocities() + model.sample(rng, comp, truth.n)
+    return truth.body_velocities() + model.stream(np.random.default_rng(seed), truth.n)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +543,8 @@ class CampaignConfig:
     """A Monte-Carlo comparison: one baseline arm plus a gamma sweep.
 
     Both arms calibrate on the one held-out set of errors that
-    ``noise_model`` and ``seed`` give (see :func:`_arms`).  Every trial
+    ``noise_model``, a noise source (module docstring), and ``seed`` give
+    (see :func:`_arms`); the trials run on its ``stream``.  Every trial
     runs the scenario of the module constants ``PROCESS_NOISE``,
     ``BIAS_ACCEL``, ``BIAS_GYRO`` and ``INIT_STD``.
     """
@@ -564,27 +588,23 @@ def _arms(campaign: CampaignConfig) -> list[np.ndarray | CoverageSpec]:
     """The Gaussian arm's R, then one statement per gamma, all fitted on
     one held-out calibration set.
 
-    The set is ``CALIBRATION_SAMPLES`` iid errors of the noise model,
-    seeded by a child of the campaign seed, so that the trial seeds stay
-    as they are.  R is its sample covariance, symmetrized because the
+    The set is the noise source's ``calibration`` of ``CALIBRATION_SAMPLES``
+    errors, seeded by a child of the campaign seed, so that the trial seeds
+    stay as they are.  R is its sample covariance, symmetrized because the
     Gaussian rule refuses an R that is not bit-symmetric; every gamma's
     radii are its split-conformal quantiles
-    (:func:`~coverage_inekf.calibration.conformal_thresholds`).  Each row
-    draws its own component, so the rows are exchangeable, as split
-    conformal assumes; a trial's time-ordered stream, which holds one
-    component, is not.  A campaign without the baseline and without gammas
-    raises ValueError, and so does a gamma the set is too small for
-    (``conformal_thresholds``' error), both before any trial runs.
+    (:func:`~coverage_inekf.calibration.conformal_thresholds`).  Split
+    conformal assumes the rows are exchangeable: the mixture's are, since
+    each row draws its own component, while a trial's time-ordered stream,
+    which holds one component, is not.  A campaign without the baseline
+    and without gammas raises ValueError, and so does a gamma the set is
+    too small for (``conformal_thresholds``' error), both before any trial
+    runs.
     """
     if not (campaign.include_baseline or campaign.gammas):
         raise ValueError("campaign has no arm: include_baseline is False, gammas empty")
-    model = campaign.noise_model
     rng = np.random.default_rng(np.random.SeedSequence(campaign.seed).spawn(1)[0])
-    # per-component counts, then each component's rows: neither statistic
-    # depends on row order.  The weights are renormalized because they sum
-    # to 1 only within 1e-12, and multinomial refuses a weight above 1.
-    counts = rng.multinomial(CALIBRATION_SAMPLES, model.weights / model.weights.sum())
-    errors = np.concatenate([model.sample(rng, j, n) for j, n in enumerate(counts)])
+    errors = campaign.noise_model.calibration(rng, CALIBRATION_SAMPLES)
     arms = []
     if campaign.include_baseline:
         r = np.cov(errors, rowvar=False)

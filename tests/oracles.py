@@ -219,6 +219,14 @@ def transition_from_dynamics(a_mat, dt):
     return phi
 
 
+def process_noise_psd(noise):
+    """The 12x12 diagonal power spectral density Q of a ``ProcessNoise``:
+    its four squared densities, three axes each, in the order of the
+    process noise vector."""
+    densities = (noise.accel, noise.gyro, noise.accel_bias, noise.gyro_bias)
+    return np.diag(np.repeat(np.array(densities, dtype=float), 3) ** 2)
+
+
 def error_transition_reference(x, dt, q):
     """(Phi, Q_d) from the dense dynamics: Phi by the finite sum above and
     Q_d = Phi N Q N^T Phi^T dt, symmetrized."""

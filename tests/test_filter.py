@@ -8,6 +8,7 @@ from oracles import (
     check_se23_valid,
     error_dynamics_matrices,
     error_transition_reference,
+    process_noise_psd,
     resting_stream,
     se23_inverse,
     se23_matrix,
@@ -243,7 +244,7 @@ class TestErrorTransition:
             x = random_state(rng)
             q = ProcessNoise(*rng.uniform(1e-4, 0.1, 4))
             phi, q_d = error_transition(x, dt, q)
-            phi_ref, q_d_ref = error_transition_reference(x, dt, q.q)
+            phi_ref, q_d_ref = error_transition_reference(x, dt, process_noise_psd(q))
             a_mat, _ = error_dynamics_matrices(x)
             assert np.abs(phi - phi_ref).max() <= 1e-12
             assert np.abs(phi - expm(a_mat * dt)).max() <= 1e-12
@@ -264,7 +265,9 @@ class TestErrorTransition:
         for dt, noise in steps:
             x = random_state(rng)
             phi, q_d = error_transition(x, dt, noise)
-            phi_ref, q_d_ref = error_transition_reference(x, dt, noise.q)
+            phi_ref, q_d_ref = error_transition_reference(
+                x, dt, process_noise_psd(noise)
+            )
             assert np.abs(phi - phi_ref).max() <= 1e-12
             assert np.abs(q_d - q_d_ref).max() <= 1e-14 * np.abs(q_d_ref).max()
             assert np.array_equal(q_d, q_d.T)
@@ -611,16 +614,19 @@ class TestTypes:
                 filter_resting(imu)
 
     def test_process_noise_is_four_densities(self):
-        """Q is the 12x12 diagonal of the squared densities, three axes
-        each, computed once: not a field to set, compare or print."""
+        """The noise is its four densities: they are its fields, its
+        equality and its repr, and Q is the 12x12 diagonal of their
+        squares, three axes each."""
         noise = ProcessNoise(0.1, 0.01, 1e-3, 1e-4)
         assert [f.name for f in dataclasses.fields(noise) if f.init] == [
             "accel", "gyro", "accel_bias", "gyro_bias"
         ]
         want = np.diag(np.repeat([0.1, 0.01, 1e-3, 1e-4], 3) ** 2)
-        assert np.array_equal(noise.q, want) and not noise.q.flags.writeable
+        assert np.array_equal(process_noise_psd(noise), want)
         assert noise == ProcessNoise(0.1, 0.01, 1e-3, 1e-4)
-        assert "q=" not in repr(noise)
+        assert repr(noise) == (
+            "ProcessNoise(accel=0.1, gyro=0.01, accel_bias=0.001, gyro_bias=0.0001)"
+        )
         with pytest.raises(dataclasses.FrozenInstanceError):
             noise.accel = 0.2
 

@@ -32,7 +32,7 @@ def test_a_deviation_is_sized_by_its_mean(tmp_path, capsys):
     assert rows_delta.main(str(base), str(head)) == 0
     label = "  (gaussian 14 gaussian None)"
     assert capsys.readouterr().out.splitlines() == [
-        "1 rows, 0 radii lines and 1 R lines in both",
+        "1 rows, 0 radii lines, 1 R lines and 0 stream lines in both",
         "rmse_mean max change relative to rmse_mean 0.00e+00",
         "rmse_std  max change relative to rmse_mean 3.91e-03" + label,
         "nees_mean max change relative to nees_mean 2.44e-04" + label,

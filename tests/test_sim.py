@@ -554,7 +554,7 @@ def test_both_arms_calibrate_on_one_set(name):
     for seed in range(20):
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         counts = rng.multinomial(sim.CALIBRATION_SAMPLES, model.weights)
-        errors = np.concatenate([model.sample(rng, j, n) for j, n in enumerate(counts)])
+        errors = np.concatenate([model._sample(rng, j, n) for j, n in enumerate(counts)])
         cov = np.cov(errors, rowvar=False)
         campaign = CampaignConfig(noise_model=model, seed=seed, gammas=gammas)
         r, *specs = sim._arms(campaign)
@@ -565,7 +565,7 @@ def test_both_arms_calibrate_on_one_set(name):
 
 
 def test_mixture_sample_draws_one_component():
-    """``sample`` draws component j as means[j] + N(0, I) chols[j]^T, with
+    """``_sample`` draws component j as means[j] + N(0, I) chols[j]^T, with
     the factor ``__post_init__`` kept: the one-matrix factor bit for bit.
     Over 20000 draws the mean lies within 5 sigma / sqrt(n) of the
     component's and the covariance within 5 % of its largest entry."""
@@ -575,12 +575,33 @@ def test_mixture_sample_draws_one_component():
     for j in range(2):
         assert np.array_equal(model.chols[j], np.linalg.cholesky(covs[j]))
     n = 20_000
-    draws = model.sample(np.random.default_rng(5), 1, n)
+    draws = model._sample(np.random.default_rng(5), 1, n)
     z = np.random.default_rng(5).standard_normal((n, 3))
     assert np.array_equal(draws, model.means[1] + z @ model.chols[1].T)
     sd = np.sqrt(np.diag(covs[1]))
     assert np.all(np.abs(draws.mean(axis=0) - model.means[1]) <= 5.0 * sd / math.sqrt(n))
     assert np.abs(np.cov(draws.T) - covs[1]).max() <= 0.05 * covs[1].max()
+
+
+def test_a_noise_source_is_its_two_draws():
+    """A campaign reads its noise source only through ``calibration`` and
+    ``stream``: a source with just those two methods, each handing its
+    draw to the biased mixture, gives the mixture's own rows."""
+    model = FixedComponentMixture.default_biased()
+
+    class Source:
+        def calibration(self, rng, n):
+            return model.calibration(rng, n)
+
+        def stream(self, rng, n):
+            return model.stream(rng, n)
+
+    def rows(noise_model):
+        return run_monte_carlo(CampaignConfig(
+            TrajectorySpec(duration=2.0), noise_model, trials=2, seed=7, gammas=(0.8,)
+        ))
+
+    assert_rows_identical(rows(Source()), rows(model))
 
 
 def test_imu_noise_deviation_is_density_over_root_dt():
