@@ -3,7 +3,7 @@ lines that hold a token, with blank lines, comments and docstrings left
 out.  A line that only continues a multi-line string counts; a docstring's
 lines do not.
 
-    python scripts/code_lines.py [<tree>/src]
+    python scripts/code_lines.py [<tree>/src or <tree>/tests]
 
 prints one ``<lines> <module>`` line per module and the total last.  The
 count needs only the standard library, so it runs on any tree.

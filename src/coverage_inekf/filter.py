@@ -111,8 +111,12 @@ class AugmentedState:
 
 
 def _check_deviations(*stds) -> None:
-    """Raise ValueError unless every deviation is a finite scalar >= 0."""
-    if not all(np.ndim(s) == 0 and 0.0 <= s < math.inf for s in stds):
+    """Raise ValueError unless every deviation is a finite scalar >= 0; a
+    bool is not one, though it compares as 0 or 1."""
+    if not all(
+        np.ndim(s) == 0 and not isinstance(s, (bool, np.bool_)) and 0.0 <= s < math.inf
+        for s in stds
+    ):
         raise ValueError(f"deviations must be finite scalars >= 0, got {stds}")
 
 

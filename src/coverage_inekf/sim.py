@@ -90,6 +90,13 @@ from coverage_inekf.tmvn import cholesky
 TRAJECTORY_SPEED = 0.5
 
 
+def _check_positive(name: str, value) -> None:
+    """Raise ValueError, naming the argument ``name``, unless ``value`` is a
+    positive finite scalar.  A bool is not one, though True compares as 1."""
+    if isinstance(value, (bool, np.bool_)) or np.ndim(value) != 0 or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a positive finite scalar, got {value!r}")
+
+
 @dataclass
 class TrajectorySpec:
     """Closed-form rigid-body trajectory parameters."""
@@ -100,8 +107,7 @@ class TrajectorySpec:
     rate: ClassVar[float] = 100.0
 
     def __post_init__(self):
-        if not 0.0 < self.duration < math.inf:
-            raise ValueError("duration must be positive and finite")
+        _check_positive("duration", self.duration)
         # the step count generate_truth takes; a trial needs one IMU step
         if round(self.duration * self.rate) < 1:
             raise ValueError(
@@ -281,6 +287,7 @@ class FixedComponentMixture:
     @classmethod
     def isotropic(cls, sigma: float) -> "FixedComponentMixture":
         """Zero-mean Gaussian noise, sigma per axis: one component."""
+        _check_positive("sigma", sigma)
         return cls(np.ones(1), np.zeros((1, 3)), sigma**2 * np.eye(3)[None])
 
     @classmethod
@@ -288,6 +295,7 @@ class FixedComponentMixture:
         cls, bias: float = 0.15, sigma: float = 0.05
     ) -> "FixedComponentMixture":
         """Four equally likely planar bias hypotheses with isotropic spread."""
+        _check_positive("sigma", sigma)
         means = np.array(
             [[bias, bias, 0.0], [bias, -bias, 0.0],
              [-bias, bias, 0.0], [-bias, -bias, 0.0]]

@@ -2,14 +2,15 @@
 adapters that call the package on their inputs."""
 
 import math
+import warnings
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
-from scipy.stats import multivariate_normal, norm, truncnorm
+from scipy.stats import multivariate_normal, norm, qmc, truncnorm
 
-from coverage_inekf.filter import ERROR_DIM, GRAVITY, NOISE_DIM
-from coverage_inekf.se23 import Se23Element
+from coverage_inekf.filter import ERROR_DIM, GRAVITY, NOISE_DIM, AugmentedState
+from coverage_inekf.se23 import Se23Element, so3_gammas
 from coverage_inekf.tmvn import (
     INFINITE_BOUND_SIGMA,
     NODES,
@@ -61,63 +62,32 @@ def tensor_gauss_legendre_box_moments(mean, cov, lower, upper, order):
     return mass, f @ x / mass, x.T @ (x * f[:, None]) / mass
 
 
-SOBOL_BITS = 30
-
-
-def _sobol_directions(dim):
-    """Direction numbers of the first ``dim`` <= 3 Sobol dimensions.
-
-    Row k holds the 30-bit integers v_k = m_k 2^(30-k) of bit k (0-based)
-    for each dimension (Joe & Kuo 2008).  Dimension 1 is van der Corput;
-    dimension 2 has primitive polynomial x + 1 and m = (1), so
-    v_k = v_{k-1} ^ (v_{k-1} >> 1); dimension 3 has x^2 + x + 1 and
-    m = (1, 3), so v_k = v_{k-1} ^ v_{k-2} ^ (v_{k-2} >> 2).
-    """
-    v = np.zeros((3, SOBOL_BITS), dtype=np.int64)
-    v[:, 0] = 1 << (SOBOL_BITS - 1)
-    v[2, 1] = 3 << (SOBOL_BITS - 2)
-    for k in range(1, SOBOL_BITS):
-        v[0, k] = v[0, k - 1] >> 1
-        v[1, k] = v[1, k - 1] ^ (v[1, k - 1] >> 1)
-        if k >= 2:
-            v[2, k] = v[2, k - 1] ^ v[2, k - 2] ^ (v[2, k - 2] >> 2)
-    return v.T[:, :dim]
-
-
-def _base_points(n_samples, dim, start=0):
-    """Points start .. start + n_samples - 1 of the unscrambled Sobol
-    sequence in [0, 1)^dim, dim <= 3.
-
-    Point i XORs the direction numbers of the set bits of its Gray code
-    i ^ (i >> 1) and is scaled by 2^-30, which is SciPy's unscrambled
-    Sobol engine bit for bit.
-    """
-    i = np.arange(start, start + n_samples, dtype=np.int64)
-    gray = i ^ (i >> 1)
-    v = _sobol_directions(dim)
-    bits = np.zeros((n_samples, dim), dtype=np.int64)
-    for k in range(int(start + n_samples).bit_length()):
-        bits ^= ((gray >> k) & 1)[:, None] * v[k]
-    return bits * 2.0**-SOBOL_BITS
-
-
 def oracle_box_moments(mean, cov, box, n_samples, seed=0, chunk=1_000_000):
     """Rejection-sampling estimate of box mass and truncated moments.
 
-    Normal draws come from the Sobol points under a seeded uniform shift
-    modulo one, pushed through the inverse normal CDF; a draw counts if it
-    lands in the box.  It shares no quadrature with ``box_moments``.
+    Normal draws are the points of SciPy's unscrambled Sobol engine
+    (``qmc.Sobol(d, scramble=False)``), taken in order in chunks from one
+    engine, under a seeded uniform shift modulo one and pushed through the
+    inverse normal CDF; a draw counts if it lands in the box.  It shares
+    no quadrature with ``box_moments``.  SciPy warns when a first draw is
+    not a power of two, because such a prefix of the sequence is less
+    evenly balanced; the tests' sample counts are round numbers and their
+    tolerances allow for that, so the warning is silenced here, where it
+    would otherwise fail a run under ``-W error``.
     Raises ValueError when no draw lands in the box.
     """
     mean = np.asarray(mean, dtype=float)
     chol = np.linalg.cholesky(np.asarray(cov, dtype=float))
     dim = mean.size
     shift = np.random.default_rng(seed).random(dim)
+    engine = qmc.Sobol(d=dim, scramble=False)
     n_in = 0
     sum_x = np.zeros(dim)
     sum_xx = np.zeros((dim, dim))
     for start in range(0, n_samples, chunk):
-        u = _base_points(min(chunk, n_samples - start), dim, start) + shift
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "The balance properties", UserWarning)
+            u = engine.random(min(chunk, n_samples - start)) + shift
         u -= np.floor(u)
         x = ndtri(np.clip(u, 1e-16, 1.0 - 1e-16)) @ chol.T + mean
         xin = x[np.all((x >= box.lower) & (x <= box.upper), axis=1)]
@@ -147,6 +117,21 @@ def se23_hat(v):
     m[:3, 3] = v[3:6]
     m[:3, 4] = v[6:9]
     return m
+
+
+def random_state(rng, max_angle=2.5, pos_scale=5.0):
+    """An AugmentedState drawn from ``rng``: a turn of U(0.1, max_angle)
+    rad about a random axis, a standard normal velocity, a position of
+    ``pos_scale`` times a standard normal, and small biases."""
+    w = rng.standard_normal(3)
+    w *= rng.uniform(0.1, max_angle) / np.linalg.norm(w)
+    return AugmentedState(
+        Se23Element(
+            so3_gammas(w)[0], rng.standard_normal(3), pos_scale * rng.standard_normal(3)
+        ),
+        bias_accel=0.05 * rng.standard_normal(3),
+        bias_gyro=0.005 * rng.standard_normal(3),
+    )
 
 
 def se23_inverse(x):
@@ -252,6 +237,21 @@ def resting_stream(steps):
     velocities.  Every call returns new arrays."""
     imu = np.tile(-GRAVITY, (steps, 1)), np.zeros((steps, 3)), np.full(steps, 0.01)
     return imu, np.zeros((steps + 1, 3))
+
+
+def spy(monkeypatch, module, name):
+    """Wrap ``module.<name>`` for the test; returns the list of
+    (args, result) of its calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapped(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
 
 
 def conditional_swap_lift(cov, sigma_ht, cov_z_inv, cov_z, z_mean, z_cov):

@@ -1,14 +1,16 @@
 import itertools
 import pickle
+from functools import partial
 
 import numpy as np
+import oracles
 import pytest
-
 from oracles import (
     box_mass_lower_bound,
     conditional_swap_lift,
     resting_stream,
     se23_matrix,
+    spy,
     tensor_gauss_legendre_box_moments,
     velocity_output_matrix,
 )
@@ -33,7 +35,6 @@ from coverage_inekf.filter import (
     predicted_body_velocity,
     velocity_projection,
 )
-from coverage_inekf.se23 import Se23Element, so3_gammas
 from coverage_inekf.tmvn import (
     PROB_FLOOR,
     BoxRegion,
@@ -43,14 +44,8 @@ from coverage_inekf.tmvn import (
 )
 
 
-def random_state(rng):
-    w = rng.standard_normal(3)
-    w *= rng.uniform(0.1, 2.0) / np.linalg.norm(w)
-    return AugmentedState(
-        Se23Element(so3_gammas(w)[0], rng.standard_normal(3), 3 * rng.standard_normal(3)),
-        bias_accel=0.05 * rng.standard_normal(3),
-        bias_gyro=0.005 * rng.standard_normal(3),
-    )
+# the turns of up to 2 rad and positions of 3 m these tests were seeded with
+random_state = partial(oracles.random_state, max_angle=2.0, pos_scale=3.0)
 
 
 def fd_output_jacobian(x, step=1e-6):
@@ -552,19 +547,6 @@ def certificate_problem(rng, kind):
 
 
 class TestCertificate:
-    @staticmethod
-    def count_calls(monkeypatch, name):
-        """Record each call of ``coverage.<name>`` and pass it through."""
-        calls = []
-        real = getattr(coverage, name)
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(coverage, name, counted)
-        return calls
-
     def test_certified_updates_match_the_grid(self, monkeypatch):
         """2000 random problems and 100 outliers.  Wherever the bound clears
         gamma by the margin, the grid's mass is at least gamma and the
@@ -576,9 +558,9 @@ class TestCertificate:
         runs the grid on a certified update only, so every update has made
         one grid call once pi is read."""
         rng = np.random.default_rng(42)
-        grid = self.count_calls(monkeypatch, "box_moments")
-        boxes = self.count_calls(monkeypatch, "BoxRegion")
-        inverses = self.count_calls(monkeypatch, "factor_inverse")
+        grid = spy(monkeypatch, coverage, "box_moments")
+        boxes = spy(monkeypatch, coverage, "BoxRegion")
+        inverses = spy(monkeypatch, coverage, "factor_inverse")
         certified = skipped = 0
         for k in range(2100):
             kind = ("centred", "offset", "infinite")[k % 3] if k < 2000 else "outlier"
@@ -627,7 +609,7 @@ class TestCertificate:
         cov_z, _, _ = projected_prior(cov, x.nav.rot)
         bound = box_mass_lower_bound(np.zeros(3), cov_z, box)
         spec = CoverageSpec(eps, bound - clearance * CERTIFY_MARGIN)
-        grid = self.count_calls(monkeypatch, "box_moments")
+        grid = spy(monkeypatch, coverage, "box_moments")
         _, _, diag = coverage_arm(x, cov, meas, spec)
         assert len(grid) == (0 if certified else 1)
         assert not diag.active and diag.pi_prior >= spec.gamma

@@ -3,10 +3,11 @@ import itertools
 import math
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
-from oracles import gaussian_radius, mixture_covariance, mixture_radii, resting_stream
+from oracles import gaussian_radius, mixture_covariance, mixture_radii, resting_stream, spy
 
 from coverage_inekf import coverage, sim
 from coverage_inekf.calibration import (
@@ -173,34 +174,13 @@ def one_trial(name, method, duration=1.0):
     return campaign, arm
 
 
-def spy(monkeypatch, name):
-    """Wrap ``sim.<name>``; returns the list of (args, result) per call."""
-    calls = []
-    real = getattr(sim, name)
-
-    def wrapped(*args):
-        out = real(*args)
-        calls.append((args, out))
-        return out
-
-    monkeypatch.setattr(sim, name, wrapped)
-    return calls
-
-
 def test_grid_runs_only_where_the_constraint_can_bind(monkeypatch):
     """On a 2.5 s biased-mixture trial at gamma 0.8 the marginal-tail
     bound certifies most inactive updates, so ``box_moments`` serves at
     most 35 % of the 250 updates (measured: 60), the same count on every
     run."""
-    grid = []
-    real = coverage.box_moments
-
-    def counted(*args):
-        grid.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(coverage, "box_moments", counted)
-    updates = spy(monkeypatch, "coverage_update")
+    grid = spy(monkeypatch, coverage, "box_moments")
+    updates = spy(monkeypatch, sim, "coverage_update")
     campaign, arm = one_trial("mixture", "coverage", duration=2.5)
     counts = []
     for _ in range(2):
@@ -256,9 +236,9 @@ def test_nan_prior_diverges_the_trial(monkeypatch, name, method, fault):
         return corrupt(out) if next(steps) == 50 else out
 
     monkeypatch.setattr(sim, target, fault_at_step_50)
-    updates = spy(monkeypatch, "update")
-    scores = spy(monkeypatch, "realized_error")
-    tracks = spy(monkeypatch, "filter_stream")
+    updates = spy(monkeypatch, sim, "update")
+    scores = spy(monkeypatch, sim, "realized_error")
+    tracks = spy(monkeypatch, sim, "filter_stream")
     campaign, arm = one_trial(name, method)
     result = sim.run_trial(campaign, arm, seed=11)
 
@@ -315,7 +295,7 @@ def test_measurement_stream_of_the_wrong_shape_is_refused(monkeypatch, stream):
     to give a 19-step track, which the trial counted as diverged, and an
     extra row was ignored; every other shape is refused, naming both
     shapes, before the first step."""
-    steps = spy(monkeypatch, "error_transition")
+    steps = spy(monkeypatch, sim, "error_transition")
     campaign, arm = one_trial("gaussian", "gaussian", duration=0.5)
     truth, imu, meas, x0 = sim.simulate(campaign, 11)
     assert imu[2].shape == (50,) and meas.shape == (51, 3)
@@ -342,7 +322,7 @@ def test_malformed_input_is_refused_before_any_step(monkeypatch, fault):
     once: a NaN reading or a dt of 0.2 s in the last IMU sample, a NaN in
     the last measurement row and an R that is not symmetric each raise
     ValueError before the first step of a 50-step stream."""
-    steps = spy(monkeypatch, "error_transition")
+    steps = spy(monkeypatch, sim, "error_transition")
     campaign, arm = one_trial("gaussian", "gaussian", duration=0.5)
     _, imu, meas, x0 = sim.simulate(campaign, 11)
     inputs = [a.copy() for a in (*imu, meas, arm)]
@@ -359,9 +339,9 @@ def test_trial_is_scored_once_like_step_by_step(monkeypatch, name, method):
     """One batched scoring pass over all 100 stored posteriors gives, step
     for step, the squared position error and NEES that scoring each
     posterior as it is made gives, and so the trial's RMSE and NEES."""
-    updates = spy(monkeypatch, "update")
-    scores = spy(monkeypatch, "realized_error")
-    passes = spy(monkeypatch, "score")
+    updates = spy(monkeypatch, sim, "update")
+    scores = spy(monkeypatch, sim, "realized_error")
+    passes = spy(monkeypatch, sim, "score")
     campaign, arm = one_trial(name, method)
     result = sim.run_trial(campaign, arm, seed=11)
 
@@ -477,8 +457,9 @@ def test_noise_free_imu_inversion_round_trip(pattern):
     assert second <= 1.1 * first + 1e-12
 
 
-@pytest.mark.parametrize("duration", [NAN, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("duration", [NAN, math.inf, 0.0, -1.0, True])
 def test_trajectory_spec_rejects_bad_duration(duration):
+    """True used to run a 1 s trajectory."""
     with pytest.raises(ValueError, match="duration"):
         TrajectorySpec(duration=duration)
 
@@ -623,7 +604,7 @@ def test_trial_count_must_be_an_integer(monkeypatch, trials):
     """2.5 used to fail in numpy with "expected a sequence of integers",
     and True ran one trial; the campaign refuses them by name before any
     trial runs."""
-    calls = spy(monkeypatch, "run_trial")
+    calls = spy(monkeypatch, sim, "run_trial")
     campaign = dataclasses.replace(golden_campaign("gaussian"), trials=trials)
     with pytest.raises(ValueError, match="trials must be an integer"):
         run_monte_carlo(campaign)
@@ -636,7 +617,7 @@ def test_campaign_seed_must_be_a_non_negative_integer(monkeypatch, seed):
     call; True ran seed 1, and 1.5 and "7" raised TypeError inside
     SeedSequence.  The campaign refuses them by name before any trial
     runs."""
-    calls = spy(monkeypatch, "run_trial")
+    calls = spy(monkeypatch, sim, "run_trial")
     campaign = dataclasses.replace(golden_campaign("gaussian"), seed=seed)
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         run_monte_carlo(campaign)
@@ -654,7 +635,7 @@ def test_numpy_integer_seed_runs_as_its_int():
 def test_campaign_without_arms_is_refused(monkeypatch):
     """No baseline and no gammas used to return no rows, silently; the
     campaign refuses it by name before any trial runs."""
-    trials = spy(monkeypatch, "run_trial")
+    trials = spy(monkeypatch, sim, "run_trial")
     campaign = dataclasses.replace(
         golden_campaign("gaussian"), include_baseline=False, gammas=()
     )
@@ -760,7 +741,7 @@ def test_unsupported_gamma_is_refused_before_any_trial(monkeypatch):
     """gamma 0.9999 needs more calibration samples than the campaign
     draws; the campaign fails with conformal_thresholds' error, which
     names the minimum, and runs no trial."""
-    trials = spy(monkeypatch, "run_trial")
+    trials = spy(monkeypatch, sim, "run_trial")
     campaign = dataclasses.replace(golden_campaign("mixture"), gammas=(0.8, 0.9999))
     need = min_samples_for(0.9999)
     assert need > sim.CALIBRATION_SAMPLES
@@ -774,25 +755,45 @@ def test_unsupported_gamma_is_refused_before_any_trial(monkeypatch):
 EYES = np.broadcast_to(np.eye(3), (2, 3, 3))
 
 
+def mixture(weights, means, covs):
+    """The mixture's constructor on these arguments, not yet called."""
+    return partial(FixedComponentMixture, weights, means, covs)
+
+
 @pytest.mark.parametrize(
-    "weights, means, covs",
+    "build, match",
     [
-        ([1.5, -0.5], np.zeros((2, 3)), EYES),
-        ([0.6, 0.6], np.zeros((2, 3)), EYES),
-        ([[0.5, 0.5]], np.zeros((2, 3)), EYES),
-        ([np.nan, 1.0], np.zeros((2, 3)), EYES),
-        ([0.5, 0.5], np.zeros((3, 3)), EYES),
-        ([0.5, 0.5], np.zeros((2, 2)), EYES),
-        ([0.5, 0.5], np.zeros((2, 3)), np.eye(3)),
-        ([0.5, 0.5], np.zeros((2, 3)), [np.eye(3), np.diag([1.0, 0.0, 1.0])]),
-        ([0.5, 0.5], [[0.0, np.nan, 0.0], [0.0, 0.0, 0.0]], EYES),
-        ([0.5, 0.5], np.zeros((2, 3)), [np.eye(3), np.full((3, 3), np.nan)]),
-        ([1.0], np.zeros((1, 3)), [[[0.01, 0.5, 0], [0, 0.01, 0], [0, 0, 0.01]]]),
+        (mixture([1.5, -0.5], np.zeros((2, 3)), EYES), "weights"),
+        (mixture([0.6, 0.6], np.zeros((2, 3)), EYES), "weights"),
+        (mixture([[0.5, 0.5]], np.zeros((2, 3)), EYES), "weights"),
+        (mixture([np.nan, 1.0], np.zeros((2, 3)), EYES), "weights"),
+        (mixture([0.5, 0.5], np.zeros((3, 3)), EYES), "means of shape"),
+        (mixture([0.5, 0.5], np.zeros((2, 2)), EYES), "means of shape"),
+        (mixture([0.5, 0.5], np.zeros((2, 3)), np.eye(3)), "covs of shape"),
+        (mixture([0.5, 0.5], np.zeros((2, 3)), [np.eye(3), np.diag([1.0, 0.0, 1.0])]),
+         "positive definite"),
+        (mixture([0.5, 0.5], [[0.0, np.nan, 0.0], [0.0, 0.0, 0.0]], EYES), "finite"),
+        (mixture([0.5, 0.5], np.zeros((2, 3)), [np.eye(3), np.full((3, 3), np.nan)]),
+         "finite"),
+        (mixture([1.0], np.zeros((1, 3)), [[[0.01, 0.5, 0], [0, 0.01, 0], [0, 0, 0.01]]]),
+         "symmetric"),
+        (partial(FixedComponentMixture.isotropic, -0.1), "sigma"),
+        (partial(FixedComponentMixture.isotropic, 0.0), "sigma"),
+        (partial(FixedComponentMixture.isotropic, np.inf), "sigma"),
+        (partial(FixedComponentMixture.isotropic, True), "sigma"),
+        (partial(FixedComponentMixture.isotropic, np.full(3, 0.1)), "sigma"),
+        (partial(FixedComponentMixture.default_biased, 0.15, -0.05), "sigma"),
+        (partial(FixedComponentMixture.default_biased, 0.15, 0.0), "sigma"),
     ],
     ids=["negative-weight", "weights-sum", "weights-2d", "nan-weight",
          "means-rows", "means-cols", "covs-shape", "covs-singular",
-         "nan-mean", "nan-cov", "covs-asymmetric"],
+         "nan-mean", "nan-cov", "covs-asymmetric",
+         "isotropic-negative-sigma", "isotropic-zero-sigma", "isotropic-inf-sigma",
+         "isotropic-bool-sigma", "isotropic-per-axis-sigma",
+         "biased-negative-sigma", "biased-zero-sigma"],
 )
-def test_malformed_mixture_is_rejected(weights, means, covs):
-    with pytest.raises(ValueError):
-        FixedComponentMixture(weights, means, covs)
+def test_malformed_mixture_is_rejected(build, match):
+    """The constructors refuse sigma by name: isotropic(-0.1) used to build
+    the sigma = 0.1 law, and a zero sigma failed in numpy's Cholesky."""
+    with pytest.raises(ValueError, match=match):
+        build()

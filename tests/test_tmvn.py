@@ -5,10 +5,8 @@ import warnings
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
-from scipy.stats import qmc
 
 from oracles import (
-    _base_points,
     box_mass_lower_bound,
     full_space,
     nested_grid_box_moments,
@@ -102,19 +100,6 @@ class TestBoxRegion:
             BoxRegion(np.zeros((3, 3)), np.ones((3, 3)))
 
 
-# SciPy warns that a non-power-of-two draw loses the balance properties.
-@pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.parametrize("n", [100, 128, 1000, 4096])
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_base_points_match_reference_sobol(dim, n):
-    """The oracle's point set is SciPy's unscrambled Sobol sequence, also
-    when it is generated in chunks."""
-    ref = qmc.Sobol(d=dim, scramble=False).random(n)
-    assert np.array_equal(_base_points(n, dim), ref)
-    half = n // 2
-    assert np.array_equal(_base_points(n - half, dim, start=half), ref[half:])
-
-
 class TestBoxMoments:
     def test_full_space_is_untruncated(self):
         rng = np.random.default_rng(0)
@@ -179,7 +164,7 @@ class TestBoxMoments:
         assert np.linalg.norm(tm.mean - ref.mean) < 0.05
         assert np.linalg.norm(tm.second_moment - ref.second_moment) < 0.1
 
-    @pytest.mark.parametrize("seed", [11, 12, 13])
+    @pytest.mark.parametrize("seed", [11, 12, 13, 17])
     def test_3d_against_tensor_gauss_legendre(self, seed):
         mean, cov, box = random_problem(np.random.default_rng(seed))
         ref = tensor_gauss_legendre_box_moments(mean, cov, box.lower, box.upper, 48)
