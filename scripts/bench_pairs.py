@@ -1,7 +1,7 @@
 """Compare two checkouts on one benchmark workload in alternating pairs:
 
     python scripts/bench_pairs.py BASE_DIR HEAD_DIR --workload W --pairs N \\
-        --seconds S [--first-seed K]
+        --seconds S [--first-seed K] [--json PATH]
 
 Pair i runs each checkout's own ``perfbench/run.py --trace 0`` once, with
 seed K + i on both sides, the base first in even pairs and the head first
@@ -19,6 +19,8 @@ verdicts of the rules for a speed claim:
   every base run.
 
 A run that exits non-zero or reports ``correct: false`` stops the script.
+With ``--json PATH`` it also writes what it printed, and every pair's
+values, to PATH as one JSON object (:func:`record`).
 """
 
 import argparse
@@ -92,6 +94,87 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def record(workload: str, seconds: float, first_seed: int, runs: dict, metrics: dict) -> dict:
+    """The whole result of paired runs as one JSON-ready dict.
+
+    ``runs`` maps "base" and "head" to their run outputs in pair order,
+    ``metrics`` the end-to-end metrics' names to their ``BENCHMARK.json``
+    entries.  It holds every pair's seed, which side ran first and both
+    sides' metric values; for each metric, each side's quartiles, the
+    head's wins and the bound verdict, and for ``CLAIMED`` the claim
+    verdict; and each side's failed and attempted operations.
+    """
+    pairs = [
+        {
+            "seed": first_seed + i,
+            "first": "base" if i % 2 == 0 else "head",
+            **{
+                side: {name: runs[side][i]["metrics"][name]["value"] for name in metrics}
+                for side in ("base", "head")
+            },
+        }
+        for i in range(len(runs["base"]))
+    ]
+    summary = {}
+    for name, m in metrics.items():
+        higher = m["better"] == "higher"
+        base, head = ([p[side][name] for p in pairs] for side in ("base", "head"))
+        entry = {
+            "better": m["better"],
+            "bound": m["bound"],
+            "base_quartiles": quartiles(base),
+            "head_quartiles": quartiles(head),
+            "head_wins": sum(better(h, b, higher) for b, h in zip(base, head)),
+            "bound_verdict": bound_verdict(base, head, m["bound"], higher),
+        }
+        if name == CLAIMED:
+            entry["claim"] = claim_verdict(base, head, higher)
+        summary[name] = entry
+    operations = {
+        side: {key: sum(r[key] for r in runs[side]) for key in ("failed", "attempted")}
+        for side in ("base", "head")
+    }
+    return {
+        "workload": workload,
+        "seconds": seconds,
+        "pairs": pairs,
+        "metrics": summary,
+        "operations": operations,
+    }
+
+
+def report(rec: dict) -> list[str]:
+    """The printed summary and verdicts of a :func:`record`."""
+    n = len(rec["pairs"])
+    lines = [f"{rec['workload']}, {n} pairs of {rec['seconds']:g} s, base/head:"]
+    for name, e in rec["metrics"].items():
+        cells = []
+        for side in ("base", "head"):
+            q1, q2, q3 = e[f"{side}_quartiles"]
+            cells.append(f"{side} median {q2:.6g} (quartiles {q1:.6g}-{q3:.6g})")
+        wins = f"; head better in {e['head_wins']} of {n}"
+        lines.append(f"  {name:<12} " + "; ".join(cells) + wins)
+    for side, ops in rec["operations"].items():
+        lines.append(f"  {side} failed {ops['failed']} of {ops['attempted']} operations")
+    lines += ["", "verdict:"]
+    for name, e in rec["metrics"].items():
+        if "claim" in e:
+            v = e["claim"]
+            lines.append(
+                f"  claim {name}: {'met' if v['met'] else 'NOT met'} (head wins "
+                f"{v['wins']} of {v['pairs']}, needs {WIN_SHARE * v['pairs']:g}; median gap "
+                f"{v['gap']:.6g} against the base's IQR {v['iqr']:.6g})"
+            )
+        v = e["bound_verdict"]
+        way = "worse" if v["worse"] > 0 else "better"
+        change = f"{way} by {100 * abs(v['worse']):.2f} %" if v["worse"] else "unchanged"
+        lines.append(
+            f"  {name:<12} {v['status']}: head median {change} (bound "
+            f"{100 * e['bound']:g} %, base spread {100 * v['spread']:.2f} %)"
+        )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path)
@@ -100,6 +183,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--json", type=Path, help="also write the record to this file")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -119,44 +203,10 @@ def main(argv=None) -> int:
             cells.append(f"{name} {b:.6g}/{h:.6g}")
         print(f"pair {i + 1} seed {seed} {order[0]} first: " + "  ".join(cells), flush=True)
 
-    print(f"\n{args.workload}, {args.pairs} pairs of {args.seconds:g} s, base/head:")
-    values = {
-        side: {name: [r["metrics"][name]["value"] for r in runs[side]] for name in metrics}
-        for side in runs
-    }
-    for name, m in metrics.items():
-        higher = m["better"] == "higher"
-        base, head = values["base"][name], values["head"][name]
-        wins = sum(better(h, b, higher) for b, h in zip(base, head))
-        line = []
-        for side, vals in (("base", base), ("head", head)):
-            q1, q2, q3 = quartiles(vals)
-            line.append(f"{side} median {q2:.6g} (quartiles {q1:.6g}-{q3:.6g})")
-        print(f"  {name:<12} " + "; ".join(line) + f"; head better in {wins} of {len(base)}")
-    for side in runs:
-        failed = sum(r["failed"] for r in runs[side])
-        attempted = sum(r["attempted"] for r in runs[side])
-        print(f"  {side} failed {failed} of {attempted} operations")
-
-    print("\nverdict:")
-    for name, m in metrics.items():
-        higher = m["better"] == "higher"
-        base, head = values["base"][name], values["head"][name]
-        if name == CLAIMED:
-            v = claim_verdict(base, head, higher)
-            need = WIN_SHARE * v["pairs"]
-            print(
-                f"  claim {name}: {'met' if v['met'] else 'NOT met'} (head wins "
-                f"{v['wins']} of {v['pairs']}, needs {need:g}; median gap "
-                f"{v['gap']:.6g} against the base's IQR {v['iqr']:.6g})"
-            )
-        v = bound_verdict(base, head, m["bound"], higher)
-        way = "worse" if v["worse"] > 0 else "better"
-        change = f"{way} by {100 * abs(v['worse']):.2f} %" if v["worse"] else "unchanged"
-        print(
-            f"  {name:<12} {v['status']}: head median {change} (bound "
-            f"{100 * m['bound']:g} %, base spread {100 * v['spread']:.2f} %)"
-        )
+    rec = record(args.workload, args.seconds, args.first_seed, runs, metrics)
+    print("\n" + "\n".join(report(rec)))
+    if args.json is not None:
+        args.json.write_text(json.dumps(rec, indent=1) + "\n")
     return 0
 
 

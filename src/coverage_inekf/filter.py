@@ -61,15 +61,19 @@ that is a symmetric positive-definite 3x3.
 :func:`coverage_inekf.sim.filter_stream`, where streams enter the step
 loop, checks all of these once, before the first step.
 
-States are values: every function here returns new arrays for what it
-changes and shares the arrays it leaves unchanged with its input (the
-biases through propagation, the whole state through an update that leaves
-it alone), and none writes into a state's arrays.
+States are values of two arrays, the navigation rows [R | v | p], shape
+(3, 5), and the biases, shape (6,).  Every function here returns new
+arrays for what it changes, shares the arrays it leaves unchanged with its
+input, and writes into no state's arrays.  Propagation is one product and
+one add, x M + g_dt (:func:`propagate_mean`), a new [R | v | p] beside the
+input's bias array; a correction makes both arrays anew; an update that
+leaves the state alone returns it as it is.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,8 +85,6 @@ from coverage_inekf.tmvn import cholesky
 # Gravity in the world frame (m/s^2).
 GRAVITY = np.array([0.0, 0.0, -9.81])
 GRAVITY.setflags(write=False)
-_HALF_GRAVITY = 0.5 * GRAVITY
-_HALF_GRAVITY.setflags(write=False)
 
 ERROR_DIM = 15
 NOISE_DIM = 12
@@ -94,7 +96,10 @@ MAX_COND = 1e12
 
 @dataclass
 class AugmentedState:
-    """Navigation state plus IMU biases.
+    """Navigation state plus IMU biases: ``bias`` is one (..., 6) array,
+    the accelerometer bias then the gyroscope bias, read through the views
+    ``bias_accel`` and ``bias_gyro``.  The split matches the error state:
+    delta[:9] corrects ``nav`` and delta[9:] ``bias``.
 
     A value: states may share arrays (module docstring), so code that
     holds one never writes into its arrays.  Batched over leading axes of
@@ -102,21 +107,30 @@ class AugmentedState:
     """
 
     nav: Se23Element
-    bias_accel: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    bias_gyro: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    bias: np.ndarray = field(default_factory=lambda: np.zeros(6))
+
+    @property
+    def bias_accel(self) -> np.ndarray:
+        return self.bias[..., :3]
+
+    @property
+    def bias_gyro(self) -> np.ndarray:
+        return self.bias[..., 3:]
 
     @classmethod
     def identity(cls) -> "AugmentedState":
         return cls(Se23Element.identity())
 
 
+def _finite_real(s) -> bool:
+    """Whether ``s`` is a finite real number.  A bool is not one, though it
+    compares as 0 or 1, nor is a string or an array."""
+    return isinstance(s, numbers.Real) and not isinstance(s, bool) and math.isfinite(s)
+
+
 def _check_deviations(*stds) -> None:
-    """Raise ValueError unless every deviation is a finite scalar >= 0; a
-    bool is not one, though it compares as 0 or 1."""
-    if not all(
-        np.ndim(s) == 0 and not isinstance(s, (bool, np.bool_)) and 0.0 <= s < math.inf
-        for s in stds
-    ):
+    """Raise ValueError unless every deviation is a finite real >= 0."""
+    if not all(_finite_real(s) and s >= 0.0 for s in stds):
         raise ValueError(f"deviations must be finite scalars >= 0, got {stds}")
 
 
@@ -216,29 +230,39 @@ def factor_inverse(chol: list, pivots: list) -> np.ndarray:
 
 
 def propagate_mean(
-    x: AugmentedState, accel: np.ndarray, gyro: np.ndarray, dt: float
+    x: AugmentedState, accel: np.ndarray, gyro: np.ndarray, dt: float,
+    noise: ProcessNoise,
 ) -> AugmentedState:
     """Strapdown propagation of the state estimate over one IMU sample,
     the accelerometer and gyroscope 3-vectors held over dt.
 
-    Bias-corrected rates are held constant over the interval, for which the
-    closed form below is exact: the rotation advances by the SO(3)
-    exponential while velocity and position use its first and second
-    integrals.  Biases are constant under the nominal dynamics, so the
-    result shares the input's bias arrays.
+    Bias-corrected rates w and a are held constant over the interval, for
+    which the closed form is exact (Barrau & Bonnabel 2017): X+ = G X U
+    on the 5x5 matrices, with the increment U from the rates and G from
+    gravity.  On the element's rows [R | v | p] that is x+ = x M + g_dt,
+
+        M = [Gamma_0  Gamma_1 a dt  Gamma_2 a dt^2]    g_dt = [0 | g dt | g dt^2/2]
+            [0        1             dt            ]
+            [0        0             1             ]
+
+    with Gamma_k(w dt) from :func:`~coverage_inekf.se23.gamma_block`: the
+    rotation advances by the SO(3) exponential while velocity and position
+    use its first and second integrals.  M is built from floats by one
+    array call; g_dt depends on dt alone and is kept with ``noise``'s
+    other tables of this dt (:func:`_tables_at`), the only reason the
+    mean's propagation takes the noise.  Biases are constant under the
+    nominal dynamics, so the result shares the input's bias array.
     """
-    w = (gyro - x.bias_gyro) * dt
-    a = accel - x.bias_accel
-    rot, vel = x.nav.rot, x.nav.vel
-    gammas = se23.so3_gammas(w)
-    # rows R Gamma_k a for k = 0, 1, 2
-    ra = np.dot(np.dot(gammas.reshape(9, 3), a).reshape(3, 3), rot.T)
-    nav = Se23Element(
-        np.dot(rot, gammas[0]),
-        vel + (ra[1] + GRAVITY) * dt,
-        x.nav.pos + vel * dt + (ra[2] + _HALF_GRAVITY) * (dt * dt),
+    ax, ay, az, wx, wy, wz = (np.concatenate((accel, gyro)) - x.bias).tolist()
+    dt2 = dt * dt
+    # [Gamma_0 | Gamma_1 a dt  Gamma_2 a dt^2] at w dt
+    top = se23.gamma_block(
+        (wx * dt, wy * dt, wz * dt), (ax * dt, ay * dt, az * dt),
+        (ax * dt2, ay * dt2, az * dt2), 2,
     )
-    return AugmentedState(nav, x.bias_accel, x.bias_gyro)
+    m = np.array(top + [0.0, 0.0, 0.0, 1.0, dt, 0.0, 0.0, 0.0, 0.0, 1.0]).reshape(5, 5)
+    nav = Se23Element(np.dot(x.nav.x, m) + _tables_at(dt, noise)[2])
+    return AugmentedState(nav, x.bias)
 
 
 # The closed-form transition's features: the four that depend on the state,
@@ -247,13 +271,13 @@ _FEATURES = ("R", "v^R", "p^R", "g^R")
 _STATE_FEATURES = len(_FEATURES)
 _CONSTANTS = {"g^": skew(GRAVITY).ravel(), "I": _EYE3.ravel()}
 
-# [I; v^; p^; g^] flattened, as one product of (v, p, 1) with this map
-_STACK_MAP = np.zeros((7, 36))
-_STACK_MAP[0:3, 9:18] = _STACK_MAP[3:6, 18:27] = se23._HAT
-_STACK_MAP[6, 0:9], _STACK_MAP[6, 27:36] = _CONSTANTS["I"], _CONSTANTS["g^"]
+# [I; v^; p^; g^] flattened: one product of the element's 15 entries
+# [R | v | p], row by row, with this map, plus the constant blocks
+_STACK_MAP = np.zeros((15, 36))
+_STACK_MAP[3::5, 9:18] = _STACK_MAP[4::5, 18:27] = se23._HAT
 _STACK_MAP.setflags(write=False)
-_ONE = np.ones(1)
-_ONE.setflags(write=False)
+_STACK_BASE = np.concatenate((_CONSTANTS["I"], np.zeros(18), _CONSTANTS["g^"]))
+_STACK_BASE.setflags(write=False)
 
 # Nonzero 3x3 blocks of Phi (15x15, error blocks rot, vel, pos, accel bias,
 # gyro bias) and of Phi N (15x12, noise blocks accel, gyro, accel-bias walk,
@@ -329,13 +353,14 @@ _POLY, _POLY_SCALE, _STATE_INDEX = _transition_tables()
 TABLES_PER_NOISE = 64
 
 
-def _tables_at(dt: float, noise: ProcessNoise) -> tuple[np.ndarray, np.ndarray]:
-    """The tables of :func:`error_transition` at ``dt``, made by one
-    product on the first call with this (dt, noise) and kept in
-    ``noise._tables``: a buffer holding the constant blocks, and the state
-    blocks' coefficients (blocks, 4).  The noise blocks are scaled by
-    sqrt(q dt), so that they hold G = Phi N diag(sqrt(q dt)) rather than
-    Phi N."""
+def _tables_at(dt: float, noise: ProcessNoise) -> tuple[np.ndarray, ...]:
+    """The tables of a step of ``dt``, made on the first call with this
+    (dt, noise) and kept in ``noise._tables``.  First those of
+    :func:`error_transition`, made by one product: a buffer holding the
+    constant blocks, and the state blocks' coefficients (blocks, 4).  The
+    noise blocks are scaled by sqrt(q dt), so that they hold
+    G = Phi N diag(sqrt(q dt)) rather than Phi N.  Then the gravity term
+    [0 | g dt | g dt^2/2] of :func:`propagate_mean`, shape (3, 5)."""
     cache = noise._tables
     tables = cache.get(dt)
     if tables is not None:
@@ -347,7 +372,10 @@ def _tables_at(dt: float, noise: ProcessNoise) -> tuple[np.ndarray, np.ndarray]:
     table = np.dot(powers, _POLY) * scale[_POLY_SCALE]
     if len(cache) >= TABLES_PER_NOISE:
         cache.clear()
-    tables = cache[dt] = table[:_BUFFER], table[_BUFFER:].reshape(-1, _STATE_FEATURES)
+    gravity = np.outer(GRAVITY, (0.0, 0.0, 0.0, dt, 0.5 * dt * dt))
+    tables = cache[dt] = (
+        table[:_BUFFER], table[_BUFFER:].reshape(-1, _STATE_FEATURES), gravity
+    )
     return tables
 
 
@@ -366,10 +394,10 @@ def error_transition(
     features [R, v^R, p^R, g^R] from one product (12x3) R, and their blocks
     from one product with the coefficients.
     """
-    base, coef = _tables_at(dt, noise)
-    nav = x.nav
-    stack = np.dot(np.concatenate((nav.vel, nav.pos, _ONE)), _STACK_MAP)
-    feats = np.dot(stack.reshape(-1, 3), nav.rot).reshape(_STATE_FEATURES, 9)
+    base, coef, _ = _tables_at(dt, noise)
+    nav = x.nav.x
+    stack = np.dot(nav.ravel(), _STACK_MAP) + _STACK_BASE
+    feats = np.dot(stack.reshape(-1, 3), nav[:, :3]).reshape(_STATE_FEATURES, 9)
     out = base.copy()
     out[_STATE_INDEX] = np.dot(coef, feats).ravel()
     phi = out[: ERROR_DIM * ERROR_DIM].reshape(ERROR_DIM, ERROR_DIM)
@@ -386,13 +414,11 @@ def propagate_cov(cov: np.ndarray, phi: np.ndarray, q_d: np.ndarray) -> np.ndarr
 
 
 def apply_correction(x: AugmentedState, delta: np.ndarray) -> AugmentedState:
-    """On-manifold correction: nav <- exp(-xi^) nav, biases <- b - d_bias,
+    """On-manifold correction: nav <- exp(-xi^) nav, bias <- bias - delta[9:],
     all new arrays."""
     delta = np.asarray(delta, dtype=float)
     nav = se23.compose(se23.exp_se23(-delta[0:9]), x.nav)
-    return AugmentedState(
-        nav, x.bias_accel - delta[9:12], x.bias_gyro - delta[12:15]
-    )
+    return AugmentedState(nav, x.bias - delta[9:])
 
 
 def realized_error(x_est: AugmentedState, x_true: AugmentedState) -> np.ndarray:
@@ -403,18 +429,11 @@ def realized_error(x_est: AugmentedState, x_true: AugmentedState) -> np.ndarray:
     appended.  Batched over leading axes of the states' arrays.
     """
     rot_e = x_est.nav.rot @ np.swapaxes(x_true.nav.rot, -1, -2)
-    nav_e = Se23Element(
-        rot_e,
-        x_est.nav.vel - np.einsum("...ij,...j->...i", rot_e, x_true.nav.vel),
-        x_est.nav.pos - np.einsum("...ij,...j->...i", rot_e, x_true.nav.pos),
-    )
+    # X_est X_true^-1 = [rot_e | v_est - rot_e v_true  p_est - rot_e p_true]
+    nav_e = x_est.nav.x - rot_e @ x_true.nav.x
+    nav_e[..., :3] = rot_e
     return np.concatenate(
-        [
-            se23.log_se23(nav_e),
-            x_est.bias_accel - x_true.bias_accel,
-            x_est.bias_gyro - x_true.bias_gyro,
-        ],
-        axis=-1,
+        [se23.log_se23(Se23Element(nav_e)), x_est.bias - x_true.bias], axis=-1
     )
 
 

@@ -67,6 +67,7 @@ from coverage_inekf.filter import (
     GRAVITY,
     AugmentedState,
     ProcessNoise,
+    _finite_real,
     apply_correction,
     cov_from_std,
     error_transition,
@@ -92,8 +93,8 @@ TRAJECTORY_SPEED = 0.5
 
 def _check_positive(name: str, value) -> None:
     """Raise ValueError, naming the argument ``name``, unless ``value`` is a
-    positive finite scalar.  A bool is not one, though True compares as 1."""
-    if isinstance(value, (bool, np.bool_)) or np.ndim(value) != 0 or not 0 < value < math.inf:
+    positive finite real number."""
+    if not (_finite_real(value) and value > 0):
         raise ValueError(f"{name} must be a positive finite scalar, got {value!r}")
 
 
@@ -133,11 +134,13 @@ class TruthTrajectory:
         return self.times.size
 
     def state_at(self, i: int | slice) -> AugmentedState:
-        """The true state at sample i; a slice gives a batch of states."""
+        """The true state at sample i; a slice gives a batch of states,
+        which share one bias."""
+        nav = np.concatenate(
+            (self.rots[i], self.vels[i][..., None], self.poss[i][..., None]), axis=-1
+        )
         return AugmentedState(
-            Se23Element(self.rots[i], self.vels[i], self.poss[i]),
-            self.bias_accel.copy(),
-            self.bias_gyro.copy(),
+            Se23Element(nav), np.concatenate((self.bias_accel, self.bias_gyro))
         )
 
     def body_velocities(self) -> np.ndarray:
@@ -296,6 +299,8 @@ class FixedComponentMixture:
     ) -> "FixedComponentMixture":
         """Four equally likely planar bias hypotheses with isotropic spread."""
         _check_positive("sigma", sigma)
+        if not _finite_real(bias):
+            raise ValueError(f"bias must be a finite real scalar, got {bias!r}")
         means = np.array(
             [[bias, bias, 0.0], [bias, -bias, 0.0],
              [-bias, bias, 0.0], [-bias, -bias, 0.0]]
@@ -408,8 +413,9 @@ def simulate(campaign: CampaignConfig, seed: int):
 @dataclass
 class Track:
     """What a filter run stores: each step's posterior estimate, as one
-    batched state whose arrays hold a row per step, the (n, 3, 3) position
-    blocks of its covariances, and the active and skipped coverage updates.
+    batched state of arrays (n, 3, 5) and (n, 6), a row per step, the
+    (n, 3, 3) position blocks of its covariances, and the active and
+    skipped coverage updates.
     A run that diverged is shorter than its stream: its arrays hold the
     steps taken."""
 
@@ -443,9 +449,10 @@ def filter_stream(x0: AugmentedState, imu, meas: np.ndarray, arm) -> Track:
     that :func:`~coverage_inekf.tmvn.cholesky` finds positive definite; it
     raises LinAlgError, a ValueError, if not.
 
-    A non-finite entry in the prior position, velocity or covariance ends
+    A non-finite entry in the prior state [R | v | p] or covariance ends
     the run before the update, which would refuse it or fail; so does an
-    entry beyond 1e154, whose square overflows.
+    entry beyond 1e154, whose square overflows.  Each step writes three
+    rows: the state, its bias and the covariance's position block.
     """
     accel, gyro, dts = (np.asarray(a, dtype=float) for a in imu)
     n = dts.size
@@ -476,28 +483,25 @@ def filter_stream(x0: AugmentedState, imu, meas: np.ndarray, arm) -> Track:
         if not (b == d and c == g and f == h):
             raise ValueError(f"r must be symmetric, got {rows}")
         cholesky(rows)
-    rot, cov_pos = np.empty((n, 3, 3)), np.empty((n, 3, 3))
-    vel, pos, bias_accel, bias_gyro = np.empty((4, n, 3))
+    navs, biases, cov_pos = np.empty((n, 3, 5)), np.empty((n, 6)), np.empty((n, 3, 3))
     x, cov, active, skipped, taken = x0, INIT_COV, 0, 0, 0
     for a, w, dt, z in zip(accel, gyro, dts.tolist(), zs):
         phi, q_d = error_transition(x, dt, PROCESS_NOISE)
-        x = propagate_mean(x, a, w, dt)
+        x = propagate_mean(x, a, w, dt, PROCESS_NOISE)
         cov = propagate_cov(cov, phi, q_d)
         # a sum of squares is finite only if every term is; np.vdot, unlike
-        # np.dot, does not warn when a square overflows
-        p, v = x.nav.pos, x.nav.vel
-        if not math.isfinite(np.vdot(p, p) + np.vdot(v, v) + np.vdot(cov, cov)):
+        # np.dot, does not warn when a square overflows.  The rotation's
+        # squares sum to 3, so [R | v | p] is checked whole, in one call.
+        nav = x.nav.x
+        if not math.isfinite(np.vdot(nav, nav) + np.vdot(cov, cov)):
             break
         x, cov, diag = update(x, cov, z, rule, arm)
         if diag is not None:
             active += diag.active
             skipped += diag.skipped
-        rot[taken], vel[taken], pos[taken] = x.nav.rot, x.nav.vel, x.nav.pos
-        bias_accel[taken], bias_gyro[taken] = x.bias_accel, x.bias_gyro
-        cov_pos[taken] = cov[6:9, 6:9]
+        navs[taken], biases[taken], cov_pos[taken] = x.nav.x, x.bias, cov[6:9, 6:9]
         taken += 1
-    nav = Se23Element(rot[:taken], vel[:taken], pos[:taken])
-    states = AugmentedState(nav, bias_accel[:taken], bias_gyro[:taken])
+    states = AugmentedState(Se23Element(navs[:taken]), biases[:taken])
     return Track(states, cov_pos[:taken], active, skipped)
 
 

@@ -10,7 +10,7 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal, norm, qmc, truncnorm
 
 from coverage_inekf.filter import ERROR_DIM, GRAVITY, NOISE_DIM, AugmentedState
-from coverage_inekf.se23 import Se23Element, so3_gammas
+from coverage_inekf.se23 import SERIES_ANGLE, Se23Element
 from coverage_inekf.tmvn import (
     INFINITE_BOUND_SIGMA,
     NODES,
@@ -119,25 +119,91 @@ def se23_hat(v):
     return m
 
 
+def so3_gammas(w):
+    """The series Gamma_k(w) = sum_n (w^)^n / (n + k)! for k = 0, 1, 2,
+    stacked as a (3, 3, 3) array: the package's coefficients a, b, c, d
+    (``se23.gamma_block``), with the same series below ``SERIES_ANGLE``,
+    times the basis [I, w^, w^2] as matrices, w^2 = w w^T - t^2 I.  The
+    reference for the blocks the package writes out on floats."""
+    x, y, z = np.asarray(w, dtype=float).tolist()
+    xx, yy, zz = x * x, y * y, z * z
+    t2 = xx + yy + zz
+    theta = math.sqrt(t2)
+    if theta < SERIES_ANGLE:
+        c = (1 - t2 / 20 * (1 - t2 / 42 * (1 - t2 / 72 * (1 - t2 / 110)))) / 6
+        d = (1 - t2 / 30 * (1 - t2 / 56 * (1 - t2 / 90 * (1 - t2 / 132)))) / 24
+        a = 1.0 - t2 * c
+        b = 0.5 - t2 * d
+    else:
+        a = math.sin(theta) / theta
+        h = math.sin(0.5 * theta) / theta
+        b = 2.0 * h * h
+        c = (1.0 - a) / t2
+        d = (0.5 - b) / t2
+    xy, xz, yz = x * y, x * z, y * z
+    basis = np.array([
+        1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0,
+        0.0, -z, y, z, 0.0, -x, -y, x, 0.0,
+        -(yy + zz), xy, xz, xy, -(xx + zz), yz, xz, yz, -(xx + yy),
+    ]).reshape(3, 9)
+    coef = np.array([1.0, a, b, 1.0, b, c, 0.5, c, d]).reshape(3, 3)
+    return np.dot(coef, basis).reshape(3, 3, 3)
+
+
+def se23_element(rot, vel, pos):
+    """The element [R | v | p] of a rotation, a velocity and a position,
+    batched over leading axes."""
+    rot, vel, pos = (np.asarray(a, dtype=float) for a in (rot, vel, pos))
+    return Se23Element(np.concatenate((rot, vel[..., None], pos[..., None]), axis=-1))
+
+
 def random_state(rng, max_angle=2.5, pos_scale=5.0):
     """An AugmentedState drawn from ``rng``: a turn of U(0.1, max_angle)
     rad about a random axis, a standard normal velocity, a position of
     ``pos_scale`` times a standard normal, and small biases."""
     w = rng.standard_normal(3)
     w *= rng.uniform(0.1, max_angle) / np.linalg.norm(w)
-    return AugmentedState(
-        Se23Element(
-            so3_gammas(w)[0], rng.standard_normal(3), pos_scale * rng.standard_normal(3)
-        ),
-        bias_accel=0.05 * rng.standard_normal(3),
-        bias_gyro=0.005 * rng.standard_normal(3),
+    nav = se23_element(
+        so3_gammas(w)[0], rng.standard_normal(3), pos_scale * rng.standard_normal(3)
     )
+    bias_accel = 0.05 * rng.standard_normal(3)
+    return AugmentedState(nav, np.concatenate((bias_accel, 0.005 * rng.standard_normal(3))))
 
 
 def se23_inverse(x):
     """Group inverse (R^T, -R^T v, -R^T p) of an extended pose."""
     rt = x.rot.T
-    return Se23Element(rt.copy(), -(rt @ x.vel), -(rt @ x.pos))
+    return se23_element(rt, -(rt @ x.vel), -(rt @ x.pos))
+
+
+def exp_se23_reference(v):
+    """The exponential map as Gamma_0(xi_r) and Gamma_1(xi_r) applied to
+    xi_v and xi_p, from the matrices of :func:`so3_gammas`."""
+    v = np.asarray(v, dtype=float)
+    gammas = so3_gammas(v[0:3])
+    return se23_element(gammas[0], gammas[1] @ v[3:6], gammas[1] @ v[6:9])
+
+
+def compose_reference(a, b):
+    """a * b as the product of the dense 5x5 matrices."""
+    return Se23Element((se23_matrix(a) @ se23_matrix(b))[:3])
+
+
+def propagate_mean_reference(x, accel, gyro, dt):
+    """Strapdown propagation on separate arrays, from the rows R Gamma_k a
+    of the matrices of :func:`so3_gammas`: R Gamma_0, v + (R Gamma_1 a + g)
+    dt and p + v dt + (R Gamma_2 a + g/2) dt^2, biases kept."""
+    w = (gyro - x.bias_gyro) * dt
+    a = accel - x.bias_accel
+    rot, vel, pos = x.nav.rot, x.nav.vel, x.nav.pos
+    gammas = so3_gammas(w)
+    ra = (gammas @ a) @ rot.T
+    nav = se23_element(
+        rot @ gammas[0],
+        vel + (ra[1] + GRAVITY) * dt,
+        pos + vel * dt + (ra[2] + 0.5 * GRAVITY) * (dt * dt),
+    )
+    return AugmentedState(nav, x.bias)
 
 
 def se23_matrix(x):

@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 from oracles import (
     check_se23_valid,
+    compose_reference,
     error_dynamics_matrices,
     error_transition_reference,
+    exp_se23_reference,
     process_noise_psd,
+    propagate_mean_reference,
     random_state,
     resting_stream,
+    se23_element,
     se23_inverse,
     se23_matrix,
     transition_from_dynamics,
@@ -40,7 +44,7 @@ from coverage_inekf.filter import (
     velocity_projection,
 )
 from coverage_inekf.se23 import Se23Element, log_se23, skew
-from coverage_inekf.sim import TrajectorySpec, generate_truth, synthesize_imu
+from coverage_inekf.sim import PROCESS_NOISE, TrajectorySpec, generate_truth, synthesize_imu
 
 
 def screened_inverse(m, what):
@@ -68,13 +72,8 @@ def filter_resting(imu=None, meas=None, arm=0.01 * np.eye(3)):
 def stack_states(states):
     """One AugmentedState whose arrays stack those of ``states``."""
     return AugmentedState(
-        Se23Element(
-            np.array([x.nav.rot for x in states]),
-            np.array([x.nav.vel for x in states]),
-            np.array([x.nav.pos for x in states]),
-        ),
-        np.array([x.bias_accel for x in states]),
-        np.array([x.bias_gyro for x in states]),
+        Se23Element(np.array([x.nav.x for x in states])),
+        np.array([x.bias for x in states]),
     )
 
 
@@ -100,8 +99,10 @@ class TestPropagateMean:
     def test_hover_equilibrium(self):
         rng = np.random.default_rng(0)
         x = random_state(rng)
-        x.nav.vel = np.zeros(3)
-        y = propagate_mean(x, -x.nav.rot.T @ GRAVITY + x.bias_accel, x.bias_gyro, 0.01)
+        x = AugmentedState(se23_element(x.nav.rot, np.zeros(3), x.nav.pos), x.bias)
+        y = propagate_mean(
+            x, -x.nav.rot.T @ GRAVITY + x.bias_accel, x.bias_gyro, 0.01, PROCESS_NOISE
+        )
         assert np.allclose(y.nav.rot, x.nav.rot, atol=1e-14)
         assert np.allclose(y.nav.vel, 0, atol=1e-14)
         assert np.allclose(y.nav.pos, x.nav.pos, atol=1e-14)
@@ -110,7 +111,9 @@ class TestPropagateMean:
         omega = 0.7
         x = AugmentedState.identity()
         for k in range(200):
-            x = propagate_mean(x, -x.nav.rot.T @ GRAVITY, np.array([0.0, 0.0, omega]), 0.01)
+            x = propagate_mean(
+                x, -x.nav.rot.T @ GRAVITY, np.array([0.0, 0.0, omega]), 0.01, PROCESS_NOISE
+            )
         angle = omega * 200 * 0.01
         expected = np.array(
             [
@@ -130,7 +133,7 @@ class TestPropagateMean:
         for _ in range(1000):
             gyro = rng.uniform(-1.0, 1.0, 3)
             accel = rng.uniform(-2.0, 2.0, 3)
-            x = propagate_mean(x, accel + x.bias_accel, gyro + x.bias_gyro, dt)
+            x = propagate_mean(x, accel + x.bias_accel, gyro + x.bias_gyro, dt, PROCESS_NOISE)
             rot, vel, pos = rk4_strapdown(rot, vel, pos, gyro, accel, dt)
         assert np.linalg.norm(x.nav.pos - pos) <= 1e-6
         assert np.linalg.norm(x.nav.vel - vel) <= 1e-6
@@ -138,9 +141,65 @@ class TestPropagateMean:
     def test_biases_unchanged(self):
         rng = np.random.default_rng(2)
         x = random_state(rng)
-        y = propagate_mean(x, rng.normal(size=3), rng.normal(size=3), 0.01)
-        assert np.array_equal(y.bias_accel, x.bias_accel)
-        assert np.array_equal(y.bias_gyro, x.bias_gyro)
+        y = propagate_mean(x, rng.normal(size=3), rng.normal(size=3), 0.01, PROCESS_NOISE)
+        assert y.bias is x.bias
+
+
+class TestKernelsMatchReferences:
+    """The kernels on the [R | v | p] array, whose Gamma blocks are written
+    out on floats, against the references in ``oracles``: the matrices
+    Gamma_k and the rows R Gamma_k a, and products of dense 5x5 matrices.
+    Each entry agrees within ``ULPS`` ulp of its column's entry scale, the
+    largest magnitude in that column of the reference and of the input
+    element; measured at most 2.7 ulp (the correction's position column).
+    Rotation steps lie on both sides of ``SERIES_ANGLE``."""
+
+    ULPS = 6
+    ANGLES = (1e-9, 1e-4, 0.1, 0.2499, 0.2501, 0.5, 2.5)
+
+    @staticmethod
+    def assert_close(got, want, element):
+        scale = np.maximum(np.abs(want).max(axis=-2), np.abs(element).max(axis=-2))
+        bound = TestKernelsMatchReferences.ULPS * np.finfo(float).eps * scale
+        assert (np.abs(got - want) <= bound).all()
+
+    def cases(self, seed):
+        """(state, unit axis, angle, rng), 20 per angle."""
+        rng = np.random.default_rng(seed)
+        for angle in self.ANGLES:
+            for _ in range(20):
+                axis = rng.standard_normal(3)
+                yield random_state(rng), axis / np.linalg.norm(axis), angle, rng
+
+    def test_propagate_mean(self):
+        dt = 0.01
+        for x, axis, angle, rng in self.cases(30):
+            accel = 10.0 * rng.standard_normal(3)
+            gyro = angle / dt * axis + x.bias_gyro
+            got = propagate_mean(x, accel, gyro, dt, PROCESS_NOISE)
+            want = propagate_mean_reference(x, accel, gyro, dt)
+            self.assert_close(got.nav.x, want.nav.x, x.nav.x)
+
+    def test_exp_se23(self):
+        for _, axis, angle, rng in self.cases(31):
+            v = np.concatenate((angle * axis, rng.standard_normal(6)))
+            want = exp_se23_reference(v).x
+            self.assert_close(se23.exp_se23(v).x, want, want)
+
+    def test_compose(self):
+        for x, _, _, rng in self.cases(32):
+            b = random_state(rng).nav
+            want = compose_reference(x.nav, b).x
+            self.assert_close(se23.compose(x.nav, b).x, want, x.nav.x)
+
+    def test_apply_correction(self):
+        for x, axis, angle, rng in self.cases(33):
+            delta = np.concatenate((angle * axis, rng.standard_normal(6),
+                                    0.1 * rng.standard_normal(6)))
+            got = apply_correction(x, delta)
+            want = compose_reference(exp_se23_reference(-delta[:9]), x.nav).x
+            self.assert_close(got.nav.x, want, x.nav.x)
+            assert np.array_equal(got.bias, x.bias - delta[9:])
 
 
 class TestRotationDrift:
@@ -154,7 +213,7 @@ class TestRotationDrift:
         truth = generate_truth(TrajectorySpec(duration=60.0))
         x = truth.state_at(0)
         for accel, gyro, dt in zip(*synthesize_imu(truth)):
-            x = propagate_mean(x, accel, gyro, dt)
+            x = propagate_mean(x, accel, gyro, dt, PROCESS_NOISE)
         assert len(truth.times) == 6001
         check_se23_valid(x.nav, atol=1e-12)
 
@@ -298,7 +357,7 @@ class TestPropagateCov:
         for _ in range(200):
             phi, q_d = error_transition(x, 0.01, q)
             cov = propagate_cov(cov, phi, q_d)
-            x = propagate_mean(x, rng.normal(size=3), rng.normal(size=3), 0.01)
+            x = propagate_mean(x, rng.normal(size=3), rng.normal(size=3), 0.01, q)
         assert np.linalg.eigvalsh(cov).min() >= -1e-10
         assert np.array_equal(cov, cov.T)
 
@@ -452,7 +511,7 @@ def test_steps_leave_their_input_state_unchanged():
     rng = np.random.default_rng(27)
 
     def arrays(x):
-        return [x.nav.rot, x.nav.vel, x.nav.pos, x.bias_accel, x.bias_gyro]
+        return [x.nav.x, x.bias]
 
     def kept(x):
         return x, [a.copy() for a in arrays(x)]
@@ -460,8 +519,10 @@ def test_steps_leave_their_input_state_unchanged():
     x = random_state(rng)
     cov = cov_from_std(0.02, 0.05, 0.05, 0.02, 0.002)
     inputs = [kept(x)]
-    prior = propagate_mean(x, rng.standard_normal(3), rng.standard_normal(3), 0.01)
-    assert prior.bias_accel is x.bias_accel and prior.bias_gyro is x.bias_gyro
+    prior = propagate_mean(
+        x, rng.standard_normal(3), rng.standard_normal(3), 0.01, PROCESS_NOISE
+    )
+    assert prior.bias is x.bias
     inputs.append(kept(prior))
     post, _ = kalman_update(prior, cov, rng.standard_normal(3), 0.01 * np.eye(3))
     inputs.append(kept(post))
@@ -690,7 +751,7 @@ class TestLongRunStability:
         for k in range(2000):
             phi, q_d = error_transition(x, 0.01, q)
             cov = propagate_cov(cov, phi, q_d)
-            x = propagate_mean(x, rng.normal(0, 1, 3), rng.normal(0, 0.5, 3), 0.01)
+            x = propagate_mean(x, rng.normal(0, 1, 3), rng.normal(0, 0.5, 3), 0.01, q)
             if k % 5 == 0:
                 meas = predicted_body_velocity(x) + rng.normal(0, 0.1, 3)
                 x, cov = kalman_update(x, cov, meas, r)

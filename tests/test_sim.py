@@ -7,7 +7,14 @@ from functools import partial
 
 import numpy as np
 import pytest
-from oracles import gaussian_radius, mixture_covariance, mixture_radii, resting_stream, spy
+from oracles import (
+    gaussian_radius,
+    mixture_covariance,
+    mixture_radii,
+    resting_stream,
+    se23_element,
+    spy,
+)
 
 from coverage_inekf import coverage, sim
 from coverage_inekf.calibration import (
@@ -16,7 +23,13 @@ from coverage_inekf.calibration import (
     min_samples_for,
 )
 from coverage_inekf.coverage import UpdateDiagnostics
-from coverage_inekf.filter import AugmentedState, propagate_mean, realized_error
+from coverage_inekf.filter import (
+    AugmentedState,
+    ProcessNoise,
+    cov_from_std,
+    propagate_mean,
+    realized_error,
+)
 from coverage_inekf.sim import (
     CampaignConfig,
     CampaignRow,
@@ -37,23 +50,23 @@ NAN = float("nan")
 # Any change to them is a change in the filter's output, not a refactor.
 GOLDEN = {
     "mixture": [
-        CampaignRow(method="gaussian", gamma=None, rmse_mean=0.24129998582151166,
-                    rmse_std=0.014181100498412855, nees_mean=20.259047563902683,
-                    nees_std=2.197196059931353, frac_active=NAN, diverged=0,
+        CampaignRow(method="gaussian", gamma=None, rmse_mean=0.24129998582151177,
+                    rmse_std=0.014181100498412669, nees_mean=20.2590475639027,
+                    nees_std=2.1971960599313203, frac_active=NAN, diverged=0,
                     skipped=0),
-        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.21985265319650416,
-                    rmse_std=0.013427051215523818, nees_mean=9.261315126318026,
-                    nees_std=1.1875876890838615, frac_active=0.2733333333333334,
+        CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.21985265319650424,
+                    rmse_std=0.013427051215523955, nees_mean=9.26131512631803,
+                    nees_std=1.1875876890838692, frac_active=0.2733333333333334,
                     diverged=0, skipped=0),
     ],
     "gaussian": [
-        CampaignRow(method="gaussian", gamma=None, rmse_mean=0.07631812734127631,
-                    rmse_std=0.03791117485449529, nees_mean=2.8388219428940755,
-                    nees_std=2.5553131541492005, frac_active=NAN, diverged=0,
+        CampaignRow(method="gaussian", gamma=None, rmse_mean=0.07631812734127624,
+                    rmse_std=0.03791117485449538, nees_mean=2.8388219428940737,
+                    nees_std=2.5553131541492067, frac_active=NAN, diverged=0,
                     skipped=0),
         CampaignRow(method="coverage", gamma=0.8, rmse_mean=0.08644083490423381,
-                    rmse_std=0.0363000984433725, nees_mean=3.027675412229088,
-                    nees_std=2.4299145483156397, frac_active=0.4483333333333333,
+                    rmse_std=0.036300098443372564, nees_mean=3.02767541222909,
+                    nees_std=2.429914548315644, frac_active=0.4483333333333333,
                     diverged=0, skipped=2),
     ],
 }
@@ -199,13 +212,13 @@ def nan_velocity_block(cov):
 
 
 def infinite_velocity(x):
-    x.nav.vel = x.nav.vel + [np.inf, 0.0, 0.0]
-    return x
+    nav = se23_element(x.nav.rot, x.nav.vel + [np.inf, 0.0, 0.0], x.nav.pos)
+    return AugmentedState(nav, x.bias)
 
 
 def huge_position(x):
-    x.nav.pos = x.nav.pos + [1e155, 0.0, 0.0]
-    return x
+    nav = se23_element(x.nav.rot, x.nav.vel, x.nav.pos + [1e155, 0.0, 0.0])
+    return AugmentedState(nav, x.bias)
 
 
 # a fault in the prior: the propagation step it corrupts, and how
@@ -424,7 +437,8 @@ def test_small_turn_gives_exact_gyro():
         ((accel,), (gyro,), (step,)) = synthesize_imu(truth)
         rate = theta / dt
         assert np.abs(gyro - [0.0, 0.0, rate]).max() <= 1e-14 * rate
-        vel = propagate_mean(truth.state_at(0), accel, gyro, step).nav.vel
+        x = propagate_mean(truth.state_at(0), accel, gyro, step, sim.PROCESS_NOISE)
+        vel = x.nav.vel
         assert np.abs(vel - vels[1]).max() <= 1e-14 * np.abs(vels[1]).max()
 
 
@@ -444,7 +458,7 @@ def test_noise_free_imu_inversion_round_trip(pattern):
     x = truth.state_at(0)
     err = np.empty((steps, 3))
     for k, u in enumerate(zip(*imu)):
-        x = propagate_mean(x, *u)
+        x = propagate_mean(x, *u, sim.PROCESS_NOISE)
         err[k] = [
             np.abs(x.nav.rot - truth.rots[k + 1]).max(),
             np.abs(x.nav.vel - truth.vels[k + 1]).max(),
@@ -784,16 +798,54 @@ def mixture(weights, means, covs):
         (partial(FixedComponentMixture.isotropic, np.full(3, 0.1)), "sigma"),
         (partial(FixedComponentMixture.default_biased, 0.15, -0.05), "sigma"),
         (partial(FixedComponentMixture.default_biased, 0.15, 0.0), "sigma"),
+        (partial(FixedComponentMixture.default_biased, True), "bias"),
+        (partial(FixedComponentMixture.default_biased, np.nan), "bias"),
+        (partial(FixedComponentMixture.default_biased, -np.inf), "bias"),
+        (partial(FixedComponentMixture.default_biased, "0.15"), "bias"),
+        (partial(FixedComponentMixture.default_biased, 0.15 + 0j), "bias"),
+        (partial(FixedComponentMixture.default_biased, np.full(2, 0.15)), "bias"),
     ],
     ids=["negative-weight", "weights-sum", "weights-2d", "nan-weight",
          "means-rows", "means-cols", "covs-shape", "covs-singular",
          "nan-mean", "nan-cov", "covs-asymmetric",
          "isotropic-negative-sigma", "isotropic-zero-sigma", "isotropic-inf-sigma",
          "isotropic-bool-sigma", "isotropic-per-axis-sigma",
-         "biased-negative-sigma", "biased-zero-sigma"],
+         "biased-negative-sigma", "biased-zero-sigma", "biased-bool-bias",
+         "biased-nan-bias", "biased-inf-bias", "biased-string-bias",
+         "biased-complex-bias", "biased-array-bias"],
 )
 def test_malformed_mixture_is_rejected(build, match):
-    """The constructors refuse sigma by name: isotropic(-0.1) used to build
-    the sigma = 0.1 law, and a zero sigma failed in numpy's Cholesky."""
+    """The constructors refuse sigma, and the biased one its bias, by name:
+    isotropic(-0.1) used to build the sigma = 0.1 law, a zero sigma failed
+    in numpy's Cholesky, and default_biased(True) built the means
+    (+-1, +-1, 0)."""
     with pytest.raises(ValueError, match=match):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (partial(cov_from_std, "0.1", 0.1, 0.1, 0.1, 0.1), "deviations"),
+        (partial(TrajectorySpec, duration="2"), "duration"),
+        (partial(ProcessNoise, "1", 0, 0, 0), "deviations"),
+        (partial(FixedComponentMixture.isotropic, "0.1"), "sigma"),
+    ],
+    ids=["cov_from_std", "TrajectorySpec", "ProcessNoise", "isotropic"],
+)
+def test_input_checks_refuse_a_string(build, match):
+    """Each check compared the string with a number and escaped as that
+    comparison's TypeError; it raises the ValueError naming the argument."""
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_default_biased_keeps_its_means():
+    """The check refuses no real bias: the default, a numpy scalar, zero
+    and a negative bias build the four means (+-b, +-b, 0)."""
+    for bias in (0.15, np.float64(0.15), 0.0, -0.15):
+        means = FixedComponentMixture.default_biased(bias).means
+        b = float(bias)
+        assert np.array_equal(
+            means, [[b, b, 0.0], [b, -b, 0.0], [-b, b, 0.0], [-b, -b, 0.0]]
+        )
